@@ -369,38 +369,14 @@ Status Database::ValidateBatch(std::span<const Query> queries) const {
 }
 
 BatchResult Database::RunBatch(std::span<const Query> queries) {
-  BatchResult batch;
-  batch.status = ValidateBatch(queries);
-  if (!batch.status.ok()) return batch;
-
-  const Stopwatch wall;
-  const size_t n = queries.size();
-  batch.results.resize(n);
-  const size_t shards =
-      pool_ != nullptr ? std::min(pool_->num_threads(), n) : 1;
-  std::vector<ShardAccum> accums(std::max<size_t>(1, shards));
-  if (shards <= 1) {
-    RunShard(queries, 0, n, batch.results.data(), &accums[0]);
-  } else {
-    // Contiguous shards keep results[i] aligned with queries[i] for free
-    // and let each worker stream through its slice of the results array.
-    QueryResult* const results = batch.results.data();
-    ParallelFor(*pool_, n, shards,
-                [this, queries, results, &accums](size_t s, size_t begin,
-                                                  size_t end) {
-                  RunShard(queries, begin, end, results, &accums[s]);
-                });
-  }
-  // Deterministic merge: always in shard order, whatever order the workers
-  // actually finished in.
-  for (const ShardAccum& acc : accums) {
-    batch.stats.Merge(acc.stats);
-    batch.empty_skipped += acc.empty_skipped;
-  }
-  batch.wall_ms = wall.ElapsedMillis();
-
-  FoldBatchTelemetry(queries, batch);
-  return batch;
+  // The caller blocks until the batch is done, so the batch may borrow the
+  // caller's span instead of copying it.
+  auto done = std::make_shared<std::promise<BatchResult>>();
+  std::future<BatchResult> result = done->get_future();
+  ExecuteBatch(queries, /*caller_waits=*/true, [done](BatchResult batch) {
+    done->set_value(std::move(batch));
+  });
+  return result.get();
 }
 
 BatchResult Database::RunBatch(const Workload& workload) {
@@ -423,8 +399,8 @@ void Database::FoldBatchTelemetry(std::span<const Query> queries,
   }
 }
 
-void Database::RunBatchAsync(std::span<const Query> queries,
-                             std::function<void(BatchResult)> on_done) {
+void Database::ExecuteBatch(std::span<const Query> queries, bool caller_waits,
+                            std::function<void(BatchResult)> on_done) {
   {
     Status status = ValidateBatch(queries);
     if (!status.ok()) {
@@ -434,56 +410,69 @@ void Database::RunBatchAsync(std::span<const Query> queries,
       return;
     }
   }
-  if (pool_ == nullptr) {
-    // No pool (num_threads == 1): the synchronous path, completed before
-    // this returns.
-    on_done(RunBatch(queries));
-    return;
-  }
+  const size_t n = queries.size();
+  const size_t workers = pool_ != nullptr ? pool_->num_threads() : 1;
+  const size_t shards = std::max<size_t>(1, std::min(workers, n));
+  const bool run_inline = pool_ == nullptr || (caller_waits && shards == 1);
 
   // Shared completion state: shards decrement `remaining`, and whichever
-  // worker hits zero merges, folds telemetry, and fires the callback. No
+  // one hits zero merges, folds telemetry, and fires the callback. No
   // shard ever waits on another shard (the ThreadPool forbids that), so
   // any number of async batches can be in flight on one pool.
-  struct AsyncBatch {
-    std::vector<Query> queries;  ///< Owned copy; outlives the caller's span.
+  struct BatchRun {
+    std::vector<Query> owned;  ///< Copy when the caller's span may die first.
+    std::span<const Query> queries;
     BatchResult batch;
     std::vector<ShardAccum> accums;
     std::atomic<size_t> remaining{0};
     Stopwatch wall;  ///< Starts at submission: wall_ms includes queue wait.
     std::function<void(BatchResult)> on_done;
   };
-  auto state = std::make_shared<AsyncBatch>();
-  state->queries.assign(queries.begin(), queries.end());
-  state->on_done = std::move(on_done);
-  const size_t n = state->queries.size();
-  state->batch.results.resize(n);
-  const size_t shards = std::max<size_t>(1, std::min(pool_->num_threads(), n));
-  state->accums.resize(shards);
-  state->remaining.store(shards, std::memory_order_relaxed);
+  auto run = std::make_shared<BatchRun>();
+  if (run_inline || caller_waits) {
+    run->queries = queries;
+  } else {
+    run->owned.assign(queries.begin(), queries.end());
+    run->queries = run->owned;
+  }
+  run->on_done = std::move(on_done);
+  run->batch.results.resize(n);
+  run->accums.resize(shards);
+  run->remaining.store(shards, std::memory_order_relaxed);
 
-  // Same contiguous near-equal carve as ParallelFor, so the async result
-  // is field-for-field what the synchronous RunBatch would have produced.
+  auto run_shard = [this, run](size_t s, size_t begin, size_t end) {
+    RunShard(run->queries, begin, end, run->batch.results.data(),
+             &run->accums[s]);
+    if (run->remaining.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
+    // Deterministic merge: always in shard order, whatever order the
+    // shards actually finished in.
+    for (const ShardAccum& acc : run->accums) {
+      run->batch.stats.Merge(acc.stats);
+      run->batch.empty_skipped += acc.empty_skipped;
+    }
+    run->batch.wall_ms = run->wall.ElapsedMillis();
+    FoldBatchTelemetry(run->queries, run->batch);
+    run->on_done(std::move(run->batch));
+  };
+  if (run_inline) {
+    run_shard(0, 0, n);
+    return;
+  }
+  // Contiguous near-equal shards keep results[i] aligned with queries[i]
+  // for free and let each worker stream through its slice of the results.
   const size_t base = n / shards;
   const size_t extra = n % shards;
   size_t begin = 0;
   for (size_t s = 0; s < shards; ++s) {
     const size_t end = begin + base + (s < extra ? 1 : 0);
-    pool_->Submit([this, state, s, begin, end] {
-      RunShard(state->queries, begin, end, state->batch.results.data(),
-               &state->accums[s]);
-      if (state->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        for (const ShardAccum& acc : state->accums) {
-          state->batch.stats.Merge(acc.stats);
-          state->batch.empty_skipped += acc.empty_skipped;
-        }
-        state->batch.wall_ms = state->wall.ElapsedMillis();
-        FoldBatchTelemetry(state->queries, state->batch);
-        state->on_done(std::move(state->batch));
-      }
-    });
+    pool_->Submit([run_shard, s, begin, end] { run_shard(s, begin, end); });
     begin = end;
   }
+}
+
+void Database::RunBatchAsync(std::span<const Query> queries,
+                             std::function<void(BatchResult)> on_done) {
+  ExecuteBatch(queries, /*caller_waits=*/false, std::move(on_done));
 }
 
 std::future<BatchResult> Database::RunBatchAsync(

@@ -252,11 +252,15 @@ class Database {
   QueryResult Run(const Query& query);
   QueryResult Collect(const Query& query);
 
-  /// Runs the batch and returns per-query results plus aggregate stats;
-  /// with num_threads != 1 the span is sharded contiguously across the
-  /// pool and per-worker stats are folded in shard order at batch end.
-  /// `results[i]` always matches `queries[i]`. Arity mismatches fail the
-  /// whole batch (BatchResult::status) before any worker starts.
+  /// Runs the batch and returns per-query results plus aggregate stats:
+  /// the calling thread waits on the same execution path as
+  /// RunBatchAsync. With num_threads != 1 the span is sharded contiguously
+  /// across the pool and per-shard stats are folded in shard order at
+  /// batch end; a batch that carves into one shard (a single query, or no
+  /// pool) runs on the calling thread. `results[i]` always matches
+  /// `queries[i]`. Arity mismatches fail the whole batch
+  /// (BatchResult::status) before any shard starts. Must not be called
+  /// from a task on this database's pool.
   BatchResult RunBatch(std::span<const Query> queries);
   BatchResult RunBatch(const Workload& workload);
 
@@ -563,8 +567,19 @@ class Database {
   /// batches, from RecordTelemetry for single Run/Collect.
   void NoteQueryMetrics(const QueryResult& result) const;
 
+  /// The one batch executor behind RunBatch and both RunBatchAsync
+  /// flavors: validates, carves the span into contiguous near-equal shards
+  /// (one per pool worker, at most one per query), runs each through
+  /// RunShard, merges in shard order, folds telemetry once, and fires
+  /// `on_done` exactly once. Shards go to the pool, one task each; they
+  /// run on the calling thread instead when there is no pool, or when
+  /// `caller_waits` and the batch carves into one shard. The queries are
+  /// copied only when shards go to the pool and the caller does not wait.
+  void ExecuteBatch(std::span<const Query> queries, bool caller_waits,
+                    std::function<void(BatchResult)> on_done);
+
   /// Folds a finished batch into the cumulative telemetry + history ring;
-  /// called once per batch, from RunBatch or the last async shard.
+  /// called once per batch, by the shard that finishes last.
   void FoldBatchTelemetry(std::span<const Query> queries,
                           const BatchResult& batch);
 

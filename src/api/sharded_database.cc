@@ -1,28 +1,10 @@
 #include "api/sharded_database.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/macros.h"
-#include "common/timer.h"
 
 namespace flood {
-
-namespace {
-
-/// Adds shard `part` of a scatter into the merged result for one query.
-/// Counts and sums add (each row lives in exactly one shard); sums use
-/// wrapping uint64 arithmetic so adversarial values can't trip signed-
-/// overflow UB — matching how a single database accumulates. max_query_ns
-/// and friends merge inside QueryStats::Add.
-void MergeQueryResult(const QueryResult& part, QueryResult* merged) {
-  merged->count += part.count;
-  merged->sum = static_cast<int64_t>(static_cast<uint64_t>(merged->sum) +
-                                     static_cast<uint64_t>(part.sum));
-  merged->stats.Add(part.stats);
-}
-
-}  // namespace
 
 StatusOr<ShardedDatabase> ShardedDatabase::Open(const Table& table,
                                                 ShardedDatabaseOptions options) {
@@ -78,92 +60,7 @@ StatusOr<ShardedDatabase> ShardedDatabase::Open(const Table& table,
   return ShardedDatabase(std::move(map), std::move(shards), table.num_dims());
 }
 
-Status ShardedDatabase::ValidateArity(size_t got, const char* what) const {
-  if (got == num_dims_) return Status::OK();
-  return Status::InvalidArgument(std::string(what) + " has " +
-                                 std::to_string(got) + " values, table has " +
-                                 std::to_string(num_dims_) + " dimensions");
-}
-
 // --- Reads -------------------------------------------------------------------
-
-StatusOr<QueryResult> ShardedDatabase::TryRun(const Query& query) {
-  FLOOD_RETURN_IF_ERROR(ValidateArity(query.num_dims(), "query"));
-  QueryResult merged;
-  merged.kind = query.agg().kind == AggSpec::Kind::kSum
-                    ? QueryResult::Kind::kSum
-                    : QueryResult::Kind::kCount;
-  if (query.IsEmpty()) {
-    merged.skipped_empty = true;
-    return merged;
-  }
-  const auto [first, last] = map_.ShardsForQuery(query);
-  for (size_t s = first; s <= last; ++s) {
-    auto part = shards_[s]->TryRun(query);
-    FLOOD_RETURN_IF_ERROR(part.status());
-    MergeQueryResult(*part, &merged);
-  }
-  return merged;
-}
-
-QueryResult ShardedDatabase::Run(const Query& query) {
-  auto result = TryRun(query);
-  FLOOD_CHECK(result.ok());
-  return std::move(*result);
-}
-
-BatchResult ShardedDatabase::RunBatch(std::span<const Query> queries) {
-  Stopwatch wall;
-  BatchResult out;
-
-  // Validate the whole batch up front, like Database::RunBatch: one
-  // malformed query fails the batch before any shard runs.
-  for (const Query& q : queries) {
-    out.status = ValidateArity(q.num_dims(), "query");
-    if (!out.status.ok()) return out;
-  }
-
-  out.results.resize(queries.size());
-  std::vector<std::vector<Query>> sub(shards_.size());
-  std::vector<std::vector<size_t>> origin(shards_.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    const Query& q = queries[i];
-    out.results[i].kind = q.agg().kind == AggSpec::Kind::kSum
-                              ? QueryResult::Kind::kSum
-                              : QueryResult::Kind::kCount;
-    if (q.IsEmpty()) {
-      out.results[i].skipped_empty = true;
-      ++out.empty_skipped;
-      continue;
-    }
-    const auto [first, last] = map_.ShardsForQuery(q);
-    for (size_t s = first; s <= last; ++s) {
-      sub[s].push_back(q);
-      origin[s].push_back(i);
-    }
-  }
-
-  // Each shard executes its sub-batch through its own RunBatch (so the
-  // per-shard thread pools apply); the per-query merge happens here, in
-  // shard order, for determinism.
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if (sub[s].empty()) continue;
-    BatchResult part = shards_[s]->RunBatch(sub[s]);
-    if (!part.status.ok()) {
-      out.status = part.status;
-      out.results.clear();
-      out.empty_skipped = 0;
-      return out;
-    }
-    for (size_t j = 0; j < origin[s].size(); ++j) {
-      MergeQueryResult(part.results[j], &out.results[origin[s][j]]);
-    }
-    out.stats.Merge(part.stats);
-  }
-
-  out.wall_ms = wall.ElapsedMillis();
-  return out;
-}
 
 std::vector<uint64_t> ShardedDatabase::IdOffsets() const {
   std::vector<uint64_t> offsets(shards_.size(), 0);
@@ -179,7 +76,11 @@ std::vector<uint64_t> ShardedDatabase::IdOffsets() const {
 }
 
 StatusOr<QueryResult> ShardedDatabase::TryCollect(const Query& query) {
-  FLOOD_RETURN_IF_ERROR(ValidateArity(query.num_dims(), "query"));
+  if (query.num_dims() != num_dims_) {
+    return Status::InvalidArgument(
+        "query has " + std::to_string(query.num_dims()) +
+        " values, table has " + std::to_string(num_dims_) + " dimensions");
+  }
   QueryResult merged;
   merged.kind = QueryResult::Kind::kRows;
   if (query.IsEmpty()) {
@@ -208,45 +109,11 @@ StatusOr<std::vector<Value>> ShardedDatabase::TryGetRow(
   return shards_[s]->TryGetRow(global_row - offsets[s]);
 }
 
-// --- Writes ------------------------------------------------------------------
-
-Status ShardedDatabase::Insert(const std::vector<Value>& row) {
-  FLOOD_RETURN_IF_ERROR(ValidateArity(row.size(), "row"));
-  return shards_[map_.ShardForValue(row[map_.sort_dim()])]->Insert(row);
-}
-
-Status ShardedDatabase::InsertBatch(
-    std::span<const std::vector<Value>> rows) {
-  for (const auto& row : rows) {
-    FLOOD_RETURN_IF_ERROR(ValidateArity(row.size(), "row"));
-  }
-  std::vector<std::vector<std::vector<Value>>> parts(shards_.size());
-  for (const auto& row : rows) {
-    parts[map_.ShardForValue(row[map_.sort_dim()])].push_back(row);
-  }
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if (parts[s].empty()) continue;
-    FLOOD_RETURN_IF_ERROR(shards_[s]->InsertBatch(parts[s]));
-  }
-  return Status::OK();
-}
-
-StatusOr<size_t> ShardedDatabase::Delete(const std::vector<Value>& key) {
-  FLOOD_RETURN_IF_ERROR(ValidateArity(key.size(), "key"));
-  return shards_[map_.ShardForValue(key[map_.sort_dim()])]->Delete(key);
-}
-
 // --- Introspection -----------------------------------------------------------
 
 size_t ShardedDatabase::num_rows() const {
   size_t total = 0;
   for (const auto& shard : shards_) total += shard->num_rows();
-  return total;
-}
-
-size_t ShardedDatabase::pending_writes() const {
-  size_t total = 0;
-  for (const auto& shard : shards_) total += shard->pending_writes();
   return total;
 }
 

@@ -2,7 +2,6 @@
 #define FLOOD_API_SHARDED_DATABASE_H_
 
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -28,29 +27,26 @@ struct ShardedDatabaseOptions {
   DatabaseOptions shard_options;
 };
 
-/// N `flood::Database` instances behind one facade, partitioned by
-/// sort-dim key range (ShardMap). Open() cuts the table at the sort-dim
-/// quantiles — equal row counts per shard — and builds an independent
-/// database (own index, own delta, own learned layout) over each slice.
+/// N `flood::Database` instances partitioned by sort-dim key range
+/// (ShardMap). Open() cuts the table at the sort-dim quantiles — equal row
+/// counts per shard — and builds an independent database (own index, own
+/// delta, own learned layout) over each slice.
 ///
-/// Reads scatter to the shards whose range intersects the query's
-/// sort-dim filter and merge: COUNT/SUM aggregates add up (each row lives
-/// in exactly one shard), Collect row ids come back rebased into one
-/// global id space (see TryCollect). Writes route to exactly one shard by
-/// the row's sort-dim value. The per-query results are bit-identical to
-/// an unsharded Database over the same table — tests/shard_map_test.cc
-/// enforces this for every registered index with writes in flight.
-///
-/// This is the in-process counterpart of the serving router
-/// (src/serve/router.h): the router speaks to shards over the wire, this
-/// class calls them directly; both route through the same ShardMap. Use
-/// shard(i) to hand the shards to serve::LocalShardBackend.
+/// This class only partitions. Reads and writes across shards go through
+/// serve::Router (src/serve/router.h), the one planner and merger: use
+/// Router::Over(&sharded) in process, or front the shards with flood_serve
+/// processes and a remote router. The exception is Collect, which has no
+/// wire message: TryCollect scatters here and rebases row ids into one
+/// global id space. Per-query results through the router are
+/// bit-identical to an unsharded Database over the same table —
+/// tests/serve_router_test.cc enforces this for every registered index
+/// with writes in flight.
 ///
 /// Thread safety: same as Database — each shard has its own reader-writer
-/// delta seam, so concurrent reads and writes to *different* shards never
-/// contend. A multi-shard query takes each shard's shared lock in turn
-/// (not simultaneously), so it may observe a concurrent write on shard A
-/// but not yet on shard B; per-shard results are always consistent.
+/// delta seam. A multi-shard TryCollect takes each shard's shared lock in
+/// turn (not simultaneously), so it may observe a concurrent write on
+/// shard A but not yet on shard B; per-shard results are always
+/// consistent.
 class ShardedDatabase {
  public:
   static StatusOr<ShardedDatabase> Open(const Table& table,
@@ -63,18 +59,6 @@ class ShardedDatabase {
 
   // --- Reads ----------------------------------------------------------------
 
-  /// Scatter-gather aggregation: executes on every shard whose range
-  /// intersects the query's sort-dim filter, sums COUNT/SUM. Empty-range
-  /// queries short-circuit like Database::TryRun.
-  StatusOr<QueryResult> TryRun(const Query& query);
-  QueryResult Run(const Query& query);
-
-  /// Scatter-gather RunBatch: per-shard sub-batches execute through each
-  /// shard's own RunBatch (so each shard's pool parallelism applies) and
-  /// merge per query. `results[i]` always matches `queries[i]`; one
-  /// malformed query fails the whole batch, like Database::RunBatch.
-  BatchResult RunBatch(std::span<const Query> queries);
-
   /// Scatter-gather Collect. Shard-local row ids are rebased into one
   /// global id space: shard s's ids are offset by the total id-space
   /// width (base_rows + delta_inserts) of shards 0..s-1, and TryGetRow
@@ -84,26 +68,12 @@ class ShardedDatabase {
   StatusOr<QueryResult> TryCollect(const Query& query);
   StatusOr<std::vector<Value>> TryGetRow(RowId global_row) const;
 
-  // --- Writes ---------------------------------------------------------------
-
-  /// Routes the row to the shard owning row[sort_dim].
-  Status Insert(const std::vector<Value>& row);
-  /// Partitions the rows by sort-dim value and forwards one InsertBatch
-  /// per shard. Not atomic across shards: on a shard failure, rows routed
-  /// to shards that already committed stay applied and the first error is
-  /// returned.
-  Status InsertBatch(std::span<const std::vector<Value>> rows);
-  /// Full-tuple delete: the key's sort-dim value pins it to one shard.
-  StatusOr<size_t> Delete(const std::vector<Value>& key);
-
   // --- Introspection ----------------------------------------------------------
 
   const ShardMap& shard_map() const { return map_; }
   size_t num_shards() const { return shards_.size(); }
-  size_t num_dims() const { return num_dims_; }
   /// Logical rows across all shards (base - tombstones + staged).
   size_t num_rows() const;
-  size_t pending_writes() const;
 
   /// Direct access to one shard (e.g. to wrap it in a serving backend or
   /// to Compact() it). The pointer is stable for the facade's lifetime.
@@ -122,8 +92,6 @@ class ShardedDatabase {
       : map_(std::move(map)),
         shards_(std::move(shards)),
         num_dims_(num_dims) {}
-
-  Status ValidateArity(size_t got, const char* what) const;
 
   /// Per-shard global-id offsets under the current snapshot: shard s's
   /// local ids live at [offsets[s], offsets[s] + width(s)).

@@ -1,7 +1,5 @@
 #include "common/thread_pool.h"
 
-#include <algorithm>
-
 #include "common/macros.h"
 
 namespace flood {
@@ -51,47 +49,6 @@ void ThreadPool::WorkerLoop() {
     }
     task();
   }
-}
-
-void WaitGroup::Done() {
-  // Notify while holding the lock: once Wait() can observe pending_ == 0
-  // the caller may destroy this WaitGroup, so Done must not touch members
-  // (the condvar included) after releasing mu_.
-  std::lock_guard<std::mutex> lock(mu_);
-  FLOOD_CHECK(pending_ > 0);
-  --pending_;
-  if (pending_ == 0) cv_.notify_all();
-}
-
-void WaitGroup::Wait() {
-  std::exception_ptr error;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [this] { return pending_ == 0; });
-    error = error_;
-    error_ = nullptr;
-  }
-  if (error) std::rethrow_exception(error);
-}
-
-void ParallelFor(ThreadPool& pool, size_t n, size_t max_shards,
-                 const std::function<void(size_t, size_t, size_t)>& fn) {
-  if (n == 0) return;
-  const size_t shards = std::max<size_t>(1, std::min(max_shards, n));
-  if (shards == 1) {
-    fn(0, 0, n);
-    return;
-  }
-  WaitGroup wg;
-  const size_t chunk = n / shards;
-  const size_t rem = n % shards;
-  size_t begin = 0;
-  for (size_t s = 0; s < shards; ++s) {
-    const size_t end = begin + chunk + (s < rem ? 1 : 0);
-    pool.Submit(wg.Wrap([&fn, s, begin, end] { fn(s, begin, end); }));
-    begin = end;
-  }
-  wg.Wait();
 }
 
 }  // namespace flood

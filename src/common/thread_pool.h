@@ -4,7 +4,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
-#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -21,8 +20,9 @@ namespace flood {
 ///
 /// Tasks must not block on other pool tasks' completion: with a fixed
 /// worker count and no stealing, a task that waits for a queued task can
-/// deadlock the pool. Database::RunBatch only ever submits independent
-/// per-shard work, so this never arises on the query path.
+/// deadlock the pool. Database's batch executor submits only independent
+/// per-shard tasks, and the last one to finish completes the batch, so
+/// this never arises on the query path.
 class ThreadPool {
  public:
   /// `num_threads == 0` uses DefaultConcurrency().
@@ -50,56 +50,6 @@ class ThreadPool {
   bool stopping_ = false;
   std::vector<std::thread> workers_;
 };
-
-/// Completion barrier for a group of pool tasks, with first-error capture.
-/// Wrap each task before Submit, then Wait() blocks until every wrapped
-/// task ran and rethrows the first exception any of them threw (the
-/// remaining tasks still run to completion). Reusable after Wait returns.
-///
-///   WaitGroup wg;
-///   for (auto& shard : shards) pool.Submit(wg.Wrap([&shard] { ... }));
-///   wg.Wait();
-class WaitGroup {
- public:
-  /// Wraps `fn` so the group tracks it: registers one pending completion
-  /// immediately, runs fn on invocation (capturing a thrown exception
-  /// instead of unwinding into the worker), then signals completion.
-  template <typename F>
-  std::function<void()> Wrap(F fn) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++pending_;
-    }
-    return [this, fn = std::move(fn)]() mutable {
-      try {
-        fn();
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (!error_) error_ = std::current_exception();
-      }
-      Done();
-    };
-  }
-
-  /// Blocks until every wrapped task completed; rethrows the first captured
-  /// exception (and clears it, so the group can be reused).
-  void Wait();
-
- private:
-  void Done();
-
-  std::mutex mu_;
-  std::condition_variable cv_;
-  size_t pending_ = 0;
-  std::exception_ptr error_;
-};
-
-/// Splits [0, n) into at most `max_shards` contiguous near-equal shards and
-/// runs fn(shard, begin, end) for each on the pool, blocking until all
-/// complete. Shard 0 covers the front of the range; task errors rethrow
-/// here. Must not be called from inside a pool task (see ThreadPool).
-void ParallelFor(ThreadPool& pool, size_t n, size_t max_shards,
-                 const std::function<void(size_t, size_t, size_t)>& fn);
 
 }  // namespace flood
 

@@ -19,13 +19,12 @@ struct AggResult {
 /// wiring up prefix sums when the index maintains them. Empty queries
 /// (some range inverted) return a zero result without touching the index.
 ///
-/// Compatibility shim: new code should go through flood::Database
-/// (api/database.h), which owns the index, adds batching, returns typed
-/// results, and — unlike this function — merges staged writes (DeltaBuffer
-/// inserts and tombstones) into every answer. This function sees only the
-/// built index, so results are stale the moment the owning Database has
-/// accepted an Insert/Delete; it remains for callers that manage a bare,
-/// read-only MultiDimIndex themselves (benches over frozen tables).
+/// This is the base-index executor: Database runs every aggregate query
+/// through it and then merges its staged writes (DeltaBuffer inserts and
+/// tombstones), and the cost model runs it over candidate layouts to
+/// collect training examples. It sees only the built index, so a caller
+/// holding a bare MultiDimIndex (benches over frozen tables) gets answers
+/// that ignore any Insert/Delete an owning Database has accepted.
 AggResult ExecuteAggregate(const MultiDimIndex& index, const Query& query,
                            QueryStats* stats = nullptr);
 

@@ -202,16 +202,31 @@ Status Router::Insert(const std::vector<Value>& row) {
 }
 
 Status Router::InsertBatch(std::span<const std::vector<Value>> rows) {
+  // Validate the whole batch before any shard write, naming the
+  // batch-global row: rows must agree in length and reach the sort
+  // dimension. A length every row shares but the table rejects fails at
+  // the first shard, before anything is applied, so the router needs no
+  // table arity of its own.
   std::vector<std::vector<std::vector<Value>>> parts(backends_.size());
-  for (const auto& row : rows) {
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (rows[i].size() != rows[0].size()) {
+      return Status::InvalidArgument(
+          "batch row " + std::to_string(i) + " has " +
+          std::to_string(rows[i].size()) + " values, batch row 0 has " +
+          std::to_string(rows[0].size()));
+    }
     size_t shard = 0;
-    FLOOD_RETURN_IF_ERROR(RouteKeyShard(row, &shard));
-    parts[shard].push_back(row);
+    const Status routed = RouteKeyShard(rows[i], &shard);
+    if (!routed.ok()) {
+      return Status::InvalidArgument("batch row " + std::to_string(i) + ": " +
+                                     routed.message());
+    }
+    parts[shard].push_back(rows[i]);
   }
   writes_routed_.fetch_add(1, std::memory_order_relaxed);
-  // Not atomic across shards: a failure leaves earlier shards' rows
-  // applied and reports the first error (same contract as
-  // ShardedDatabase::InsertBatch).
+  // Not atomic across shards: a shard that fails for any other reason
+  // (a WAL error, a dead remote) leaves earlier shards' rows applied and
+  // reports the first error.
   for (size_t s = 0; s < backends_.size(); ++s) {
     if (parts[s].empty()) continue;
     FLOOD_RETURN_IF_ERROR(backends_[s]->InsertBatch(parts[s]));

@@ -61,11 +61,12 @@ struct RouterCounters {
 /// while sibling frames in the same group still get results. The router
 /// itself never sheds; admission control stays in the front-end server.
 ///
-/// Writes route to exactly one shard by the row's sort-dim value (no
-/// cross-shard transactions: InsertBatch splits per shard and is not
-/// atomic across them). Health() fans out: ready iff every shard is ready,
-/// poisoned if any shard is. Introspect() returns router.* counters plus
-/// every shard's map under a "shard<i>." prefix.
+/// Writes route to exactly one shard by the row's sort-dim value.
+/// InsertBatch rejects a malformed batch (rows of differing lengths, or
+/// too short to route) before any shard write; past that it splits per
+/// shard and is not atomic across them. Health() fans out: ready iff
+/// every shard is ready, poisoned if any shard is. Introspect() returns
+/// router.* counters plus every shard's map under a "shard<i>." prefix.
 ///
 /// Thread safety: RunBatchAsync may be called from one thread at a time
 /// (the serving loop); completions run concurrently with it. counters(),
@@ -76,9 +77,9 @@ class Router : public BatchEngine {
   /// index. The router owns them.
   Router(ShardMap map, std::vector<std::unique_ptr<BatchEngine>> backends);
 
-  /// Convenience: a router over the shards of an in-process
-  /// ShardedDatabase (one DatabaseEngine per shard). The database must
-  /// outlive the router.
+  /// A router over the shards of an in-process ShardedDatabase (one
+  /// DatabaseEngine per shard): the in-process path for sharded reads and
+  /// writes. The database must outlive the router.
   static std::unique_ptr<Router> Over(ShardedDatabase* db);
 
   // --- BatchEngine ----------------------------------------------------------

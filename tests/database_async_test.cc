@@ -1,7 +1,8 @@
 // Database::RunBatchAsync: the future- and callback-based batch APIs the
 // serving tier executes on. Checks result parity with synchronous
 // RunBatch, completion on the pool (not the caller), the single-threaded
-// synchronous fallback, and — the load-bearing part — many async batches
+// synchronous fallback, a one-shard synchronous RunBatch staying on the
+// calling thread, and — the load-bearing part — many async batches
 // in flight concurrently with Insert/Delete/Compact traffic through the
 // same reader-writer seam.
 
@@ -9,6 +10,8 @@
 
 #include <atomic>
 #include <future>
+#include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -96,6 +99,33 @@ TEST(DatabaseAsyncTest, CallbackFiresOffCallerThreadExactlyOnce) {
   done.get_future().wait();
   EXPECT_EQ(calls.load(), 1);
   EXPECT_NE(completer, caller);
+}
+
+TEST(DatabaseAsyncTest, SingleShardRunBatchRunsOnTheCallingThread) {
+  // The inline rule: a synchronous batch that carves into one shard runs
+  // on the calling thread even though the database has a pool. The
+  // slow-query sink fires on the thread that executed the query.
+  const Table table = MakeTable(DataShape::kUniform, 5'000, 3, 38);
+  std::mutex mu;
+  std::vector<std::thread::id> executors;
+  DatabaseOptions options;
+  options.index_name = "kdtree";
+  options.num_threads = 2;
+  options.slow_query_ns = 1;
+  options.slow_query_log = [&mu, &executors](const std::string&) {
+    std::lock_guard<std::mutex> lock(mu);
+    executors.push_back(std::this_thread::get_id());
+  };
+  StatusOr<Database> db = Database::Open(table, std::move(options));
+  ASSERT_TRUE(db.ok());
+
+  Query all(3);  // Non-empty, so it executes and trips the 1 ns threshold.
+  const BatchResult batch = db->RunBatch(std::vector<Query>{all});
+  ASSERT_TRUE(batch.status.ok());
+  ASSERT_EQ(batch.results.size(), 1u);
+  std::lock_guard<std::mutex> lock(mu);
+  ASSERT_EQ(executors.size(), 1u);
+  EXPECT_EQ(executors[0], std::this_thread::get_id());
 }
 
 TEST(DatabaseAsyncTest, ValidationFailureCompletesWithoutExecuting) {

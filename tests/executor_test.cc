@@ -1,10 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "api/index_registry.h"
-#include "common/thread_pool.h"
 #include "core/flood_index.h"
 #include "query/executor.h"
 #include "tests/test_util.h"
@@ -116,15 +116,18 @@ TEST(ExecutorTest, ConcurrentExecuteOnOneIndexIsReentrant) {
     expected.push_back(testing::BruteForce(t, queries.back(), 0).count);
   }
 
-  ThreadPool pool(4);
   std::vector<std::vector<uint64_t>> got(4);
-  ParallelFor(pool, 4, 4, [&](size_t shard, size_t, size_t) {
-    // Every worker runs the *same* queries against the shared index.
-    for (const Query& q : queries) {
-      QueryStats stats;
-      got[shard].push_back(ExecuteAggregate(index, q, &stats).count);
-    }
-  });
+  std::vector<std::thread> workers;
+  for (size_t shard = 0; shard < 4; ++shard) {
+    workers.emplace_back([&, shard] {
+      // Every worker runs the *same* queries against the shared index.
+      for (const Query& q : queries) {
+        QueryStats stats;
+        got[shard].push_back(ExecuteAggregate(index, q, &stats).count);
+      }
+    });
+  }
+  for (std::thread& worker : workers) worker.join();
   for (size_t shard = 0; shard < 4; ++shard) {
     EXPECT_EQ(got[shard], expected) << "worker " << shard;
   }

@@ -177,21 +177,29 @@ TEST(ServeRouterTest, RoutedLoopbackBitIdenticalToUnshardedForEveryIndex) {
     if (!single.ok()) continue;  // e.g. grid-file budget: N/A on this data.
     StatusOr<ShardedDatabase> sharded = OpenSharded(table, index, 3);
     if (!sharded.ok()) continue;
+    std::unique_ptr<Router> router = Router::Over(&*sharded);
 
-    // The same staged writes on both sides: inserts AND tombstones,
-    // deliberately NOT compacted, so every shard serves base + delta.
+    // The same staged writes on both sides, routed by key on the sharded
+    // side: inserts AND tombstones, deliberately NOT compacted, so every
+    // shard serves base + delta.
     for (Value i = 0; i < 30; ++i) {
       const std::vector<Value> row = {1'000'000 + i, 1'000'000 - i, i};
       ASSERT_TRUE(single->Insert(row).ok());
-      ASSERT_TRUE(sharded->Insert(row).ok());
+      ASSERT_TRUE(router->Insert(row).ok());
     }
     for (size_t i = 0; i < 10; ++i) {
-      ASSERT_TRUE(single->Delete(rows[i * 131]).ok());
-      ASSERT_TRUE(sharded->Delete(rows[i * 131]).ok());
+      StatusOr<size_t> want = single->Delete(rows[i * 131]);
+      StatusOr<uint64_t> got = router->Delete(rows[i * 131]);
+      ASSERT_TRUE(want.ok() && got.ok()) << index;
+      EXPECT_EQ(*got, *want) << index;
     }
-    ASSERT_GT(sharded->pending_writes(), 0u) << index;
+    size_t pending = 0;
+    for (size_t s = 0; s < sharded->num_shards(); ++s) {
+      pending += sharded->shard(s)->pending_writes();
+    }
+    ASSERT_EQ(pending, single->pending_writes()) << index;
+    ASSERT_EQ(sharded->num_rows(), single->num_rows()) << index;
 
-    std::unique_ptr<Router> router = Router::Over(&*sharded);
     ServerOptions sopts;
     SocketPath sock(index);
     sopts.uds_path = sock.path;
@@ -369,6 +377,55 @@ TEST(ServeRouterTest, WireWritesRouteByKeyAndStatsHealthMerge) {
 
   (*server)->Shutdown();
   (*server)->Join();
+}
+
+// ---------------------------------------------------------------------------
+// A malformed InsertBatch is rejected before any shard write, with the same
+// batch-global row index one unsharded Database would name.
+// ---------------------------------------------------------------------------
+
+TEST(ServeRouterTest, MalformedInsertBatchAppliesNothing) {
+  const Table table = MakeTable(DataShape::kUniform, 2'000, 3, 86);
+  StatusOr<ShardedDatabase> sharded = OpenSharded(table, "kdtree", 2);
+  ASSERT_TRUE(sharded.ok());
+  ASSERT_EQ(sharded->num_shards(), 2u);
+  std::unique_ptr<Router> router = Router::Over(&*sharded);
+  StatusOr<Database> single = OpenDb(table, "kdtree", 1);
+  ASSERT_TRUE(single.ok());
+
+  // Row 0 is well-formed and routes to shard 0; row 1 has one value too
+  // many and routes to shard 1.
+  const Value k1 = router->shard_map().RangeOf(1).lo;
+  ASSERT_EQ(router->shard_map().ShardForValue(1), 0u);
+  const std::vector<std::vector<Value>> rows = {{1, 2, 3}, {k1, 2, 3, 4}};
+  const Status want = single->InsertBatch(rows);
+  ASSERT_FALSE(want.ok());
+  EXPECT_NE(want.message().find("batch row 1 "), std::string::npos)
+      << want.ToString();
+
+  const Status got = router->InsertBatch(rows);
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(got.message().find("batch row 1 "), std::string::npos)
+      << got.ToString();
+  for (size_t s = 0; s < sharded->num_shards(); ++s) {
+    EXPECT_EQ(sharded->shard(s)->pending_writes(), 0u) << "shard " << s;
+  }
+
+  // Every row the same wrong length: the first shard rejects its part
+  // before anything is applied.
+  const std::vector<std::vector<Value>> wide = {{1, 2, 3, 4}, {k1, 2, 3, 4}};
+  EXPECT_FALSE(router->InsertBatch(wide).ok());
+  // Too short to reach the sort dimension: rejected by the router.
+  const std::vector<std::vector<Value>> empty_rows = {{}, {}};
+  const Status short_rows = router->InsertBatch(empty_rows);
+  EXPECT_FALSE(short_rows.ok());
+  EXPECT_NE(short_rows.message().find("batch row 0"), std::string::npos)
+      << short_rows.ToString();
+  for (size_t s = 0; s < sharded->num_shards(); ++s) {
+    EXPECT_EQ(sharded->shard(s)->pending_writes(), 0u) << "shard " << s;
+  }
+  EXPECT_EQ(sharded->num_rows(), table.num_rows());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,19 +1,21 @@
 // ShardMap unit tests (bounds validation, quantile learning, routing
-// lookups) plus the core ShardedDatabase acceptance property: a sharded
-// facade over N partitions answers every query bit-identically to one
-// unsharded Database over the same table — including with staged writes
-// and tombstones in flight, and for Collect with global-id rebasing.
+// lookups) plus ShardedDatabase: option validation, a single shard that
+// is the identity, Collect with global-id rebasing, and arity rejection
+// on the in-process Router::Over path.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <future>
+#include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "api/index_registry.h"
 #include "api/shard_map.h"
 #include "api/sharded_database.h"
+#include "serve/router.h"
 #include "tests/test_util.h"
 
 namespace flood {
@@ -22,7 +24,6 @@ namespace {
 using flood::testing::DataShape;
 using flood::testing::MakeTable;
 using flood::testing::RandomQuery;
-using flood::testing::RowsOf;
 
 // ---------------------------------------------------------------------------
 // ShardMap: explicit bounds.
@@ -150,7 +151,9 @@ TEST(ShardMapTest, FromQuantilesSingleShardAndToString) {
 }
 
 // ---------------------------------------------------------------------------
-// ShardedDatabase: bit-equivalence to one unsharded Database.
+// ShardedDatabase: partitioning, Collect rebasing, and the in-process
+// Router::Over path. Routed bit-equivalence to one unsharded Database for
+// every index, with writes in flight, lives in serve_router_test.
 // ---------------------------------------------------------------------------
 
 StatusOr<ShardedDatabase> OpenSharded(const Table& table,
@@ -161,112 +164,20 @@ StatusOr<ShardedDatabase> OpenSharded(const Table& table,
   options.sort_dim = 0;
   options.shard_options.index_name = index;
   options.shard_options.num_threads = 2;
-  if (index == "flood") {
-    Workload train;
-    for (uint64_t s = 0; s < 20; ++s) {
-      train.Add(RandomQuery(table, 5000 + s));
-    }
-    options.shard_options.training_workload = std::move(train);
-  }
   return ShardedDatabase::Open(table, options);
 }
 
-TEST(ShardedDatabaseTest, MatchesUnshardedDatabaseWithWritesInFlight) {
-  const Table table = MakeTable(DataShape::kClustered, 4'000, 3, 71);
-  const std::vector<std::vector<Value>> rows = RowsOf(table);
-
-  DatabaseOptions options;
-  options.num_threads = 2;
-  StatusOr<Database> single = Database::Open(table, std::move(options));
-  ASSERT_TRUE(single.ok());
-  StatusOr<ShardedDatabase> sharded = OpenSharded(table, "kdtree", 3);
-  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
-  EXPECT_EQ(sharded->num_shards(), 3u);
-  EXPECT_EQ(sharded->num_rows(), single->num_rows());
-
-  // The same staged writes on both sides: inserts AND tombstones, NOT
-  // compacted, so the sharded read path must merge base + delta per shard.
-  for (Value i = 0; i < 30; ++i) {
-    const std::vector<Value> row = {1'000'000 + i, 1'000'000 - i, i};
-    ASSERT_TRUE(single->Insert(row).ok());
-    ASSERT_TRUE(sharded->Insert(row).ok());
-  }
-  for (size_t i = 0; i < 10; ++i) {
-    ASSERT_TRUE(single->Delete(rows[i * 131]).ok());
-    ASSERT_TRUE(sharded->Delete(rows[i * 131]).ok());
-  }
-  EXPECT_EQ(sharded->num_rows(), single->num_rows());
-  EXPECT_GT(sharded->pending_writes(), 0u);
-
-  std::vector<Query> queries;
-  for (size_t i = 0; i < 60; ++i) {
-    Query q = RandomQuery(table, 900 + i);
-    if (i % 3 == 0) q.set_agg({AggSpec::Kind::kSum, i % table.num_dims()});
-    queries.push_back(std::move(q));
-  }
-  queries.push_back(Query(3));  // Unfiltered: broadcast to every shard.
-  Query empty(3);
-  empty.SetRange(0, 10, 5);  // lo > hi: short-circuits without a scatter.
-  queries.push_back(empty);
-
-  const BatchResult want = single->RunBatch(queries);
-  ASSERT_TRUE(want.status.ok());
-  const BatchResult got = sharded->RunBatch(queries);
-  ASSERT_TRUE(got.status.ok());
-  ASSERT_EQ(got.results.size(), want.results.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(got.results[i].count, want.results[i].count) << "query " << i;
-    EXPECT_EQ(got.results[i].sum, want.results[i].sum) << "query " << i;
-    EXPECT_EQ(got.results[i].kind, want.results[i].kind) << "query " << i;
-    EXPECT_EQ(got.results[i].skipped_empty, want.results[i].skipped_empty)
-        << "query " << i;
-  }
-
-  // TryRun agrees with RunBatch for a single query.
-  StatusOr<QueryResult> lone = sharded->TryRun(queries[0]);
-  ASSERT_TRUE(lone.ok());
-  EXPECT_EQ(lone->count, want.results[0].count);
-}
-
-TEST(ShardedDatabaseTest, MatchesUnshardedForEveryRegisteredIndex) {
-  const Table table = MakeTable(DataShape::kUniform, 3'000, 3, 77);
-  std::vector<Query> queries;
-  for (size_t i = 0; i < 25; ++i) {
-    Query q = RandomQuery(table, 1300 + i);
-    if (i % 3 == 0) q.set_agg({AggSpec::Kind::kSum, i % table.num_dims()});
-    queries.push_back(std::move(q));
-  }
-
-  size_t tested = 0;
-  for (const std::string& index : IndexRegistry::Global().Names()) {
-    DatabaseOptions options;
-    options.index_name = index;
-    options.num_threads = 2;
-    if (index == "flood") {
-      Workload train;
-      for (uint64_t s = 0; s < 20; ++s) {
-        train.Add(RandomQuery(table, 5000 + s));
-      }
-      options.training_workload = std::move(train);
-    }
-    StatusOr<Database> single = Database::Open(table, std::move(options));
-    if (!single.ok()) continue;  // e.g. grid-file budget: N/A here.
-    StatusOr<ShardedDatabase> sharded = OpenSharded(table, index, 4);
-    if (!sharded.ok()) continue;
-
-    const BatchResult want = single->RunBatch(queries);
-    const BatchResult got = sharded->RunBatch(queries);
-    ASSERT_TRUE(want.status.ok()) << index;
-    ASSERT_TRUE(got.status.ok()) << index;
-    for (size_t i = 0; i < queries.size(); ++i) {
-      EXPECT_EQ(got.results[i].count, want.results[i].count)
-          << index << " query " << i;
-      EXPECT_EQ(got.results[i].sum, want.results[i].sum)
-          << index << " query " << i;
-    }
-    ++tested;
-  }
-  EXPECT_GE(tested, 5u);
+/// Runs one batch through the router and blocks for the merged result (the
+/// completion may fire on a shard's pool thread).
+serve::EngineBatchResult RunRouted(serve::Router* router,
+                                   std::vector<Query> queries) {
+  std::promise<serve::EngineBatchResult> done;
+  std::future<serve::EngineBatchResult> result = done.get_future();
+  router->RunBatchAsync(std::move(queries),
+                        [&done](serve::EngineBatchResult r) {
+                          done.set_value(std::move(r));
+                        });
+  return result.get();
 }
 
 TEST(ShardedDatabaseTest, SingleShardIsTheIdentity) {
@@ -275,6 +186,7 @@ TEST(ShardedDatabaseTest, SingleShardIsTheIdentity) {
   ASSERT_TRUE(sharded.ok());
   EXPECT_EQ(sharded->num_shards(), 1u);
   EXPECT_EQ(sharded->num_rows(), table.num_rows());
+  std::unique_ptr<serve::Router> router = serve::Router::Over(&*sharded);
 
   DatabaseOptions options;
   options.num_threads = 2;
@@ -282,7 +194,11 @@ TEST(ShardedDatabaseTest, SingleShardIsTheIdentity) {
   ASSERT_TRUE(single.ok());
   for (size_t i = 0; i < 10; ++i) {
     const Query q = RandomQuery(table, 400 + i);
-    EXPECT_EQ(sharded->Run(q).count, single->Run(q).count) << i;
+    const serve::EngineBatchResult routed = RunRouted(router.get(), {q});
+    ASSERT_TRUE(routed.status.ok()) << i;
+    ASSERT_EQ(routed.results.size(), 1u) << i;
+    EXPECT_EQ(routed.results[0].code, serve::WireCode::kOk) << i;
+    EXPECT_EQ(routed.results[0].count, single->Run(q).count) << i;
   }
 }
 
@@ -290,9 +206,10 @@ TEST(ShardedDatabaseTest, CollectRebasesIdsIntoOneGlobalSpace) {
   const Table table = MakeTable(DataShape::kUniform, 2'500, 3, 41);
   StatusOr<ShardedDatabase> sharded = OpenSharded(table, "kdtree", 3);
   ASSERT_TRUE(sharded.ok());
+  std::unique_ptr<serve::Router> router = serve::Router::Over(&*sharded);
   // Staged inserts widen shard id spaces unevenly before the collect.
   for (Value i = 0; i < 9; ++i) {
-    ASSERT_TRUE(sharded->Insert({i * 137, 50 + i, 900 - i}).ok());
+    ASSERT_TRUE(router->Insert({i * 137, 50 + i, 900 - i}).ok());
   }
 
   DatabaseOptions options;
@@ -334,7 +251,7 @@ TEST(ShardedDatabaseTest, CollectRebasesIdsIntoOneGlobalSpace) {
   EXPECT_FALSE(sharded->TryGetRow(1u << 30).ok());
 }
 
-TEST(ShardedDatabaseTest, ValidatesArityAndOptions) {
+TEST(ShardedDatabaseTest, OpenValidatesOptions) {
   const Table table = MakeTable(DataShape::kUniform, 500, 2, 51);
   ShardedDatabaseOptions bad_dim;
   bad_dim.sort_dim = 7;
@@ -342,15 +259,23 @@ TEST(ShardedDatabaseTest, ValidatesArityAndOptions) {
   ShardedDatabaseOptions no_shards;
   no_shards.num_shards = 0;
   EXPECT_FALSE(ShardedDatabase::Open(table, no_shards).ok());
+}
 
+TEST(ShardedDatabaseTest, RoutedPathRejectsArityMismatches) {
+  const Table table = MakeTable(DataShape::kUniform, 500, 2, 51);
   StatusOr<ShardedDatabase> db = OpenSharded(table, "kdtree", 2);
   ASSERT_TRUE(db.ok());
-  EXPECT_FALSE(db->Insert({1, 2, 3}).ok());        // 3 values, 2 dims.
-  EXPECT_FALSE(db->Delete({1}).ok());              // 1 value, 2 dims.
-  EXPECT_FALSE(db->TryRun(Query(3)).ok());         // 3-dim query, 2 dims.
-  const BatchResult bad = db->RunBatch(std::vector<Query>{Query(3)});
-  EXPECT_FALSE(bad.status.ok());
-  EXPECT_TRUE(bad.results.empty());
+  std::unique_ptr<serve::Router> router = serve::Router::Over(&*db);
+
+  EXPECT_FALSE(router->Insert({1, 2, 3}).ok());  // 3 values, 2 dims.
+  EXPECT_FALSE(router->Delete({1}).ok());        // 1 value, 2 dims.
+  EXPECT_FALSE(db->TryCollect(Query(3)).ok());   // 3-dim query, 2 dims.
+  // A malformed query fails with a typed per-query code, not a result.
+  const serve::EngineBatchResult bad = RunRouted(router.get(), {Query(3)});
+  ASSERT_TRUE(bad.status.ok());
+  ASSERT_EQ(bad.results.size(), 1u);
+  EXPECT_EQ(bad.results[0].code, serve::WireCode::kInvalidArgument);
+  EXPECT_EQ(db->num_rows(), table.num_rows());  // Nothing was staged.
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
-// Tests of the flood::ThreadPool subsystem: submit/wait semantics, the
-// WaitGroup error path (exception-in-task), destruction draining, and the
-// ParallelFor sharding helper that Database::RunBatch builds on.
+// Tests of the flood::ThreadPool subsystem: submission, execution on
+// worker threads, and destruction draining. The per-shard carve that
+// Database's batch executor submits is covered by database_test and
+// database_async_test.
 
 #include "common/thread_pool.h"
 
@@ -8,10 +9,7 @@
 
 #include <atomic>
 #include <chrono>
-#include <numeric>
-#include <stdexcept>
 #include <thread>
-#include <vector>
 
 namespace flood {
 namespace {
@@ -22,49 +20,30 @@ TEST(ThreadPoolTest, DefaultConcurrencyIsPositive) {
   EXPECT_EQ(pool.num_threads(), ThreadPool::DefaultConcurrency());
 }
 
-TEST(ThreadPoolTest, SubmitAndWaitRunsEveryTask) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.num_threads(), 4u);
+TEST(ThreadPoolTest, SubmitRunsEveryTask) {
   std::atomic<int> counter{0};
-  WaitGroup wg;
-  for (int i = 0; i < 1000; ++i) {
-    pool.Submit(wg.Wrap([&counter] { ++counter; }));
-  }
-  wg.Wait();
+  {
+    ThreadPool pool(4);
+    EXPECT_EQ(pool.num_threads(), 4u);
+    for (int i = 0; i < 1000; ++i) {
+      pool.Submit([&counter] { ++counter; });
+    }
+  }  // ~ThreadPool drains the queue, so every task ran.
   EXPECT_EQ(counter.load(), 1000);
 }
 
 TEST(ThreadPoolTest, TasksActuallyRunOnWorkerThreads) {
-  ThreadPool pool(2);
   std::atomic<bool> ran_elsewhere{false};
   const std::thread::id caller = std::this_thread::get_id();
-  WaitGroup wg;
-  for (int i = 0; i < 16; ++i) {
-    pool.Submit(wg.Wrap([&ran_elsewhere, caller] {
-      if (std::this_thread::get_id() != caller) ran_elsewhere = true;
-    }));
+  {
+    ThreadPool pool(2);
+    for (int i = 0; i < 16; ++i) {
+      pool.Submit([&ran_elsewhere, caller] {
+        if (std::this_thread::get_id() != caller) ran_elsewhere = true;
+      });
+    }
   }
-  wg.Wait();
   EXPECT_TRUE(ran_elsewhere.load());
-}
-
-TEST(ThreadPoolTest, ExceptionInTaskSurfacesAtWaitAndPoolSurvives) {
-  ThreadPool pool(2);
-  std::atomic<int> completed{0};
-  WaitGroup wg;
-  for (int i = 0; i < 8; ++i) {
-    pool.Submit(wg.Wrap([&completed, i] {
-      if (i == 3) throw std::runtime_error("task failure");
-      ++completed;
-    }));
-  }
-  EXPECT_THROW(wg.Wait(), std::runtime_error);
-  // The other tasks still ran; the worker that caught the exception and
-  // the group are both reusable afterwards.
-  EXPECT_EQ(completed.load(), 7);
-  pool.Submit(wg.Wrap([&completed] { ++completed; }));
-  EXPECT_NO_THROW(wg.Wait());
-  EXPECT_EQ(completed.load(), 8);
 }
 
 TEST(ThreadPoolTest, DestructionDrainsQueuedTasks) {
@@ -80,58 +59,6 @@ TEST(ThreadPoolTest, DestructionDrainsQueuedTasks) {
     }
   }  // ~ThreadPool joins only after the queue is empty.
   EXPECT_EQ(counter.load(), 50);
-}
-
-TEST(ThreadPoolTest, WaitGroupIsReusableAcrossRounds) {
-  ThreadPool pool(3);
-  WaitGroup wg;
-  std::atomic<int> counter{0};
-  for (int round = 0; round < 5; ++round) {
-    for (int i = 0; i < 20; ++i) {
-      pool.Submit(wg.Wrap([&counter] { ++counter; }));
-    }
-    wg.Wait();
-    EXPECT_EQ(counter.load(), (round + 1) * 20);
-  }
-}
-
-TEST(ThreadPoolTest, ParallelForCoversTheRangeExactlyOnce) {
-  ThreadPool pool(4);
-  const size_t n = 1003;  // Deliberately not divisible by the shard count.
-  std::vector<std::atomic<int>> hits(n);
-  ParallelFor(pool, n, pool.num_threads(),
-              [&hits](size_t /*shard*/, size_t begin, size_t end) {
-                for (size_t i = begin; i < end; ++i) ++hits[i];
-              });
-  for (size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-  }
-}
-
-TEST(ThreadPoolTest, ParallelForShardsAreContiguousAndOrdered) {
-  ThreadPool pool(4);
-  std::vector<std::pair<size_t, size_t>> bounds(4);
-  ParallelFor(pool, 10, 4, [&bounds](size_t shard, size_t begin, size_t end) {
-    bounds[shard] = {begin, end};
-  });
-  // 10 over 4 shards: front shards take the remainder.
-  EXPECT_EQ(bounds[0], (std::pair<size_t, size_t>{0, 3}));
-  EXPECT_EQ(bounds[1], (std::pair<size_t, size_t>{3, 6}));
-  EXPECT_EQ(bounds[2], (std::pair<size_t, size_t>{6, 8}));
-  EXPECT_EQ(bounds[3], (std::pair<size_t, size_t>{8, 10}));
-}
-
-TEST(ThreadPoolTest, ParallelForHandlesEmptyAndTinyRanges) {
-  ThreadPool pool(2);
-  int calls = 0;
-  ParallelFor(pool, 0, 4, [&calls](size_t, size_t, size_t) { ++calls; });
-  EXPECT_EQ(calls, 0);
-  // n < shards: one shard per element, never an empty shard.
-  std::atomic<int> covered{0};
-  ParallelFor(pool, 2, 8, [&covered](size_t, size_t begin, size_t end) {
-    covered += static_cast<int>(end - begin);
-  });
-  EXPECT_EQ(covered.load(), 2);
 }
 
 }  // namespace
