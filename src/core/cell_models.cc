@@ -5,27 +5,28 @@
 namespace flood {
 
 void CellModels::Build(const std::vector<Value>& sort_values,
-                       const std::vector<uint32_t>& offsets,
+                       const std::vector<uint32_t>& starts,
                        size_t min_cell_size, double delta) {
-  FLOOD_CHECK(!offsets.empty());
-  const size_t num_cells = offsets.size() - 1;
-  model_id_.assign(num_cells, -1);
+  FLOOD_CHECK(!starts.empty());
+  const size_t num_occupied = starts.size() - 1;
+  has_model_ = RankBitmap(num_occupied);
   plms_.clear();
 
   std::vector<Value> cell_values;
-  for (size_t c = 0; c < num_cells; ++c) {
-    const size_t begin = offsets[c];
-    const size_t end = offsets[c + 1];
+  for (size_t o = 0; o < num_occupied; ++o) {
+    const size_t begin = starts[o];
+    const size_t end = starts[o + 1];
     if (end - begin < min_cell_size) continue;
     cell_values.assign(sort_values.begin() + begin,
                        sort_values.begin() + end);
-    model_id_[c] = static_cast<int32_t>(plms_.size());
+    has_model_.Set(o);
     plms_.push_back(Plm::Train(cell_values, delta));
   }
+  has_model_.Finish();
 }
 
 size_t CellModels::MemoryUsageBytes() const {
-  size_t bytes = model_id_.size() * sizeof(int32_t);
+  size_t bytes = has_model_.MemoryUsageBytes();
   for (const auto& plm : plms_) bytes += plm.MemoryUsageBytes();
   return bytes;
 }

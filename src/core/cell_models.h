@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/cell_table.h"
 #include "learned/plm.h"
 #include "storage/column.h"
 
@@ -12,36 +13,34 @@ namespace flood {
 /// Per-cell CDF models over the sort dimension (§5.2). Each sufficiently
 /// large cell owns a PLM predicting positions within the cell; small cells
 /// fall back to binary search (building a model would cost more than it
-/// saves). This container dominates Flood's index size (§7.4: "over 95%"),
-/// so it tracks its own footprint.
+/// saves). Models are keyed by the cell's occupied ordinal (CellTable)
+/// through a has-model RankBitmap, so the container costs 2 bits per
+/// occupied cell plus the PLMs themselves; empty grid cells cost nothing.
 class CellModels {
  public:
   CellModels() = default;
 
-  /// Builds models for each cell of `sort_values` (in storage order).
-  /// `offsets` has num_cells + 1 entries; cell c spans
-  /// [offsets[c], offsets[c+1]). Cells smaller than `min_cell_size` get no
-  /// model. `delta` is the PLM average-error budget.
+  /// Builds models for each occupied cell of `sort_values` (in storage
+  /// order). `starts` has num_occupied + 1 entries; occupied ordinal o
+  /// spans [starts[o], starts[o+1]). Cells smaller than `min_cell_size` get
+  /// no model. `delta` is the PLM average-error budget.
   void Build(const std::vector<Value>& sort_values,
-             const std::vector<uint32_t>& offsets, size_t min_cell_size,
+             const std::vector<uint32_t>& starts, size_t min_cell_size,
              double delta);
 
-  /// True if cell `c` has a trained model.
-  bool HasModel(size_t c) const {
-    return c < model_id_.size() && model_id_[c] >= 0;
-  }
-
-  /// Lower-bound estimate of the *cell-relative* rank of the first value
-  /// >= v in cell `c`. Requires HasModel(c).
-  size_t Predict(size_t c, Value v) const {
-    return plms_[static_cast<size_t>(model_id_[c])].Predict(v);
+  /// The trained model of occupied ordinal `o`, or nullptr. Its Predict is
+  /// a lower-bound estimate of the *cell-relative* rank of the first value
+  /// >= v in the cell.
+  const Plm* Find(size_t o) const {
+    if (o >= has_model_.size() || !has_model_.Test(o)) return nullptr;
+    return &plms_[has_model_.Rank(o)];
   }
 
   size_t num_models() const { return plms_.size(); }
   size_t MemoryUsageBytes() const;
 
  private:
-  std::vector<int32_t> model_id_;  // -1 = no model.
+  RankBitmap has_model_;  // Over occupied ordinals.
   std::vector<Plm> plms_;
 };
 

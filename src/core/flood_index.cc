@@ -17,7 +17,7 @@ Status FloodIndex::Build(const Table& table, const BuildContext& ctx) {
   const size_t n = table.num_rows();
   const size_t d = table.num_dims();
   if (n == 0) return Status::InvalidArgument("empty table");
-  // The cell table (offsets_) and ScanTask bounds are 32-bit; reject
+  // The cell table's row offsets and ScanTask bounds are 32-bit; reject
   // tables whose row ids would silently wrap instead of truncating.
   if (n > std::numeric_limits<uint32_t>::max()) {
     return Status::InvalidArgument(
@@ -51,9 +51,15 @@ Status FloodIndex::Build(const Table& table, const BuildContext& ctx) {
     return Status::InvalidArgument(
         "FloodIndex supports at most 64 grid dimensions");
   }
+  // NumCells saturates on overflow, so an overflowing layout fails both
+  // checks instead of wrapping into a small budget.
   num_cells_ = layout_.NumCells();
   if (num_cells_ > options_.max_cells) {
     return Status::InvalidArgument("layout exceeds max_cells budget");
+  }
+  if (num_cells_ > std::numeric_limits<uint32_t>::max()) {
+    return Status::InvalidArgument(
+        "FloodIndex supports at most 2^32 - 1 cells (32-bit cell ids)");
   }
 
   flattener_ =
@@ -108,36 +114,37 @@ Status FloodIndex::Build(const Table& table, const BuildContext& ctx) {
   }
   InitStorage(table, &perm, ctx);
 
-  // Cell table (§3.2.1): physical offset of each cell's first point.
-  offsets_.assign(num_cells_ + 1, 0);
-  for (size_t r = 0; r < n; ++r) offsets_[cell_of[r] + 1] += 1;
-  for (size_t c = 0; c < num_cells_; ++c) offsets_[c + 1] += offsets_[c];
+  // Cell table (§3.2.1): physical offset of each occupied cell's first
+  // point, built from the rows' cells in storage order.
+  std::vector<uint32_t> sorted_cells(n);
+  for (size_t r = 0; r < n; ++r) {
+    sorted_cells[r] = cell_of[static_cast<size_t>(perm[r])];
+  }
+  cells_ = CellTable(num_cells_, sorted_cells);
 
   // Per-cell refinement models over the sort dimension (§5.2).
   cell_models_ = CellModels();
   if (layout_.use_sort_dim && options_.use_cell_models) {
     const std::vector<Value> sort_values =
         data_.DecodeColumn(layout_.sort_dim());
-    cell_models_.Build(sort_values, offsets_, options_.plm_min_cell_size,
-                       options_.plm_delta);
+    cell_models_.Build(sort_values, cells_.starts(),
+                       options_.plm_min_cell_size, options_.plm_delta);
   }
   return Status::OK();
 }
 
-void FloodIndex::Refine(size_t c, const ValueRange& r, size_t begin,
+void FloodIndex::Refine(size_t o, const ValueRange& r, size_t begin,
                         size_t end, size_t* out_begin,
                         size_t* out_end) const {
   const Column& col = data_.column(layout_.sort_dim());
   const auto get = [&col](size_t i) { return col.Get(i); };
   size_t rs;
   size_t re;
-  if (cell_models_.HasModel(c)) {
+  if (const Plm* model = cell_models_.Find(o)) {
     // PLM predictions are lower bounds (Plm invariant), so rectification
     // only ever searches forward.
-    rs = GallopLowerBound(get, begin + cell_models_.Predict(c, r.lo), end,
-                          r.lo);
-    re = GallopUpperBound(get, begin + cell_models_.Predict(c, r.hi), end,
-                          r.hi);
+    rs = GallopLowerBound(get, begin + model->Predict(r.lo), end, r.lo);
+    re = GallopUpperBound(get, begin + model->Predict(r.hi), end, r.hi);
   } else {
     rs = BinaryLowerBound(get, begin, end, r.lo);
     re = BinaryUpperBound(get, rs, end, r.hi);
@@ -279,15 +286,17 @@ void FloodIndex::ExecuteT(const Query& query, V& visitor,
       std::sort(seg_dims, seg_dims + seg_n);
       const uint16_t set_id = intern_check_set(seg_dims, seg_n);
 
-      const uint64_t first_cell = base + sg.a;
-      const uint64_t last_cell = base + sg.b;
+      // The segment's occupied cells, by ordinal; empty cells hold no
+      // rows and are never visited.
+      const size_t first_ord = cells_.Ordinal(base + sg.a);
+      const size_t end_ord = cells_.Ordinal(base + sg.b + 1);
+      const std::vector<uint32_t>& starts = cells_.starts();
       if (sort_filtered) {
         // Per-cell refinement (ranges are per-cell sorted runs).
         const Stopwatch refine_sw;
-        for (uint64_t c = first_cell; c <= last_cell; ++c) {
-          const size_t begin = offsets_[c];
-          const size_t end = offsets_[c + 1];
-          if (begin == end) continue;
+        for (size_t o = first_ord; o < end_ord; ++o) {
+          const size_t begin = starts[o];
+          const size_t end = starts[o + 1];
           // Zone-map task pruning: a cell's rows are sorted by the sort
           // dimension, so the zone maps of its first and last covering
           // blocks bound its sort values (the blocks may be shared with
@@ -310,7 +319,7 @@ void FloodIndex::ExecuteT(const Query& query, V& visitor,
           }
           size_t rb;
           size_t re;
-          Refine(c, sort_range, begin, end, &rb, &re);
+          Refine(o, sort_range, begin, end, &rb, &re);
           if (rb < re) {
             tasks.push_back({static_cast<uint32_t>(rb),
                              static_cast<uint32_t>(re), set_id});
@@ -319,18 +328,13 @@ void FloodIndex::ExecuteT(const Query& query, V& visitor,
         refine_ns += refine_sw.ElapsedNanos();
       } else if (options_.enable_run_merging) {
         // Merged contiguous run across the segment's cells.
-        const size_t begin = offsets_[first_cell];
-        const size_t end = offsets_[last_cell + 1];
-        if (begin < end) {
-          tasks.push_back({static_cast<uint32_t>(begin),
-                           static_cast<uint32_t>(end), set_id});
+        if (first_ord < end_ord) {
+          tasks.push_back({starts[first_ord], starts[end_ord], set_id});
         }
       } else {
         // Ablation: one scan task per cell, no coalescing.
-        for (uint64_t c = first_cell; c <= last_cell; ++c) {
-          if (offsets_[c] < offsets_[c + 1]) {
-            tasks.push_back({offsets_[c], offsets_[c + 1], set_id});
-          }
+        for (size_t o = first_ord; o < end_ord; ++o) {
+          tasks.push_back({starts[o], starts[o + 1], set_id});
         }
       }
     }
@@ -375,9 +379,8 @@ void FloodIndex::ExecuteT(const Query& query, V& visitor,
 }
 
 size_t FloodIndex::IndexSizeBytes() const {
-  return offsets_.size() * sizeof(uint32_t) +
-         cell_models_.MemoryUsageBytes() + flattener_.MemoryUsageBytes() +
-         strides_.size() * sizeof(uint64_t);
+  return cells_.MemoryUsageBytes() + cell_models_.MemoryUsageBytes() +
+         flattener_.MemoryUsageBytes() + strides_.size() * sizeof(uint64_t);
 }
 
 FLOOD_DEFINE_EXECUTE_DISPATCH(FloodIndex);

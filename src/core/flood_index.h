@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "core/cell_models.h"
+#include "core/cell_table.h"
 #include "core/flattener.h"
 #include "core/grid_layout.h"
 #include "query/multidim_index.h"
@@ -22,6 +23,12 @@ namespace flood {
 /// Refinement (sort-dimension narrowing via PLM + local search), Scan
 /// (columnar filter of boundary cells; interior cells scan check-free as
 /// exact ranges, including O(1) cumulative-aggregate answers).
+///
+/// The cell table (CellTable) maps a cell id to its physical row range and
+/// is sized by the *occupied* cells: 2 bits per grid cell for an occupancy
+/// rank bitmap plus 4 bytes per occupied cell, so a grid with far more
+/// cells than rows (skewed or correlated data) costs little. The per-cell
+/// models are keyed by occupied ordinal the same way.
 ///
 /// The layout itself is learned offline by LayoutOptimizer; Build accepts
 /// any valid layout, which is how the ablations of Fig. 11 are expressed.
@@ -47,6 +54,11 @@ class FloodIndex final : public StorageBackedIndex {
     bool use_cell_models = true;
     double plm_delta = 50.0;       ///< Fig. 17b default.
     size_t plm_min_cell_size = 64; ///< Cells below this use binary search.
+    /// Upper bound on the grid's cell count (the product of the column
+    /// counts), for learned and given layouts alike; Build rejects a
+    /// larger layout. Each grid cell costs 2 bits of cell table whether or
+    /// not it holds a point, so the default 2^22 bounds that part at 1 MiB.
+    /// Cell ids are 32-bit: no budget admits more than 2^32 - 1 cells.
     uint64_t max_cells = uint64_t{1} << 22;
     uint64_t seed = 42;
     /// §7.1 optimization ablations (bench_ablation_optimizations):
@@ -81,15 +93,20 @@ class FloodIndex final : public StorageBackedIndex {
   const Flattener& flattener() const { return flattener_; }
   size_t num_cell_models() const { return cell_models_.num_models(); }
 
+  /// Grid cells holding at least one point.
+  size_t num_occupied_cells() const { return cells_.num_occupied(); }
+
   /// Points in cell `c` (introspection / tests).
   size_t CellSize(size_t c) const {
-    return offsets_[c + 1] - offsets_[c];
+    const auto [begin, end] = CellRange(c);
+    return end - begin;
   }
 
-  /// Physical [begin, end) row range of cell `c` (used by KnnEngine).
+  /// Physical [begin, end) row range of cell `c` (used by KnnEngine). An
+  /// empty cell's range is empty and begins at the next occupied cell.
   std::pair<size_t, size_t> CellRange(size_t c) const {
     FLOOD_DCHECK(c < num_cells_);
-    return {offsets_[c], offsets_[c + 1]};
+    return cells_.Range(c);
   }
 
   template <typename V>
@@ -111,9 +128,9 @@ class FloodIndex final : public StorageBackedIndex {
     uint16_t check_set;
   };
 
-  /// Refines [begin, end) of cell `c` along the sort dimension to the
-  /// sub-range matching `r` (§3.2.2 / §5.2).
-  void Refine(size_t c, const ValueRange& r, size_t begin, size_t end,
+  /// Refines [begin, end) of the cell with occupied ordinal `o` along the
+  /// sort dimension to the sub-range matching `r` (§3.2.2 / §5.2).
+  void Refine(size_t o, const ValueRange& r, size_t begin, size_t end,
               size_t* out_begin, size_t* out_end) const;
 
   Options options_;
@@ -121,7 +138,7 @@ class FloodIndex final : public StorageBackedIndex {
   Flattener flattener_;
   uint64_t num_cells_ = 0;
   std::vector<uint64_t> strides_;    ///< Cell-id stride per grid dim.
-  std::vector<uint32_t> offsets_;    ///< Cell table: num_cells + 1 offsets.
+  CellTable cells_;
   CellModels cell_models_;
 };
 

@@ -41,7 +41,8 @@ GridLayout GridLayout::Default(size_t num_dims, uint64_t target_cells) {
 
 namespace {
 
-// Parses a comma-separated list of non-negative integers.
+// Parses a comma-separated list of non-negative integers; fails on a
+// value above UINT64_MAX.
 bool ParseIntList(const std::string& text, std::vector<uint64_t>* out) {
   out->clear();
   if (text.empty()) return true;
@@ -54,7 +55,9 @@ bool ParseIntList(const std::string& text, std::vector<uint64_t>* out) {
     uint64_t value = 0;
     for (char c : token) {
       if (c < '0' || c > '9') return false;
-      value = value * 10 + static_cast<uint64_t>(c - '0');
+      const auto digit = static_cast<uint64_t>(c - '0');
+      if (value > (UINT64_MAX - digit) / 10) return false;
+      value = value * 10 + digit;
     }
     out->push_back(value);
     pos = comma + 1;
@@ -106,6 +109,9 @@ StatusOr<GridLayout> GridLayout::Parse(const std::string& text) {
       saw_order = true;
     } else if (key == "cols") {
       for (uint64_t v : ints) {
+        if (v > UINT32_MAX) {
+          return Status::InvalidArgument("column count over 2^32-1: " + field);
+        }
         layout.columns.push_back(static_cast<uint32_t>(v));
       }
       saw_cols = true;

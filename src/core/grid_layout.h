@@ -37,10 +37,14 @@ struct GridLayout {
   }
   size_t grid_dim(size_t i) const { return dim_order[i]; }
 
-  /// Total number of grid cells (product of column counts).
+  /// Total number of grid cells (product of column counts), saturating at
+  /// UINT64_MAX when the product overflows.
   uint64_t NumCells() const {
     uint64_t cells = 1;
-    for (uint32_t c : columns) cells *= c;
+    for (uint32_t c : columns) {
+      if (c != 0 && cells > UINT64_MAX / c) return UINT64_MAX;
+      cells *= c;
+    }
     return cells;
   }
 
@@ -59,7 +63,9 @@ struct GridLayout {
   /// re-running the optimizer.
   std::string Serialize() const;
 
-  /// Parses Serialize() output. Validates structure (IsValid).
+  /// Parses Serialize() output. Validates structure (IsValid) and rejects
+  /// integers that overflow 64 bits and column counts above UINT32_MAX.
+  /// The cell count is not bounded here: FloodIndex::Build checks it.
   static StatusOr<GridLayout> Parse(const std::string& text);
 };
 

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
+#include "baselines/full_scan.h"
 #include "core/flood_index.h"
 #include "query/executor.h"
 #include "tests/test_util.h"
@@ -17,6 +21,21 @@ BuildContext MakeCtx(const Table& t, const Workload* w = nullptr) {
   ctx.workload = w;
   ctx.sample = DataSample::FromTable(t, 1000, 5);
   return ctx;
+}
+
+// The values of `rows`, sorted: storage orders differ across indexes.
+std::vector<std::vector<Value>> SortedRows(const MultiDimIndex& index,
+                                           const std::vector<RowId>& rows) {
+  std::vector<std::vector<Value>> out;
+  for (RowId r : rows) {
+    std::vector<Value> row;
+    for (size_t d = 0; d < index.data().num_dims(); ++d) {
+      row.push_back(index.data().Get(r, d));
+    }
+    out.push_back(std::move(row));
+  }
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
 TEST(FloodIndexTest, BuildRejectsInvalidLayout) {
@@ -39,6 +58,32 @@ TEST(FloodIndexTest, BuildRejectsCellBudgetOverflow) {
   const Status s = index.Build(t, ctx);
   EXPECT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+}
+
+// A layout whose cell count overflows 64 bits must not wrap to a small
+// count that passes the max_cells check.
+TEST(FloodIndexTest, BuildRejectsOverflowingCellCount) {
+  const Table t = MakeTable(DataShape::kUniform, 2000, 6, 2);
+  const StatusOr<GridLayout> layout = GridLayout::Parse(
+      "order=0,1,2,3,4,5;cols=65536,65536,65536,65536,1;sort=1");
+  ASSERT_TRUE(layout.ok()) << layout.status().ToString();
+  FloodIndex::Options o;
+  o.layout = *layout;
+  FloodIndex index(o);
+  const Status s = index.Build(t, MakeCtx(t));
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+}
+
+// Cell ids are 32-bit, so no max_cells budget admits more cells.
+TEST(FloodIndexTest, BuildRejectsCellCountAbove32Bits) {
+  const Table t = MakeTable(DataShape::kUniform, 100, 3, 2);
+  FloodIndex::Options o;
+  o.layout.dim_order = {0, 1, 2};
+  o.layout.columns = {65536, 65537};
+  o.max_cells = std::numeric_limits<uint64_t>::max();
+  FloodIndex index(o);
+  const Status s = index.Build(t, MakeCtx(t));
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
 }
 
 TEST(FloodIndexTest, CellTablePartitionsRows) {
@@ -234,6 +279,81 @@ TEST(FloodIndexTest, ZoneMapPruningSkipsDisjointSortRanges) {
     EXPECT_EQ(ExecuteAggregate(index, q, nullptr).count,
               BruteForce(t, q, 0).count)
         << q.ToString();
+  }
+}
+
+// A grid with far more cells than rows, as learned layouts produce on
+// skewed or correlated data: most cells are empty.
+TEST(FloodIndexTest, SparseGridAnswersLikeFullScan) {
+  const size_t n = 3000;
+  for (const bool cdf : {true, false}) {
+    SCOPED_TRACE(cdf ? "cdf" : "linear");
+    const DataShape shape = cdf ? DataShape::kUniform : DataShape::kDuplicates;
+    const Table t = MakeTable(shape, n, 3, 14);
+    FloodIndex::Options o;
+    o.layout.dim_order = {0, 1, 2};
+    o.layout.columns = {512, 256};  // 131072 cells, ~44x the rows.
+    o.flatten_mode = cdf ? Flattener::Mode::kCdf : Flattener::Mode::kLinear;
+    o.plm_min_cell_size = 8;  // Duplicate-heavy cells get models.
+    FloodIndex index(o);
+    // The §7.1 ablations walk the cell table per cell instead of per run.
+    o.enable_run_merging = false;
+    o.enable_exact_ranges = false;
+    FloodIndex unmerged(o);
+    const BuildContext ctx = MakeCtx(t);
+    ASSERT_TRUE(index.Build(t, ctx).ok());
+    ASSERT_TRUE(unmerged.Build(t, ctx).ok());
+    ASSERT_GE(index.num_cells(), 32 * n);
+    if (!cdf) EXPECT_GT(index.num_cell_models(), 0u);
+
+    // The cell table partitions the rows; every empty cell's range is
+    // empty and begins where the next occupied cell begins (n after the
+    // last one).
+    size_t total = 0;
+    size_t occupied = 0;
+    size_t next_start = n;
+    for (size_t c = index.num_cells(); c-- > 0;) {
+      const auto [begin, end] = index.CellRange(c);
+      EXPECT_EQ(index.CellSize(c), end - begin);
+      total += end - begin;
+      if (begin == end) {
+        EXPECT_EQ(begin, next_start) << "cell " << c;
+      } else {
+        EXPECT_EQ(end, next_start) << "cell " << c;
+        ++occupied;
+      }
+      next_start = begin;
+    }
+    EXPECT_EQ(total, n);
+    EXPECT_EQ(next_start, 0u);
+    EXPECT_EQ(occupied, index.num_occupied_cells());
+    EXPECT_LT(occupied, index.num_cells() / 32);
+
+    // Memory follows occupied cells: 2 bits per grid cell, plus at most
+    // 16 B per row for row offsets, models and the flattener.
+    EXPECT_LE(index.IndexSizeBytes(), index.num_cells() / 4 + 16 * n);
+
+    FullScanIndex oracle;
+    ASSERT_TRUE(oracle.Build(t, ctx).ok());
+    for (uint64_t seed = 0; seed < 40; ++seed) {
+      Query q = RandomQuery(t, 8100 + seed);
+      q.set_agg({AggSpec::Kind::kCount, 0});
+      const uint64_t count = ExecuteAggregate(oracle, q, nullptr).count;
+      EXPECT_EQ(ExecuteAggregate(index, q, nullptr).count, count)
+          << q.ToString();
+      EXPECT_EQ(ExecuteAggregate(unmerged, q, nullptr).count, count)
+          << q.ToString();
+      q.set_agg({AggSpec::Kind::kSum, 1});
+      EXPECT_EQ(ExecuteAggregate(index, q, nullptr).sum,
+                ExecuteAggregate(oracle, q, nullptr).sum)
+          << q.ToString();
+      CollectVisitor got;
+      CollectVisitor want;
+      index.Execute(q, got, nullptr);
+      oracle.Execute(q, want, nullptr);
+      EXPECT_EQ(SortedRows(index, got.rows()), SortedRows(oracle, want.rows()))
+          << q.ToString();
+    }
   }
 }
 

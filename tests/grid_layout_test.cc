@@ -126,6 +126,35 @@ TEST(GridLayoutSerializeTest, RejectsMalformedInput) {
   EXPECT_FALSE(GridLayout::Parse("order=0,1;cols=0,2;sort=0").ok());
 }
 
+// Layout strings come from index options and snapshots, so integers that
+// do not fit their fields must be rejected rather than wrapped.
+TEST(GridLayoutSerializeTest, RejectsOutOfRangeIntegers) {
+  const auto code = [](const std::string& text) {
+    return GridLayout::Parse(text).status().code();
+  };
+  // 2^32 + 1 columns must not truncate to 1 column.
+  EXPECT_EQ(code("order=0,1;cols=4294967297;sort=1"),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(code("order=0,1;cols=4294967295;sort=1"), StatusCode::kOk);
+  // 2^64 must not wrap to dimension 0, nor 2^64 + 1 to one column.
+  EXPECT_EQ(code("order=18446744073709551616,1;cols=2;sort=1"),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(code("order=0,1;cols=18446744073709551617;sort=1"),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(GridLayoutTest, NumCellsSaturatesOnOverflow) {
+  GridLayout l;
+  l.dim_order = {0, 1, 2, 3, 4, 5};
+  l.columns = {65536, 65536, 65536, 65536, 1};  // 2^64 cells.
+  ASSERT_TRUE(l.IsValid(6));
+  EXPECT_EQ(l.NumCells(), UINT64_MAX);
+  l.columns = {65536, 65536, 65536, 65535, 1};  // 2^64 - 2^48.
+  EXPECT_EQ(l.NumCells(), (uint64_t{65535} << 48));
+  l.columns = {0xFFFFFFFFu, 0xFFFFFFFFu, 0xFFFFFFFFu, 2, 1};
+  EXPECT_EQ(l.NumCells(), UINT64_MAX);
+}
+
 // Snapshots embed Serialize() output, so the round trip is load-bearing:
 // Parse(Serialize(L)) must reproduce L exactly for every valid layout,
 // including degenerate 1-cell dimensions and the 64-dim maximum.

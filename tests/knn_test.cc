@@ -93,6 +93,40 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(size_t{1}, size_t{5}, size_t{32})),
     KnnParamName);
 
+// A grid with far more cells than rows: the ring walk crosses mostly empty
+// cells, whose CellRange is empty.
+TEST(KnnEdgeTest, SparseGridMatchesBruteForce) {
+  const Table t = MakeTable(DataShape::kClustered, 3000, 3, 36);
+  FloodIndex::Options o;
+  o.layout.dim_order = {0, 1, 2};
+  o.layout.columns = {512, 256};  // 131072 cells, ~44x the rows.
+  FloodIndex index(o);
+  BuildContext ctx;
+  ctx.sample = DataSample::FromTable(t, 1000, 1);
+  ASSERT_TRUE(index.Build(t, ctx).ok());
+  ASSERT_GE(index.num_cells(), 32 * t.num_rows());
+  ASSERT_LT(index.num_occupied_cells(), t.num_rows());
+
+  const std::vector<size_t> dims{0, 1};
+  const KnnEngine engine(&index, dims);
+  Rng rng(37);
+  for (int trial = 0; trial < 20; ++trial) {
+    std::vector<Value> point(3);
+    for (size_t d = 0; d < 3; ++d) {
+      point[d] = rng.UniformInt(t.min_value(d) - 100, t.max_value(d) + 100);
+    }
+    for (size_t k : {size_t{1}, size_t{8}}) {
+      const auto got = engine.Search(point, k);
+      const auto want = BruteForceKnnDistances(index.data(), point, dims, k);
+      ASSERT_EQ(got.size(), want.size());
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_NEAR(got[i].distance, want[i], 1e-6)
+            << "neighbor " << i << " of " << k;
+      }
+    }
+  }
+}
+
 TEST(KnnEdgeTest, KLargerThanTable) {
   const Table t = MakeTable(DataShape::kUniform, 20, 2, 33);
   FloodIndex::Options o;
