@@ -218,25 +218,17 @@ void Database::RecordQueryLocked(const Query& query) {
   telemetry_->history_next = (telemetry_->history_next + 1) % cap;
 }
 
-void Database::NoteQueryMetrics(const QueryResult& result) const {
-  obs::DbMetrics& m = obs::GlobalDbMetrics();
-  if (result.skipped_empty) {
-    m.empty_skipped->Add(1);
-    return;
-  }
+bool Database::NoteQueryMetrics(const QueryResult& result) const {
+  if (result.skipped_empty) return false;
   const QueryStats& s = result.stats;
-  m.queries->Add(1);
+  obs::DbMetrics& m = obs::GlobalDbMetrics();
   m.query_ns->Record(s.total_ns);
   m.plan_ns->Record(s.index_ns);
   m.scan_ns->Record(s.scan_ns);
   m.delta_merge_ns->Record(s.delta_ns);
-  m.points_scanned->Add(s.points_scanned);
-  m.blocks_skipped->Add(s.blocks_skipped);
-  m.blocks_exact->Add(s.blocks_exact);
-  m.simd_blocks->Add(s.simd_blocks);
-  m.delta_rows_scanned->Add(s.delta_rows_scanned);
-  if (options_.slow_query_ns > 0 && s.total_ns > options_.slow_query_ns) {
-    m.slow_queries->Add(1);
+  const bool slow =
+      options_.slow_query_ns > 0 && s.total_ns > options_.slow_query_ns;
+  if (slow) {
     char line[512];
     std::snprintf(
         line, sizeof(line),
@@ -265,17 +257,19 @@ void Database::NoteQueryMetrics(const QueryResult& result) const {
       std::fprintf(stderr, "%s\n", line);
     }
   }
+  return slow;
 }
 
 void Database::RecordTelemetry(const Query& query,
                                const QueryResult& result) {
-  NoteQueryMetrics(result);
+  const bool slow = NoteQueryMetrics(result);
   std::lock_guard<std::mutex> lock(telemetry_->mu);
   ++telemetry_->queries_run;
   if (result.skipped_empty) {
     ++telemetry_->empty_skipped;
     return;
   }
+  telemetry_->slow_queries += slow ? 1 : 0;
   telemetry_->stats.RecordQuery(result.stats);
   RecordQueryLocked(query);
 }
@@ -348,12 +342,12 @@ void Database::RunShard(std::span<const Query> queries, size_t begin,
   std::shared_lock<std::shared_mutex> lock(write_->mu);
   for (size_t i = begin; i < end; ++i) {
     results[i] = ExecuteQueryLocked(queries[i]);
-    NoteQueryMetrics(results[i]);
     if (results[i].skipped_empty) {
       ++acc->empty_skipped;
-    } else {
-      acc->stats.RecordQuery(results[i].stats);
+      continue;
     }
+    acc->stats.RecordQuery(results[i].stats);
+    acc->slow_queries += NoteQueryMetrics(results[i]) ? 1 : 0;
   }
 }
 
@@ -384,7 +378,8 @@ BatchResult Database::RunBatch(const Workload& workload) {
 }
 
 void Database::FoldBatchTelemetry(std::span<const Query> queries,
-                                  const BatchResult& batch) {
+                                  const BatchResult& batch,
+                                  uint64_t slow_queries) {
   {
     obs::DbMetrics& m = obs::GlobalDbMetrics();
     m.batch_ns->Record(static_cast<int64_t>(batch.wall_ms * 1e6));
@@ -394,6 +389,7 @@ void Database::FoldBatchTelemetry(std::span<const Query> queries,
   telemetry_->stats.Merge(batch.stats);
   telemetry_->queries_run += queries.size();
   telemetry_->empty_skipped += batch.empty_skipped;
+  telemetry_->slow_queries += slow_queries;
   for (size_t i = 0; i < queries.size(); ++i) {
     if (!batch.results[i].skipped_empty) RecordQueryLocked(queries[i]);
   }
@@ -446,12 +442,14 @@ void Database::ExecuteBatch(std::span<const Query> queries, bool caller_waits,
     if (run->remaining.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
     // Deterministic merge: always in shard order, whatever order the
     // shards actually finished in.
+    uint64_t slow_queries = 0;
     for (const ShardAccum& acc : run->accums) {
       run->batch.stats.Merge(acc.stats);
       run->batch.empty_skipped += acc.empty_skipped;
+      slow_queries += acc.slow_queries;
     }
     run->batch.wall_ms = run->wall.ElapsedMillis();
-    FoldBatchTelemetry(run->queries, run->batch);
+    FoldBatchTelemetry(run->queries, run->batch, slow_queries);
     run->on_done(std::move(run->batch));
   };
   if (run_inline) {
@@ -955,6 +953,11 @@ uint64_t Database::queries_run() const {
 uint64_t Database::empty_queries_skipped() const {
   std::lock_guard<std::mutex> lock(telemetry_->mu);
   return telemetry_->empty_skipped;
+}
+
+uint64_t Database::slow_queries() const {
+  std::lock_guard<std::mutex> lock(telemetry_->mu);
+  return telemetry_->slow_queries;
 }
 
 }  // namespace flood

@@ -159,7 +159,7 @@ struct DatabaseOptions {
   /// Slow-query tracing: a query whose end-to-end time exceeds this many
   /// nanoseconds emits one structured log line with its stage breakdown
   /// (plan/scan/delta/refine ns) and zone-map/SIMD counters, and bumps
-  /// the flood_db_slow_queries_total metric. 0 (default) disables.
+  /// slow_queries() (`db.slow_queries`). 0 (default) disables.
   int64_t slow_query_ns = 0;
   /// Where slow-query lines go; null logs to stderr. Must be callable
   /// from pool workers (it runs on whichever thread executed the query)
@@ -438,6 +438,9 @@ class Database {
   QueryStats cumulative_stats() const;
   uint64_t queries_run() const;
   uint64_t empty_queries_skipped() const;
+  /// Queries slower than DatabaseOptions::slow_query_ns: one per line
+  /// handed to the slow-query sink.
+  uint64_t slow_queries() const;
 
  private:
   /// Mutex-guarded telemetry accumulators, heap-held so Database stays
@@ -449,6 +452,7 @@ class Database {
     QueryStats stats;
     uint64_t queries_run = 0;
     uint64_t empty_skipped = 0;
+    uint64_t slow_queries = 0;
     std::vector<Query> history;  ///< Ring of recent executed queries.
     size_t history_next = 0;     ///< Ring write cursor.
   };
@@ -495,6 +499,7 @@ class Database {
   struct alignas(64) ShardAccum {
     QueryStats stats;
     uint64_t empty_skipped = 0;
+    uint64_t slow_queries = 0;
   };
 
   Database(DatabaseOptions options, std::string index_name)
@@ -561,11 +566,12 @@ class Database {
 
   void RecordTelemetry(const Query& query, const QueryResult& result);
 
-  /// Lock-free per-query observability fold: process-wide histograms and
-  /// counters (src/obs/) plus the slow-query trace. Called once per
+  /// Lock-free per-query observability fold: the process-wide latency
+  /// histograms (src/obs/) plus the slow-query trace. Called once per
   /// executed query, on the thread that ran it — from RunShard's loop for
-  /// batches, from RecordTelemetry for single Run/Collect.
-  void NoteQueryMetrics(const QueryResult& result) const;
+  /// batches, from RecordTelemetry for single Run/Collect. Returns whether
+  /// the query was slow (a line went to the sink); the caller counts it.
+  bool NoteQueryMetrics(const QueryResult& result) const;
 
   /// The one batch executor behind RunBatch and both RunBatchAsync
   /// flavors: validates, carves the span into contiguous near-equal shards
@@ -581,7 +587,7 @@ class Database {
   /// Folds a finished batch into the cumulative telemetry + history ring;
   /// called once per batch, by the shard that finishes last.
   void FoldBatchTelemetry(std::span<const Query> queries,
-                          const BatchResult& batch);
+                          const BatchResult& batch, uint64_t slow_queries);
 
   /// Appends one executed query to the history ring; caller holds the
   /// telemetry mutex.

@@ -68,10 +68,7 @@ bool ValidMetricName(const std::string& name) {
 
 struct MetricsRegistry::Impl {
   struct Entry {
-    MetricKind kind;
     std::string help;
-    std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Histogram> histogram;
   };
   mutable std::mutex mu;
@@ -96,38 +93,6 @@ MetricsRegistry::Impl* MetricsRegistry::impl() {
   return p;
 }
 
-Counter* MetricsRegistry::RegisterCounter(const std::string& name,
-                                          const std::string& help) {
-  FLOOD_CHECK(ValidMetricName(name));
-  Impl* im = impl();
-  std::lock_guard<std::mutex> lock(im->mu);
-  auto& e = im->entries[name];
-  if (e.counter == nullptr) {
-    FLOOD_CHECK(e.gauge == nullptr && e.histogram == nullptr);
-    e.kind = MetricKind::kCounter;
-    e.help = help;
-    e.counter = std::make_unique<Counter>();
-  }
-  FLOOD_CHECK(e.kind == MetricKind::kCounter);
-  return e.counter.get();
-}
-
-Gauge* MetricsRegistry::RegisterGauge(const std::string& name,
-                                      const std::string& help) {
-  FLOOD_CHECK(ValidMetricName(name));
-  Impl* im = impl();
-  std::lock_guard<std::mutex> lock(im->mu);
-  auto& e = im->entries[name];
-  if (e.gauge == nullptr) {
-    FLOOD_CHECK(e.counter == nullptr && e.histogram == nullptr);
-    e.kind = MetricKind::kGauge;
-    e.help = help;
-    e.gauge = std::make_unique<Gauge>();
-  }
-  FLOOD_CHECK(e.kind == MetricKind::kGauge);
-  return e.gauge.get();
-}
-
 Histogram* MetricsRegistry::RegisterHistogram(const std::string& name,
                                               const std::string& help) {
   FLOOD_CHECK(ValidMetricName(name));
@@ -135,12 +100,9 @@ Histogram* MetricsRegistry::RegisterHistogram(const std::string& name,
   std::lock_guard<std::mutex> lock(im->mu);
   auto& e = im->entries[name];
   if (e.histogram == nullptr) {
-    FLOOD_CHECK(e.counter == nullptr && e.gauge == nullptr);
-    e.kind = MetricKind::kHistogram;
     e.help = help;
     e.histogram = std::make_unique<Histogram>();
   }
-  FLOOD_CHECK(e.kind == MetricKind::kHistogram);
   return e.histogram.get();
 }
 
@@ -150,22 +112,7 @@ std::vector<MetricSnapshot> MetricsRegistry::SnapshotAll() const {
   std::vector<MetricSnapshot> out;
   out.reserve(im->entries.size());
   for (const auto& [name, e] : im->entries) {
-    MetricSnapshot snap;
-    snap.name = name;
-    snap.help = e.help;
-    snap.kind = e.kind;
-    switch (e.kind) {
-      case MetricKind::kCounter:
-        snap.value = static_cast<double>(e.counter->Value());
-        break;
-      case MetricKind::kGauge:
-        snap.value = static_cast<double>(e.gauge->Value());
-        break;
-      case MetricKind::kHistogram:
-        snap.hist = e.histogram->Snapshot();
-        break;
-    }
-    out.push_back(std::move(snap));
+    out.push_back({name, e.help, e.histogram->Snapshot()});
   }
   return out;
 }
@@ -195,25 +142,6 @@ DbMetrics& GlobalDbMetrics() {
         "Exclusive-lock pause while compacting + retraining (ns)");
     b.checkpoint_ns = r.RegisterHistogram(
         "flood_db_checkpoint_ns", "Save() snapshot checkpoint duration (ns)");
-    b.queries =
-        r.RegisterCounter("flood_db_queries_total", "Queries executed");
-    b.slow_queries = r.RegisterCounter(
-        "flood_db_slow_queries_total",
-        "Queries slower than DatabaseOptions.slow_query_ns");
-    b.empty_skipped = r.RegisterCounter(
-        "flood_db_empty_skipped_total",
-        "Batch queries answered empty without execution");
-    b.points_scanned =
-        r.RegisterCounter("flood_db_points_scanned_total", "Points scanned");
-    b.blocks_skipped = r.RegisterCounter(
-        "flood_db_blocks_skipped_total", "Blocks skipped by zone maps");
-    b.blocks_exact = r.RegisterCounter(
-        "flood_db_blocks_exact_total",
-        "Blocks zone-map-accepted without per-row refinement");
-    b.simd_blocks = r.RegisterCounter("flood_db_simd_blocks_total",
-                                      "Blocks scanned by the SIMD kernel");
-    b.delta_rows_scanned = r.RegisterCounter(
-        "flood_db_delta_rows_scanned_total", "Delta-buffer rows scanned");
     return b;
   }();
   return m;
@@ -233,12 +161,6 @@ ServeMetrics& GlobalServeMetrics() {
         "Admission + pool queue wait per group (frame - exec) (ns)");
     b.batch_queries = r.RegisterHistogram(
         "flood_serve_batch_queries", "Queries folded into one engine group");
-    b.connections =
-        r.RegisterGauge("flood_serve_connections", "Open client connections");
-    b.frames = r.RegisterCounter("flood_serve_frames_total",
-                                 "Request frames processed");
-    b.scrapes = r.RegisterCounter("flood_serve_scrapes_total",
-                                  "HTTP /metrics scrapes served");
     return b;
   }();
   return m;
@@ -251,11 +173,6 @@ RouterMetrics& GlobalRouterMetrics() {
     b.fanout_ns = r.RegisterHistogram(
         "flood_router_fanout_ns",
         "Scatter to per-shard reply latency, one sample per shard (ns)");
-    b.subqueries = r.RegisterCounter("flood_router_subqueries_total",
-                                     "Per-shard subqueries considered");
-    b.subqueries_pruned = r.RegisterCounter(
-        "flood_router_subqueries_pruned_total",
-        "Subqueries skipped because the shard key range cannot match");
     return b;
   }();
   return m;

@@ -1,29 +1,31 @@
 #pragma once
-// Process-wide metrics: thread-sharded counters/gauges and a log-bucketed
-// histogram behind a name-keyed registry.
+// Process-wide latency and size histograms behind a name-keyed registry.
 //
 // Design contract (see docs/metrics.md for the metric catalog):
 //
-//  - Recording is lock-free and allocation-free: counters and histograms
-//    are sharded across cache-line-aligned cells indexed by a per-thread
-//    slot, all updates relaxed atomics. Gauges are a single atomic (they
-//    are set from one place at low frequency, not accumulated on hot
-//    paths).
+//  - The registry holds histograms only. Counts (points scanned, frames,
+//    connections, subqueries, ...) live in exactly one per-instance place
+//    — QueryStats / ServerCounters / RouterCounters — and reach the
+//    scrape through each component's Introspect() map, so they stay
+//    compiled in under -DFLOOD_METRICS=OFF.
+//  - Recording is lock-free and allocation-free: a histogram is sharded
+//    across cache-line-aligned cells indexed by a per-thread slot, all
+//    updates relaxed atomics.
 //  - `HistogramData` is the plain, copyable, *non-atomic* form of a
 //    histogram: the snapshot type, the wire type, and the type callers
 //    use for local exact-ish percentiles (e.g. `BatchResult`). It is
 //    ALWAYS compiled, even with -DFLOOD_METRICS=OFF.
 //  - `Histogram` is the registry-backed concurrent recorder. With
-//    -DFLOOD_METRICS=OFF every mutator on Counter/Gauge/Histogram
-//    compiles to nothing (`kEnabled` is false), mirroring the
-//    FLOOD_FAILPOINTS pattern; readers then see zeros.
+//    -DFLOOD_METRICS=OFF `Record` compiles to nothing (`kEnabled` is
+//    false), mirroring the FLOOD_FAILPOINTS pattern; readers then see
+//    zeros.
 //  - Buckets are log-linear: 4 sub-buckets per power of two, so every
 //    bucket's width is at most 25% of its lower bound. Percentile
 //    readout returns the bucket upper bound clamped to the exact
 //    tracked max — p100 is always the exact maximum.
 //  - The registry is a process singleton; handles are registered once
-//    (first caller wins, duplicate name + same kind returns the same
-//    handle, kind mismatch aborts) and stay valid for process lifetime.
+//    (first caller wins, a duplicate name returns the same handle) and
+//    stay valid for process lifetime.
 
 #include <array>
 #include <atomic>
@@ -110,54 +112,13 @@ struct HistogramData {
 };
 
 // ---------------------------------------------------------------------------
-// Concurrent recorders
+// Concurrent recorder
 // ---------------------------------------------------------------------------
 
 // Dense small integer id for the calling thread, assigned on first use.
 // Used to pick a shard; two threads may share a shard (correct, just
 // contended) — there is never a torn or lost update.
 std::size_t ThisThreadSlot();
-
-class Counter {
- public:
-  void Add(uint64_t n = 1) {
-    if constexpr (kEnabled) {
-      cells_[ThisThreadSlot() & (kShards - 1)].v.fetch_add(
-          n, std::memory_order_relaxed);
-    } else {
-      (void)n;
-    }
-  }
-
-  uint64_t Value() const {
-    uint64_t total = 0;
-    for (const Cell& c : cells_) total += c.v.load(std::memory_order_relaxed);
-    return total;
-  }
-
- private:
-  static constexpr std::size_t kShards = 8;
-  struct alignas(64) Cell {
-    std::atomic<uint64_t> v{0};
-  };
-  Cell cells_[kShards];
-};
-
-class Gauge {
- public:
-  void Set(int64_t v) {
-    if constexpr (kEnabled) v_.store(v, std::memory_order_relaxed);
-    else (void)v;
-  }
-  void Add(int64_t d) {
-    if constexpr (kEnabled) v_.fetch_add(d, std::memory_order_relaxed);
-    else (void)d;
-  }
-  int64_t Value() const { return v_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<int64_t> v_{0};
-};
 
 class Histogram {
  public:
@@ -197,14 +158,10 @@ class Histogram {
 // Registry
 // ---------------------------------------------------------------------------
 
-enum class MetricKind : uint8_t { kCounter = 0, kGauge = 1, kHistogram = 2 };
-
 struct MetricSnapshot {
   std::string name;
   std::string help;
-  MetricKind kind = MetricKind::kCounter;
-  double value = 0;    // counter / gauge reading
-  HistogramData hist;  // populated iff kind == kHistogram
+  HistogramData hist;
 };
 
 // Process-wide registry. Registration takes a mutex (startup only);
@@ -215,12 +172,10 @@ class MetricsRegistry {
  public:
   static MetricsRegistry& Instance();
 
-  Counter* RegisterCounter(const std::string& name, const std::string& help);
-  Gauge* RegisterGauge(const std::string& name, const std::string& help);
   Histogram* RegisterHistogram(const std::string& name,
                                const std::string& help);
 
-  // All metrics, sorted by name.
+  // All histograms, sorted by name.
   std::vector<MetricSnapshot> SnapshotAll() const;
 
   MetricsRegistry(const MetricsRegistry&) = delete;
@@ -247,14 +202,6 @@ struct DbMetrics {
   Histogram* delta_merge_ns;       // stage: delta-buffer merge
   Histogram* compaction_pause_ns;  // exclusive-lock compaction pause
   Histogram* checkpoint_ns;        // Save() snapshot duration
-  Counter* queries;
-  Counter* slow_queries;
-  Counter* empty_skipped;
-  Counter* points_scanned;
-  Counter* blocks_skipped;  // zone-map classify: skipped without decode
-  Counter* blocks_exact;    // zone-map classify: accepted without refine
-  Counter* simd_blocks;
-  Counter* delta_rows_scanned;
 };
 DbMetrics& GlobalDbMetrics();
 
@@ -263,16 +210,11 @@ struct ServeMetrics {
   Histogram* exec_ns;        // engine execution time, per group
   Histogram* queue_wait_ns;  // frame_ns - exec_ns (admission + pool queue)
   Histogram* batch_queries;  // queries folded into one engine group
-  Gauge* connections;
-  Counter* frames;
-  Counter* scrapes;  // HTTP /metrics hits
 };
 ServeMetrics& GlobalServeMetrics();
 
 struct RouterMetrics {
   Histogram* fanout_ns;  // scatter -> each shard reply, per shard
-  Counter* subqueries;
-  Counter* subqueries_pruned;
 };
 RouterMetrics& GlobalRouterMetrics();
 

@@ -11,7 +11,7 @@ namespace {
 void AppendDouble(std::string* out, double v) {
   char buf[64];
   // %.17g round-trips doubles; integral values render without exponent
-  // for typical counter magnitudes.
+  // for typical count magnitudes.
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   out->append(buf);
 }
@@ -76,23 +76,7 @@ std::string RenderPrometheus(
   std::set<std::string> emitted;
   for (const MetricSnapshot& s : snapshots) {
     emitted.insert(s.name);
-    switch (s.kind) {
-      case MetricKind::kCounter:
-        AppendHelpType(&out, s.name, s.help, "counter");
-        out.append(s.name).push_back(' ');
-        AppendDouble(&out, s.value);
-        out.push_back('\n');
-        break;
-      case MetricKind::kGauge:
-        AppendHelpType(&out, s.name, s.help, "gauge");
-        out.append(s.name).push_back(' ');
-        AppendDouble(&out, s.value);
-        out.push_back('\n');
-        break;
-      case MetricKind::kHistogram:
-        AppendHistogram(&out, s.name, s.help, s.hist);
-        break;
-    }
+    AppendHistogram(&out, s.name, s.help, s.hist);
   }
   for (const auto& [raw_name, value] : extra_gauges) {
     const std::string name = SanitizeMetricName(raw_name);

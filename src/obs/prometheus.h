@@ -17,14 +17,15 @@ namespace flood::obs {
 // (Introspect() keys like "serve.frames" arrive dotted and unprefixed).
 std::string SanitizeMetricName(const std::string& name);
 
-// Renders registry snapshots plus ad-hoc gauges (e.g. the serving tier's
-// Introspect() map) as Prometheus text exposition v0.0.4:
-//   - counters:   `# TYPE n counter` + `n <v>`
-//   - gauges:     `# TYPE n gauge` + `n <v>`
+// Renders registry histograms plus ad-hoc gauges (the serving tier's
+// Introspect() map, where every count lives) as Prometheus text
+// exposition v0.0.4:
 //   - histograms: cumulative `n_bucket{le="..."}` series (non-empty
 //     buckets + `+Inf`), `n_sum`, `n_count`
-// `extra_gauges` names are sanitized; snapshot names are assumed valid
-// (the registry enforces that at registration).
+//   - gauges:     `# TYPE n gauge` + `n <v>`
+// `extra_gauges` names are sanitized, and one that collides with an
+// earlier family is dropped; snapshot names are assumed valid (the
+// registry enforces that at registration).
 std::string RenderPrometheus(
     const std::vector<MetricSnapshot>& snapshots,
     const std::vector<std::pair<std::string, double>>& extra_gauges = {});

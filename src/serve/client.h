@@ -97,9 +97,9 @@ class Client {
   /// The server's introspection map (serve.* counters + db.* gauges).
   StatusOr<std::vector<std::pair<std::string, double>>> Stats();
 
-  /// The server's full typed metrics snapshot: every registry metric
-  /// (histograms with buckets, sum, count, exact max) plus the same flat
-  /// entries Stats() returns — one round-trip for everything the
+  /// The server's full metrics snapshot: every registry histogram (with
+  /// buckets, sum, count, exact max) plus the same flat entries Stats()
+  /// returns — one round-trip for everything the
   /// Prometheus endpoint exposes, in binary.
   StatusOr<MetricsResponse> Metrics();
 

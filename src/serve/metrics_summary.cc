@@ -31,7 +31,6 @@ std::string FormatMetricsSummary(const MetricsResponse& resp) {
   char line[256];
   out.append("-- histograms (count  p50 / p95 / p99 / max) --\n");
   for (const obs::MetricSnapshot& m : resp.metrics) {
-    if (m.kind != obs::MetricKind::kHistogram) continue;
     const bool dur = IsDuration(m.name);
     std::snprintf(line, sizeof(line), "  %-36s %10" PRIu64 "  ",
                   m.name.c_str(), m.hist.count);
@@ -45,17 +44,11 @@ std::string FormatMetricsSummary(const MetricsResponse& resp) {
     AppendValue(dur, m.hist.count > 0 ? m.hist.max : 0, &out);
     out.push_back('\n');
   }
-  out.append("-- counters / gauges --\n");
-  for (const obs::MetricSnapshot& m : resp.metrics) {
-    if (m.kind == obs::MetricKind::kHistogram) continue;
-    std::snprintf(line, sizeof(line), "  %-36s %.0f\n", m.name.c_str(),
-                  m.value);
+  out.append("-- counts and gauges --\n");
+  for (const auto& [key, value] : resp.entries) {
+    std::snprintf(line, sizeof(line), "  %-36s %.15g\n", key.c_str(), value);
     out.append(line);
   }
-  std::snprintf(line, sizeof(line),
-                "-- %zu flat introspection entries (see kStats) --\n",
-                resp.entries.size());
-  out.append(line);
   return out;
 }
 

@@ -8,9 +8,10 @@
 namespace flood {
 namespace serve {
 
-/// One-screen human-readable rendering of a kMetrics snapshot: histograms
-/// as count + p50/p95/p99/max (durations in ms for *_ns metrics), then
-/// the scalar counters/gauges, then the flat introspection entry count.
+/// Human-readable rendering of a kMetrics snapshot: histograms as
+/// count + p50/p95/p99/max (durations in ms for *_ns metrics), then one
+/// `key value` line per flat introspection entry (every count lives
+/// there: queries, frames, scrapes, ...).
 /// Used by `flood_serve --check` and `flood_router --check`.
 std::string FormatMetricsSummary(const MetricsResponse& resp);
 

@@ -299,23 +299,18 @@ void AppendMetricsResult(const MetricsResponse& resp, std::string* out) {
     for (const obs::MetricSnapshot& m : resp.metrics) {
       w->PutString(m.name);
       w->PutString(m.help);
-      w->PutU8(static_cast<uint8_t>(m.kind));
-      if (m.kind == obs::MetricKind::kHistogram) {
-        w->PutU64(m.hist.count);
-        w->PutI64(m.hist.sum);
-        w->PutI64(m.hist.max);
-        // Sparse buckets: (index, count) pairs for non-empty buckets only
-        // — a fresh histogram costs 4 bytes, never kNumBuckets * 8.
-        uint32_t nonempty = 0;
-        for (uint64_t c : m.hist.buckets) nonempty += c != 0 ? 1 : 0;
-        w->PutU32(nonempty);
-        for (uint32_t i = 0; i < obs::kNumBuckets; ++i) {
-          if (m.hist.buckets[i] == 0) continue;
-          w->PutU32(i);
-          w->PutU64(m.hist.buckets[i]);
-        }
-      } else {
-        w->PutF64(m.value);
+      w->PutU64(m.hist.count);
+      w->PutI64(m.hist.sum);
+      w->PutI64(m.hist.max);
+      // Sparse buckets: (index, count) pairs for non-empty buckets only
+      // — a fresh histogram costs 4 bytes, never kNumBuckets * 8.
+      uint32_t nonempty = 0;
+      for (uint64_t c : m.hist.buckets) nonempty += c != 0 ? 1 : 0;
+      w->PutU32(nonempty);
+      for (uint32_t i = 0; i < obs::kNumBuckets; ++i) {
+        if (m.hist.buckets[i] == 0) continue;
+        w->PutU32(i);
+        w->PutU64(m.hist.buckets[i]);
       }
     }
     w->PutU32(static_cast<uint32_t>(resp.entries.size()));
@@ -416,8 +411,9 @@ StatusOr<MetricsResponse> ParseMetricsResult(std::string_view payload) {
   MetricsResponse resp;
   resp.request_id = r.GetU64();
   const uint32_t num_metrics = r.GetU32();
-  // >= 17 bytes per metric (two empty strings, kind, f64 value).
-  if (static_cast<size_t>(num_metrics) * 17 > r.remaining()) {
+  // >= 36 bytes per metric (two empty strings, count, sum, max, and a
+  // zero bucket count).
+  if (static_cast<size_t>(num_metrics) * 36 > r.remaining()) {
     return ParseFailed("MetricsResult");
   }
   resp.metrics.resize(num_metrics);
@@ -425,30 +421,21 @@ StatusOr<MetricsResponse> ParseMetricsResult(std::string_view payload) {
     obs::MetricSnapshot& m = resp.metrics[i];
     m.name = r.GetString();
     m.help = r.GetString();
-    const uint8_t kind = r.GetU8();
-    if (kind > static_cast<uint8_t>(obs::MetricKind::kHistogram)) {
+    m.hist.count = r.GetU64();
+    m.hist.sum = r.GetI64();
+    m.hist.max = r.GetI64();
+    const uint32_t nonempty = r.GetU32();
+    // 12 bytes per sparse bucket (u32 index, u64 count).
+    if (static_cast<size_t>(nonempty) * 12 > r.remaining()) {
       return ParseFailed("MetricsResult");
     }
-    m.kind = static_cast<obs::MetricKind>(kind);
-    if (m.kind == obs::MetricKind::kHistogram) {
-      m.hist.count = r.GetU64();
-      m.hist.sum = r.GetI64();
-      m.hist.max = r.GetI64();
-      const uint32_t nonempty = r.GetU32();
-      // 12 bytes per sparse bucket (u32 index, u64 count).
-      if (static_cast<size_t>(nonempty) * 12 > r.remaining()) {
+    for (uint32_t b = 0; b < nonempty; ++b) {
+      const uint32_t idx = r.GetU32();
+      const uint64_t count = r.GetU64();
+      if (idx >= obs::kNumBuckets || count == 0) {
         return ParseFailed("MetricsResult");
       }
-      for (uint32_t b = 0; b < nonempty; ++b) {
-        const uint32_t idx = r.GetU32();
-        const uint64_t count = r.GetU64();
-        if (idx >= obs::kNumBuckets || count == 0) {
-          return ParseFailed("MetricsResult");
-        }
-        m.hist.buckets[idx] = count;
-      }
-    } else {
-      m.value = r.GetF64();
+      m.hist.buckets[idx] = count;
     }
   }
   const uint32_t num_entries = r.GetU32();

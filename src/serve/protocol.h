@@ -39,7 +39,9 @@ namespace serve {
 // ---------------------------------------------------------------------------
 
 inline constexpr uint32_t kWireMagic = 0x464C4457;  // "FLDW"
-inline constexpr uint8_t kWireVersion = 1;
+/// Version 2: kMetricsResult records carry histograms only (no kind byte,
+/// no scalar value).
+inline constexpr uint8_t kWireVersion = 2;
 inline constexpr size_t kFrameHeaderBytes = 16;
 /// Hard per-frame payload cap: a length prefix above this is treated as
 /// stream corruption, not an allocation request.
@@ -145,10 +147,9 @@ struct HealthRequest {
   uint64_t request_id = 0;
 };
 
-/// Full typed metrics snapshot (superset of kStats): every registry
-/// metric — counters, gauges, and histograms with their buckets — plus
-/// the flat Introspect() map as ad-hoc gauges. Answered inline from the
-/// event loop, including while draining.
+/// Full metrics snapshot (superset of kStats): every registry histogram
+/// with its buckets, plus the flat Introspect() map that carries every
+/// count. Answered inline from the event loop, including while draining.
 struct MetricsRequest {
   uint64_t request_id = 0;
 };
@@ -204,9 +205,9 @@ struct HealthResponse {
   uint64_t connections_active = 0;
 };
 
-/// The kMetricsResult body: typed registry metrics (histograms travel
-/// with their non-empty buckets, sum, count, and exact max) plus the
-/// flat Introspect() map — so one round-trip carries everything the
+/// The kMetricsResult body: the registry histograms (each travels with
+/// its non-empty buckets, sum, count, and exact max) plus the flat
+/// Introspect() map — so one round-trip carries everything the
 /// Prometheus endpoint exposes, in binary.
 struct MetricsResponse {
   uint64_t request_id = 0;

@@ -93,8 +93,6 @@ void Router::RunBatchAsync(std::vector<Query> queries,
   subqueries_sent_.fetch_add(sent, std::memory_order_relaxed);
   subqueries_pruned_.fetch_add(pruned, std::memory_order_relaxed);
   queries_skipped_empty_.fetch_add(empties, std::memory_order_relaxed);
-  obs::GlobalRouterMetrics().subqueries->Add(sent);
-  obs::GlobalRouterMetrics().subqueries_pruned->Add(pruned);
 
   for (size_t s = 0; s < num_shards; ++s) {
     if (!sub[s].empty()) g->active.push_back(s);

@@ -232,7 +232,7 @@ Status Server::Init() {
     }
     metrics_port_ = ntohs(addr.sin_port);
     FLOOD_RETURN_IF_ERROR(watch(metrics_listen_fd_));
-    // Pre-register every layer's bundle so the first scrape already
+    // Pre-register every layer's histograms so the first scrape already
     // exposes the full zero-valued series set (rate() works from t=0)
     // instead of families appearing as code paths first run.
     (void)obs::GlobalDbMetrics();
@@ -346,8 +346,6 @@ Status Server::Loop() {
       by_id_.erase(it->second->id);
       conns_.erase(it);
       counters_.connections_active.fetch_sub(1, std::memory_order_relaxed);
-      obs::GlobalServeMetrics().connections->Set(static_cast<int64_t>(
-          counters_.connections_active.load(std::memory_order_relaxed)));
     }
 
     if (draining_ && draining_done()) loop_done_ = true;
@@ -455,8 +453,6 @@ void Server::HandleAccept(int listener_fd) {
     }
     counters_.connections_accepted.fetch_add(1, std::memory_order_relaxed);
     counters_.connections_active.fetch_add(1, std::memory_order_relaxed);
-    obs::GlobalServeMetrics().connections->Set(static_cast<int64_t>(
-        counters_.connections_active.load(std::memory_order_relaxed)));
     by_id_[conn->id] = conn.get();
     conns_[fd] = std::move(conn);
   }
@@ -598,7 +594,7 @@ void Server::HandleHttpReadable(Connection* conn) {
     content_type = "text/plain; version=0.0.4; charset=utf-8";
     body = obs::RenderPrometheus(obs::MetricsRegistry::Instance().SnapshotAll(),
                                  Introspect());
-    obs::GlobalServeMetrics().scrapes->Add(1);
+    counters_.metrics_scrapes.fetch_add(1, std::memory_order_relaxed);
   } else {
     status_line = "404 Not Found";
     body = "try /metrics\n";
@@ -758,8 +754,8 @@ void Server::HandleFrame(Connection* conn, const Frame& frame,
     case MessageType::kMetrics: {
       StatusOr<MetricsRequest> req = ParseMetrics(frame.payload);
       if (!req.ok()) break;
-      // Answered inline like Stats: a full typed snapshot (every registry
-      // histogram with its buckets) plus the flat Introspect() map.
+      // Answered inline like Stats: every registry histogram with its
+      // buckets, plus the flat Introspect() map.
       MetricsResponse resp;
       resp.request_id = req->request_id;
       resp.metrics = obs::MetricsRegistry::Instance().SnapshotAll();
@@ -803,7 +799,6 @@ void Server::SubmitGroup(Connection* conn, std::vector<GroupFrame> frames,
   counters_.batches_submitted.fetch_add(1, std::memory_order_relaxed);
   counters_.queries_executed.fetch_add(queries.size(),
                                        std::memory_order_relaxed);
-  obs::GlobalServeMetrics().frames->Add(frames.size());
   obs::GlobalServeMetrics().batch_queries->Record(
       static_cast<int64_t>(queries.size()));
   const uint64_t depth =
@@ -1008,6 +1003,7 @@ ServerCounters Server::counters() const {
   c.recv_errors = counters_.recv_errors.load(std::memory_order_relaxed);
   c.send_errors = counters_.send_errors.load(std::memory_order_relaxed);
   c.health_checks = counters_.health_checks.load(std::memory_order_relaxed);
+  c.metrics_scrapes = counters_.metrics_scrapes.load(std::memory_order_relaxed);
   return c;
 }
 
@@ -1039,6 +1035,7 @@ std::vector<std::pair<std::string, double>> Server::Introspect() const {
   put("serve.recv_errors", static_cast<double>(c.recv_errors));
   put("serve.send_errors", static_cast<double>(c.send_errors));
   put("serve.health_checks", static_cast<double>(c.health_checks));
+  put("serve.metrics_scrapes", static_cast<double>(c.metrics_scrapes));
   // Engine gauges, same map: one Stats request observes the whole stack
   // (db.* for a database engine, router.*/shard<i>.* for a router).
   for (auto& entry : engine_->Introspect()) {

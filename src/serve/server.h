@@ -79,6 +79,7 @@ struct ServerCounters {
   uint64_t recv_errors = 0;            ///< recv errors that closed a conn.
   uint64_t send_errors = 0;            ///< send errors that closed a conn.
   uint64_t health_checks = 0;          ///< kHealth frames answered.
+  uint64_t metrics_scrapes = 0;        ///< HTTP /metrics scrapes served.
 };
 
 /// Non-blocking epoll serving loop in front of one BatchEngine — a local
@@ -276,6 +277,7 @@ class Server {
     std::atomic<uint64_t> recv_errors{0};
     std::atomic<uint64_t> send_errors{0};
     std::atomic<uint64_t> health_checks{0};
+    std::atomic<uint64_t> metrics_scrapes{0};
   };
   AtomicCounters counters_;
 

@@ -1,7 +1,8 @@
 // Observability-layer tests: histogram bucket math, percentile accuracy
 // against exact sorted ranks, concurrent record/merge equivalence, the
-// metrics registry's dedup contract, Prometheus text rendering, the
-// slow-query log, and the Introspect()-vs-QueryStats symmetry audit.
+// histogram registry's dedup contract, Prometheus text rendering, the
+// slow-query log and its per-instance count, and the
+// Introspect()-vs-QueryStats symmetry audit.
 //
 // The concurrency tests double as the TSan target for the whole obs
 // layer: many recorder threads against one Histogram while a scraper
@@ -210,38 +211,23 @@ TEST(HistogramTest, ConcurrentShardedRecordingMatchesSerialReference) {
   EXPECT_EQ(snap.buckets, reference.buckets);
 }
 
-TEST(CounterTest, ShardedAddsAllLandExactlyOnce) {
-  if (!obs::kEnabled) GTEST_SKIP() << "metrics compiled out";
-  static obs::Counter counter;
-  constexpr int kThreads = 8;
-  constexpr uint64_t kPerThread = 50'000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([] {
-      for (uint64_t i = 0; i < kPerThread; ++i) counter.Add(1);
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  EXPECT_EQ(counter.Value(), kThreads * kPerThread);
-}
-
 // --- Registry --------------------------------------------------------------
 
 TEST(MetricsRegistryTest, DuplicateRegistrationReturnsTheSameHandle) {
   auto& reg = obs::MetricsRegistry::Instance();
-  obs::Counter* a = reg.RegisterCounter("flood_test_dup_total", "help a");
-  obs::Counter* b = reg.RegisterCounter("flood_test_dup_total", "help b");
-  EXPECT_EQ(a, b);  // first caller wins, including its help string
-  obs::Histogram* h1 = reg.RegisterHistogram("flood_test_dup_ns", "h");
-  obs::Histogram* h2 = reg.RegisterHistogram("flood_test_dup_ns", "h");
+  obs::Histogram* h1 = reg.RegisterHistogram("flood_test_dup_ns", "help a");
+  obs::Histogram* h2 = reg.RegisterHistogram("flood_test_dup_ns", "help b");
   EXPECT_EQ(h1, h2);
+  for (const obs::MetricSnapshot& m : reg.SnapshotAll()) {
+    if (m.name == "flood_test_dup_ns") EXPECT_EQ(m.help, "help a");
+  }
 }
 
 TEST(MetricsRegistryTest, SnapshotAllIsSortedAndCoversRegisteredMetrics) {
   auto& reg = obs::MetricsRegistry::Instance();
-  obs::Counter* c = reg.RegisterCounter("flood_test_snapshot_total", "x");
-  c->Add(41);
-  c->Add(1);
+  obs::Histogram* h = reg.RegisterHistogram("flood_test_snapshot_ns", "x");
+  h->Record(41);
+  h->Record(1);
   // Touch every per-layer bundle so their names are registered too.
   (void)obs::GlobalDbMetrics();
   (void)obs::GlobalServeMetrics();
@@ -252,16 +238,21 @@ TEST(MetricsRegistryTest, SnapshotAllIsSortedAndCoversRegisteredMetrics) {
   bool found = false;
   for (size_t i = 0; i < all.size(); ++i) {
     if (i > 0) EXPECT_LT(all[i - 1].name, all[i].name);
-    if (all[i].name == "flood_test_snapshot_total") {
+    // Counts live per instance (Introspect()); the registry holds no
+    // counter families.
+    EXPECT_FALSE(all[i].name.ends_with("_total")) << all[i].name;
+    if (all[i].name == "flood_test_snapshot_ns") {
       found = true;
-      EXPECT_EQ(all[i].kind, obs::MetricKind::kCounter);
-      if (obs::kEnabled) EXPECT_EQ(all[i].value, 42.0);
+      if (obs::kEnabled) {
+        EXPECT_EQ(all[i].hist.count, 2u);
+        EXPECT_EQ(all[i].hist.sum, 42);
+        EXPECT_EQ(all[i].hist.max, 41);
+      }
     }
   }
   EXPECT_TRUE(found);
   for (const char* name :
-       {"flood_db_query_ns", "flood_db_queries_total",
-        "flood_serve_frame_ns", "flood_serve_connections",
+       {"flood_db_query_ns", "flood_db_batch_queries", "flood_serve_frame_ns",
         "flood_router_fanout_ns", "flood_persist_wal_append_ns"}) {
     EXPECT_TRUE(std::any_of(all.begin(), all.end(),
                             [&](const obs::MetricSnapshot& m) {
@@ -283,22 +274,11 @@ TEST(PrometheusTest, SanitizeMetricName) {
   EXPECT_EQ(obs::SanitizeMetricName("9lives"), "flood__9lives");
 }
 
-TEST(PrometheusTest, RendersCounterGaugeAndCumulativeHistogram) {
+TEST(PrometheusTest, RendersCumulativeHistogramAndIntrospectionGauges) {
   std::vector<obs::MetricSnapshot> snaps;
-  obs::MetricSnapshot c;
-  c.name = "flood_t_total";
-  c.help = "a counter";
-  c.kind = obs::MetricKind::kCounter;
-  c.value = 7;
-  snaps.push_back(c);
-  obs::MetricSnapshot g;
-  g.name = "flood_t_gauge";
-  g.kind = obs::MetricKind::kGauge;
-  g.value = -2;
-  snaps.push_back(g);
   obs::MetricSnapshot h;
   h.name = "flood_t_ns";
-  h.kind = obs::MetricKind::kHistogram;
+  h.help = "a histogram";
   h.hist.Record(1);
   h.hist.Record(1);
   h.hist.Record(100);
@@ -306,11 +286,7 @@ TEST(PrometheusTest, RendersCounterGaugeAndCumulativeHistogram) {
 
   const std::string text =
       obs::RenderPrometheus(snaps, {{"db.num_rows", 5.0}});
-  EXPECT_NE(text.find("# HELP flood_t_total a counter\n"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE flood_t_total counter\n"), std::string::npos);
-  EXPECT_NE(text.find("flood_t_total 7\n"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE flood_t_gauge gauge\n"), std::string::npos);
-  EXPECT_NE(text.find("flood_t_gauge -2\n"), std::string::npos);
+  EXPECT_NE(text.find("# HELP flood_t_ns a histogram\n"), std::string::npos);
   EXPECT_NE(text.find("# TYPE flood_t_ns histogram\n"), std::string::npos);
   // Bucket series are cumulative and end at +Inf == _count.
   EXPECT_NE(text.find("flood_t_ns_bucket{le=\"1\"} 2\n"), std::string::npos);
@@ -318,6 +294,7 @@ TEST(PrometheusTest, RendersCounterGaugeAndCumulativeHistogram) {
             std::string::npos);
   EXPECT_NE(text.find("flood_t_ns_sum 102\n"), std::string::npos);
   EXPECT_NE(text.find("flood_t_ns_count 3\n"), std::string::npos);
+  EXPECT_NE(text.find("# TYPE flood_db_num_rows gauge\n"), std::string::npos);
   EXPECT_NE(text.find("flood_db_num_rows 5\n"), std::string::npos);
   // Exactly one TYPE line per family, and every sample line parses as
   // `name{labels} value` with a finite numeric value.
@@ -339,11 +316,10 @@ TEST(PrometheusTest, RendersCounterGaugeAndCumulativeHistogram) {
 
 TEST(PrometheusTest, ExtraGaugeCollidingWithRegistryNameIsDropped) {
   std::vector<obs::MetricSnapshot> snaps;
-  obs::MetricSnapshot c;
-  c.name = "flood_t_collide";
-  c.kind = obs::MetricKind::kCounter;
-  c.value = 1;
-  snaps.push_back(c);
+  obs::MetricSnapshot h;
+  h.name = "flood_t_collide";
+  h.hist.Record(1);
+  snaps.push_back(h);
   // Sanitizes to the same family name; must not produce a second TYPE.
   const std::string text =
       obs::RenderPrometheus(snaps, {{"t.collide", 9.0}});
@@ -356,12 +332,26 @@ TEST(PrometheusTest, ExtraGaugeCollidingWithRegistryNameIsDropped) {
 
 // --- Slow-query log --------------------------------------------------------
 
+// The db.slow_queries count as DatabaseGauges reports it.
+double SlowQueries(const Database& db) {
+  for (const auto& [key, value] : serve::DatabaseGauges(db)) {
+    if (key == "db.slow_queries") return value;
+  }
+  ADD_FAILURE() << "db.slow_queries missing";
+  return -1;
+}
+
 TEST(SlowQueryLogTest, ThresholdedQueriesEmitOneStructuredLine) {
   const Table t = testing::MakeTable(testing::DataShape::kUniform, 2000, 3, 31);
   std::mutex mu;
   std::vector<std::string> lines;
+  auto line_count = [&] {
+    std::lock_guard<std::mutex> lock(mu);
+    return static_cast<double>(lines.size());
+  };
   DatabaseOptions options;
   options.index_name = "full_scan";
+  options.num_threads = 4;
   options.slow_query_ns = 1;  // every query is "slow"
   options.slow_query_log = [&](const std::string& line) {
     std::lock_guard<std::mutex> lock(mu);
@@ -381,7 +371,21 @@ TEST(SlowQueryLogTest, ThresholdedQueriesEmitOneStructuredLine) {
       EXPECT_NE(lines[0].find(field), std::string::npos) << field;
     }
   }
-  // Raising the threshold silences the log.
+  EXPECT_EQ(SlowQueries(*db), 1.0);
+
+  // A batch that carves into one shard per pool worker: every worker's
+  // count folds into the same per-instance total, one per sink line.
+  std::vector<Query> batch;
+  for (uint64_t seed = 0; seed < 16; ++seed) {
+    batch.push_back(testing::RandomQuery(t, 200 + seed));
+  }
+  const BatchResult result = db->RunBatch(batch);
+  ASSERT_TRUE(result.status.ok());
+  ASSERT_GE(result.executed(), 2u);
+  EXPECT_EQ(line_count(), 1.0 + static_cast<double>(result.executed()));
+  EXPECT_EQ(SlowQueries(*db), line_count());
+
+  // Raising the threshold silences the log and the count.
   DatabaseOptions quiet;
   quiet.index_name = "full_scan";
   quiet.slow_query_ns = INT64_MAX;
@@ -392,8 +396,9 @@ TEST(SlowQueryLogTest, ThresholdedQueriesEmitOneStructuredLine) {
   StatusOr<Database> db2 = Database::Open(t, std::move(quiet));
   ASSERT_TRUE(db2.ok());
   (void)db2->Run(q);
-  std::lock_guard<std::mutex> lock(mu);
-  EXPECT_EQ(lines.size(), 1u);
+  (void)db2->RunBatch(batch);
+  EXPECT_EQ(line_count(), 1.0 + static_cast<double>(result.executed()));
+  EXPECT_EQ(SlowQueries(*db2), 0.0);
 }
 
 // --- Introspect() symmetry -------------------------------------------------
@@ -426,10 +431,12 @@ TEST(IntrospectSymmetryTest, DatabaseGaugesCoverEveryQueryStatsField) {
     EXPECT_TRUE(keys.count(key)) << "QueryStats field missing from "
                                  << "DatabaseGauges: " << key;
   }
-  // Counters the serving tier has grown since PR 6 must also be present.
+  // The per-instance counts and gauges the serving tier reads must also
+  // be present.
   for (const char* key :
-       {"db.queries_run", "db.empty_queries_skipped", "db.num_rows",
-        "db.pending_writes", "db.compactions", "db.persist_poisoned"}) {
+       {"db.queries_run", "db.empty_queries_skipped", "db.slow_queries",
+        "db.num_rows", "db.pending_writes", "db.compactions",
+        "db.persist_poisoned"}) {
     EXPECT_TRUE(keys.count(key)) << key;
   }
   // Tripwire: QueryStats today is 9 u64 counters + 5 i64 timings +

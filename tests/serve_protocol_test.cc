@@ -7,11 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "query/query.h"
+#include "serve/metrics_summary.h"
 #include "serve/protocol.h"
 
 namespace flood {
@@ -210,24 +212,15 @@ TEST(ServeProtocolTest, MetricsRoundTripPreservesHistogramBuckets) {
 
   MetricsResponse resp;
   resp.request_id = 51;
-  obs::MetricSnapshot counter;
-  counter.name = "flood_db_queries_total";
-  counter.help = "queries executed";
-  counter.kind = obs::MetricKind::kCounter;
-  counter.value = 12345.0;
-  resp.metrics.push_back(counter);
-  obs::MetricSnapshot gauge;
-  gauge.name = "flood_serve_connections";
-  gauge.kind = obs::MetricKind::kGauge;
-  gauge.value = -3.0;  // Gauges are signed.
-  resp.metrics.push_back(gauge);
+  obs::MetricSnapshot empty;
+  empty.name = "flood_db_batch_ns";
+  resp.metrics.push_back(empty);  // A fresh histogram: no buckets at all.
   obs::MetricSnapshot hist;
   hist.name = "flood_db_query_ns";
   hist.help = "per-query latency";
-  hist.kind = obs::MetricKind::kHistogram;
   for (int64_t v : {0, 1, 7, 1000, 123456, 999999999}) hist.hist.Record(v);
   resp.metrics.push_back(hist);
-  resp.entries = {{"serve.frames_decoded", 9.0}, {"db.num_rows", 2e6}};
+  resp.entries = {{"serve.frames_decoded", 9.0}, {"db.num_rows", -2e6}};
   AppendMetricsResult(resp, &out);
 
   const std::vector<Frame> frames = Assemble(out);
@@ -242,13 +235,14 @@ TEST(ServeProtocolTest, MetricsRoundTripPreservesHistogramBuckets) {
       ParseMetricsResult(frames[1].payload);
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed->request_id, 51u);
-  ASSERT_EQ(parsed->metrics.size(), 3u);
-  EXPECT_EQ(parsed->metrics[0].name, "flood_db_queries_total");
-  EXPECT_EQ(parsed->metrics[0].help, "queries executed");
-  EXPECT_EQ(parsed->metrics[0].kind, obs::MetricKind::kCounter);
-  EXPECT_EQ(parsed->metrics[0].value, 12345.0);
-  EXPECT_EQ(parsed->metrics[1].value, -3.0);
-  const obs::HistogramData& h = parsed->metrics[2].hist;
+  ASSERT_EQ(parsed->metrics.size(), 2u);
+  EXPECT_EQ(parsed->metrics[0].name, "flood_db_batch_ns");
+  EXPECT_EQ(parsed->metrics[0].help, "");
+  EXPECT_EQ(parsed->metrics[0].hist.count, 0u);
+  EXPECT_EQ(parsed->metrics[0].hist.buckets, empty.hist.buckets);
+  EXPECT_EQ(parsed->metrics[1].name, "flood_db_query_ns");
+  EXPECT_EQ(parsed->metrics[1].help, "per-query latency");
+  const obs::HistogramData& h = parsed->metrics[1].hist;
   EXPECT_EQ(h.count, hist.hist.count);
   EXPECT_EQ(h.sum, hist.hist.sum);
   EXPECT_EQ(h.max, hist.hist.max);
@@ -256,40 +250,89 @@ TEST(ServeProtocolTest, MetricsRoundTripPreservesHistogramBuckets) {
   EXPECT_EQ(parsed->entries, resp.entries);
 }
 
-TEST(ServeProtocolTest, MetricsResultRejectsBadKindAndBucketIndex) {
-  MetricsResponse resp;
-  resp.request_id = 1;
-  obs::MetricSnapshot m;
-  m.name = "x";
-  m.kind = obs::MetricKind::kHistogram;
-  m.hist.Record(42);
-  resp.metrics.push_back(m);
-  std::string out;
-  AppendMetricsResult(resp, &out);
-  const std::vector<Frame> frames = Assemble(out);
-  ASSERT_EQ(frames.size(), 1u);
-  const std::string& good = frames[0].payload;
-  ASSERT_TRUE(ParseMetricsResult(good).ok());
+using Buckets = std::vector<std::pair<uint32_t, uint64_t>>;
 
-  // Kind byte follows request_id(8) + count(4) + name(4+1) + help(4): 21.
-  std::string bad_kind = good;
-  bad_kind[21] = 3;
-  EXPECT_FALSE(ParseMetricsResult(bad_kind).ok());
-
-  // A histogram claiming more non-empty buckets than bytes remain.
+// One histogram record by hand: name "x", no help, count/sum/max, then
+// the sparse (index, count) bucket pairs.
+std::string MetricsPayload(uint32_t num_metrics, const Buckets& buckets,
+                           uint32_t claimed_buckets) {
   std::string payload;
   ByteWriter w(&payload);
-  w.PutU64(1);          // request_id
-  w.PutU32(1);          // num_metrics
-  w.PutU32(1);          // name len
-  w.PutU8('x');
-  w.PutU32(0);          // help len
-  w.PutU8(2);           // histogram
-  w.PutU64(1);          // count
-  w.PutI64(1);          // sum
-  w.PutI64(1);          // max
-  w.PutU32(0x00FFFFFF); // nonempty buckets: absurd
-  EXPECT_FALSE(ParseMetricsResult(payload).ok());
+  w.PutU64(1);            // request_id
+  w.PutU32(num_metrics);  // num_metrics
+  w.PutString("x");       // name
+  w.PutString("");        // help
+  w.PutU64(1);            // count
+  w.PutI64(1);            // sum
+  w.PutI64(1);            // max
+  w.PutU32(claimed_buckets);
+  for (const auto& [idx, count] : buckets) {
+    w.PutU32(idx);
+    w.PutU64(count);
+  }
+  w.PutU32(0);  // no flat entries
+  return payload;
+}
+
+TEST(ServeProtocolTest, MetricsResultRejectsTruncationAndBadBuckets) {
+  const std::string good = MetricsPayload(1, {{1, 1}}, 1);
+  ASSERT_TRUE(ParseMetricsResult(good).ok());
+  // Every strict prefix is a truncated payload.
+  for (size_t len = 0; len < good.size(); ++len) {
+    EXPECT_FALSE(ParseMetricsResult(good.substr(0, len)).ok()) << len;
+  }
+  // A record count the remaining bytes cannot hold at 36 bytes a record.
+  EXPECT_FALSE(ParseMetricsResult(MetricsPayload(2, {{1, 1}}, 1)).ok());
+  // A bucket index past the last bucket, and a zero-count sparse bucket.
+  const uint32_t past_end = static_cast<uint32_t>(obs::kNumBuckets);
+  EXPECT_FALSE(ParseMetricsResult(MetricsPayload(1, {{past_end, 1}}, 1)).ok());
+  EXPECT_FALSE(ParseMetricsResult(MetricsPayload(1, {{1, 0}}, 1)).ok());
+  // More non-empty buckets claimed than bytes remain.
+  EXPECT_FALSE(ParseMetricsResult(MetricsPayload(1, {}, 0x00FFFFFF)).ok());
+}
+
+TEST(MetricsSummaryTest, PrintsHistogramsThenEveryFlatEntry) {
+  MetricsResponse resp;
+  obs::MetricSnapshot query_ns;
+  query_ns.name = "flood_db_query_ns";
+  for (int64_t v : {1'000'000, 2'000'000, 3'000'000}) query_ns.hist.Record(v);
+  resp.metrics.push_back(query_ns);
+  obs::MetricSnapshot batch_queries;
+  batch_queries.name = "flood_serve_batch_queries";
+  batch_queries.hist.Record(12);
+  resp.metrics.push_back(batch_queries);
+  resp.entries.emplace_back("serve.queries_executed", 42.0);
+  resp.entries.emplace_back("serve.frames_decoded", 7.0);
+  resp.entries.emplace_back("serve.metrics_scrapes", 3.0);
+  resp.entries.emplace_back("db.points_scanned", 1234567890.0);
+
+  const std::string text = FormatMetricsSummary(resp);
+  const size_t counts = text.find("-- counts and gauges --\n");
+  ASSERT_NE(counts, std::string::npos) << text;
+  // Histograms: count, then durations in ms for *_ns and plain values
+  // otherwise; the exact max closes the row.
+  const size_t query_row = text.find("flood_db_query_ns");
+  ASSERT_LT(query_row, counts) << text;
+  const std::string row =
+      text.substr(query_row, text.find('\n', query_row) - query_row);
+  EXPECT_NE(row.find(" 3  "), std::string::npos) << row;
+  EXPECT_NE(row.find("3ms"), std::string::npos) << row;
+  const size_t batch_row = text.find("flood_serve_batch_queries");
+  ASSERT_LT(batch_row, counts) << text;
+  EXPECT_NE(text.find("12 / 12 / 12 / 12", batch_row), std::string::npos)
+      << text;
+  // One `key value` line per flat entry, in order, after the histograms.
+  size_t prev = counts;
+  for (const auto& [key, value] : resp.entries) {
+    const size_t at = text.find("  " + key + " ", prev);
+    ASSERT_NE(at, std::string::npos) << key << "\n" << text;
+    const size_t eol = text.find('\n', at);
+    const std::string line = text.substr(at, eol - at);
+    char expected[32];
+    std::snprintf(expected, sizeof(expected), " %.0f", value);
+    EXPECT_TRUE(line.ends_with(expected)) << line;
+    prev = eol;
+  }
 }
 
 TEST(ServeProtocolTest, HealthResultRejectsNonBooleanFlags) {

@@ -5,14 +5,19 @@
 // kOverloaded while Ping stays responsive, keep honest observability
 // counters, survive garbage bytes, and drain cleanly on Shutdown.
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cstring>
+#include <map>
 #include <memory>
+#include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -441,6 +446,135 @@ TEST(ServeServerTest, CountersTrackAScriptedSession) {
   };
   EXPECT_EQ(wire_get("serve.batches_submitted"), 2.0);
   EXPECT_EQ(wire_get("db.pending_writes"), 1.0);
+
+  (*server)->Shutdown();
+  (*server)->Join();
+}
+
+/// One HTTP GET over a raw loopback TCP socket; returns the body ("" on
+/// any failure or a non-200 status).
+std::string HttpGet(uint16_t port, const std::string& path) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (fd < 0) return "";
+  struct sockaddr_in addr;
+  std::memset(&addr, 0, sizeof(addr));
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  std::string response;
+  if (::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
+                sizeof(addr)) == 0) {
+    const std::string request = "GET " + path + " HTTP/1.0\r\n\r\n";
+    if (::send(fd, request.data(), request.size(), MSG_NOSIGNAL) ==
+        static_cast<ssize_t>(request.size())) {
+      char buf[4096];
+      ssize_t n;
+      while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
+        response.append(buf, static_cast<size_t>(n));
+      }
+    }
+  }
+  ::close(fd);
+  const size_t body = response.find("\r\n\r\n");
+  if (response.rfind("HTTP/1.0 200", 0) != 0 || body == std::string::npos) {
+    return "";
+  }
+  return response.substr(body + 4);
+}
+
+/// Family name -> TYPE for every `# TYPE` line, plus each unlabelled
+/// sample's value. Fails the test on a family declared twice.
+struct Scrape {
+  std::map<std::string, std::string> types;
+  std::map<std::string, double> samples;
+};
+
+Scrape ParseScrape(const std::string& text) {
+  Scrape scrape;
+  std::istringstream in(text);
+  std::string line;
+  while (std::getline(in, line)) {
+    std::istringstream fields(line);
+    std::string first, name, type;
+    fields >> first;
+    if (first == "#") {
+      std::string keyword;
+      fields >> keyword >> name >> type;
+      if (keyword != "TYPE") continue;
+      EXPECT_TRUE(scrape.types.emplace(name, type).second)
+          << "two families named " << name;
+    } else if (!first.empty() && first.find('{') == std::string::npos) {
+      double value = 0;
+      fields >> value;
+      scrape.samples[first] = value;
+    }
+  }
+  return scrape;
+}
+
+// Every count reaches /metrics once, as a per-instance Introspect() gauge;
+// the registry contributes histograms only. kMetrics carries the same two
+// halves in binary.
+TEST(ServeServerTest, LiveScrapeAndMetricsCountEachEventOnce) {
+  const Table table = MakeTable(DataShape::kUniform, 3'000, 3, 81);
+  StatusOr<Database> db = OpenDb(table, "kdtree", 2);
+  ASSERT_TRUE(db.ok());
+
+  ServerOptions sopts;
+  SocketPath sock("scrape");
+  sopts.uds_path = sock.path;
+  sopts.metrics_addr = "127.0.0.1:0";
+  auto server = Server::Create(&*db, std::move(sopts));
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  ASSERT_NE((*server)->metrics_port(), 0);
+  (*server)->Start();
+
+  auto client = Client::Connect("unix:" + sock.path);
+  ASSERT_TRUE(client.ok());
+  const std::vector<Query> queries = MakeQueries(table, 8, 1600);
+  for (int i = 0; i < 3; ++i) {
+    auto reply = client->RunBatch(queries);
+    ASSERT_TRUE(reply.ok());
+    ASSERT_EQ(reply->code, WireCode::kOk);
+  }
+
+  const std::string first = HttpGet((*server)->metrics_port(), "/metrics");
+  ASSERT_FALSE(first.empty());
+  const Scrape scrape = ParseScrape(first);
+  EXPECT_EQ(scrape.types.count("flood_db_points_scanned"), 1u) << first;
+  EXPECT_EQ(scrape.samples.count("flood_db_points_scanned"), 1u);
+  EXPECT_EQ(scrape.types.count("flood_serve_connections_active"), 1u);
+  for (const auto& [family, type] : scrape.types) {
+    EXPECT_FALSE(family.ends_with("_total")) << family;
+    EXPECT_TRUE(type == "histogram" || type == "gauge") << family;
+  }
+
+  // The first scrape is counted by the second.
+  const Scrape second =
+      ParseScrape(HttpGet((*server)->metrics_port(), "/metrics"));
+  ASSERT_EQ(second.samples.count("flood_serve_metrics_scrapes"), 1u);
+  EXPECT_GE(second.samples.at("flood_serve_metrics_scrapes"), 1.0);
+  EXPECT_GE((*server)->counters().metrics_scrapes, 2u);
+
+  // kMetrics: the typed half is exactly the scrape's histogram families,
+  // and the flat half is the kStats map.
+  auto metrics = client->Metrics();
+  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+  ASSERT_FALSE(metrics->metrics.empty());
+  std::set<std::string> histograms;
+  for (const auto& [family, type] : scrape.types) {
+    if (type == "histogram") histograms.insert(family);
+  }
+  std::set<std::string> typed;
+  for (const obs::MetricSnapshot& m : metrics->metrics) typed.insert(m.name);
+  EXPECT_EQ(typed, histograms);
+  auto stats = client->Stats();
+  ASSERT_TRUE(stats.ok());
+  std::set<std::string> stats_keys;
+  for (const auto& [key, value] : *stats) stats_keys.insert(key);
+  std::set<std::string> entry_keys;
+  for (const auto& [key, value] : metrics->entries) entry_keys.insert(key);
+  EXPECT_EQ(entry_keys, stats_keys);
 
   (*server)->Shutdown();
   (*server)->Join();
