@@ -379,7 +379,7 @@ BatchResult Database::RunBatch(const Workload& workload) {
 
 void Database::FoldBatchTelemetry(std::span<const Query> queries,
                                   const BatchResult& batch,
-                                  uint64_t slow_queries) {
+                                  uint64_t slow_queries, bool ran_inline) {
   {
     obs::DbMetrics& m = obs::GlobalDbMetrics();
     m.batch_ns->Record(static_cast<int64_t>(batch.wall_ms * 1e6));
@@ -390,6 +390,21 @@ void Database::FoldBatchTelemetry(std::span<const Query> queries,
   telemetry_->queries_run += queries.size();
   telemetry_->empty_skipped += batch.empty_skipped;
   telemetry_->slow_queries += slow_queries;
+  telemetry_->batches_inline += ran_inline ? 1 : 0;
+  if (batch.executed() > 0) {
+    // Exponential moving mean, weight 1/8 per batch: one outlier query
+    // sends a few batches back to the pool, and a lasting shift in the
+    // query mix moves the prediction within a batch or two.
+    const int64_t batch_mean =
+        batch.stats.total_ns / static_cast<int64_t>(batch.executed());
+    const int64_t prev =
+        telemetry_->mean_query_ns.load(std::memory_order_relaxed);
+    const int64_t next =
+        prev == 0 ? batch_mean : prev + (batch_mean - prev) / 8;
+    // 0 means "no measurement yet", so a measured mean is at least 1 ns.
+    telemetry_->mean_query_ns.store(std::max<int64_t>(1, next),
+                                    std::memory_order_relaxed);
+  }
   for (size_t i = 0; i < queries.size(); ++i) {
     if (!batch.results[i].skipped_empty) RecordQueryLocked(queries[i]);
   }
@@ -406,10 +421,17 @@ void Database::ExecuteBatch(std::span<const Query> queries, bool caller_waits,
       return;
     }
   }
+  // The dispatch rule documented on RunBatch. No mean yet = expensive.
   const size_t n = queries.size();
   const size_t workers = pool_ != nullptr ? pool_->num_threads() : 1;
-  const size_t shards = std::max<size_t>(1, std::min(workers, n));
-  const bool run_inline = pool_ == nullptr || (caller_waits && shards == 1);
+  const size_t carved = std::max<size_t>(1, std::min(workers, n));
+  const int64_t mean_ns =
+      telemetry_->mean_query_ns.load(std::memory_order_relaxed);
+  const double predicted_ns = static_cast<double>(mean_ns) * n;
+  const bool cheap = mean_ns > 0 && predicted_ns < kInlineBatchNs;
+  const bool run_inline =
+      pool_ == nullptr || (caller_waits && carved == 1) || cheap;
+  const size_t shards = run_inline ? 1 : carved;
 
   // Shared completion state: shards decrement `remaining`, and whichever
   // one hits zero merges, folds telemetry, and fires the callback. No
@@ -436,7 +458,8 @@ void Database::ExecuteBatch(std::span<const Query> queries, bool caller_waits,
   run->accums.resize(shards);
   run->remaining.store(shards, std::memory_order_relaxed);
 
-  auto run_shard = [this, run](size_t s, size_t begin, size_t end) {
+  auto run_shard = [this, run, run_inline](size_t s, size_t begin,
+                                           size_t end) {
     RunShard(run->queries, begin, end, run->batch.results.data(),
              &run->accums[s]);
     if (run->remaining.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
@@ -449,7 +472,7 @@ void Database::ExecuteBatch(std::span<const Query> queries, bool caller_waits,
       slow_queries += acc.slow_queries;
     }
     run->batch.wall_ms = run->wall.ElapsedMillis();
-    FoldBatchTelemetry(run->queries, run->batch, slow_queries);
+    FoldBatchTelemetry(run->queries, run->batch, slow_queries, run_inline);
     run->on_done(std::move(run->batch));
   };
   if (run_inline) {
@@ -958,6 +981,11 @@ uint64_t Database::empty_queries_skipped() const {
 uint64_t Database::slow_queries() const {
   std::lock_guard<std::mutex> lock(telemetry_->mu);
   return telemetry_->slow_queries;
+}
+
+uint64_t Database::batches_inline() const {
+  std::lock_guard<std::mutex> lock(telemetry_->mu);
+  return telemetry_->batches_inline;
 }
 
 }  // namespace flood

@@ -2,6 +2,7 @@
 #define FLOOD_API_DATABASE_H_
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <functional>
@@ -132,7 +133,8 @@ struct DatabaseOptions {
   /// calling thread — bit-for-bit the pre-threading path; 0 sizes the pool
   /// to hardware_concurrency; N > 1 uses a fixed pool of N workers.
   /// Results and merged stats are identical at every setting (only the
-  /// timing fields vary run to run).
+  /// timing fields vary run to run). With a pool, a batch predicted cheap
+  /// still runs on the calling thread (see Database::RunBatch).
   size_t num_threads = 1;
   /// Online-write compaction policy (§8): when > 0, a write that leaves
   /// more than `auto_retrain_fraction * base rows` staged writes (buffered
@@ -252,32 +254,46 @@ class Database {
   QueryResult Run(const Query& query);
   QueryResult Collect(const Query& query);
 
+  /// A batch predicted to cost less than this runs on the calling thread
+  /// instead of the pool: about one pool round trip (task handoff, worker
+  /// wake, completion back to the submitter). See RunBatch.
+  static constexpr int64_t kInlineBatchNs = 20'000;
+
   /// Runs the batch and returns per-query results plus aggregate stats:
   /// the calling thread waits on the same execution path as
-  /// RunBatchAsync. With num_threads != 1 the span is sharded contiguously
-  /// across the pool and per-shard stats are folded in shard order at
-  /// batch end; a batch that carves into one shard (a single query, or no
-  /// pool) runs on the calling thread. `results[i]` always matches
-  /// `queries[i]`. Arity mismatches fail the whole batch
-  /// (BatchResult::status) before any shard starts. Must not be called
-  /// from a task on this database's pool.
+  /// RunBatchAsync. `results[i]` always matches `queries[i]`. Arity
+  /// mismatches fail the whole batch (BatchResult::status) before any
+  /// shard starts. Must not be called from a task on this database's pool.
+  ///
+  /// One dispatch rule serves this and both RunBatchAsync flavors. The
+  /// batch runs on the calling thread, as one shard, when
+  ///   - there is no pool (num_threads == 1); or
+  ///   - the caller waits (this RunBatch) and the batch carves into one
+  ///     shard (a single query); or
+  ///   - its predicted cost is below kInlineBatchNs. The prediction is the
+  ///     batch size times this database's moving mean of executed-query
+  ///     time. A database that has executed no batch yet has no mean and
+  ///     predicts every batch expensive.
+  /// Otherwise the span is sharded contiguously across the pool, one shard
+  /// per worker, and per-shard stats are folded in shard order at batch
+  /// end. Every inline batch counts in batches_inline().
   BatchResult RunBatch(std::span<const Query> queries);
   BatchResult RunBatch(const Workload& workload);
 
-  /// Submits the batch for execution on the pool and returns immediately;
-  /// the future is fulfilled (by the last worker to finish) with exactly
+  /// Submits the batch and returns; the future is fulfilled with exactly
   /// the BatchResult a synchronous RunBatch of the same span would have
-  /// produced — same sharding, same deterministic shard-order stats merge,
-  /// same telemetry fold. The queries are copied, so the caller's span may
-  /// die as soon as this returns.
+  /// produced — same deterministic shard-order stats merge, same telemetry
+  /// fold. Dispatch follows RunBatch's rule: a batch that runs inline
+  /// (no pool, or predicted cheap) has its future ready on return;
+  /// otherwise the last pool worker to finish fulfils it. The queries are
+  /// copied when they go to the pool, so the caller's span may die as
+  /// soon as this returns.
   ///
   /// Concurrency: async batches interleave freely with each other and with
   /// Run/Collect/Insert/Delete/Compact — each shard takes the shared side
   /// of the delta seam like any query, so a batch submitted before a
   /// compaction may observe the index either side of the swap, but never a
-  /// torn state. With num_threads == 1 (no pool) the batch executes
-  /// synchronously on the calling thread and the returned future is
-  /// already ready.
+  /// torn state.
   ///
   /// Lifetime: the Database must not be destroyed or moved while async
   /// batches are in flight (the pool drains at destruction, but the shards
@@ -286,13 +302,15 @@ class Database {
   std::future<BatchResult> RunBatchAsync(std::span<const Query> queries);
 
   /// Event-loop flavor: as RunBatchAsync, but `on_done` fires exactly once
-  /// with the finished result, on whichever pool worker completed the
-  /// batch last (or on the calling thread when there is no pool, before
-  /// this returns). The callback must not call back into batch submission
-  /// of this database from a pool worker and must not block — hand the
-  /// result off (e.g. write an eventfd) and return. This is the primitive
-  /// the epoll server in src/serve uses to get completion wakeups without
-  /// a future-polling thread.
+  /// with the finished result. Which thread runs it follows the dispatch
+  /// rule on RunBatch: an inline batch (no pool, or predicted cheap)
+  /// calls it on the calling thread before this returns; a pool batch
+  /// calls it on whichever worker finished last. The callback must not
+  /// block and must not call back into batch submission of this database
+  /// from a pool worker — hand the result off (e.g. write an eventfd) and
+  /// return. This is the primitive the epoll server in src/serve uses to
+  /// get completion wakeups without a future-polling thread; it delivers
+  /// an inline completion directly on its loop.
   void RunBatchAsync(std::span<const Query> queries,
                      std::function<void(BatchResult)> on_done);
 
@@ -441,6 +459,9 @@ class Database {
   /// Queries slower than DatabaseOptions::slow_query_ns: one per line
   /// handed to the slow-query sink.
   uint64_t slow_queries() const;
+  /// Batches that ran on the calling thread under the dispatch rule (see
+  /// RunBatch), exposed as `db.batches_inline`.
+  uint64_t batches_inline() const;
 
  private:
   /// Mutex-guarded telemetry accumulators, heap-held so Database stays
@@ -453,6 +474,11 @@ class Database {
     uint64_t queries_run = 0;
     uint64_t empty_skipped = 0;
     uint64_t slow_queries = 0;
+    uint64_t batches_inline = 0;
+    /// Moving mean of executed-query total_ns over recent batches; 0 until
+    /// the first batch with an executed query. Written under `mu`, read
+    /// lock-free by ExecuteBatch's dispatch rule.
+    std::atomic<int64_t> mean_query_ns{0};
     std::vector<Query> history;  ///< Ring of recent executed queries.
     size_t history_next = 0;     ///< Ring write cursor.
   };
@@ -574,20 +600,21 @@ class Database {
   bool NoteQueryMetrics(const QueryResult& result) const;
 
   /// The one batch executor behind RunBatch and both RunBatchAsync
-  /// flavors: validates, carves the span into contiguous near-equal shards
-  /// (one per pool worker, at most one per query), runs each through
-  /// RunShard, merges in shard order, folds telemetry once, and fires
-  /// `on_done` exactly once. Shards go to the pool, one task each; they
-  /// run on the calling thread instead when there is no pool, or when
-  /// `caller_waits` and the batch carves into one shard. The queries are
-  /// copied only when shards go to the pool and the caller does not wait.
+  /// flavors: validates, applies the dispatch rule documented on RunBatch
+  /// (one shard on the calling thread, or contiguous near-equal shards,
+  /// one per pool worker and at most one per query, each a pool task),
+  /// runs each through RunShard, merges in shard order, folds telemetry
+  /// once, and fires `on_done` exactly once. The queries are copied only
+  /// when shards go to the pool and the caller does not wait.
   void ExecuteBatch(std::span<const Query> queries, bool caller_waits,
                     std::function<void(BatchResult)> on_done);
 
-  /// Folds a finished batch into the cumulative telemetry + history ring;
-  /// called once per batch, by the shard that finishes last.
+  /// Folds a finished batch into the cumulative telemetry, the moving
+  /// mean of executed-query time and the history ring; called once per
+  /// batch, by the shard that finishes last.
   void FoldBatchTelemetry(std::span<const Query> queries,
-                          const BatchResult& batch, uint64_t slow_queries);
+                          const BatchResult& batch, uint64_t slow_queries,
+                          bool ran_inline);
 
   /// Appends one executed query to the history ring; caller holds the
   /// telemetry mutex.

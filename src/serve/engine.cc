@@ -40,6 +40,7 @@ std::vector<std::pair<std::string, double>> DatabaseGauges(
   put("db.empty_queries_skipped",
       static_cast<double>(db.empty_queries_skipped()));
   put("db.slow_queries", static_cast<double>(db.slow_queries()));
+  put("db.batches_inline", static_cast<double>(db.batches_inline()));
   put("db.persist_epoch", static_cast<double>(db.persist_epoch()));
   put("db.persist_poisoned", db.persistence_poisoned() ? 1.0 : 0.0);
   put("persist.dir_fsync_failures",

@@ -265,6 +265,7 @@ Status Server::Join() {
 // --- Event loop ------------------------------------------------------------
 
 Status Server::Loop() {
+  loop_thread_id_ = std::this_thread::get_id();
   std::vector<int> doomed;
   while (!loop_done_) {
     int timeout_ms = -1;
@@ -808,21 +809,38 @@ void Server::SubmitGroup(Connection* conn, std::vector<GroupFrame> frames,
 
   const uint64_t conn_id = conn->id;
   const Stopwatch submitted;  // Group frame latency is measured from here.
-  // The callback runs on an engine worker (a pool thread, a router shard
-  // completion, or inline when there is no pool): it only touches the
-  // completion queue and the eventfd — all socket and connection state
-  // stays loop-owned.
+  // The callback runs on an engine worker (a pool thread or a router shard
+  // completion) or inline on this loop thread, before RunBatchAsync
+  // returns (a batch the database predicts cheap, or a pool-less engine).
+  // Off the loop it only touches the completion queue and the eventfd —
+  // all socket and connection state stays loop-owned.
   engine_->RunBatchAsync(
       std::move(queries), [this, conn_id, submitted,
                            frames = std::move(frames)](
                               EngineBatchResult batch) mutable {
+        Completion done{conn_id, std::move(frames), std::move(batch),
+                        submitted};
+        if (std::this_thread::get_id() == loop_thread_id_) {
+          // Still inside ProcessFrames for this connection: the replies
+          // join the burst's outbuf and leave in its one FlushOrArm.
+          (void)Deliver(done);
+          return;
+        }
+        bool was_empty = false;
         {
           std::lock_guard<std::mutex> lock(completions_mu_);
-          completions_.push_back(
-              {conn_id, std::move(frames), std::move(batch), submitted});
+          was_empty = completions_.empty();
+          completions_.push_back(std::move(done));
         }
-        const uint64_t one = 1;
-        [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof(one));
+        // Wake the loop at most once per drain. DrainCompletions swaps out
+        // the whole vector on every loop iteration, after that iteration's
+        // eventfd read. So a push onto a non-empty vector is covered by the
+        // wake of the push that made it non-empty, and a push onto an
+        // empty one always writes: no completion is left without a wake.
+        if (was_empty) {
+          const uint64_t one = 1;
+          [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof(one));
+        }
       });
 }
 
@@ -833,63 +851,70 @@ void Server::DrainCompletions() {
     done.swap(completions_);
   }
   for (Completion& c : done) {
-    counters_.queue_depth.fetch_sub(1, std::memory_order_relaxed);
-    // Group timings: end-to-end frame latency (submit -> drained), engine
-    // execution time, and their difference — the queue wait (pool +
-    // completion-drain delay). Recorded even if the connection died.
-    const int64_t frame_ns = c.submitted.ElapsedNanos();
-    const int64_t exec_ns = static_cast<int64_t>(c.batch.wall_ms * 1e6);
-    obs::GlobalServeMetrics().frame_ns->Record(frame_ns);
-    obs::GlobalServeMetrics().exec_ns->Record(exec_ns);
-    obs::GlobalServeMetrics().queue_wait_ns->Record(
-        frame_ns > exec_ns ? frame_ns - exec_ns : 0);
-    auto it = by_id_.find(c.conn_id);
-    if (it == by_id_.end() || it->second->dead) continue;  // Conn is gone.
-    Connection* conn = it->second;
-    FLOOD_CHECK(conn->inflight_groups > 0);
-    --conn->inflight_groups;
-    for (const GroupFrame& gf : c.frames) {
-      FLOOD_CHECK(conn->inflight_frames > 0);
-      --conn->inflight_frames;
-      BatchResultResponse resp;
-      resp.request_id = gf.request_id;
-      resp.server_wall_ms = c.batch.wall_ms;
-      if (!c.batch.status.ok()) {
-        // One malformed query fails its whole group — all frames of the
-        // group came from this same connection.
-        resp.code = WireCodeFromStatus(c.batch.status);
-        resp.message = c.batch.status.message();
-      } else {
-        // Partial shed at frame granularity: a multi-shard engine can fail
-        // some queries (their shard shed or died) while the rest of the
-        // group succeeds — a frame whose slice contains any failed query
-        // becomes a typed error reply, sibling frames still get results.
-        for (size_t i = 0; i < gf.count && resp.code == WireCode::kOk; ++i) {
-          const EngineQueryResult& er = c.batch.results[gf.offset + i];
-          if (er.code != WireCode::kOk) {
-            resp.code = er.code;
-            resp.message = er.message;
-          }
-        }
-        if (resp.code == WireCode::kOk) {
-          resp.results.reserve(gf.count);
-          for (size_t i = 0; i < gf.count; ++i) {
-            const EngineQueryResult& er = c.batch.results[gf.offset + i];
-            WireQueryResult wr;
-            wr.kind = er.kind;
-            wr.skipped_empty = er.skipped_empty;
-            wr.count = er.count;
-            wr.sum = er.sum;
-            wr.total_ns = er.total_ns;
-            resp.results.push_back(wr);
-          }
-        }
-      }
-      AppendBatchResult(resp, &conn->outbuf);
-    }
+    Connection* conn = Deliver(c);
+    if (conn == nullptr) continue;
     FlushOrArm(conn);
     MaybeFinish(conn);
   }
+}
+
+Server::Connection* Server::Deliver(const Completion& c) {
+  counters_.queue_depth.fetch_sub(1, std::memory_order_relaxed);
+  // Group timings: end-to-end frame latency (submit -> delivered), engine
+  // execution time, and their difference — the queue wait (pool +
+  // completion-drain delay; about 0 for an inline group). Recorded even
+  // if the connection died.
+  const int64_t frame_ns = c.submitted.ElapsedNanos();
+  const int64_t exec_ns = static_cast<int64_t>(c.batch.wall_ms * 1e6);
+  obs::GlobalServeMetrics().frame_ns->Record(frame_ns);
+  obs::GlobalServeMetrics().exec_ns->Record(exec_ns);
+  obs::GlobalServeMetrics().queue_wait_ns->Record(
+      frame_ns > exec_ns ? frame_ns - exec_ns : 0);
+  auto it = by_id_.find(c.conn_id);
+  if (it == by_id_.end() || it->second->dead) return nullptr;  // Gone.
+  Connection* conn = it->second;
+  FLOOD_CHECK(conn->inflight_groups > 0);
+  --conn->inflight_groups;
+  for (const GroupFrame& gf : c.frames) {
+    FLOOD_CHECK(conn->inflight_frames > 0);
+    --conn->inflight_frames;
+    BatchResultResponse resp;
+    resp.request_id = gf.request_id;
+    resp.server_wall_ms = c.batch.wall_ms;
+    if (!c.batch.status.ok()) {
+      // One malformed query fails its whole group — all frames of the
+      // group came from this same connection.
+      resp.code = WireCodeFromStatus(c.batch.status);
+      resp.message = c.batch.status.message();
+    } else {
+      // Partial shed at frame granularity: a multi-shard engine can fail
+      // some queries (their shard shed or died) while the rest of the
+      // group succeeds — a frame whose slice contains any failed query
+      // becomes a typed error reply, sibling frames still get results.
+      for (size_t i = 0; i < gf.count && resp.code == WireCode::kOk; ++i) {
+        const EngineQueryResult& er = c.batch.results[gf.offset + i];
+        if (er.code != WireCode::kOk) {
+          resp.code = er.code;
+          resp.message = er.message;
+        }
+      }
+      if (resp.code == WireCode::kOk) {
+        resp.results.reserve(gf.count);
+        for (size_t i = 0; i < gf.count; ++i) {
+          const EngineQueryResult& er = c.batch.results[gf.offset + i];
+          WireQueryResult wr;
+          wr.kind = er.kind;
+          wr.skipped_empty = er.skipped_empty;
+          wr.count = er.count;
+          wr.sum = er.sum;
+          wr.total_ns = er.total_ns;
+          resp.results.push_back(wr);
+        }
+      }
+    }
+    AppendBatchResult(resp, &conn->outbuf);
+  }
+  return conn;
 }
 
 void Server::SendError(Connection* conn, uint64_t request_id, WireCode code,

@@ -89,16 +89,21 @@ struct ServerCounters {
 ///
 /// One thread owns every socket and all connection state; query execution
 /// happens behind BatchEngine::RunBatchAsync (the database's own
-/// ThreadPool, or the router's shard fan-out), whose completion callback
-/// posts the finished batch back to the loop through an eventfd — the
-/// loop never blocks on execution, execution never touches a socket.
+/// ThreadPool, or the router's shard fan-out), and execution never touches
+/// a socket. A batch the database predicts cheaper than a pool round trip
+/// (Database::kInlineBatchNs) runs on the loop itself, and so does every
+/// batch of a pool-less engine; their completions are delivered directly
+/// and the replies leave in the same send as the rest of the read burst.
+/// Other completions are posted back through an eventfd. The loop's own
+/// execution is bounded: at most one group per readable connection per
+/// iteration, each predicted below that constant.
 ///
 /// Per-connection batching: each time a connection becomes readable, ALL
 /// complete RunBatch frames buffered on it are concatenated into ONE
 /// RunBatchAsync submission (one shared-lock acquisition, one shard pass),
 /// and the combined result is split back into one response frame per
 /// request. This is the reader-lock amortization that makes many small
-/// pipelined requests cheap — bench_serving measures it directly.
+/// pipelined requests cheap.
 ///
 /// Admission control: see ServerOptions::max_inflight_batches. Shedding
 /// produces a typed kOverloaded error response; the connection stays open
@@ -176,13 +181,13 @@ class Server {
     size_t count = 0;
   };
 
-  /// One finished RunBatchAsync group, posted from a worker back to the
-  /// event loop.
+  /// One finished RunBatchAsync group: delivered on the loop directly when
+  /// it completed there, else posted from a worker back to the loop.
   struct Completion {
     uint64_t conn_id = 0;
     std::vector<GroupFrame> frames;
     EngineBatchResult batch;
-    /// Started at SubmitGroup: elapsed at drain time is the group's
+    /// Started at SubmitGroup: elapsed at delivery is the group's
     /// end-to-end frame latency (flood_serve_frame_ns).
     Stopwatch submitted;
   };
@@ -212,6 +217,11 @@ class Server {
   void SubmitGroup(Connection* conn, std::vector<GroupFrame> frames,
                    std::vector<Query> queries);
   void DrainCompletions();
+  /// Accounts one finished group and appends its reply frames to the
+  /// connection's outbuf; returns the connection, or null when it is gone.
+  /// The caller flushes. Used by DrainCompletions for pool completions and
+  /// directly by the SubmitGroup callback for completions on the loop.
+  Connection* Deliver(const Completion& c);
   void BeginDrain();
   void SweepIdle();
   void SendError(Connection* conn, uint64_t request_id, WireCode code,
@@ -249,6 +259,11 @@ class Server {
   Status loop_status_ = Status::OK();
   bool listeners_paused_ = false;
   std::chrono::steady_clock::time_point listener_resume_at_;
+
+  /// The thread running Loop(): a completion callback that fires on it
+  /// is delivered directly instead of through completions_. Set at the
+  /// top of Loop(), before any batch is submitted.
+  std::thread::id loop_thread_id_;
 
   /// Pool workers push, the loop (woken by wake_fd_) pops. Mutable: the
   /// drain-progress check is const.

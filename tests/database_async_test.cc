@@ -1,8 +1,10 @@
 // Database::RunBatchAsync: the future- and callback-based batch APIs the
 // serving tier executes on. Checks result parity with synchronous
 // RunBatch, completion on the pool (not the caller), the single-threaded
-// synchronous fallback, a one-shard synchronous RunBatch staying on the
-// calling thread, and — the load-bearing part — many async batches
+// synchronous fallback, the dispatch rule that keeps a one-shard
+// synchronous RunBatch and a predicted-cheap async batch on the calling
+// thread (and sends batches back to the pool when the query mix turns
+// expensive), and — the load-bearing part — many async batches
 // in flight concurrently with Insert/Delete/Compact traffic through the
 // same reader-writer seam.
 
@@ -25,11 +27,13 @@ using testing::BruteForce;
 using testing::DataShape;
 using testing::MakeTable;
 using testing::OracleResult;
+using testing::AbsentKeyQueries;
 using testing::RandomQuery;
 
-Database OpenDb(const Table& table, size_t threads) {
+Database OpenDb(const Table& table, size_t threads,
+                const std::string& index = "kdtree") {
   DatabaseOptions options;
-  options.index_name = "kdtree";  // Cheap to build; delta-aware like all.
+  options.index_name = index;  // kdtree: cheap to build, delta-aware.
   options.num_threads = threads;
   StatusOr<Database> db = Database::Open(table, std::move(options));
   FLOOD_CHECK(db.ok());
@@ -46,6 +50,26 @@ std::vector<Query> MakeQueries(const Table& table, size_t n,
     queries.push_back(std::move(q));
   }
   return queries;
+}
+
+/// Submits through the callback flavor and reports which thread ran the
+/// callback and whether it ran before RunBatchAsync returned. Only an
+/// inline run guarantees `before_return`; a pool worker can also finish
+/// before the caller gets to mark the return.
+struct Dispatch {
+  BatchResult batch;
+  std::thread::id completer;
+  bool before_return = false;
+};
+Dispatch SubmitAndWait(Database& db, const std::vector<Query>& queries) {
+  std::atomic<bool> returned{false};
+  std::promise<Dispatch> done;
+  db.RunBatchAsync(queries, [&](BatchResult batch) {
+    done.set_value({std::move(batch), std::this_thread::get_id(),
+                    !returned.load()});
+  });
+  returned.store(true);
+  return done.get_future().get();
 }
 
 TEST(DatabaseAsyncTest, FutureMatchesSynchronousRunBatch) {
@@ -126,6 +150,78 @@ TEST(DatabaseAsyncTest, SingleShardRunBatchRunsOnTheCallingThread) {
   std::lock_guard<std::mutex> lock(mu);
   ASSERT_EQ(executors.size(), 1u);
   EXPECT_EQ(executors[0], std::this_thread::get_id());
+}
+
+TEST(DatabaseAsyncTest, CheapAsyncBatchRunsOnTheCallingThread) {
+  // The dispatch rule: once the database has measured a batch, an async
+  // batch predicted below kInlineBatchNs (size x moving mean) runs on the
+  // caller, so the callback fires before RunBatchAsync returns.
+  const Table table = MakeTable(DataShape::kUniform, 2'000, 3, 39);
+  Database db = OpenDb(table, 2, "clustered");
+  // Many queries in the warm-up spread its cold-start cost thin.
+  const std::vector<Query> warm_up = AbsentKeyQueries(table, 1'024);
+  const std::vector<Query> cheap = AbsentKeyQueries(table, 1);
+
+  const Dispatch warm = SubmitAndWait(db, warm_up);  // No mean yet: pool.
+  ASSERT_TRUE(warm.batch.status.ok());
+  EXPECT_NE(warm.completer, std::this_thread::get_id());
+  EXPECT_EQ(db.batches_inline(), 0u);
+  // The mean is now the warm-up's, and so is the prediction for a
+  // one-query batch. It is far below the constant in an optimized build.
+  // Under a sanitizer a lookup can cost more than the constant, and then
+  // the rule must keep the batch on the pool: both sides are checked.
+  const bool predicted_cheap =
+      warm.batch.stats.total_ns / 1'024 < Database::kInlineBatchNs;
+#ifdef NDEBUG
+  ASSERT_TRUE(predicted_cheap) << warm.batch.stats.total_ns / 1'024;
+#endif
+
+  const Dispatch hot = SubmitAndWait(db, cheap);
+  ASSERT_TRUE(hot.batch.status.ok());
+  EXPECT_EQ(hot.completer == std::this_thread::get_id(), predicted_cheap);
+  if (predicted_cheap) EXPECT_TRUE(hot.before_return);
+  EXPECT_EQ(db.batches_inline(), predicted_cheap ? 1u : 0u);
+  ASSERT_EQ(hot.batch.results.size(), 1u);
+  EXPECT_EQ(hot.batch.results[0].count, 0u);
+  EXPECT_FALSE(hot.batch.results[0].skipped_empty);
+}
+
+TEST(DatabaseAsyncTest, ExpensiveMixReturnsToThePoolAfterOneBatch) {
+  // Drift: the moving mean folds each batch in with weight 1/8. After a
+  // cheap mix, the first expensive batch may still run inline (the mean
+  // is the cheap mix's). Once it is folded the mean is at least 1/8 of its
+  // per-query cost, so the next batch of the same size is predicted at
+  // least 1/8 of its total, which this test makes >= kInlineBatchNs. From
+  // the second expensive batch on, every batch goes to the pool.
+  const Table table = MakeTable(DataShape::kUniform, 50'000, 3, 40);
+  Database db = OpenDb(table, 2, "clustered");
+  const std::vector<Query> cheap = AbsentKeyQueries(table, 1);
+  Query all(3);  // Full range: SUM reads every row.
+  all.set_agg({AggSpec::Kind::kSum, 1});
+  const std::vector<Query> expensive(16, all);
+
+  const std::vector<Query> warm_up = AbsentKeyQueries(table, 1'024);
+  ASSERT_TRUE(SubmitAndWait(db, warm_up).batch.status.ok());
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(SubmitAndWait(db, cheap).batch.status.ok());
+  }
+#ifdef NDEBUG
+  // The cheap mix runs inline: at least its first batch, predicted at
+  // exactly the warm-up's mean.
+  EXPECT_GE(db.batches_inline(), 1u);
+#endif
+  const Dispatch first = SubmitAndWait(db, expensive);
+  ASSERT_TRUE(first.batch.status.ok());
+  ASSERT_GE(first.batch.stats.total_ns, 8 * Database::kInlineBatchNs);
+
+  for (int i = 0; i < 3; ++i) {
+    const uint64_t inline_before = db.batches_inline();
+    const Dispatch next = SubmitAndWait(db, expensive);
+    ASSERT_TRUE(next.batch.status.ok());
+    EXPECT_NE(next.completer, std::this_thread::get_id()) << "batch " << i;
+    EXPECT_EQ(db.batches_inline(), inline_before) << "batch " << i;
+    EXPECT_EQ(next.batch.results[0].sum, first.batch.results[0].sum);
+  }
 }
 
 TEST(DatabaseAsyncTest, ValidationFailureCompletesWithoutExecuting) {

@@ -338,6 +338,11 @@ TEST(DatabaseTest, ParallelRunBatchMatchesSerialOnEveryIndex) {
     EXPECT_EQ(p.empty_skipped, 1u) << name;
     EXPECT_EQ(parallel->queries_run(), serial->queries_run()) << name;
     EXPECT_EQ(parallel->empty_queries_skipped(), 1u) << name;
+    // A fresh database has no measured mean, so its first batch goes to
+    // the pool: this test keeps exercising the workers (and under TSan,
+    // their races). Without a pool every batch is inline.
+    EXPECT_EQ(parallel->batches_inline(), 0u) << name;
+    EXPECT_EQ(serial->batches_inline(), 1u) << name;
     EXPECT_EQ(parallel->cumulative_stats().points_scanned,
               serial->cumulative_stats().points_scanned)
         << name;

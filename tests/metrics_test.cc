@@ -435,6 +435,7 @@ TEST(IntrospectSymmetryTest, DatabaseGaugesCoverEveryQueryStatsField) {
   // be present.
   for (const char* key :
        {"db.queries_run", "db.empty_queries_skipped", "db.slow_queries",
+        "db.batches_inline",
         "db.num_rows", "db.pending_writes", "db.compactions",
         "db.persist_poisoned"}) {
     EXPECT_TRUE(keys.count(key)) << key;

@@ -33,8 +33,10 @@ namespace flood {
 namespace serve {
 namespace {
 
+using flood::testing::AbsentKeyQueries;
 using flood::testing::DataShape;
 using flood::testing::MakeTable;
+using flood::testing::PointQueries;
 using flood::testing::RandomQuery;
 using flood::testing::RowsOf;
 
@@ -764,6 +766,105 @@ TEST(ServeServerTest, TcpLoopbackServesTheSameProtocol) {
 // Pipelining: many frames in flight on one connection, replies matched by
 // request id.
 // ---------------------------------------------------------------------------
+
+TEST(ServeServerTest, CheapBatchesRunOnTheLoopAndDrainClean) {
+  // Groups the database predicts below Database::kInlineBatchNs run on the
+  // event loop, whose completions are delivered directly. Replies must
+  // still match RunBatch bit for bit, an expensive group must still go to
+  // the pool, and the drain must leave nothing in flight.
+  const Table table = MakeTable(DataShape::kUniform, 50'000, 3, 81);
+  StatusOr<Database> db = OpenDb(table, "clustered", 2);
+  ASSERT_TRUE(db.ok());
+  // Lookups of absent keys: cheap enough to run inline even under TSan.
+  // Many queries in the warm-up spread its cold-start cost thin.
+  const std::vector<Query> absent = AbsentKeyQueries(table, 1'024);
+  std::vector<Query> lookups = PointQueries(table, 32);
+  for (size_t i = 0; i < lookups.size(); i += 2) {
+    lookups[i].set_agg({AggSpec::Kind::kSum, i % 3});
+  }
+
+  // The warm-up batch: a fresh database has no mean, so it runs on the
+  // pool, and its mean becomes the database's.
+  const BatchResult warm = db->RunBatch(absent);
+  ASSERT_TRUE(warm.status.ok());
+  EXPECT_EQ(db->batches_inline(), 0u);
+  const int64_t warm_mean =
+      warm.stats.total_ns / static_cast<int64_t>(warm.executed());
+  // Far below the constant in an optimized build; under a sanitizer a
+  // lookup can cost more, and then every group rightly goes to the pool.
+  const bool predicted_cheap = warm_mean < Database::kInlineBatchNs;
+#ifdef NDEBUG
+  ASSERT_TRUE(predicted_cheap) << warm_mean;
+#endif
+
+  ServerOptions sopts;
+  SocketPath sock("inline");
+  sopts.uds_path = sock.path;
+  sopts.max_inflight_per_connection = 64;
+  auto server = Server::Create(&*db, std::move(sopts));
+  ASSERT_TRUE(server.ok());
+  (*server)->Start();
+  auto client = Client::Connect("unix:" + sock.path);
+  ASSERT_TRUE(client.ok());
+
+  auto expect_identical = [](const BatchResultResponse& reply,
+                             const QueryResult& local) {
+    ASSERT_EQ(reply.code, WireCode::kOk) << reply.message;
+    ASSERT_EQ(reply.results.size(), 1u);
+    EXPECT_EQ(reply.results[0].count, local.count);
+    EXPECT_EQ(reply.results[0].sum, local.sum);
+    EXPECT_EQ(reply.results[0].kind == 1,
+              local.kind == QueryResult::Kind::kSum);
+    EXPECT_EQ(reply.results[0].skipped_empty, local.skipped_empty);
+  };
+  // One frame at a time: each group is one query, predicted at the
+  // moving mean of the absent-key lookups. The first is predicted at
+  // exactly the warm-up's mean.
+  for (size_t i = 0; i < 8; ++i) {
+    StatusOr<BatchResultResponse> reply = client->RunBatch({&absent[i], 1});
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    expect_identical(*reply, warm.results[i]);
+    if (i == 0) EXPECT_EQ(db->batches_inline(), predicted_cheap ? 1u : 0u);
+  }
+
+  // Pipelined one-query frames of real lookups: however the loop groups
+  // them, and wherever the groups run, every reply matches.
+  const BatchResult local = db->RunBatch(lookups);
+  ASSERT_TRUE(local.status.ok());
+  for (size_t i = 0; i < lookups.size(); ++i) {
+    ASSERT_TRUE(client->SendRunBatch(i + 1, {&lookups[i], 1}).ok());
+  }
+  for (size_t n = 0; n < lookups.size(); ++n) {
+    StatusOr<BatchResultResponse> reply = client->ReadBatchReply();
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    ASSERT_GE(reply->request_id, 1u);
+    ASSERT_LE(reply->request_id, lookups.size());
+    expect_identical(*reply, local.results[reply->request_id - 1]);
+  }
+  const uint64_t inline_before_full = db->batches_inline();
+
+  // A full-range group large enough that even at the absent-key mean it
+  // is predicted far above the constant: the pool runs it.
+  Query all(3);
+  all.set_agg({AggSpec::Kind::kSum, 2});
+  const size_t big =
+      16 * static_cast<size_t>(Database::kInlineBatchNs / warm_mean + 1);
+  const std::vector<Query> full(big, all);
+  StatusOr<BatchResultResponse> reply = client->RunBatch(full);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  ASSERT_EQ(reply->code, WireCode::kOk) << reply->message;
+  ASSERT_EQ(reply->results.size(), big);
+  EXPECT_EQ(reply->results[0].count, table.num_rows());
+  EXPECT_EQ(reply->results[big - 1].sum, reply->results[0].sum);
+  EXPECT_EQ(db->batches_inline(), inline_before_full);
+
+  (*server)->Shutdown();
+  ASSERT_TRUE((*server)->Join().ok());
+  const ServerCounters c = (*server)->counters();
+  EXPECT_EQ(c.queue_depth, 0u);
+  EXPECT_EQ(c.requests_shed, 0u);
+  EXPECT_EQ(c.queries_executed, 8 + lookups.size() + big);
+}
 
 TEST(ServeServerTest, PipelinedFramesAllAnsweredAndMatchedById) {
   const Table table = MakeTable(DataShape::kUniform, 5'000, 3, 80);

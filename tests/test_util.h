@@ -129,6 +129,35 @@ inline Query RandomQuery(const Table& table, uint64_t seed) {
   return q;
 }
 
+/// Exact-match lookups of `n` existing rows (every dim equal).
+inline std::vector<Query> PointQueries(const Table& table, size_t n) {
+  std::vector<Query> queries;
+  for (size_t i = 0; i < n; ++i) {
+    const RowId row = static_cast<RowId>(i * 2'971 % table.num_rows());
+    Query q(table.num_dims());
+    for (size_t dim = 0; dim < table.num_dims(); ++dim) {
+      q.SetEquals(dim, table.Get(row, dim));
+    }
+    queries.push_back(std::move(q));
+  }
+  return queries;
+}
+
+/// Exact-match lookups of `n` keys past every dim's maximum: non-empty
+/// queries that match nothing, and about the cheapest an index answers
+/// (a few µs even under TSan for the "clustered" index).
+inline std::vector<Query> AbsentKeyQueries(const Table& table, size_t n) {
+  std::vector<Query> queries;
+  for (size_t i = 0; i < n; ++i) {
+    Query q(table.num_dims());
+    for (size_t dim = 0; dim < table.num_dims(); ++dim) {
+      q.SetEquals(dim, table.max_value(dim) + 1 + static_cast<Value>(i));
+    }
+    queries.push_back(std::move(q));
+  }
+  return queries;
+}
+
 /// Brute-force oracle: COUNT and SUM(sum_dim) of matching rows.
 struct OracleResult {
   uint64_t count = 0;
