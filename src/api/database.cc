@@ -224,6 +224,7 @@ bool Database::NoteQueryMetrics(const QueryResult& result) const {
   obs::DbMetrics& m = obs::GlobalDbMetrics();
   m.query_ns->Record(s.total_ns);
   m.plan_ns->Record(s.index_ns);
+  m.refine_ns->Record(s.refine_ns);
   m.scan_ns->Record(s.scan_ns);
   m.delta_merge_ns->Record(s.delta_ns);
   const bool slow =

@@ -11,11 +11,12 @@
 namespace flood {
 
 /// Per-cell CDF models over the sort dimension (§5.2). Each sufficiently
-/// large cell owns a PLM predicting positions within the cell; small cells
-/// fall back to binary search (building a model would cost more than it
-/// saves). Models are keyed by the cell's occupied ordinal (CellTable)
-/// through a has-model RankBitmap, so the container costs 2 bits per
-/// occupied cell plus the PLMs themselves; empty grid cells cost nothing.
+/// large cell owns a PLM predicting positions within the cell, where
+/// refinement's bound search starts; small cells start it at their first
+/// row (building a model would cost more than it saves). Models are keyed
+/// by the cell's occupied ordinal (CellTable) through a has-model
+/// RankBitmap, so the container costs 2 bits per occupied cell plus the
+/// PLMs themselves; empty grid cells cost nothing.
 class CellModels {
  public:
   CellModels() = default;

@@ -8,7 +8,6 @@
 #include "common/inline_vec.h"
 #include "common/timer.h"
 #include "core/layout_optimizer.h"
-#include "learned/search_util.h"
 #include "query/scan_util.h"
 
 namespace flood {
@@ -133,27 +132,6 @@ Status FloodIndex::Build(const Table& table, const BuildContext& ctx) {
   return Status::OK();
 }
 
-void FloodIndex::Refine(size_t o, const ValueRange& r, size_t begin,
-                        size_t end, size_t* out_begin,
-                        size_t* out_end) const {
-  const Column& col = data_.column(layout_.sort_dim());
-  const auto get = [&col](size_t i) { return col.Get(i); };
-  size_t rs;
-  size_t re;
-  if (const Plm* model = cell_models_.Find(o)) {
-    // PLM predictions are lower bounds (Plm invariant), so rectification
-    // only ever searches forward.
-    rs = GallopLowerBound(get, begin + model->Predict(r.lo), end, r.lo);
-    re = GallopUpperBound(get, begin + model->Predict(r.hi), end, r.hi);
-  } else {
-    rs = BinaryLowerBound(get, begin, end, r.lo);
-    re = BinaryUpperBound(get, rs, end, r.hi);
-  }
-  if (re < rs) re = rs;
-  *out_begin = rs;
-  *out_end = re;
-}
-
 template <typename V>
 void FloodIndex::ExecuteT(const Query& query, V& visitor,
                           QueryStats* stats) const {
@@ -228,10 +206,8 @@ void FloodIndex::ExecuteT(const Query& query, V& visitor,
   };
 
   InlineVec<ScanTask, 128> tasks;
-  int64_t refine_ns = 0;
-  uint64_t zone_pruned_blocks = 0;
-  const Column* sort_col =
-      sort_filtered ? &data_.column(layout_.sort_dim()) : nullptr;
+  InlineVec<CellRun, 64> runs;
+  const std::vector<uint32_t>& starts = cells_.starts();
 
   // Odometer over the outer grid dimensions [0, k-1); the innermost
   // dimension is emitted as up to three segments (boundary / merged
@@ -290,42 +266,12 @@ void FloodIndex::ExecuteT(const Query& query, V& visitor,
       // rows and are never visited.
       const size_t first_ord = cells_.Ordinal(base + sg.a);
       const size_t end_ord = cells_.Ordinal(base + sg.b + 1);
-      const std::vector<uint32_t>& starts = cells_.starts();
       if (sort_filtered) {
-        // Per-cell refinement (ranges are per-cell sorted runs).
-        const Stopwatch refine_sw;
-        for (size_t o = first_ord; o < end_ord; ++o) {
-          const size_t begin = starts[o];
-          const size_t end = starts[o + 1];
-          // Zone-map task pruning: a cell's rows are sorted by the sort
-          // dimension, so the zone maps of its first and last covering
-          // blocks bound its sort values (the blocks may be shared with
-          // neighboring cells, which only makes the bound conservative).
-          // A disjoint cell skips refinement and scanning entirely. Only
-          // blocks fully inside the cell count as skipped: those are
-          // provably never decoded (shared boundary blocks may still be
-          // scanned through a neighboring cell).
-          const size_t b0 = begin / Column::kBlockSize;
-          const size_t b1 = (end - 1) / Column::kBlockSize;
-          if (sort_col->BlockMax(b1) < sort_range.lo ||
-              sort_col->BlockMin(b0) > sort_range.hi) {
-            const size_t full_begin =
-                (begin + Column::kBlockSize - 1) / Column::kBlockSize;
-            const size_t full_end = end / Column::kBlockSize;
-            if (full_end > full_begin) {
-              zone_pruned_blocks += full_end - full_begin;
-            }
-            continue;
-          }
-          size_t rb;
-          size_t re;
-          Refine(o, sort_range, begin, end, &rb, &re);
-          if (rb < re) {
-            tasks.push_back({static_cast<uint32_t>(rb),
-                             static_cast<uint32_t>(re), set_id});
-          }
+        // Refined below, in one pass over every collected run.
+        if (first_ord < end_ord) {
+          runs.push_back({static_cast<uint32_t>(first_ord),
+                          static_cast<uint32_t>(end_ord), set_id});
         }
-        refine_ns += refine_sw.ElapsedNanos();
       } else if (options_.enable_run_merging) {
         // Merged contiguous run across the segment's cells.
         if (first_ord < end_ord) {
@@ -353,8 +299,57 @@ void FloodIndex::ExecuteT(const Query& query, V& visitor,
     if (done) break;
   }
 
+  const int64_t projection_ns = projection.ElapsedNanos();
+
+  // ---- Refinement (§3.2.2 / §5.2) -----------------------------------------
+  // Each cell's rows are sorted by the sort dimension, so its matching rows
+  // form one sub-range, found by the column's zone-map-plus-one-block bound
+  // search. A cell's PLM prediction is a lower bound of the rank of the
+  // first row >= lo (Plm invariant), so it only moves where the search for
+  // that row starts; the search for the range's end starts from there.
+  int64_t refine_ns = 0;
+  uint64_t zone_pruned_blocks = 0;
+  if (sort_filtered) {
+    const Stopwatch refine;
+    const Column& sort_col = data_.column(layout_.sort_dim());
+    for (const CellRun& run : runs) {
+      for (size_t o = run.first_ord; o < run.end_ord; ++o) {
+        const size_t begin = starts[o];
+        const size_t end = starts[o + 1];
+        // Zone-map task pruning: the zone maps of a cell's first and last
+        // covering blocks bound its sort values (the blocks may be shared
+        // with neighboring cells, which only makes the bound
+        // conservative). A disjoint cell skips refinement and scanning
+        // entirely. Only blocks fully inside the cell count as skipped:
+        // those are provably never decoded (shared boundary blocks may
+        // still be scanned through a neighboring cell).
+        const size_t b0 = begin / Column::kBlockSize;
+        const size_t b1 = (end - 1) / Column::kBlockSize;
+        if (sort_col.BlockMax(b1) < sort_range.lo ||
+            sort_col.BlockMin(b0) > sort_range.hi) {
+          const size_t full_begin =
+              (begin + Column::kBlockSize - 1) / Column::kBlockSize;
+          const size_t full_end = end / Column::kBlockSize;
+          if (full_end > full_begin) {
+            zone_pruned_blocks += full_end - full_begin;
+          }
+          continue;
+        }
+        const Plm* model = cell_models_.Find(o);
+        const size_t from =
+            model != nullptr ? begin + model->Predict(sort_range.lo) : begin;
+        const size_t rb = sort_col.LowerBound(from, end, sort_range.lo);
+        const size_t re = sort_col.UpperBound(rb, end, sort_range.hi);
+        if (rb < re) {
+          tasks.push_back({static_cast<uint32_t>(rb),
+                           static_cast<uint32_t>(re), run.check_set});
+        }
+      }
+    }
+    refine_ns = refine.ElapsedNanos();
+  }
   if (stats != nullptr) {
-    stats->index_ns += projection.ElapsedNanos() - refine_ns;
+    stats->index_ns += projection_ns;
     stats->refine_ns += refine_ns;
     stats->blocks_skipped += zone_pruned_blocks;
   }

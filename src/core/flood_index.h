@@ -19,10 +19,14 @@ namespace flood {
 /// models so each column holds ~equal mass; per-cell piecewise-linear
 /// models accelerate refinement along the sort dimension.
 ///
-/// Query flow (§3.2): Projection (intersecting cells → physical ranges),
-/// Refinement (sort-dimension narrowing via PLM + local search), Scan
-/// (columnar filter of boundary cells; interior cells scan check-free as
-/// exact ranges, including O(1) cumulative-aggregate answers).
+/// Query flow (§3.2), three passes: Projection (intersecting cells →
+/// runs of occupied cells or physical ranges), Refinement (each cell's
+/// sort-dimension sub-range), Scan (columnar filter of boundary cells;
+/// interior cells scan check-free as exact ranges, including O(1)
+/// cumulative-aggregate answers). Refinement works through the sort
+/// column's zone maps plus one packed block per bound (Column::LowerBound
+/// / UpperBound); a cell's PLM only gives the position its search starts
+/// from, which the lower-bound invariant makes safe.
 ///
 /// The cell table (CellTable) maps a cell id to its physical row range and
 /// is sized by the *occupied* cells: 2 bits per grid cell for an occupancy
@@ -49,11 +53,12 @@ class FloodIndex final : public StorageBackedIndex {
     Flattener::Mode flatten_mode = Flattener::Mode::kCdf;
     size_t flatten_sample_size = 50'000;
     size_t flatten_rmi_leaves = 64;
-    /// Per-cell PLM refinement models (§5.2); disable to fall back to
-    /// binary search everywhere.
+    /// Per-cell PLM refinement models (§5.2) giving each bound search its
+    /// start position; disable to start every search at the cell's first
+    /// row.
     bool use_cell_models = true;
     double plm_delta = 50.0;       ///< Fig. 17b default.
-    size_t plm_min_cell_size = 64; ///< Cells below this use binary search.
+    size_t plm_min_cell_size = 64; ///< Cells below this get no model.
     /// Upper bound on the grid's cell count (the product of the column
     /// counts), for learned and given layouts alike; Build rejects a
     /// larger layout. Each grid cell costs 2 bits of cell table whether or
@@ -128,10 +133,13 @@ class FloodIndex final : public StorageBackedIndex {
     uint16_t check_set;
   };
 
-  /// Refines [begin, end) of the cell with occupied ordinal `o` along the
-  /// sort dimension to the sub-range matching `r` (§3.2.2 / §5.2).
-  void Refine(size_t o, const ValueRange& r, size_t begin, size_t end,
-              size_t* out_begin, size_t* out_end) const;
+  /// A projected segment's occupied ordinals [first_ord, end_ord), all
+  /// sharing one check set, awaiting refinement along the sort dimension.
+  struct CellRun {
+    uint32_t first_ord;
+    uint32_t end_ord;
+    uint16_t check_set;
+  };
 
   Options options_;
   GridLayout layout_;

@@ -17,7 +17,7 @@ namespace flood {
 /// *average* under-estimation error exceeds the budget delta, a new segment
 /// begins at that value. Segments are constructed to be lower bounds:
 /// Predict(v) <= D(v), so rectification after prediction only ever searches
-/// forward (GallopLowerBound).
+/// forward (GallopLowerBound; Column::LowerBound in Flood's refinement).
 ///
 /// Segment boundary keys are indexed with a cache-optimized StaticBTree.
 class Plm {

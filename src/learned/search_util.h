@@ -36,33 +36,8 @@ size_t GallopLowerBound(const Get& get, size_t from, size_t end, V v) {
   return hi;
 }
 
-/// First index i in [from, end) with get(i) > v (upper bound), same
-/// preconditions as GallopLowerBound.
-template <typename Get, typename V>
-size_t GallopUpperBound(const Get& get, size_t from, size_t end, V v) {
-  if (from >= end || get(from) > v) return from;
-  size_t lo = from;
-  size_t step = 1;
-  size_t hi = from + step;
-  while (hi < end && get(hi) <= v) {
-    lo = hi;
-    step <<= 1;
-    hi = from + step;
-  }
-  if (hi > end) hi = end;
-  while (lo + 1 < hi) {
-    const size_t mid = lo + (hi - lo) / 2;
-    if (get(mid) <= v) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return hi;
-}
-
 /// Plain binary lower bound over an accessor (the Fig. 17 "Binary"
-/// baseline and the no-model refinement path).
+/// baseline and the clustered index).
 template <typename Get, typename V>
 size_t BinaryLowerBound(const Get& get, size_t begin, size_t end, V v) {
   size_t lo = begin;

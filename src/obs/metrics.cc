@@ -132,9 +132,14 @@ DbMetrics& GlobalDbMetrics() {
     b.batch_queries = r.RegisterHistogram("flood_db_batch_queries",
                                           "Queries per RunBatch call");
     b.plan_ns = r.RegisterHistogram(
-        "flood_db_plan_ns", "Per-query index planning / cell selection (ns)");
+        "flood_db_plan_ns",
+        "Per-query index planning / cell selection, excl. refinement (ns)");
+    b.refine_ns = r.RegisterHistogram(
+        "flood_db_refine_ns",
+        "Per-query sort-dimension refinement of Flood cells (ns)");
     b.scan_ns = r.RegisterHistogram(
-        "flood_db_scan_ns", "Per-query cell scan incl. refinement (ns)");
+        "flood_db_scan_ns",
+        "Per-query scan + filter incl. delta merge, excl. refinement (ns)");
     b.delta_merge_ns = r.RegisterHistogram(
         "flood_db_delta_merge_ns", "Per-query delta-buffer merge (ns)");
     b.compaction_pause_ns = r.RegisterHistogram(

@@ -198,7 +198,8 @@ struct DbMetrics {
   Histogram* batch_ns;             // per-RunBatch wall time
   Histogram* batch_queries;        // queries per batch
   Histogram* plan_ns;              // stage: index planning (index_ns)
-  Histogram* scan_ns;              // stage: cell scan incl. refine
+  Histogram* refine_ns;            // stage: Flood refinement (refine_ns)
+  Histogram* scan_ns;              // stage: scan + filter (scan_ns)
   Histogram* delta_merge_ns;       // stage: delta-buffer merge
   Histogram* compaction_pause_ns;  // exclusive-lock compaction pause
   Histogram* checkpoint_ns;        // Save() snapshot duration

@@ -1,10 +1,12 @@
 #ifndef FLOOD_QUERY_SCAN_UTIL_H_
 #define FLOOD_QUERY_SCAN_UTIL_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "query/query.h"
@@ -241,16 +243,19 @@ void ScanRangeBlock(const Table& data, const Query& query, size_t begin,
 /// structure as ScanRangeBlock — per block, skip / exact-accept / filter —
 /// but the filter stage runs runtime-dispatched vector predicates:
 ///  * widths 1..simd::kMaxPackedFilterWidth under kBlockDelta are filtered
-///    straight off the packed words (no decode store/reload): each AVX2
-///    lane loads the byte-aligned 64-bit window holding its delta, shifts,
-///    masks, and compares against the query bounds translated into delta
-///    space;
+///    straight off the packed words (no decode store/reload), against the
+///    query bounds translated into delta space. Widths up to
+///    simd::kMaxPacked8FilterWidth run 8 lanes of 32 bits per group of
+///    eight deltas (two 16-byte loads, a byte shuffle and a per-lane
+///    shift); wider ones run 4 lanes, each loading the byte-aligned 64-bit
+///    window holding its delta;
 ///  * wider blocks and kPlain columns are bulk-decoded once and compared
 ///    4 (AVX2) or 8 (AVX-512) lanes at a time.
 /// Check dimensions AND-combine into the match bitmap with an all-zero
-/// early-out, and the packed bytes of the *next* zone-map-surviving block
-/// are software-prefetched while the current one filters (forward-peek
-/// cursor, O(1) amortized). Matches are delivered one block at a time via
+/// early-out. Each block's zone maps are classified once: a forward peek
+/// finds the *next* zone-map-surviving block, whose packed bytes are
+/// software-prefetched while the current one filters, and the loop then
+/// jumps straight to it. Matches are delivered one block at a time via
 /// V::VisitMatchBitmap, so COUNT uses a popcount tree and SUM a masked
 /// vector sum instead of per-word dispatch.
 ///
@@ -267,10 +272,10 @@ void ScanRangeSimd(const Table& data, const Query& query, size_t begin,
   constexpr size_t kWords = kBlock / 64;
   Value buf[kBlock];
   uint64_t bitmap[kWords];
-  // Dimensions a zone map could neither reject nor fully accept.
+  // Dimensions a zone map could neither reject nor fully accept, for the
+  // current block and for the peeked next one.
   constexpr size_t kMaxDims = 64;
-  size_t pending[kMaxDims];
-  size_t peeked[kMaxDims];
+  size_t pending_buf[2][kMaxDims];
   FLOOD_DCHECK(check_dims.size() <= kMaxDims);
 
   size_t matched = 0;
@@ -279,91 +284,102 @@ void ScanRangeSimd(const Table& data, const Query& query, size_t begin,
   uint64_t simd_blocks = 0;
   const size_t first_block = begin / kBlock;
   const size_t last_block = (end - 1) / kBlock;
-  // Highest block the forward-peek prefetch has classified. Monotonic, so
-  // re-checking zone maps ahead of the scan stays O(1) amortized per
-  // block even across skip runs.
-  size_t prefetched_until = first_block;
+  // Classifies blocks from `b` on and returns the first that survives its
+  // zone maps (last_block + 1 if none does), counting the skipped ones.
+  const auto next_surviving = [&](size_t b, size_t* pend, size_t* num_pend,
+                                  BlockZoneOutcome* outcome) {
+    for (; b <= last_block; ++b) {
+      *outcome = ClassifyBlockZones(data, query, check_dims, b, pend, num_pend);
+      if (*outcome != BlockZoneOutcome::kSkip) break;
+      ++blocks_skipped;
+    }
+    return b;
+  };
 
-  for (size_t b = first_block; b <= last_block; ++b) {
+  size_t* pending = pending_buf[0];
+  size_t* peeked = pending_buf[1];
+  size_t num_pending = 0;
+  BlockZoneOutcome outcome = BlockZoneOutcome::kSkip;
+  size_t b = next_surviving(first_block, pending, &num_pending, &outcome);
+  while (b <= last_block) {
     const size_t block_begin = b * kBlock;
     const size_t lo = std::max(begin, block_begin);
     const size_t hi = std::min(end, block_begin + kBlock);
     const size_t n = hi - lo;
 
-    size_t num_pending = 0;
-    const BlockZoneOutcome outcome = ClassifyBlockZones(
-        data, query, check_dims, b, pending, &num_pending);
-    if (outcome == BlockZoneOutcome::kSkip) {
-      ++blocks_skipped;
-      continue;
+    // Forward peek: classify up to the next surviving block now, and
+    // prefetch the packed bytes its filter will touch so they arrive in
+    // cache while this block is handled. The loop then jumps there with
+    // the verdict in hand, so each block is classified exactly once.
+    size_t num_peeked = 0;
+    BlockZoneOutcome next_outcome = BlockZoneOutcome::kSkip;
+    const size_t next = next_surviving(b + 1, peeked, &num_peeked,
+                                       &next_outcome);
+    if (next_outcome == BlockZoneOutcome::kFilter) {
+      for (size_t p = 0; p < num_peeked; ++p) {
+        data.column(peeked[p]).PrefetchBlock(next);
+      }
     }
+
     if (outcome == BlockZoneOutcome::kExact) {
       ++blocks_exact;
       matched += n;
       visitor.VisitExactRange(static_cast<RowId>(lo),
                               static_cast<RowId>(hi));
-      continue;
-    }
-
-    // Forward-peek: find the next zone-surviving block and prefetch the
-    // packed bytes its filter will touch, so they arrive in cache while
-    // this block's predicates evaluate.
-    if (prefetched_until <= b) {
-      prefetched_until = last_block + 1;
-      for (size_t nb = b + 1; nb <= last_block; ++nb) {
-        size_t np = 0;
-        const BlockZoneOutcome peek = ClassifyBlockZones(
-            data, query, check_dims, nb, peeked, &np);
-        if (peek == BlockZoneOutcome::kSkip) continue;
-        if (peek == BlockZoneOutcome::kFilter) {
-          for (size_t p = 0; p < np; ++p) {
-            data.column(peeked[p]).PrefetchBlock(nb);
+    } else {
+      const size_t words = InitMatchBitmap(bitmap, n);
+      ++simd_blocks;
+      uint64_t any = 0;
+      for (size_t p = 0; p < num_pending; ++p) {
+        const size_t dim = pending[p];
+        const ValueRange& r = query.range(dim);
+        const Column& col = data.column(dim);
+        Column::PackedBlock pb;
+        if (col.GetPackedBlock(b, &pb) && pb.width >= 1 &&
+            pb.width <= simd::kMaxPackedFilterWidth) {
+          // Translate the query bounds into the block's delta space. The
+          // zone pass guarantees BlockMin(b) == base <= r.hi and
+          // r.lo <= BlockMax(b) (else kSkip), so dhi never underflows and
+          // dlo never exceeds the width mask; clamping dhi to the mask
+          // keeps lane compares exact: deltas can't exceed it.
+          const uint64_t base = static_cast<uint64_t>(pb.base);
+          const uint64_t mask = (uint64_t{1} << pb.width) - 1;
+          const uint64_t dlo =
+              r.lo <= pb.base ? 0 : static_cast<uint64_t>(r.lo) - base;
+          const uint64_t dhi =
+              std::min(static_cast<uint64_t>(r.hi) - base, mask);
+          const size_t off = lo - block_begin;
+          const uint32_t w = pb.width;
+          if (w <= simd::kMaxPacked8FilterWidth) {
+            FLOOD_DCHECK(pb.bit_offset % 8 == 0);
+            const uint8_t* block = pb.bytes + pb.bit_offset / 8;
+            any = simd::FilterPacked8Avx2(block, w, dlo, dhi, off, n, bitmap);
+          } else {
+            const uint64_t bit = pb.bit_offset + off * w;
+            any = simd::FilterPackedAvx2(pb.bytes, bit, w, dlo, dhi, n, bitmap);
           }
+        } else {
+          // kPlain, width 0 (can't be pending, but harmless), or too wide
+          // for byte-window lane loads: decode once, compare vectorized.
+          col.DecodeBlockInto(b, buf);
+          const Value* vals = buf + (lo - block_begin);
+          any = level >= simd::SimdLevel::kAvx512
+                    ? simd::FilterDecodedAvx512(vals, n, r.lo, r.hi, bitmap)
+                    : simd::FilterDecodedAvx2(vals, n, r.lo, r.hi, bitmap);
         }
-        prefetched_until = nb;
-        break;
+        if (any == 0) break;  // Nothing left for later dimensions to narrow.
+      }
+
+      if (any != 0) {
+        matched += simd::PopcountWords(bitmap, words);
+        visitor.VisitMatchBitmap(static_cast<RowId>(lo), n, bitmap);
       }
     }
 
-    const size_t words = InitMatchBitmap(bitmap, n);
-    ++simd_blocks;
-    uint64_t any = 0;
-    for (size_t p = 0; p < num_pending; ++p) {
-      const size_t dim = pending[p];
-      const ValueRange& r = query.range(dim);
-      const Column& col = data.column(dim);
-      Column::PackedBlock pb;
-      if (col.GetPackedBlock(b, &pb) && pb.width >= 1 &&
-          pb.width <= simd::kMaxPackedFilterWidth) {
-        // Translate the query bounds into the block's delta space. The
-        // zone pass guarantees r.hi >= BlockMin(b) == base (else kSkip),
-        // so dhi never underflows, and clamping to the width mask keeps
-        // lane compares exact: deltas can't exceed it.
-        const uint64_t base = static_cast<uint64_t>(pb.base);
-        const uint64_t mask = (uint64_t{1} << pb.width) - 1;
-        const uint64_t dlo =
-            r.lo <= pb.base ? 0 : static_cast<uint64_t>(r.lo) - base;
-        const uint64_t dhi =
-            std::min(static_cast<uint64_t>(r.hi) - base, mask);
-        any = simd::FilterPackedAvx2(
-            pb.bytes, pb.bit_offset + (lo - block_begin) * pb.width,
-            pb.width, dlo, dhi, n, bitmap);
-      } else {
-        // kPlain, width 0 (can't be pending, but harmless), or too wide
-        // for byte-window lane loads: decode once, compare vectorized.
-        col.DecodeBlockInto(b, buf);
-        const Value* vals = buf + (lo - block_begin);
-        any = level >= simd::SimdLevel::kAvx512
-                  ? simd::FilterDecodedAvx512(vals, n, r.lo, r.hi, bitmap)
-                  : simd::FilterDecodedAvx2(vals, n, r.lo, r.hi, bitmap);
-      }
-      if (any == 0) break;  // Nothing left for later dimensions to narrow.
-    }
-
-    if (any != 0) {
-      matched += simd::PopcountWords(bitmap, words);
-      visitor.VisitMatchBitmap(static_cast<RowId>(lo), n, bitmap);
-    }
+    b = next;
+    std::swap(pending, peeked);
+    num_pending = num_peeked;
+    outcome = next_outcome;
   }
   if (stats != nullptr) {
     stats->points_matched += matched;

@@ -90,6 +90,37 @@ inline uint64_t LoadLE64(const uint8_t* p) {
   return v;
 }
 
+/// FilterPacked8Avx2's constants, one row per width. A group of eight
+/// deltas is loaded as two 16-byte halves: the low half from the group's
+/// first byte (lanes 0-3), the high half from byte `(4 * width) / 8`, the
+/// one holding lane 4's first bit (lanes 4-7). Lane j's shuffle gathers
+/// the four bytes from the one holding its first bit, relative to its
+/// half; its shift is that first bit's position within the byte. Lane 3
+/// (7) starts at most 12 bytes into its half at width 25, so every
+/// gathered byte is inside the 16 loaded.
+struct Packed8Tables {
+  alignas(32) uint8_t shuffle[kMaxPacked8FilterWidth + 1][32];
+  alignas(32) uint32_t shift[kMaxPacked8FilterWidth + 1][8];
+};
+
+constexpr Packed8Tables MakePacked8Tables() {
+  Packed8Tables t{};
+  for (uint32_t w = 1; w <= kMaxPacked8FilterWidth; ++w) {
+    const uint32_t high_half = (4 * w) / 8;
+    for (uint32_t j = 0; j < 8; ++j) {
+      const uint32_t bit = j * w;
+      const uint32_t byte = bit / 8 - (j < 4 ? 0 : high_half);
+      for (uint32_t k = 0; k < 4; ++k) {
+        t.shuffle[w][4 * j + k] = static_cast<uint8_t>(byte + k);
+      }
+      t.shift[w][j] = bit % 8;
+    }
+  }
+  return t;
+}
+
+constexpr Packed8Tables kPacked8 = MakePacked8Tables();
+
 }  // namespace
 
 __attribute__((target("avx2"))) uint64_t FilterDecodedAvx2(
@@ -203,6 +234,57 @@ __attribute__((target("avx2"))) uint64_t FilterPackedAvx2(
   return any;
 }
 
+__attribute__((target("avx2"))) uint64_t FilterPacked8Avx2(
+    const uint8_t* block, uint32_t width, uint64_t dlo, uint64_t dhi,
+    size_t off, size_t n, uint64_t* bitmap) {
+  FLOOD_DCHECK(width >= 1 && width <= kMaxPacked8FilterWidth);
+  FLOOD_DCHECK(n >= 1 && off + n <= Column::kBlockSize);
+  const __m256i shuffle = _mm256_load_si256(
+      reinterpret_cast<const __m256i*>(kPacked8.shuffle[width]));
+  const __m256i shift = _mm256_load_si256(
+      reinterpret_cast<const __m256i*>(kPacked8.shift[width]));
+  // Deltas and bounds are < 2^25, so signed 32-bit compares are exact.
+  const int32_t mask = static_cast<int32_t>((uint32_t{1} << width) - 1);
+  const __m256i mask_v = _mm256_set1_epi32(mask);
+  const __m256i dlo_v = _mm256_set1_epi32(static_cast<int32_t>(dlo));
+  const __m256i dhi_v = _mm256_set1_epi32(static_cast<int32_t>(dhi));
+  const size_t high_half = (4 * width) / 8;
+  // Match bits of the block's groups covering [off, off + n): bit i of the
+  // pair is delta i of the block.
+  uint64_t block_mask[2] = {0, 0};
+  const size_t group_end = (off + n + 7) / 8;
+  for (size_t g = off / 8; g < group_end; ++g) {
+    const uint8_t* p = block + g * width;
+    const auto* lo_half = reinterpret_cast<const __m128i*>(p);
+    const auto* hi_half = reinterpret_cast<const __m128i*>(p + high_half);
+    const __m256i raw = _mm256_loadu2_m128i(hi_half, lo_half);
+    const __m256i lanes = _mm256_shuffle_epi8(raw, shuffle);
+    const __m256i d = _mm256_and_si256(_mm256_srlv_epi32(lanes, shift), mask_v);
+    const __m256i out = _mm256_or_si256(_mm256_cmpgt_epi32(dlo_v, d),
+                                        _mm256_cmpgt_epi32(d, dhi_v));
+    const uint64_t bad = static_cast<uint64_t>(
+        _mm256_movemask_ps(_mm256_castsi256_ps(out)));
+    block_mask[g / 8] |= (~bad & 0xff) << (8 * (g % 8));
+  }
+  // Shift the block's mask down to the range: bit i <-> delta off + i.
+  uint64_t lo = block_mask[0];
+  uint64_t hi = block_mask[1];
+  if (off >= 64) {
+    lo = hi >> (off - 64);
+    hi = 0;
+  } else if (off > 0) {
+    lo = (lo >> off) | (hi << (64 - off));
+    hi >>= off;
+  }
+  bitmap[0] &= lo;
+  uint64_t any = bitmap[0];
+  if (n > 64) {
+    bitmap[1] &= hi;
+    any |= bitmap[1];
+  }
+  return any;
+}
+
 __attribute__((target("avx2"))) uint64_t MaskedSumAvx2(const Value* vals,
                                                        uint64_t word) {
   const __m256i wv = _mm256_set1_epi64x(static_cast<int64_t>(word));
@@ -253,6 +335,11 @@ uint64_t FilterDecodedAvx512(const Value*, size_t, Value, Value, uint64_t*) {
 }
 uint64_t FilterPackedAvx2(const uint8_t*, uint64_t, uint32_t, uint64_t,
                           uint64_t, size_t, uint64_t*) {
+  FLOOD_CHECK(false);
+  return 0;
+}
+uint64_t FilterPacked8Avx2(const uint8_t*, uint32_t, uint64_t, uint64_t,
+                           size_t, size_t, uint64_t*) {
   FLOOD_CHECK(false);
   return 0;
 }

@@ -35,6 +35,10 @@ void SetSimdLevelForTest(SimdLevel cap);
 /// delta-space bounds must stay below 2^62 for signed lane compares.
 inline constexpr uint32_t kMaxPackedFilterWidth = 57;
 
+/// Widest bit-packed delta the 8-lane packed filter handles: a delta's
+/// 32-bit lane holds width + 7 alignment bits.
+inline constexpr uint32_t kMaxPacked8FilterWidth = 25;
+
 // ---------------------------------------------------------------------------
 // Kernel primitives (defined in simd.cc behind per-function target
 // attributes). Callers must gate on ActiveSimdLevel() >= the level in the
@@ -61,6 +65,18 @@ uint64_t FilterDecodedAvx512(const Value* vals, size_t n, Value lo, Value hi,
 uint64_t FilterPackedAvx2(const uint8_t* bytes, uint64_t bit, uint32_t width,
                           uint64_t dlo, uint64_t dhi, size_t n,
                           uint64_t* bitmap);
+
+/// The 8-lane variant for 1 <= width <= kMaxPacked8FilterWidth, over the
+/// deltas [off, off + n) of one block (off + n <= Column::kBlockSize):
+/// delta i of the block sits at bit i * width of `block`, the block's
+/// first byte (block bit offsets are multiples of 128). Eight deltas span
+/// exactly `width` bytes, so each group of eight starts on a byte: two
+/// 16-byte loads, one byte shuffle and one per-lane shift extract it into
+/// 32-bit lanes. Bit i of the bitmap is delta off + i; the same contract
+/// otherwise, including reads up to 15 bytes past the block's last delta.
+uint64_t FilterPacked8Avx2(const uint8_t* block, uint32_t width, uint64_t dlo,
+                           uint64_t dhi, size_t off, size_t n,
+                           uint64_t* bitmap);
 
 /// Sum (wrapping uint64) of vals[i] over the set bits of `word`. All 64
 /// lanes are loaded and masked, so vals must have 64 readable entries even

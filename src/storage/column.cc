@@ -129,6 +129,100 @@ size_t Column::DecodeBlockInto(size_t block, Value* out) const {
   return n;
 }
 
+size_t Column::LowerBound(size_t from, size_t end, Value v) const {
+  return SortedBound</*kUpper=*/false>(from, end, v);
+}
+
+size_t Column::UpperBound(size_t from, size_t end, Value v) const {
+  return SortedBound</*kUpper=*/true>(from, end, v);
+}
+
+template <bool kUpper>
+size_t Column::SortedBound(size_t from, size_t end, Value v) const {
+  FLOOD_DCHECK(from <= end && end <= size_);
+  // Rows before the answer are exactly those with before(value).
+  const auto before = [v](Value x) { return kUpper ? x <= v : x < v; };
+  // The start row first: a bound that sits at the start (an exact model
+  // prediction, or an upper bound past an empty match) costs one probe.
+  if (from < end && !before(Get(from))) return from;
+  while (from < end) {
+    const size_t last = (end - 1) / kBlockSize;
+    size_t b = from / kBlockSize;
+    if (before(block_max_[b])) {
+      // Every row of block b precedes the answer. Past it, blocks up to
+      // `last` are either wholly inside the sorted run or its last block,
+      // so their zone-map maxima are non-decreasing: gallop, then bisect
+      // for the first block whose maximum does not precede the answer.
+      size_t lo = b;
+      size_t step = 1;
+      size_t hi = b + 1;
+      while (hi <= last && before(block_max_[hi])) {
+        lo = hi;
+        step <<= 1;
+        hi = b + step;
+      }
+      hi = std::min(hi, last + 1);
+      while (lo + 1 < hi) {
+        const size_t mid = lo + (hi - lo) / 2;
+        if (before(block_max_[mid])) {
+          lo = mid;
+        } else {
+          hi = mid;
+        }
+      }
+      if (hi > last) return end;
+      b = hi;
+      from = b * kBlockSize;
+    }
+    const size_t slice_end = std::min(end, (b + 1) * kBlockSize);
+    const size_t pos = SearchBlock<kUpper>(b, from, slice_end, v);
+    if (pos < slice_end) return pos;
+    // The zone map's maximum came from a neighbouring run sharing block
+    // b; the answer lies further on.
+    from = slice_end;
+  }
+  return end;
+}
+
+template <bool kUpper>
+size_t Column::SearchBlock(size_t b, size_t lo, size_t hi, Value v) const {
+  FLOOD_DCHECK(lo < hi && (hi - 1) / kBlockSize == b);
+  const auto before = [v](Value x) { return kUpper ? x <= v : x < v; };
+  // Branch-free bisection: rows below `first` precede the answer, rows at
+  // or past first + n do not.
+  const auto bisect = [&](const auto& at) {
+    size_t first = lo;
+    size_t n = hi - lo;
+    while (n > 1) {
+      const size_t half = n / 2;
+      first = before(at(first + half)) ? first + half : first;
+      n -= half;
+    }
+    return first + static_cast<size_t>(before(at(first)));
+  };
+  if (encoding_ == Encoding::kPlain) {
+    const Value* values = plain_.data();
+    return bisect([values](size_t i) { return values[i]; });
+  }
+  const uint64_t* words = words_.data();
+  const uint64_t base = static_cast<uint64_t>(block_min_[b]);
+  const uint64_t width = block_width_[b];
+  const uint64_t mask = width == 64 ? ~uint64_t{0} : (uint64_t{1} << width) - 1;
+  // Bit of row i: bit0 + i * width, with rows counted from the column
+  // start (bit0 wraps; only the sum is used).
+  const uint64_t bit0 = block_bit_offset_[b] - b * kBlockSize * width;
+  // Same cross-word extraction as UnpackBlock: the spill word is always
+  // OR-ed in, and at shift 0 it contributes nothing.
+  return bisect([words, base, width, mask, bit0](size_t i) {
+    const uint64_t bit = bit0 + i * width;
+    const size_t word = static_cast<size_t>(bit >> 6);
+    const uint32_t shift = static_cast<uint32_t>(bit & 63);
+    const uint64_t low = words[word] >> shift;
+    const uint64_t spill = (words[word + 1] << 1) << (63 - shift);
+    return static_cast<Value>(base + ((low | spill) & mask));
+  });
+}
+
 std::vector<Value> Column::Decode() const {
   std::vector<Value> out(size_);
   ForEach(0, size_, [&out](size_t i, Value v) { out[i] = v; });

@@ -37,10 +37,13 @@ class Column {
   static constexpr size_t kBlockSize = 128;
 
   /// Readable (zeroed) words kept past the last encoded bit of `words_`.
-  /// The width-specialized unpackers need one; the SIMD packed filter's
-  /// byte-granular 64-bit lane loads need a second (query/simd.h). The
-  /// slack is in-memory only — AppendTo serializes exactly one slack word,
-  /// so the on-disk format is unchanged.
+  /// The width-specialized unpackers and LowerBound/UpperBound read one
+  /// word past a value's own; the SIMD packed filters need the second
+  /// (query/simd.h): the 4-lane filter's byte-granular 64-bit lane loads
+  /// reach up to 7 bytes past the last delta, and the 8-lane filter's
+  /// 16-byte group loads up to 15 bytes past the last block. The slack is
+  /// in-memory only — AppendTo serializes exactly one slack word, so the
+  /// on-disk format is unchanged.
   static constexpr size_t kDecodeSlackWords = 2;
 
   Column() = default;
@@ -100,6 +103,22 @@ class Column {
     FLOOD_DCHECK(b < block_max_.size());
     return block_max_[b];
   }
+
+  /// Bound search over a sorted row range: the first index i in
+  /// [from, end) with Get(i) >= v (LowerBound) or Get(i) > v (UpperBound),
+  /// or `end` if there is none. Rows [from, end) must be non-decreasing,
+  /// and `from` must not pass the answer: the run's first row, or a
+  /// lower-bound model prediction (Plm::Predict) inside the run.
+  ///
+  /// Checks the row at `from`, then gallops over the zone maps (BlockMax)
+  /// to the first block that can hold the bound and binary-searches that
+  /// one block branch-free with its base, width and bit offset loaded
+  /// once. The run's first and last blocks may also hold rows of unsorted
+  /// neighbouring runs, whose values then only loosen the zone map: when
+  /// the in-block search reaches the end of the run's slice of a block, it
+  /// continues into the next block.
+  size_t LowerBound(size_t from, size_t end, Value v) const;
+  size_t UpperBound(size_t from, size_t end, Value v) const;
 
   /// Decodes all values of block `block` into `out` (capacity >=
   /// kBlockSize) and returns how many were written (kBlockSize except for
@@ -171,6 +190,13 @@ class Column {
   static StatusOr<Column> ReadFrom(ByteReader* r);
 
  private:
+  template <bool kUpper>
+  size_t SortedBound(size_t from, size_t end, Value v) const;
+
+  /// SortedBound's in-block step over rows [lo, hi) of block `b`.
+  template <bool kUpper>
+  size_t SearchBlock(size_t b, size_t lo, size_t hi, Value v) const;
+
   Value GetBlockDelta(size_t i) const {
     const size_t block = i / kBlockSize;
     const uint32_t width = block_width_[block];

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <string>
 
 #include "common/rng.h"
 #include "data/distributions.h"
@@ -172,6 +173,155 @@ TEST_P(ColumnBlockTest, ZoneMapsCoverBlockExtremes) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Encodings, ColumnBlockTest,
+                         ::testing::Values(Encoding::kPlain,
+                                           Encoding::kBlockDelta),
+                         [](const auto& info) {
+                           return info.param == Encoding::kPlain
+                                      ? "Plain"
+                                      : "BlockDelta";
+                         });
+
+// ---------------------------------------------------------------------------
+// LowerBound / UpperBound over a sorted run inside an unsorted column.
+// ---------------------------------------------------------------------------
+
+/// Checks both bound searches of every probe against std::lower_bound /
+/// std::upper_bound over the decoded run [begin, end), starting each
+/// search from `begin`, from the answer itself and from random hints in
+/// between.
+void ExpectBoundsMatch(const Column& col, size_t begin, size_t end,
+                       const std::vector<Value>& probes, Rng& rng) {
+  SCOPED_TRACE("run " + std::to_string(begin) + ".." + std::to_string(end));
+  const std::vector<Value> decoded = col.Decode();
+  const auto first = decoded.begin() + static_cast<ptrdiff_t>(begin);
+  const auto last = decoded.begin() + static_cast<ptrdiff_t>(end);
+  const auto index_of = [&decoded](auto it) {
+    return static_cast<size_t>(it - decoded.begin());
+  };
+  ASSERT_TRUE(std::is_sorted(first, last));
+  for (const Value v : probes) {
+    const size_t lb = index_of(std::lower_bound(first, last, v));
+    const size_t ub = index_of(std::upper_bound(first, last, v));
+    for (int h = 0; h < 6; ++h) {
+      // Hint 0 is the run's first row, hint 1 the answer itself.
+      size_t lb_hint = h == 0 ? begin : lb;
+      size_t ub_hint = h == 0 ? begin : ub;
+      if (h >= 2) {
+        lb_hint = begin + rng.Next() % (lb - begin + 1);
+        ub_hint = begin + rng.Next() % (ub - begin + 1);
+      }
+      ASSERT_EQ(col.LowerBound(lb_hint, end, v), lb) << v << " @" << lb_hint;
+      ASSERT_EQ(col.UpperBound(ub_hint, end, v), ub) << v << " @" << ub_hint;
+    }
+  }
+}
+
+/// Every run value, its neighbours, and the domain's extremes.
+std::vector<Value> ProbesFor(const std::vector<Value>& values, size_t begin,
+                             size_t end) {
+  std::vector<Value> probes{kValueMin, kValueMax};
+  for (size_t i = begin; i < end; ++i) {
+    probes.push_back(values[i]);
+    if (values[i] > kValueMin) probes.push_back(values[i] - 1);
+    if (values[i] < kValueMax) probes.push_back(values[i] + 1);
+  }
+  return probes;
+}
+
+class ColumnBoundTest : public ::testing::TestWithParam<Encoding> {};
+
+// A sorted run [begin, end) between unsorted neighbours that share its
+// first and last blocks, with every block's delta width pinned to w. The
+// leading neighbour holds its block's maximum while the run's values in
+// that block stay in its lower half, so the zone map sends the search into
+// the first block even when the answer lies beyond it.
+TEST_P(ColumnBoundTest, SortedRunBetweenUnsortedNeighboursAllWidths) {
+  constexpr size_t kB = Column::kBlockSize;
+  const Encoding enc = GetParam();
+  for (uint32_t w = 0; w <= 64; ++w) {
+    SCOPED_TRACE("w=" + std::to_string(w));
+    Rng rng(500 + w);
+    const uint64_t mask =
+        w == 0 ? 0 : (w >= 64 ? ~uint64_t{0} : (uint64_t{1} << w) - 1);
+    // Blocks whose value spans [base_k, base_k + mask] stack without
+    // overlap: 6 blocks, fewer where 2^w spans would overflow int64.
+    const size_t blocks = w >= 62 ? (size_t{1} << (64 - w)) : 6;
+    const size_t n = (blocks - 1) * kB + 37;  // Partial final block.
+    const size_t begin = blocks == 1 ? 11 : 45;
+    const size_t end = blocks == 1 ? 30 : n - 9;
+    const auto at = [mask](size_t block, uint64_t delta) {
+      const uint64_t base = static_cast<uint64_t>(kValueMin);
+      return static_cast<Value>(base + block * (mask + 1) + delta);
+    };
+    std::vector<Value> values(n);
+    for (size_t i = 0; i < n; ++i) {
+      values[i] = at(i / kB, rng.Next() & mask);
+    }
+    // The run: sorted deltas per block; in the first block only the lower
+    // half of the span.
+    for (size_t b = begin / kB; b <= (end - 1) / kB; ++b) {
+      const size_t lo = std::max(begin, b * kB);
+      const size_t hi = std::min(end, (b + 1) * kB);
+      std::vector<uint64_t> deltas(hi - lo);
+      for (uint64_t& d : deltas) {
+        d = rng.Next() & (b == begin / kB ? mask >> 1 : mask);
+      }
+      std::sort(deltas.begin(), deltas.end());
+      for (size_t i = lo; i < hi; ++i) values[i] = at(b, deltas[i - lo]);
+    }
+    // Pin every block's width to w: each holds delta 0 and delta mask,
+    // the neighbours' rows in the shared first and last blocks, the run's
+    // own ends in the blocks it fills.
+    for (size_t b = 0; b < blocks; ++b) {
+      const size_t lo = b * kB;
+      const size_t hi = std::min(n, lo + kB);
+      if (lo >= begin && hi <= end) {
+        values[lo] = at(b, 0);
+        values[hi - 1] = at(b, mask);
+      } else if (lo < begin) {
+        values[lo] = at(b, 0);
+        values[lo + 1] = at(b, mask);
+      } else {
+        values[hi - 2] = at(b, 0);
+        values[hi - 1] = at(b, mask);
+      }
+    }
+    const Column col = Column::FromValues(values, enc);
+    ExpectBoundsMatch(col, begin, end, ProbesFor(values, begin, end), rng);
+  }
+}
+
+// Duplicate runs straddling block boundaries (including whole width-0
+// blocks of one value) between unsorted neighbours, and runs smaller than
+// a block.
+TEST_P(ColumnBoundTest, DuplicatesStraddlingBlocks) {
+  constexpr size_t kB = Column::kBlockSize;
+  const Encoding enc = GetParam();
+  Rng rng(77);
+  const size_t n = 9 * kB + 5;
+  const size_t kRepeats[] = {1, 3, 127, 128, 129, 300};
+  for (const size_t repeat : kRepeats) {
+    SCOPED_TRACE("repeat=" + std::to_string(repeat));
+    std::vector<Value> values(n);
+    for (Value& v : values) v = static_cast<Value>(rng.Next() % 100'000);
+    const size_t begin = 70;
+    const size_t end = n - 40;
+    for (size_t i = begin; i < end; ++i) {
+      values[i] = -5'000 + static_cast<Value>((i - begin) / repeat) * 7;
+    }
+    const Column col = Column::FromValues(values, enc);
+    const auto check_run = [&](size_t b, size_t e) {
+      ExpectBoundsMatch(col, b, e, ProbesFor(values, b, e), rng);
+    };
+    check_run(begin, end);
+    // Sub-runs: inside one block, across one boundary, and empty.
+    check_run(kB + 3, kB + 40);
+    check_run(2 * kB - 9, 2 * kB + 9);
+    check_run(300, 300);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Encodings, ColumnBoundTest,
                          ::testing::Values(Encoding::kPlain,
                                            Encoding::kBlockDelta),
                          [](const auto& info) {

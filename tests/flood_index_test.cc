@@ -357,6 +357,68 @@ TEST(FloodIndexTest, SparseGridAnswersLikeFullScan) {
   }
 }
 
+// Refinement bounds each cell through the sort column's zone maps plus one
+// packed block, starting from the cell's PLM prediction when it has one.
+// Sort-filtered point and range queries must answer like a full scan for
+// cells smaller than one block (sharing blocks with their neighbours) and
+// cells spanning many blocks, with cell models on and off.
+TEST(FloodIndexTest, SortFilteredQueriesMatchFullScan) {
+  const size_t n = 10'000;
+  for (const DataShape shape : {DataShape::kUniform, DataShape::kDuplicates,
+                                DataShape::kSkewed}) {
+    SCOPED_TRACE(testing::DataShapeName(shape));
+    const Table t = MakeTable(shape, n, 3, 15);
+    const BuildContext ctx = MakeCtx(t);
+    FullScanIndex oracle;
+    ASSERT_TRUE(oracle.Build(t, ctx).ok());
+    const std::vector<Value> sort_values = t.DecodeColumn(2);
+    for (const bool small_cells : {true, false}) {
+      SCOPED_TRACE(small_cells ? "small cells" : "large cells");
+      for (const bool models : {true, false}) {
+        SCOPED_TRACE(models ? "models" : "no models");
+        FloodIndex::Options o;
+        o.layout.dim_order = {0, 1, 2};
+        // ~5 rows per cell (under one block), or ~5'000 (about 39 blocks).
+        if (small_cells) {
+          o.layout.columns = {64, 32};
+        } else {
+          o.layout.columns = {2, 1};
+        }
+        o.use_cell_models = models;
+        o.plm_min_cell_size = 4;
+        FloodIndex index(o);
+        ASSERT_TRUE(index.Build(t, ctx).ok());
+        ASSERT_EQ(index.layout().sort_dim(), 2u);
+        EXPECT_EQ(index.num_cell_models() > 0, models);
+        Rng rng(16);
+        for (int i = 0; i < 40; ++i) {
+          // Even i: a point on the sort dimension (an existing value);
+          // odd i: a range. Every third query also filters grid dims.
+          Query q = i % 3 == 0 ? RandomQuery(t, 9000 + i) : Query(3);
+          const Value a = sort_values[rng.Next() % n];
+          const Value b = sort_values[rng.Next() % n];
+          const Value lo = i % 2 == 0 ? a : std::min(a, b);
+          const Value hi = i % 2 == 0 ? a : std::max(a, b);
+          q.SetRange(2, lo, hi);
+          q.set_agg({AggSpec::Kind::kSum, 1});
+          const AggResult got = ExecuteAggregate(index, q, nullptr);
+          const AggResult want = ExecuteAggregate(oracle, q, nullptr);
+          EXPECT_EQ(got.count, want.count) << q.ToString();
+          EXPECT_EQ(got.sum, want.sum) << q.ToString();
+          if (i % 4 != 0) continue;  // Row lists: a sample suffices.
+          CollectVisitor got_rows;
+          CollectVisitor want_rows;
+          index.Execute(q, got_rows, nullptr);
+          oracle.Execute(q, want_rows, nullptr);
+          const auto got_values = SortedRows(index, got_rows.rows());
+          EXPECT_EQ(got_values, SortedRows(oracle, want_rows.rows()))
+              << q.ToString();
+        }
+      }
+    }
+  }
+}
+
 TEST(FloodIndexTest, StatsCountCellsVisited) {
   const Table t = MakeTable(DataShape::kUniform, 10'000, 3, 12);
   FloodIndex::Options o;

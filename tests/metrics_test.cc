@@ -401,6 +401,44 @@ TEST(SlowQueryLogTest, ThresholdedQueriesEmitOneStructuredLine) {
   EXPECT_EQ(SlowQueries(*db2), 0.0);
 }
 
+// --- Stage histograms ------------------------------------------------------
+
+obs::HistogramData SnapshotOf(const char* name) {
+  (void)obs::GlobalDbMetrics();  // Registers the flood_db_* names.
+  for (const obs::MetricSnapshot& m :
+       obs::MetricsRegistry::Instance().SnapshotAll()) {
+    if (m.name == name) return m.hist;
+  }
+  ADD_FAILURE() << name << " not registered";
+  return {};
+}
+
+// Refinement is its own stage: plan_ns (index_ns) and scan_ns both exclude
+// it, so a sort-filtered Flood query records its refine_ns into
+// flood_db_refine_ns, one sample per query.
+TEST(StageHistogramTest, SortFilteredFloodQueryRecordsOneRefineSample) {
+  const Table t = testing::MakeTable(testing::DataShape::kUniform, 5000, 3, 33);
+  DatabaseOptions options;
+  options.index_name = "flood";
+  options.index_options.Set("layout", "order=0,1,2;cols=8,8;sort=1");
+  StatusOr<Database> db = Database::Open(t, std::move(options));
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  Query q(3);
+  q.SetRange(0, 100'000, 600'000);
+  q.SetRange(2, 200'000, 700'000);  // The layout's sort dimension.
+
+  const obs::HistogramData before = SnapshotOf("flood_db_refine_ns");
+  const QueryResult result = db->Run(q);
+  const obs::HistogramData after = SnapshotOf("flood_db_refine_ns");
+  EXPECT_GT(result.stats.refine_ns, 0);
+  if (obs::kEnabled) {
+    EXPECT_EQ(after.count, before.count + 1);
+    EXPECT_EQ(after.sum, before.sum + result.stats.refine_ns);
+  } else {
+    EXPECT_EQ(after.count, 0u);
+  }
+}
+
 // --- Introspect() symmetry -------------------------------------------------
 
 // Every QueryStats field must surface through DatabaseGauges' db.* keys —

@@ -53,9 +53,6 @@ TEST(GallopTest, LowerAndUpperBoundMatchStd) {
     for (size_t from : {size_t{0}, lb / 2, lb}) {
       EXPECT_EQ(GallopLowerBound(get, from, v.size(), probe), lb);
     }
-    for (size_t from : {size_t{0}, ub / 2, std::min(lb, ub)}) {
-      EXPECT_EQ(GallopUpperBound(get, from, v.size(), probe), ub);
-    }
     EXPECT_EQ(BinaryLowerBound(get, 0, v.size(), probe), lb);
     EXPECT_EQ(BinaryUpperBound(get, 0, v.size(), probe), ub);
   }
@@ -118,10 +115,7 @@ TEST_P(PlmPropertyTest, PredictPlusGallopFindsExactBounds) {
         rng.UniformInt(sorted.front() - 100, sorted.back() + 100);
     const size_t lb = static_cast<size_t>(
         std::lower_bound(sorted.begin(), sorted.end(), v) - sorted.begin());
-    const size_t ub = static_cast<size_t>(
-        std::upper_bound(sorted.begin(), sorted.end(), v) - sorted.begin());
     EXPECT_EQ(GallopLowerBound(get, plm.Predict(v), sorted.size(), v), lb);
-    EXPECT_EQ(GallopUpperBound(get, plm.Predict(v), sorted.size(), v), ub);
   }
 }
 

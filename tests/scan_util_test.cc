@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "common/rng.h"
@@ -264,6 +265,106 @@ TEST(ScanKernelEquivalenceTest, RandomQueriesOnShapedData) {
       if (dims.empty()) continue;
       ExpectKernelsAgree(t, q, 0, t.num_rows(), dims);
       ExpectKernelsAgree(t, q, 17, t.num_rows() - 211, dims);
+    }
+  }
+}
+
+/// The widths the packed filters split at: 8 lanes for 1..25, 4 lanes for
+/// 26..57 (both ends of that tier).
+std::vector<uint32_t> PackedFilterWidths() {
+  std::vector<uint32_t> widths;
+  for (uint32_t w = 1; w <= simd::kMaxPacked8FilterWidth; ++w) {
+    widths.push_back(w);
+  }
+  widths.push_back(simd::kMaxPacked8FilterWidth + 1);
+  widths.push_back(simd::kMaxPackedFilterWidth);
+  return widths;
+}
+
+// Ranges that start mid-block and run to the column's last row, so the
+// packed filters' loads reach past the final block's last delta into the
+// column's decode slack (kDecodeSlackWords), where ASan watches them.
+TEST(ScanKernelEquivalenceTest, PackedFiltersThroughFinalBlock) {
+  constexpr size_t kB = Column::kBlockSize;
+  static_assert(simd::kMaxPacked8FilterWidth == 25);
+  static_assert(simd::kMaxPackedFilterWidth == 57);
+  for (const uint32_t w : PackedFilterWidths()) {
+    SCOPED_TRACE("width=" + std::to_string(w));
+    // A full final block (its last group of 8 deltas ends the packed
+    // words) and a partial one.
+    for (const size_t n : {4 * kB, 3 * kB + 121}) {
+      SCOPED_TRACE("n=" + std::to_string(n));
+      Rng rng(2000 + w);
+      const std::vector<Value> c0 = WidthControlledColumn(w, n, rng);
+      // Bounds inside the final block's values, so its zone map leaves
+      // it to the filter.
+      const auto tail_begin = c0.begin() + static_cast<ptrdiff_t>(3 * kB);
+      std::vector<Value> tail(tail_begin, c0.end());
+      std::sort(tail.begin(), tail.end());
+      const Value lo = tail[tail.size() / 5];
+      const Value hi = tail[4 * tail.size() / 5];
+      StatusOr<Table> t =
+          Table::FromColumns({c0}, Column::Encoding::kBlockDelta);
+      ASSERT_TRUE(t.ok());
+      const Query q = QueryBuilder(1).Range(0, lo, hi).Build();
+      const std::vector<size_t> dims = FilteredDims(q);
+      const size_t begins[] = {5, kB + 63, 2 * kB + 64, 3 * kB + 1, n - 40};
+      for (const size_t begin : begins) {
+        SCOPED_TRACE("begin=" + std::to_string(begin));
+        ExpectKernelsAgree(*t, q, begin, n, dims);
+      }
+    }
+  }
+}
+
+// The packed kernels themselves against a scalar reference, at every
+// offset into the column's final block and with bounds at and inside the
+// width's extremes.
+TEST(ScanKernelTest, PackedFiltersMatchScalarReference) {
+  if (!SimdAvailable()) GTEST_SKIP() << "no AVX2";
+  constexpr size_t kB = Column::kBlockSize;
+  for (const uint32_t w : PackedFilterWidths()) {
+    SCOPED_TRACE("width=" + std::to_string(w));
+    Rng rng(3000 + w);
+    const std::vector<Value> values = WidthControlledColumn(w, 3 * kB, rng);
+    const Column col =
+        Column::FromValues(values, Column::Encoding::kBlockDelta);
+    const size_t b = col.NumBlocks() - 1;
+    Column::PackedBlock pb;
+    ASSERT_TRUE(col.GetPackedBlock(b, &pb));
+    ASSERT_EQ(pb.width, w);
+    const uint8_t* block = pb.bytes + pb.bit_offset / 8;
+    const uint64_t base = static_cast<uint64_t>(pb.base);
+    const uint64_t mask = (uint64_t{1} << w) - 1;
+    for (int trial = 0; trial < 4; ++trial) {
+      uint64_t dlo = rng.Next() & mask;
+      uint64_t dhi = rng.Next() & mask;
+      if (dlo > dhi) std::swap(dlo, dhi);
+      if (trial == 0) dlo = 0;
+      if (trial == 1) dhi = mask;
+      for (size_t off = 0; off < kB; ++off) {
+        const size_t len = kB - off;
+        uint64_t want[2] = {0, 0};
+        for (size_t i = 0; i < len; ++i) {
+          const size_t row = b * kB + off + i;
+          const uint64_t d = static_cast<uint64_t>(values[row]) - base;
+          const uint64_t hit = d >= dlo && d <= dhi;
+          want[i / 64] |= hit << (i % 64);
+        }
+        uint64_t got[2];
+        const size_t words = InitMatchBitmap(got, len);
+        uint64_t any;
+        if (w <= simd::kMaxPacked8FilterWidth) {
+          any = simd::FilterPacked8Avx2(block, w, dlo, dhi, off, len, got);
+        } else {
+          const uint64_t bit = pb.bit_offset + off * w;
+          any = simd::FilterPackedAvx2(pb.bytes, bit, w, dlo, dhi, len, got);
+        }
+        for (size_t k = 0; k < words; ++k) {
+          EXPECT_EQ(got[k], want[k]) << "off=" << off << " word=" << k;
+        }
+        EXPECT_EQ(any, words == 1 ? want[0] : want[0] | want[1]);
+      }
     }
   }
 }
