@@ -9,11 +9,11 @@
 // "sorted" table filtered on its sort key (zone maps skip or exact-accept
 // nearly every block, so all kernels converge).
 //
-// FLOOD_SCAN_KERNEL=naive|block|simd restricts the run to one kernel (the
-// same toggle every index honors); by default all three run, block rows
-// carry speedup_vs_naive, and simd rows carry speedup_vs_block (the
-// regression-gated >=2x headline). FLOOD_BENCH_SCAN_SECONDS tunes the
-// per-cell measurement budget (default 0.3).
+// Each kernel is called directly, so all three always run: block rows carry
+// speedup_vs_naive, and simd rows carry speedup_vs_block (the
+// regression-gated >=2x headline). The simd kernel runs where AVX2 is
+// active; FLOOD_SIMD_LEVEL=scalar leaves it out. FLOOD_BENCH_SCAN_SECONDS
+// tunes the per-cell measurement budget (default 0.3).
 
 #include <optional>
 #include <string>
@@ -34,32 +34,42 @@ double MeasureSeconds() {
   return v > 0 ? v : 0.3;
 }
 
-const char* KernelName(ScanKernel k) {
-  if (k == ScanKernel::kNaive) return "naive";
-  return k == ScanKernel::kSimd ? "simd" : "block";
-}
-
-/// Which kernels to measure: all three by default, one if
-/// FLOOD_SCAN_KERNEL pins it.
-std::vector<ScanKernel> KernelsToRun() {
-  const char* env = std::getenv("FLOOD_SCAN_KERNEL");
-  if (env != nullptr && std::strcmp(env, "naive") == 0) {
-    return {ScanKernel::kNaive};
-  }
-  if (env != nullptr && std::strcmp(env, "block") == 0) {
-    return {ScanKernel::kBlock};
-  }
-  if (env != nullptr && std::strcmp(env, "simd") == 0) {
-    return {ScanKernel::kSimd};
-  }
-  return {ScanKernel::kNaive, ScanKernel::kBlock, ScanKernel::kSimd};
-}
-
 struct Scenario {
   std::string name;
   const Table* table;
   Query query;
 };
+
+enum class Kernel { kNaive, kBlock, kSimd };
+
+const char* KernelName(Kernel k) {
+  if (k == Kernel::kNaive) return "naive";
+  return k == Kernel::kSimd ? "simd" : "block";
+}
+
+/// The kernels to measure: all three, simd only where AVX2 is active.
+std::vector<Kernel> KernelsToRun() {
+  std::vector<Kernel> kernels{Kernel::kNaive, Kernel::kBlock};
+  if (simd::ActiveSimdLevel() >= simd::SimdLevel::kAvx2) {
+    kernels.push_back(Kernel::kSimd);
+  }
+  return kernels;
+}
+
+/// One full-table pass of `kernel` with a COUNT visitor.
+uint64_t ScanOnce(const Scenario& s, Kernel kernel,
+                  std::span<const size_t> dims, QueryStats* stats) {
+  const size_t n = s.table->num_rows();
+  CountVisitor v;
+  if (kernel == Kernel::kNaive) {
+    ScanRangeNaive(*s.table, s.query, 0, n, dims, v, stats);
+  } else if (kernel == Kernel::kBlock) {
+    ScanRangeBlock(*s.table, s.query, 0, n, dims, v, stats);
+  } else {
+    ScanRangeSimd(*s.table, s.query, 0, n, dims, v, stats);
+  }
+  return v.count();
+}
 
 /// A range over the middle `frac` of a dimension's value span.
 ValueRange MidBand(const Table& t, size_t dim, double frac) {
@@ -79,16 +89,10 @@ struct KernelResult {
   double simd_blocks = 0;     ///< Per pass (simd kernel only).
 };
 
-KernelResult Measure(const Scenario& s, ScanKernel kernel) {
-  const ScanKernel previous = ActiveScanKernel();
-  SetScanKernel(kernel);
+KernelResult Measure(const Scenario& s, Kernel kernel) {
   const std::vector<size_t> dims = FilteredDims(s.query);
   const size_t n = s.table->num_rows();
-  {
-    // Warm-up pass (page in the encoded words).
-    CountVisitor v;
-    ScanRange(*s.table, s.query, 0, n, false, dims, v, nullptr);
-  }
+  ScanOnce(s, kernel, dims, nullptr);  // Warm-up: page in the encoded words.
   const int64_t budget_ns =
       static_cast<int64_t>(MeasureSeconds() * 1e9);
   KernelResult r;
@@ -97,9 +101,7 @@ KernelResult Measure(const Scenario& s, ScanKernel kernel) {
   uint64_t matched = 0;
   const Stopwatch sw;
   do {
-    CountVisitor v;
-    ScanRange(*s.table, s.query, 0, n, false, dims, v, &stats);
-    matched = v.count();
+    matched = ScanOnce(s, kernel, dims, &stats);
     ++passes;
   } while (sw.ElapsedNanos() < budget_ns);
   const double seconds = static_cast<double>(sw.ElapsedNanos()) / 1e9;
@@ -114,7 +116,6 @@ KernelResult Measure(const Scenario& s, ScanKernel kernel) {
                    static_cast<double>(passes);
   r.simd_blocks = static_cast<double>(stats.simd_blocks) /
                   static_cast<double>(passes);
-  SetScanKernel(previous);
   return r;
 }
 
@@ -154,18 +155,18 @@ std::vector<BenchRow> RunScanKernelBench() {
     scenarios.push_back({"sorted_zonemap", sorted_table, q});
   }
 
-  const std::vector<ScanKernel> kernels = KernelsToRun();
+  const std::vector<Kernel> kernels = KernelsToRun();
   std::vector<BenchRow> rows;
   std::vector<std::vector<std::string>> table_out;
   for (const Scenario& s : scenarios) {
     std::optional<KernelResult> naive;
     std::optional<KernelResult> block;
     std::optional<KernelResult> simd;
-    for (ScanKernel k : kernels) {
+    for (Kernel k : kernels) {
       const KernelResult r = Measure(s, k);
-      if (k == ScanKernel::kNaive) {
+      if (k == Kernel::kNaive) {
         naive = r;
-      } else if (k == ScanKernel::kBlock) {
+      } else if (k == Kernel::kBlock) {
         block = r;
       } else {
         simd = r;
@@ -178,11 +179,11 @@ std::vector<BenchRow> RunScanKernelBench() {
           {"blocks_skipped", r.blocks_skipped},
           {"blocks_exact", r.blocks_exact},
       };
-      if (k != ScanKernel::kNaive && naive.has_value()) {
+      if (k != Kernel::kNaive && naive.has_value()) {
         row.counters.push_back(
             {"speedup_vs_naive", r.rows_per_s / naive->rows_per_s});
       }
-      if (k == ScanKernel::kSimd) {
+      if (k == Kernel::kSimd) {
         row.counters.push_back({"simd_blocks", r.simd_blocks});
         if (block.has_value()) {
           row.counters.push_back(

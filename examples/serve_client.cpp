@@ -147,9 +147,9 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(after->results[0].count));
 
   // 5. Server introspection over the wire.
-  auto stats = client->Stats();
-  if (!stats.ok()) return Fail(stats.status(), "stats");
-  for (const auto& [key, val] : *stats) {
+  auto metrics = client->Metrics();
+  if (!metrics.ok()) return Fail(metrics.status(), "metrics");
+  for (const auto& [key, val] : metrics->entries) {
     if (key == "serve.frames_decoded" || key == "serve.batches_submitted" ||
         key == "db.pending_writes") {
       std::printf("%-32s = %.0f\n", key.c_str(), val);

@@ -2,9 +2,6 @@
 #define FLOOD_QUERY_SCAN_UTIL_H_
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
 #include <span>
 #include <utility>
 #include <vector>
@@ -15,61 +12,6 @@
 #include "storage/table.h"
 
 namespace flood {
-
-/// A contiguous physical row range to scan. `exact` ranges are known a
-/// priori to contain only matches (§7.1 optimization 1): no per-value
-/// checks are performed and the visitor may use cumulative aggregates.
-struct PhysRange {
-  size_t begin = 0;
-  size_t end = 0;
-  bool exact = false;
-};
-
-/// Which scan kernel ScanRange dispatches to. kSimd (default where the CPU
-/// has AVX2) filters with runtime-dispatched AVX2/AVX-512 vector
-/// predicates; kBlock is the scalar block-decoded kernel, the
-/// always-available reference the simd path falls back to; kNaive is the
-/// original per-row path, kept for A/B benchmarking (bench_scan_kernel)
-/// and as the equivalence-test ground truth.
-enum class ScanKernel { kBlock, kNaive, kSimd };
-
-namespace internal {
-/// -1 = not yet resolved from the environment.
-inline std::atomic<int> g_scan_kernel{-1};
-}  // namespace internal
-
-/// The active kernel: FLOOD_SCAN_KERNEL=naive|block|simd (read once).
-/// Unset (or unrecognized) selects simd when the hardware supports AVX2
-/// and block otherwise. Benign race on first use: resolution is
-/// idempotent. Note kSimd can stay active while the vector ISA is masked
-/// off (SetSimdLevelForTest); ScanRange then falls back to the block
-/// kernel per call.
-inline ScanKernel ActiveScanKernel() {
-  int mode = internal::g_scan_kernel.load(std::memory_order_relaxed);
-  if (mode < 0) {
-    const char* env = std::getenv("FLOOD_SCAN_KERNEL");
-    if (env != nullptr && std::strcmp(env, "naive") == 0) {
-      mode = 1;
-    } else if (env != nullptr && std::strcmp(env, "block") == 0) {
-      mode = 0;
-    } else if (env != nullptr && std::strcmp(env, "simd") == 0) {
-      mode = 2;
-    } else {
-      mode = simd::ActiveSimdLevel() >= simd::SimdLevel::kAvx2 ? 2 : 0;
-    }
-    internal::g_scan_kernel.store(mode, std::memory_order_relaxed);
-  }
-  if (mode == 1) return ScanKernel::kNaive;
-  return mode == 2 ? ScanKernel::kSimd : ScanKernel::kBlock;
-}
-
-/// Overrides the kernel choice (benchmarks / tests).
-inline void SetScanKernel(ScanKernel kernel) {
-  int mode = 0;
-  if (kernel == ScanKernel::kNaive) mode = 1;
-  if (kernel == ScanKernel::kSimd) mode = 2;
-  internal::g_scan_kernel.store(mode, std::memory_order_relaxed);
-}
 
 /// Initializes `bitmap` to all-ones over the first `n` row slots — the
 /// shared masked epilogue: the final partial word keeps only its low
@@ -111,7 +53,9 @@ inline BlockZoneOutcome ClassifyBlockZones(
 
 /// The original row-at-a-time scan: evaluate one predicate column at a
 /// time over a match bitmap, paying a per-value lambda call, div/mod, and
-/// bit extraction. Reference implementation for the block kernel.
+/// bit extraction. ScanRange runs it on ranges too small to amortize a
+/// block decode; it is also the reference the other kernels are tested
+/// against.
 template <typename V>
 void ScanRangeNaive(const Table& data, const Query& query, size_t begin,
                     size_t end, std::span<const size_t> check_dims,
@@ -161,8 +105,10 @@ void ScanRangeNaive(const Table& data, const Query& query, size_t begin,
 ///    cumulative aggregates apply (blocks_exact);
 ///  * otherwise the surviving dimensions are bulk-decoded once
 ///    (width-specialized branch-free unpacking) and the range predicate
-///    is evaluated branchlessly into a match bitmap, delivered word-wise
-///    through V::VisitMatchWord.
+///    is evaluated branchlessly into a match bitmap, delivered one block
+///    at a time through V::VisitMatchBitmap.
+/// The scalar kernel: what ScanRange runs when the vector ISA is absent
+/// or masked (FLOOD_SIMD_LEVEL=scalar).
 template <typename V>
 void ScanRangeBlock(const Table& data, const Query& query, size_t begin,
                     size_t end, std::span<const size_t> check_dims,
@@ -206,12 +152,13 @@ void ScanRangeBlock(const Table& data, const Query& query, size_t begin,
     }
 
     const size_t words = InitMatchBitmap(bitmap, n);
+    uint64_t any = 0;
     for (size_t p = 0; p < num_pending; ++p) {
       const size_t dim = pending[p];
       const ValueRange& r = query.range(dim);
       data.column(dim).DecodeBlockInto(b, buf);
       const Value* vals = buf + (lo - block_begin);
-      uint64_t any = 0;
+      any = 0;
       for (size_t w = 0; w < words; ++w) {
         const size_t base = w * 64;
         const size_t cnt = std::min<size_t>(64, n - base);
@@ -226,10 +173,9 @@ void ScanRangeBlock(const Table& data, const Query& query, size_t begin,
       if (any == 0) break;  // Nothing left for later dimensions to narrow.
     }
 
-    for (size_t w = 0; w < words; ++w) {
-      if (bitmap[w] == 0) continue;
-      matched += static_cast<size_t>(__builtin_popcountll(bitmap[w]));
-      visitor.VisitMatchWord(static_cast<RowId>(lo + w * 64), bitmap[w]);
+    if (any != 0) {
+      matched += simd::PopcountWords(bitmap, words);
+      visitor.VisitMatchBitmap(static_cast<RowId>(lo), n, bitmap);
     }
   }
   if (stats != nullptr) {
@@ -256,8 +202,7 @@ void ScanRangeBlock(const Table& data, const Query& query, size_t begin,
 /// finds the *next* zone-map-surviving block, whose packed bytes are
 /// software-prefetched while the current one filters, and the loop then
 /// jumps straight to it. Matches are delivered one block at a time via
-/// V::VisitMatchBitmap, so COUNT uses a popcount tree and SUM a masked
-/// vector sum instead of per-word dispatch.
+/// V::VisitMatchBitmap, like the block kernel's.
 ///
 /// Caller guarantees simd::ActiveSimdLevel() >= kAvx2 (ScanRange falls
 /// back to the block kernel otherwise).
@@ -391,11 +336,12 @@ void ScanRangeSimd(const Table& data, const Query& query, size_t begin,
 
 /// Scans one range, checking each row of `check_dims` against the query.
 /// Non-listed dimensions are assumed satisfied by construction (e.g. the
-/// refined sort dimension). Dispatches per ActiveScanKernel(): the simd
-/// kernel (default on AVX2 hardware), the scalar block kernel, or the
-/// naive row-at-a-time path. kSimd with the vector ISA masked off
-/// (FLOOD_SIMD_LEVEL / SetSimdLevelForTest) falls back to the block
-/// kernel at call time — results are identical, simd_blocks stays 0.
+/// refined sort dimension). The kernel follows from the range and the
+/// platform: ranges under 32 rows and predicates over 64 dimensions run
+/// naive; otherwise the simd kernel runs when simd::ActiveSimdLevel() is
+/// at least AVX2, and the block kernel when it is not (no AVX2, or
+/// masked by FLOOD_SIMD_LEVEL / SetSimdLevelForTest). All three give
+/// identical results; only the simd kernel advances simd_blocks.
 ///
 /// Counters: adds end-begin to points_scanned, matches to points_matched,
 /// and one to ranges_scanned; the block kernels also tally
@@ -424,27 +370,12 @@ void ScanRange(const Table& data, const Query& query, size_t begin,
   // do tiny ranges, which would not amortize a 128-value block decode
   // (tree/grid baselines emit many few-row boundary cells).
   constexpr size_t kMinBlockKernelRows = 32;
-  const ScanKernel kernel = ActiveScanKernel();
-  if (kernel == ScanKernel::kNaive || check_dims.size() > 64 ||
-      n < kMinBlockKernelRows) {
+  if (check_dims.size() > 64 || n < kMinBlockKernelRows) {
     ScanRangeNaive(data, query, begin, end, check_dims, visitor, stats);
-  } else if (kernel == ScanKernel::kSimd &&
-             simd::ActiveSimdLevel() >= simd::SimdLevel::kAvx2) {
+  } else if (simd::ActiveSimdLevel() >= simd::SimdLevel::kAvx2) {
     ScanRangeSimd(data, query, begin, end, check_dims, visitor, stats);
   } else {
     ScanRangeBlock(data, query, begin, end, check_dims, visitor, stats);
-  }
-}
-
-/// Convenience wrapper over a list of ranges with a shared check-dim set.
-template <typename V>
-void ScanRanges(const Table& data, const Query& query,
-                const std::vector<PhysRange>& ranges,
-                std::span<const size_t> check_dims, V& visitor,
-                QueryStats* stats) {
-  for (const PhysRange& r : ranges) {
-    ScanRange(data, query, r.begin, r.end, r.exact, check_dims, visitor,
-              stats);
   }
 }
 

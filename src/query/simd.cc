@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
@@ -43,31 +44,36 @@ SimdLevel DetectedSimdLevel() {
   return level;
 }
 
+std::optional<SimdLevel> ParseSimdLevel(std::string_view name) {
+  for (SimdLevel level :
+       {SimdLevel::kScalar, SimdLevel::kAvx2, SimdLevel::kAvx512}) {
+    if (name == SimdLevelName(level)) return level;
+  }
+  return std::nullopt;
+}
+
 namespace {
 /// ISA cap: -1 = not yet resolved from FLOOD_SIMD_LEVEL. Benign race on
-/// first use: resolution is idempotent (same idiom as g_scan_kernel).
+/// first use: resolution is idempotent.
 std::atomic<int> g_simd_cap{-1};
-
-int ParseLevel(const char* name) {
-  if (std::strcmp(name, "scalar") == 0) {
-    return static_cast<int>(SimdLevel::kScalar);
-  }
-  if (std::strcmp(name, "avx2") == 0) {
-    return static_cast<int>(SimdLevel::kAvx2);
-  }
-  if (std::strcmp(name, "avx512") == 0) {
-    return static_cast<int>(SimdLevel::kAvx512);
-  }
-  return static_cast<int>(SimdLevel::kAvx512);  // Unknown: no cap.
-}
 }  // namespace
 
 SimdLevel ActiveSimdLevel() {
   int cap = g_simd_cap.load(std::memory_order_relaxed);
   if (cap < 0) {
-    const char* env = std::getenv("FLOOD_SIMD_LEVEL");
-    cap = env != nullptr ? ParseLevel(env)
-                         : static_cast<int>(SimdLevel::kAvx512);
+    SimdLevel level = SimdLevel::kAvx512;  // Unset: no cap.
+    if (const char* env = std::getenv("FLOOD_SIMD_LEVEL")) {
+      // A typo must not silently leave the vector kernel on (or off).
+      const std::optional<SimdLevel> parsed = ParseSimdLevel(env);
+      if (!parsed.has_value()) {
+        std::fprintf(stderr,
+                     "FLOOD_SIMD_LEVEL=%s: expected scalar|avx2|avx512\n",
+                     env);
+        std::abort();
+      }
+      level = *parsed;
+    }
+    cap = static_cast<int>(level);
     g_simd_cap.store(cap, std::memory_order_relaxed);
   }
   // The cap masks capabilities; it can never grant more than the hardware.

@@ -3,6 +3,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
+#include <string_view>
 
 #include "storage/column.h"
 
@@ -15,6 +17,10 @@ namespace simd {
 enum class SimdLevel { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 
 const char* SimdLevelName(SimdLevel level);
+
+/// The tier a FLOOD_SIMD_LEVEL value names ("scalar", "avx2" or "avx512");
+/// nullopt for anything else. ActiveSimdLevel() aborts on such a value.
+std::optional<SimdLevel> ParseSimdLevel(std::string_view name);
 
 /// What the hardware supports (cpuid, probed once per process). kScalar on
 /// non-x86 builds.

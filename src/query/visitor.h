@@ -16,13 +16,10 @@ namespace flood {
 /// (the "exact range" optimization of §7.1, which skips per-value filter
 /// checks and can use precomputed cumulative aggregates).
 ///
-/// The block scan kernel (query/scan_util.h) additionally delivers matches
-/// one 64-row bitmap word at a time through VisitMatchWord(base, word):
-/// bit b set means row base + b matched. Words arrive in ascending row
-/// order, zero words are never delivered, and bits past the scanned range
-/// are always clear — so aggregating visitors may use popcount / cumulative
-/// aggregates per word instead of per-row dispatch. The default
-/// implementation falls back to VisitRow per set bit.
+/// The block and simd scan kernels (query/scan_util.h) deliver filtered
+/// matches one block at a time through VisitMatchBitmap, so aggregating
+/// visitors may use popcount / cumulative aggregates instead of per-row
+/// dispatch.
 ///
 /// Index scan loops are templated over the concrete visitor type so the
 /// per-row call devirtualizes; the abstract interface exists for the
@@ -36,26 +33,22 @@ class Visitor {
   virtual void VisitRow(RowId row) = 0;
   virtual void VisitExactRange(RowId begin, RowId end) = 0;
 
-  virtual void VisitMatchWord(RowId base, uint64_t word) {
-    while (word != 0) {
-      const int b = __builtin_ctzll(word);
-      word &= word - 1;
-      VisitRow(base + static_cast<RowId>(b));
-    }
-  }
-
-  /// Block-granular delivery (the SIMD kernel's path): rows
-  /// [begin, begin + n) with bit b of bitmap[b / 64] set <=> row begin + b
-  /// matched. The range never straddles a Column::kBlockSize block and
-  /// bits past n are always clear, but all-zero words MAY appear inside
-  /// the bitmap (unlike VisitMatchWord, which skips them). The default
-  /// expands to the word contract; aggregating visitors override with
-  /// vectorized block reductions.
+  /// Block-granular delivery: rows [begin, begin + n) with bit b of
+  /// bitmap[b / 64] set <=> row begin + b matched. Calls arrive in
+  /// ascending row order, the range never straddles a Column::kBlockSize
+  /// block, bits past n are always clear, and all-zero words MAY appear
+  /// inside the bitmap. The default calls VisitRow per set bit, in
+  /// ascending order; aggregating visitors override with block reductions.
   virtual void VisitMatchBitmap(RowId begin, size_t n,
                                 const uint64_t* bitmap) {
     for (size_t w = 0; w * 64 < n; ++w) {
-      if (bitmap[w] == 0) continue;
-      VisitMatchWord(begin + static_cast<RowId>(w) * 64, bitmap[w]);
+      const RowId base = begin + static_cast<RowId>(w) * 64;
+      uint64_t word = bitmap[w];
+      while (word != 0) {
+        const int b = __builtin_ctzll(word);
+        word &= word - 1;
+        VisitRow(base + static_cast<RowId>(b));
+      }
     }
   }
 };
@@ -67,9 +60,6 @@ class CountVisitor final : public Visitor {
   void VisitRow(RowId) override { ++count_; }
   void VisitExactRange(RowId begin, RowId end) override {
     count_ += end - begin;
-  }
-  void VisitMatchWord(RowId, uint64_t word) override {
-    count_ += static_cast<uint64_t>(__builtin_popcountll(word));
   }
   void VisitMatchBitmap(RowId, size_t n, const uint64_t* bitmap) override {
     count_ += simd::PopcountWords(bitmap, (n + 63) / 64);
@@ -106,40 +96,33 @@ class SumVisitor final : public Visitor {
                      [this](size_t, Value v) { Add(v); });
   }
 
-  void VisitMatchWord(RowId base, uint64_t word) override {
-    if (word == ~uint64_t{0}) {
-      // Full word: answer from the cumulative aggregate when available.
-      VisitExactRange(base, base + 64);
-      return;
-    }
-    while (word != 0) {
-      const int b = __builtin_ctzll(word);
-      word &= word - 1;
-      Add(column_->Get(static_cast<size_t>(base) +
-                       static_cast<size_t>(b)));
-    }
-  }
-
-  /// Vectorized block aggregation: decode the aggregated column's block
-  /// once, then answer full words from the prefix sums (O(1)) and partial
-  /// words with a SIMD masked sum — instead of a random-access Get per set
-  /// bit. Requires a block-aligned delivery; clipped ranges take the
-  /// per-word path.
+  /// Full words are answered from the cumulative aggregate (O(1) with
+  /// prefix sums). Partial words of a block-aligned delivery on an AVX2
+  /// host take a SIMD masked sum over the aggregated column's block,
+  /// decoded once; otherwise (scalar host, clipped range) each set bit
+  /// is added through a random-access Get.
   void VisitMatchBitmap(RowId begin, size_t n,
                         const uint64_t* bitmap) override {
     const simd::SimdLevel level = simd::ActiveSimdLevel();
-    if (level < simd::SimdLevel::kAvx2 ||
-        begin % Column::kBlockSize != 0 || n > Column::kBlockSize) {
-      Visitor::VisitMatchBitmap(begin, n, bitmap);
-      return;
-    }
+    const bool vector = level >= simd::SimdLevel::kAvx2 &&
+                        begin % Column::kBlockSize == 0 &&
+                        n <= Column::kBlockSize;
     bool decoded = false;
     for (size_t w = 0; w * 64 < n; ++w) {
-      const uint64_t word = bitmap[w];
+      uint64_t word = bitmap[w];
       if (word == 0) continue;
+      const RowId base = begin + static_cast<RowId>(w) * 64;
       if (word == ~uint64_t{0}) {
-        const RowId base = begin + static_cast<RowId>(w) * 64;
         VisitExactRange(base, base + 64);  // Prefix-sum fast path.
+        continue;
+      }
+      if (!vector) {
+        while (word != 0) {
+          const int b = __builtin_ctzll(word);
+          word &= word - 1;
+          Add(column_->Get(static_cast<size_t>(base) +
+                           static_cast<size_t>(b)));
+        }
         continue;
       }
       if (!decoded) {

@@ -456,29 +456,6 @@ StatusOr<uint64_t> Client::Delete(const std::vector<Value>& key) {
   return ack->deleted;
 }
 
-StatusOr<std::vector<std::pair<std::string, double>>> Client::Stats() {
-  const uint64_t id = NextId();
-  std::string out;
-  AppendStats({id}, &out);
-  FLOOD_RETURN_IF_ERROR(WriteAll(out));
-  StatusOr<Frame> frame = ReadFrame();
-  if (!frame.ok()) return frame.status();
-  if (frame->type == MessageType::kStatsResult) {
-    StatusOr<StatsResponse> resp = ParseStatsResult(frame->payload);
-    if (!resp.ok()) return resp.status();
-    if (resp->request_id != id) {
-      return Status::Internal("stats reply for the wrong request id");
-    }
-    return std::move(resp->entries);
-  }
-  if (frame->type == MessageType::kError) {
-    StatusOr<ErrorResponse> err = ParseError(frame->payload);
-    if (!err.ok()) return err.status();
-    return StatusFromWireCode(err->code, err->message);
-  }
-  return Status::Internal("unexpected response frame to Stats");
-}
-
 StatusOr<MetricsResponse> Client::Metrics() {
   const uint64_t id = NextId();
   std::string out;

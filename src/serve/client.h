@@ -94,13 +94,10 @@ class Client {
   /// Returns the number of logical rows deleted.
   StatusOr<uint64_t> Delete(const std::vector<Value>& key);
 
-  /// The server's introspection map (serve.* counters + db.* gauges).
-  StatusOr<std::vector<std::pair<std::string, double>>> Stats();
-
   /// The server's full metrics snapshot: every registry histogram (with
-  /// buckets, sum, count, exact max) plus the same flat entries Stats()
-  /// returns — one round-trip for everything the
-  /// Prometheus endpoint exposes, in binary.
+  /// buckets, sum, count, exact max) plus the flat introspection map in
+  /// `entries` (serve.* counters + db.* gauges) — one round-trip for
+  /// everything the Prometheus endpoint exposes, in binary.
   StatusOr<MetricsResponse> Metrics();
 
   // --- Pipelining ----------------------------------------------------------

@@ -40,8 +40,9 @@ namespace serve {
 
 inline constexpr uint32_t kWireMagic = 0x464C4457;  // "FLDW"
 /// Version 2: kMetricsResult records carry histograms only (no kind byte,
-/// no scalar value).
-inline constexpr uint8_t kWireVersion = 2;
+/// no scalar value). Version 3: the Stats request and response (types
+/// 0x06/0x84) are gone; kMetricsResult carries the same flat entries.
+inline constexpr uint8_t kWireVersion = 3;
 inline constexpr size_t kFrameHeaderBytes = 16;
 /// Hard per-frame payload cap: a length prefix above this is treated as
 /// stream corruption, not an allocation request.
@@ -56,14 +57,12 @@ enum class MessageType : uint8_t {
   kInsert = 0x03,
   kInsertBatch = 0x04,
   kDelete = 0x05,
-  kStats = 0x06,
   kHealth = 0x07,
   kMetrics = 0x08,
 
   kPong = 0x81,
   kBatchResult = 0x82,
   kWriteAck = 0x83,
-  kStatsResult = 0x84,
   kHealthResult = 0x85,
   kMetricsResult = 0x86,
   kError = 0x8F,
@@ -108,7 +107,7 @@ Status StatusFromWireCode(WireCode code, std::string_view message);
 // --- Request bodies --------------------------------------------------------
 // Every request carries a client-chosen request_id echoed verbatim in the
 // response; clients that pipeline frames MUST match replies by id, not by
-// order. Ping/Stats/writes are answered from the event loop immediately
+// order. Ping/Health/Metrics/writes are answered from the event loop immediately
 // (that's what keeps Ping responsive while batches queue), and separately
 // submitted batch groups complete in pool order, so responses can
 // interleave across — and within — message types.
@@ -137,19 +136,14 @@ struct DeleteRequest {
   std::vector<Value> key;
 };
 
-struct StatsRequest {
-  uint64_t request_id = 0;
-};
-
 /// Lightweight readiness probe for load balancers; answered inline from
 /// the event loop (like Ping), including while draining.
 struct HealthRequest {
   uint64_t request_id = 0;
 };
 
-/// Full metrics snapshot (superset of kStats): every registry histogram
-/// with its buckets, plus the flat Introspect() map that carries every
-/// count. Answered inline from the event loop, including while draining.
+/// Full metrics snapshot: every registry histogram with its buckets, plus
+/// the flat Introspect() map that carries every count. Answered inline from the event loop, including while draining.
 struct MetricsRequest {
   uint64_t request_id = 0;
 };
@@ -185,13 +179,6 @@ struct WriteAckResponse {
   uint64_t deleted = 0;  ///< Rows deleted (kDelete only).
 };
 
-struct StatsResponse {
-  uint64_t request_id = 0;
-  /// Flat introspection map: serve.* counters + db.* gauges (the same
-  /// key->double shape as MultiDimIndex::DebugProperties).
-  std::vector<std::pair<std::string, double>> entries;
-};
-
 /// Server health for routing decisions. `ready` means new work is being
 /// admitted (not draining); `persist_poisoned` means durability is degraded
 /// (a checkpoint failed or the WAL detached) while reads keep serving —
@@ -212,8 +199,8 @@ struct HealthResponse {
 struct MetricsResponse {
   uint64_t request_id = 0;
   std::vector<obs::MetricSnapshot> metrics;
-  /// Flat introspection entries (serve.* / db.* / router.*), identical
-  /// to StatsResponse::entries.
+  /// Flat introspection map: serve.* counters + db.* / router.* gauges
+  /// (the same key->double shape as MultiDimIndex::DebugProperties).
   std::vector<std::pair<std::string, double>> entries;
 };
 
@@ -236,14 +223,12 @@ void AppendRunBatch(const RunBatchRequest& req, std::string* out);
 void AppendInsert(const InsertRequest& req, std::string* out);
 void AppendInsertBatch(const InsertBatchRequest& req, std::string* out);
 void AppendDelete(const DeleteRequest& req, std::string* out);
-void AppendStats(const StatsRequest& req, std::string* out);
 void AppendHealth(const HealthRequest& req, std::string* out);
 void AppendMetrics(const MetricsRequest& req, std::string* out);
 
 void AppendPong(const PongResponse& resp, std::string* out);
 void AppendBatchResult(const BatchResultResponse& resp, std::string* out);
 void AppendWriteAck(const WriteAckResponse& resp, std::string* out);
-void AppendStatsResult(const StatsResponse& resp, std::string* out);
 void AppendHealthResult(const HealthResponse& resp, std::string* out);
 void AppendMetricsResult(const MetricsResponse& resp, std::string* out);
 void AppendError(const ErrorResponse& resp, std::string* out);
@@ -259,14 +244,12 @@ StatusOr<RunBatchRequest> ParseRunBatch(std::string_view payload);
 StatusOr<InsertRequest> ParseInsert(std::string_view payload);
 StatusOr<InsertBatchRequest> ParseInsertBatch(std::string_view payload);
 StatusOr<DeleteRequest> ParseDelete(std::string_view payload);
-StatusOr<StatsRequest> ParseStats(std::string_view payload);
 StatusOr<HealthRequest> ParseHealth(std::string_view payload);
 StatusOr<MetricsRequest> ParseMetrics(std::string_view payload);
 
 StatusOr<PongResponse> ParsePong(std::string_view payload);
 StatusOr<BatchResultResponse> ParseBatchResult(std::string_view payload);
 StatusOr<WriteAckResponse> ParseWriteAck(std::string_view payload);
-StatusOr<StatsResponse> ParseStatsResult(std::string_view payload);
 StatusOr<HealthResponse> ParseHealthResult(std::string_view payload);
 StatusOr<MetricsResponse> ParseMetricsResult(std::string_view payload);
 StatusOr<ErrorResponse> ParseError(std::string_view payload);

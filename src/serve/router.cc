@@ -387,10 +387,9 @@ class RemoteEngine : public BatchEngine {
   std::vector<std::pair<std::string, double>> Introspect() const override {
     std::lock_guard<std::mutex> lock(control_mu_);
     if (EnsureControlLocked().ok()) {
-      StatusOr<std::vector<std::pair<std::string, double>>> stats =
-          control_->Stats();
-      MaybePoisonControlLocked(stats.status());
-      if (stats.ok()) return std::move(*stats);
+      StatusOr<MetricsResponse> metrics = control_->Metrics();
+      MaybePoisonControlLocked(metrics.status());
+      if (metrics.ok()) return std::move(metrics->entries);
     }
     return {{"unreachable", 1.0}};
   }

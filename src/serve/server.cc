@@ -743,19 +743,10 @@ void Server::HandleFrame(Connection* conn, const Frame& frame,
       AppendWriteAck(ack, &conn->outbuf);
       return;
     }
-    case MessageType::kStats: {
-      StatusOr<StatsRequest> req = ParseStats(frame.payload);
-      if (!req.ok()) break;
-      StatsResponse resp;
-      resp.request_id = req->request_id;
-      resp.entries = Introspect();
-      AppendStatsResult(resp, &conn->outbuf);
-      return;
-    }
     case MessageType::kMetrics: {
       StatusOr<MetricsRequest> req = ParseMetrics(frame.payload);
       if (!req.ok()) break;
-      // Answered inline like Stats: every registry histogram with its
+      // Answered inline like Ping: every registry histogram with its
       // buckets, plus the flat Introspect() map.
       MetricsResponse resp;
       resp.request_id = req->request_id;
@@ -1061,7 +1052,7 @@ std::vector<std::pair<std::string, double>> Server::Introspect() const {
   put("serve.send_errors", static_cast<double>(c.send_errors));
   put("serve.health_checks", static_cast<double>(c.health_checks));
   put("serve.metrics_scrapes", static_cast<double>(c.metrics_scrapes));
-  // Engine gauges, same map: one Stats request observes the whole stack
+  // Engine gauges, same map: one Metrics request observes the whole stack
   // (db.* for a database engine, router.*/shard<i>.* for a router).
   for (auto& entry : engine_->Introspect()) {
     entries.push_back(std::move(entry));

@@ -38,7 +38,7 @@ struct ServerOptions {
   /// Admission control: the bounded submission queue. At most this many
   /// batch groups may be submitted-but-unanswered across all connections;
   /// RunBatch frames arriving beyond it are shed with kOverloaded instead
-  /// of queueing unboundedly. Ping/Stats stay served from the event loop,
+  /// of queueing unboundedly. Ping/Metrics stay served from the event loop,
   /// so an overloaded server remains observable.
   size_t max_inflight_batches = 64;
   /// Per-connection cap on submitted-but-unanswered RunBatch frames; the
@@ -57,8 +57,8 @@ struct ServerOptions {
   std::string metrics_addr;
 };
 
-/// Snapshot of the per-server counters (also flattened into the Stats wire
-/// response and Introspect(), keys "serve.*").
+/// Snapshot of the per-server counters (also flattened into Introspect()
+/// and the kMetrics wire response's entries, keys "serve.*").
 struct ServerCounters {
   uint64_t connections_accepted = 0;
   uint64_t connections_active = 0;
@@ -167,7 +167,7 @@ class Server {
   /// plus the engine's gauges ("db.pending_writes", ... for a database,
   /// "router.*"/"shard<i>.*" for a router) — the same shape as the PR 5
   /// persistence telemetry and MultiDimIndex::DebugProperties, and exactly
-  /// what the Stats wire request returns.
+  /// the entries the Metrics wire request returns.
   std::vector<std::pair<std::string, double>> Introspect() const;
 
  private:

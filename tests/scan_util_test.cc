@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "query/scan_util.h"
@@ -15,23 +17,55 @@ namespace {
 using testing::DataShape;
 using testing::MakeTable;
 
-/// Forces a scan kernel for the duration of a test and restores whatever
-/// was active before (the mode is process-global, and the suite may run
-/// with FLOOD_SCAN_KERNEL forcing any kernel).
-class ScopedScanKernel {
- public:
-  explicit ScopedScanKernel(ScanKernel k) : previous_(ActiveScanKernel()) {
-    SetScanKernel(k);
-  }
-  ~ScopedScanKernel() { SetScanKernel(previous_); }
-
- private:
-  ScanKernel previous_;
-};
-
 /// True when the simd kernel's vector paths can actually execute here.
 bool SimdAvailable() {
   return simd::ActiveSimdLevel() >= simd::SimdLevel::kAvx2;
+}
+
+/// The three scan kernels, called directly, and ScanRange's own choice.
+enum class Kernel { kNaive, kBlock, kSimd, kDispatch };
+
+const char* KernelName(Kernel kernel) {
+  switch (kernel) {
+    case Kernel::kNaive:
+      return "naive";
+    case Kernel::kBlock:
+      return "block";
+    case Kernel::kSimd:
+      return "simd";
+    case Kernel::kDispatch:
+      return "dispatch";
+  }
+  return "?";
+}
+
+/// Every kernel this host can run: simd only where AVX2 is active.
+std::vector<Kernel> RunnableKernels() {
+  std::vector<Kernel> kernels{Kernel::kNaive, Kernel::kBlock};
+  if (SimdAvailable()) kernels.push_back(Kernel::kSimd);
+  return kernels;
+}
+
+/// Scans the non-empty range [begin, end) with `kernel`. Only kDispatch
+/// (ScanRange) adds points_scanned and ranges_scanned.
+template <typename V>
+void ScanWith(Kernel kernel, const Table& t, const Query& q, size_t begin,
+              size_t end, std::span<const size_t> dims, V& visitor,
+              QueryStats* stats) {
+  switch (kernel) {
+    case Kernel::kNaive:
+      ScanRangeNaive(t, q, begin, end, dims, visitor, stats);
+      return;
+    case Kernel::kBlock:
+      ScanRangeBlock(t, q, begin, end, dims, visitor, stats);
+      return;
+    case Kernel::kSimd:
+      ScanRangeSimd(t, q, begin, end, dims, visitor, stats);
+      return;
+    case Kernel::kDispatch:
+      ScanRange(t, q, begin, end, false, dims, visitor, stats);
+      return;
+  }
 }
 
 TEST(ScanUtilTest, ExactRangeSkipsChecks) {
@@ -77,14 +111,18 @@ TEST(ScanUtilTest, BoundaryAlignmentBothKernels) {
   ASSERT_TRUE(t.ok());
   Query q = QueryBuilder(1).Range(0, 100, 4999).Build();
   const std::vector<size_t> dims{0};
-  for (ScanKernel kernel :
-       {ScanKernel::kNaive, ScanKernel::kBlock, ScanKernel::kSimd}) {
-    ScopedScanKernel scoped(kernel);
+  std::vector<Kernel> kernels = RunnableKernels();
+  kernels.push_back(Kernel::kDispatch);
+  for (Kernel kernel : kernels) {
+    SCOPED_TRACE(KernelName(kernel));
     for (auto [begin, end] : std::vector<std::pair<size_t, size_t>>{
              {0, 6000}, {1, 2049}, {2047, 2049}, {63, 65}, {2048, 4096},
              {127, 129}, {128, 256}, {5999, 6000}, {0, 1}, {100, 100}}) {
       CountVisitor v;
-      ScanRange(*t, q, begin, end, false, dims, v, nullptr);
+      // The kernels take non-empty ranges; ScanRange takes any.
+      if (begin < end || kernel == Kernel::kDispatch) {
+        ScanWith(kernel, *t, q, begin, end, dims, v, nullptr);
+      }
       uint64_t expected = 0;
       for (size_t i = begin; i < end; ++i) {
         if (col[i] >= 100 && col[i] <= 4999) ++expected;
@@ -159,65 +197,72 @@ struct KernelRun {
   QueryStats stats;
 };
 
-KernelRun RunKernel(ScanKernel kernel, const Table& t, const Query& q,
+KernelRun RunKernel(Kernel kernel, const Table& t, const Query& q,
                     size_t begin, size_t end,
                     std::span<const size_t> dims) {
-  ScopedScanKernel scoped(kernel);
   KernelRun run;
   CollectVisitor collect;
-  ScanRange(t, q, begin, end, false, dims, collect, &run.stats);
+  ScanWith(kernel, t, q, begin, end, dims, collect, &run.stats);
   run.rows = collect.rows();
   CountVisitor count;
-  ScanRange(t, q, begin, end, false, dims, count, nullptr);
+  ScanWith(kernel, t, q, begin, end, dims, count, nullptr);
   run.count = count.count();
   SumVisitor sum(&t.column(0));
-  ScanRange(t, q, begin, end, false, dims, sum, nullptr);
+  ScanWith(kernel, t, q, begin, end, dims, sum, nullptr);
   run.sum = sum.sum();
   return run;
 }
 
-/// Runs all three kernels over the same range and asserts the block and
-/// simd kernels are bit-identical to the naive reference: same matched
-/// rows, counts, sums, and point counters. The simd kernel must also
-/// reproduce the block kernel's zone-map outcomes exactly.
+/// Runs every kernel this host can run over the same non-empty range and
+/// asserts the block and simd kernels are bit-identical to the naive
+/// reference: same matched rows, counts, sums and points_matched. The
+/// simd kernel must also reproduce the block kernel's zone-map outcomes
+/// exactly. ScanRange must give the same answer with the counters of the
+/// kernel its dispatch rule names.
 void ExpectKernelsAgree(const Table& t, const Query& q, size_t begin,
                         size_t end, std::span<const size_t> dims) {
-  const KernelRun naive = RunKernel(ScanKernel::kNaive, t, q, begin, end,
-                                    dims);
-  EXPECT_EQ(naive.stats.blocks_skipped, 0u);
-  EXPECT_EQ(naive.stats.blocks_exact, 0u);
-  EXPECT_EQ(naive.stats.simd_blocks, 0u);
-  const KernelRun block = RunKernel(ScanKernel::kBlock, t, q, begin, end,
-                                    dims);
-  const KernelRun simd = RunKernel(ScanKernel::kSimd, t, q, begin, end,
-                                   dims);
-  const std::pair<const char*, const KernelRun*> runs[] = {
-      {"block", &block}, {"simd", &simd}};
-  for (const auto& [name, run_ptr] : runs) {
-    SCOPED_TRACE(name);
-    const KernelRun& run = *run_ptr;
+  std::vector<std::pair<Kernel, KernelRun>> runs;
+  for (Kernel kernel : RunnableKernels()) {
+    runs.emplace_back(kernel, RunKernel(kernel, t, q, begin, end, dims));
+  }
+  runs.emplace_back(Kernel::kDispatch,
+                    RunKernel(Kernel::kDispatch, t, q, begin, end, dims));
+  const KernelRun& naive = runs[0].second;
+  const KernelRun& block = runs[1].second;
+  for (const auto& [kernel, run] : runs) {
+    SCOPED_TRACE(KernelName(kernel));
     ASSERT_EQ(naive.rows, run.rows);
     EXPECT_EQ(naive.count, run.count);
     EXPECT_EQ(naive.sum, run.sum);
-    EXPECT_EQ(naive.stats.points_scanned, run.stats.points_scanned);
     EXPECT_EQ(naive.stats.points_matched, run.stats.points_matched);
-    EXPECT_EQ(naive.stats.ranges_scanned, run.stats.ranges_scanned);
   }
-  // Zone-map outcomes must not depend on the (block vs simd) filter
-  // implementation; only the simd kernel counts vector-filtered blocks.
-  EXPECT_EQ(block.stats.blocks_skipped, simd.stats.blocks_skipped);
-  EXPECT_EQ(block.stats.blocks_exact, simd.stats.blocks_exact);
+  EXPECT_EQ(naive.stats.blocks_skipped, 0u);
+  EXPECT_EQ(naive.stats.blocks_exact, 0u);
+  EXPECT_EQ(naive.stats.simd_blocks, 0u);
   EXPECT_EQ(block.stats.simd_blocks, 0u);
-  if (SimdAvailable() && end - begin >= 32 && dims.size() <= 64) {
-    // Every zone-surviving block that needed filtering went through the
-    // vector path.
+  const KernelRun* simd = nullptr;
+  if (SimdAvailable()) {
+    simd = &runs[2].second;
+    // Zone-map outcomes must not depend on the (block vs simd) filter
+    // implementation, and every zone-surviving block that needed
+    // filtering went through the vector path.
+    EXPECT_EQ(block.stats.blocks_skipped, simd->stats.blocks_skipped);
+    EXPECT_EQ(block.stats.blocks_exact, simd->stats.blocks_exact);
     const size_t blocks = (end - 1) / Column::kBlockSize -
                           begin / Column::kBlockSize + 1;
-    EXPECT_EQ(simd.stats.simd_blocks,
-              blocks - simd.stats.blocks_skipped - simd.stats.blocks_exact);
-  } else {
-    EXPECT_EQ(simd.stats.simd_blocks, 0u);
+    EXPECT_EQ(simd->stats.simd_blocks,
+              blocks - simd->stats.blocks_skipped - simd->stats.blocks_exact);
   }
+
+  const KernelRun& dispatched = runs.back().second;
+  EXPECT_EQ(dispatched.stats.points_scanned, end - begin);
+  EXPECT_EQ(dispatched.stats.ranges_scanned, 1u);
+  const KernelRun& chosen = end - begin < 32 || dims.size() > 64 ? naive
+                            : simd != nullptr                     ? *simd
+                                                                  : block;
+  EXPECT_EQ(dispatched.stats.blocks_skipped, chosen.stats.blocks_skipped);
+  EXPECT_EQ(dispatched.stats.blocks_exact, chosen.stats.blocks_exact);
+  EXPECT_EQ(dispatched.stats.simd_blocks, chosen.stats.simd_blocks);
 }
 
 TEST(ScanKernelEquivalenceTest, AllBitWidthsBothEncodings) {
@@ -379,61 +424,85 @@ TEST(ScanKernelTest, ZoneMapSkipAndExactCounters) {
   const Query q = QueryBuilder(1).Range(0, 256, 800).Build();
   const std::vector<size_t> dims{0};
 
-  ScopedScanKernel scoped(ScanKernel::kBlock);
-  {
-    CountVisitor v;
-    QueryStats stats;
-    ScanRange(*t, q, 0, 1280, false, dims, v, &stats);
-    EXPECT_EQ(v.count(), 545u);  // 256..800 inclusive.
-    // Blocks 0-1 and 7-9 are disjoint with [256, 800]; blocks 2-5 are
-    // fully contained; block 6 (768..895) needs decoding.
-    EXPECT_EQ(stats.blocks_skipped, 5u);
-    EXPECT_EQ(stats.blocks_exact, 4u);
-    EXPECT_EQ(stats.points_scanned, 1280u);
-    EXPECT_EQ(stats.points_matched, 545u);
-  }
-  {
-    // Clipped scan range: zone maps still apply to partial blocks.
-    CountVisitor v;
-    QueryStats stats;
-    ScanRange(*t, q, 300, 900, false, dims, v, &stats);
-    EXPECT_EQ(v.count(), 501u);  // 300..800 inclusive.
-    EXPECT_EQ(stats.blocks_skipped, 1u);  // Clipped block 7 (896..899).
-    EXPECT_EQ(stats.blocks_exact, 4u);    // Blocks 2-5 (clipped block 2).
-  }
-  {
+  for (Kernel kernel : RunnableKernels()) {
+    SCOPED_TRACE(KernelName(kernel));
     // The naive kernel never touches the block counters.
-    ScopedScanKernel naive(ScanKernel::kNaive);
-    CountVisitor v;
-    QueryStats stats;
-    ScanRange(*t, q, 0, 1280, false, dims, v, &stats);
-    EXPECT_EQ(v.count(), 545u);
-    EXPECT_EQ(stats.blocks_skipped, 0u);
-    EXPECT_EQ(stats.blocks_exact, 0u);
-  }
-  {
-    // The simd kernel reproduces the zone-map outcomes and counts the one
-    // block (6: rows 768..895) that needed vector filtering.
-    ScopedScanKernel simd_kernel(ScanKernel::kSimd);
-    CountVisitor v;
-    QueryStats stats;
-    ScanRange(*t, q, 0, 1280, false, dims, v, &stats);
-    EXPECT_EQ(v.count(), 545u);
-    EXPECT_EQ(stats.blocks_skipped, 5u);
-    EXPECT_EQ(stats.blocks_exact, 4u);
-    EXPECT_EQ(stats.simd_blocks, SimdAvailable() ? 1u : 0u);
+    const bool zoned = kernel != Kernel::kNaive;
+    {
+      CountVisitor v;
+      QueryStats stats;
+      ScanWith(kernel, *t, q, 0, 1280, dims, v, &stats);
+      EXPECT_EQ(v.count(), 545u);  // 256..800 inclusive.
+      EXPECT_EQ(stats.points_matched, 545u);
+      // Blocks 0-1 and 7-9 are disjoint with [256, 800]; blocks 2-5 are
+      // fully contained; block 6 (768..895) needs filtering, which only
+      // the simd kernel counts.
+      EXPECT_EQ(stats.blocks_skipped, zoned ? 5u : 0u);
+      EXPECT_EQ(stats.blocks_exact, zoned ? 4u : 0u);
+      EXPECT_EQ(stats.simd_blocks, kernel == Kernel::kSimd ? 1u : 0u);
+    }
+    {
+      // Clipped scan range: zone maps still apply to partial blocks.
+      CountVisitor v;
+      QueryStats stats;
+      ScanWith(kernel, *t, q, 300, 900, dims, v, &stats);
+      EXPECT_EQ(v.count(), 501u);  // 300..800 inclusive.
+      // Clipped block 7 (896..899) skipped; blocks 2-5 (clipped block 2)
+      // exact.
+      EXPECT_EQ(stats.blocks_skipped, zoned ? 1u : 0u);
+      EXPECT_EQ(stats.blocks_exact, zoned ? 4u : 0u);
+    }
   }
 }
 
+TEST(ScanKernelTest, DispatchFollowsRangeSizeAndIsa) {
+  // Block 0 (0..127) lies inside [0, 200]: exact. Block 1 (128..255)
+  // straddles 200: it needs filtering.
+  std::vector<Value> col(512);
+  for (size_t i = 0; i < col.size(); ++i) col[i] = static_cast<Value>(i);
+  StatusOr<Table> t =
+      Table::FromColumns({col}, Column::Encoding::kBlockDelta);
+  ASSERT_TRUE(t.ok());
+  const Query q = QueryBuilder(1).Range(0, 0, 200).Build();
+  const std::vector<size_t> dims{0};
+  const auto scan = [&](size_t begin, size_t end) {
+    CountVisitor v;
+    QueryStats stats;
+    ScanRange(*t, q, begin, end, false, dims, v, &stats);
+    EXPECT_EQ(v.count(), end - begin);
+    EXPECT_EQ(stats.points_scanned, end - begin);
+    return stats;
+  };
+
+  // 31 rows across both blocks: too few for a block kernel, so naive.
+  const QueryStats naive = scan(112, 143);
+  EXPECT_EQ(naive.blocks_skipped, 0u);
+  EXPECT_EQ(naive.blocks_exact, 0u);
+  EXPECT_EQ(naive.simd_blocks, 0u);
+
+  // 32 rows: a block kernel, the simd one where AVX2 is active.
+  const QueryStats wide = scan(112, 144);
+  EXPECT_EQ(wide.blocks_skipped, 0u);
+  EXPECT_EQ(wide.blocks_exact, 1u);
+  EXPECT_EQ(wide.simd_blocks, SimdAvailable() ? 1u : 0u);
+
+  // With the vector ISA masked off, the same range runs the block kernel.
+  simd::SetSimdLevelForTest(simd::SimdLevel::kScalar);
+  const QueryStats masked = scan(112, 144);
+  simd::SetSimdLevelForTest(simd::DetectedSimdLevel());
+  EXPECT_EQ(masked.blocks_skipped, 0u);
+  EXPECT_EQ(masked.blocks_exact, 1u);
+  EXPECT_EQ(masked.simd_blocks, 0u);
+}
+
 TEST(ScanKernelTest, SimdDispatchFallsBackWhenIsaMasked) {
-  // With the vector ISA masked off, the simd kernel selection must fall
-  // back to the scalar block kernel at call time: identical results and
-  // zone-map counters, and no block ever counted as vector-filtered.
+  // With the vector ISA masked off, ScanRange must fall back to the
+  // scalar block kernel at call time: identical results and zone-map
+  // counters, and no block ever counted as vector-filtered.
   const Table t = MakeTable(DataShape::kClustered, 4096, 3, 11);
   const Query q = testing::RandomQuery(t, 77);
   const std::vector<size_t> dims = FilteredDims(q);
   ASSERT_FALSE(dims.empty());
-  ScopedScanKernel scoped(ScanKernel::kSimd);
 
   CollectVisitor unmasked;
   QueryStats unmasked_stats;
@@ -457,19 +526,17 @@ TEST(ScanKernelTest, SimdDispatchFallsBackWhenIsaMasked) {
   simd::SetSimdLevelForTest(simd::DetectedSimdLevel());
 }
 
-TEST(ScanKernelTest, KernelToggleRoundTrips) {
-  // The kernel toggle (FLOOD_SCAN_KERNEL's backing switch) must report
-  // exactly what was set, for all three kernels.
-  ScopedScanKernel scoped(ScanKernel::kBlock);
-  for (ScanKernel k :
-       {ScanKernel::kNaive, ScanKernel::kSimd, ScanKernel::kBlock}) {
-    SetScanKernel(k);
-    EXPECT_EQ(ActiveScanKernel(), k);
+TEST(SimdLevelTest, ParseNamesEachTierAndRejectsTheRest) {
+  EXPECT_EQ(simd::ParseSimdLevel("scalar"), simd::SimdLevel::kScalar);
+  EXPECT_EQ(simd::ParseSimdLevel("avx2"), simd::SimdLevel::kAvx2);
+  EXPECT_EQ(simd::ParseSimdLevel("avx512"), simd::SimdLevel::kAvx512);
+  for (const char* bad : {"", "AVX2", "avx", "avx2 ", "sse4", "none"}) {
+    EXPECT_EQ(simd::ParseSimdLevel(bad), std::nullopt) << '"' << bad << '"';
   }
 }
 
 // ---------------------------------------------------------------------------
-// Visitor word-level contract.
+// Visitor block-level contract.
 // ---------------------------------------------------------------------------
 
 TEST(VisitorTest, SumVisitorUsesPrefixSumsForExactRanges) {
@@ -487,37 +554,43 @@ TEST(VisitorTest, SumVisitorUsesPrefixSumsForExactRanges) {
   EXPECT_EQ(without.sum(), 50);
 }
 
-TEST(VisitorTest, CountVisitorPopcountsMatchWords) {
-  CountVisitor v;
-  v.VisitMatchWord(0, 0b1011);
-  v.VisitMatchWord(64, ~uint64_t{0});
-  EXPECT_EQ(v.count(), 67u);
-}
-
 TEST(VisitorTest, SumVisitorFullWordUsesPrefixSums) {
-  std::vector<Value> col(128);
+  std::vector<Value> col(256);
   for (size_t i = 0; i < col.size(); ++i) col[i] = static_cast<Value>(i);
   const Column column = Column::FromValues(col);
   const PrefixSums sums(col);
-  SumVisitor v(&column);
-  v.set_prefix_sums(&sums);
-  v.VisitMatchWord(0, ~uint64_t{0});  // Rows 0..63 -> prefix-sum path.
-  EXPECT_EQ(v.sum(), 63 * 64 / 2);
-  v.VisitMatchWord(64, 0b101);  // Rows 64 and 66 -> per-bit path.
-  EXPECT_EQ(v.sum(), 63 * 64 / 2 + 64 + 66);
+  for (simd::SimdLevel level :
+       {simd::DetectedSimdLevel(), simd::SimdLevel::kScalar}) {
+    SCOPED_TRACE(simd::SimdLevelName(level));
+    simd::SetSimdLevelForTest(level);
+    SumVisitor v(&column);
+    v.set_prefix_sums(&sums);
+    // Rows 0..63 -> prefix-sum path; rows 64 and 66 -> per-bit path.
+    const uint64_t aligned[2] = {~uint64_t{0}, 0b101};
+    v.VisitMatchBitmap(0, 128, aligned);
+    EXPECT_EQ(v.sum(), 63 * 64 / 2 + 64 + 66);
+    // A clipped delivery: rows 130..193 full, then 194 and 197.
+    const uint64_t clipped[2] = {~uint64_t{0}, 0b1001};
+    v.VisitMatchBitmap(130, 126, clipped);
+    EXPECT_EQ(v.sum(), 63 * 64 / 2 + 64 + 66 + (130 + 193) * 64 / 2 +
+                           194 + 197);
+  }
+  simd::SetSimdLevelForTest(simd::DetectedSimdLevel());
 }
 
-TEST(VisitorTest, CollectVisitorExpandsMatchWordsInOrder) {
+TEST(VisitorTest, CollectVisitorExpandsMatchBitmapsInOrder) {
   CollectVisitor v;
-  v.VisitMatchWord(128, (uint64_t{1} << 5) | (uint64_t{1} << 63));
-  ASSERT_EQ(v.rows().size(), 2u);
-  EXPECT_EQ(v.rows()[0], 133u);
-  EXPECT_EQ(v.rows()[1], 191u);
+  const uint64_t bitmap[2] = {uint64_t{1} << 63, (uint64_t{1} << 5) | 1};
+  v.VisitMatchBitmap(128, 128, bitmap);
+  ASSERT_EQ(v.rows().size(), 3u);
+  EXPECT_EQ(v.rows()[0], 191u);
+  EXPECT_EQ(v.rows()[1], 192u);
+  EXPECT_EQ(v.rows()[2], 197u);
 }
 
 TEST(VisitorTest, CountVisitorPopcountsMatchBitmaps) {
   CountVisitor v;
-  // Zero words may appear inside a bitmap (unlike VisitMatchWord).
+  // Zero words may appear inside a bitmap.
   const uint64_t bitmap[2] = {0, 0b1011};
   v.VisitMatchBitmap(0, 128, bitmap);
   EXPECT_EQ(v.count(), 3u);
@@ -526,11 +599,11 @@ TEST(VisitorTest, CountVisitorPopcountsMatchBitmaps) {
   EXPECT_EQ(v.count(), 10u);
 }
 
-TEST(VisitorTest, SumVisitorBitmapMatchesPerWordPath) {
-  // The vectorized bitmap reduction must agree with the per-word contract
-  // for every delivery shape: full words (prefix-sum path), partial words
-  // (masked vector sum), zero words, and clipped / unaligned ranges that
-  // force the fallback.
+TEST(VisitorTest, SumVisitorBitmapMatchesPerRowPath) {
+  // SumVisitor's bitmap reduction must agree with the base class's
+  // per-row expansion for every delivery shape: full words (prefix-sum
+  // path), partial words (masked vector sum), zero words, and clipped /
+  // unaligned ranges that take the per-bit fallback.
   std::vector<Value> col(256);
   Rng rng(99);
   for (auto& v : col) v = static_cast<Value>(rng.Next() % 100000) - 50000;

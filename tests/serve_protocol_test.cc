@@ -102,7 +102,7 @@ TEST(ServeProtocolTest, WriteRequestsRoundTrip) {
   ib.rows = {{9, 8, 7}, {-1, -2, -3}, {}};
   AppendInsertBatch(ib, &out);
   AppendDelete({7, {4, 5, 6}}, &out);
-  AppendStats({8}, &out);
+  AppendMetrics({8}, &out);
 
   const std::vector<Frame> frames = Assemble(out);
   ASSERT_EQ(frames.size(), 4u);
@@ -121,9 +121,10 @@ TEST(ServeProtocolTest, WriteRequestsRoundTrip) {
   ASSERT_TRUE(del.ok());
   EXPECT_EQ(del->key, (std::vector<Value>{4, 5, 6}));
 
-  const StatusOr<StatsRequest> stats = ParseStats(frames[3].payload);
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->request_id, 8u);
+  EXPECT_EQ(frames[3].type, MessageType::kMetrics);
+  const StatusOr<MetricsRequest> metrics = ParseMetrics(frames[3].payload);
+  ASSERT_TRUE(metrics.ok());
+  EXPECT_EQ(metrics->request_id, 8u);
 }
 
 TEST(ServeProtocolTest, BatchResultRoundTripIsBitExact) {
@@ -150,17 +151,13 @@ TEST(ServeProtocolTest, BatchResultRoundTripIsBitExact) {
   EXPECT_TRUE(parsed->results[2].skipped_empty);
 }
 
-TEST(ServeProtocolTest, ErrorAndAckAndStatsRoundTrip) {
+TEST(ServeProtocolTest, ErrorAndAckRoundTrip) {
   std::string out;
   AppendError({3, WireCode::kOverloaded, "queue full"}, &out);
   AppendWriteAck({4, WireCode::kOk, "", 17}, &out);
-  StatsResponse stats;
-  stats.request_id = 5;
-  stats.entries = {{"serve.frames_decoded", 12.0}, {"db.num_rows", 1e6}};
-  AppendStatsResult(stats, &out);
 
   const std::vector<Frame> frames = Assemble(out);
-  ASSERT_EQ(frames.size(), 3u);
+  ASSERT_EQ(frames.size(), 2u);
   const StatusOr<ErrorResponse> err = ParseError(frames[0].payload);
   ASSERT_TRUE(err.ok());
   EXPECT_EQ(err->code, WireCode::kOverloaded);
@@ -169,10 +166,6 @@ TEST(ServeProtocolTest, ErrorAndAckAndStatsRoundTrip) {
   const StatusOr<WriteAckResponse> ack = ParseWriteAck(frames[1].payload);
   ASSERT_TRUE(ack.ok());
   EXPECT_EQ(ack->deleted, 17u);
-
-  const StatusOr<StatsResponse> st = ParseStatsResult(frames[2].payload);
-  ASSERT_TRUE(st.ok());
-  EXPECT_EQ(st->entries, stats.entries);
 }
 
 TEST(ServeProtocolTest, HealthRoundTrip) {
@@ -376,7 +369,7 @@ TEST(ServeProtocolTest, AssemblerHandlesArbitraryChunking) {
   rb.request_id = 2;
   rb.queries = {MakeQuery(3), MakeQuery(4)};
   AppendRunBatch(rb, &stream);
-  AppendStats({3}, &stream);
+  AppendHealth({3}, &stream);
 
   // Every chunk size from 1 byte up must yield the same three frames.
   for (size_t chunk = 1; chunk <= stream.size(); chunk += 7) {
@@ -392,7 +385,7 @@ TEST(ServeProtocolTest, AssemblerHandlesArbitraryChunking) {
     ASSERT_EQ(frames.size(), 3u) << "chunk=" << chunk;
     EXPECT_EQ(frames[0].type, MessageType::kPing);
     EXPECT_EQ(frames[1].type, MessageType::kRunBatch);
-    EXPECT_EQ(frames[2].type, MessageType::kStats);
+    EXPECT_EQ(frames[2].type, MessageType::kHealth);
   }
 }
 
@@ -547,11 +540,9 @@ TEST(ServeProtocolFuzzTest, RandomGarbagePayloadsNeverCrashParsers) {
     (void)ParseInsert(payload);
     (void)ParseInsertBatch(payload);
     (void)ParseDelete(payload);
-    (void)ParseStats(payload);
     (void)ParsePong(payload);
     (void)ParseBatchResult(payload);
     (void)ParseWriteAck(payload);
-    (void)ParseStatsResult(payload);
     (void)ParseHealth(payload);
     (void)ParseHealthResult(payload);
     (void)ParseMetrics(payload);

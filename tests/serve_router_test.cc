@@ -363,17 +363,18 @@ TEST(ServeRouterTest, WireWritesRouteByKeyAndStatsHealthMerge) {
   EXPECT_FALSE(health->draining);
   EXPECT_FALSE(health->persist_poisoned);
 
-  // Stats merges: serve.* from the front end, router.* from the router,
-  // and every shard's database gauges under its shard<i>. prefix.
-  auto stats = client->Stats();
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(Lookup(*stats, "router.num_shards"), 3.0);
+  // Introspection merges: serve.* from the front end, router.* from the
+  // router, and every shard's database gauges under its shard<i>. prefix.
+  auto metrics = client->Metrics();
+  ASSERT_TRUE(metrics.ok());
+  const auto& stats = metrics->entries;
+  EXPECT_EQ(Lookup(stats, "router.num_shards"), 3.0);
   // 3 Inserts + 1 InsertBatch + 1 Delete = 5 routed write calls.
-  EXPECT_EQ(Lookup(*stats, "router.writes_routed"), 5.0);
-  EXPECT_GE(Lookup(*stats, "serve.writes_applied"), 5.0);
-  EXPECT_EQ(Lookup(*stats, "shard1.db.delta_inserts"), 2.0);
-  EXPECT_GE(Lookup(*stats, "shard0.subqueries"), 0.0);
-  EXPECT_GE(Lookup(*stats, "shard2.db.num_rows"), 1.0);
+  EXPECT_EQ(Lookup(stats, "router.writes_routed"), 5.0);
+  EXPECT_GE(Lookup(stats, "serve.writes_applied"), 5.0);
+  EXPECT_EQ(Lookup(stats, "shard1.db.delta_inserts"), 2.0);
+  EXPECT_GE(Lookup(stats, "shard0.subqueries"), 0.0);
+  EXPECT_GE(Lookup(stats, "shard2.db.num_rows"), 1.0);
 
   (*server)->Shutdown();
   (*server)->Join();
@@ -567,11 +568,23 @@ TEST(ServeRouterTest, OneShardOverloadedOverTheWireShedsOnlyItsFrames) {
   ASSERT_TRUE(health.ok());
   EXPECT_TRUE(health->ready);
 
+  // The remote shard's own counts come over the wire under its prefix:
+  // the inner server counted the frame it shed.
+  StatusOr<MetricsResponse> metrics = client->Metrics();
+  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+  EXPECT_GE(Lookup(metrics->entries, "shard1.serve.requests_shed"), 1.0);
+  EXPECT_GE(Lookup(metrics->entries, "shard1.db.num_rows"), 1.0);
+  EXPECT_EQ(Lookup(metrics->entries, "shard1.unreachable"), -1.0);
+
   (*inner)->Shutdown();
   ASSERT_TRUE((*inner)->Join().ok());
   health = client->Health();
   ASSERT_TRUE(health.ok());
   EXPECT_FALSE(health->ready);
+  metrics = client->Metrics();
+  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+  EXPECT_EQ(Lookup(metrics->entries, "shard1.unreachable"), 1.0);
+  EXPECT_EQ(Lookup(metrics->entries, "shard1.serve.requests_shed"), -1.0);
 
   (*outer)->Shutdown();
   (*outer)->Join();

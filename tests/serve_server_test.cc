@@ -362,10 +362,10 @@ TEST(ServeServerTest, ZeroQueueSlotsShedEverythingYetPingAndStatsWork) {
     EXPECT_TRUE(reply->results.empty());
     EXPECT_TRUE(client->Ping().ok());  // Liveness under total overload.
   }
-  auto stats = client->Stats();
-  ASSERT_TRUE(stats.ok());
+  auto metrics = client->Metrics();
+  ASSERT_TRUE(metrics.ok());
   double shed = -1;
-  for (const auto& [key, value] : *stats) {
+  for (const auto& [key, value] : metrics->entries) {
     if (key == "serve.requests_shed") shed = value;
   }
   EXPECT_EQ(shed, 3.0);
@@ -437,11 +437,11 @@ TEST(ServeServerTest, CountersTrackAScriptedSession) {
   EXPECT_GE(get("db.blocks_exact"), 0.0);
   EXPECT_GE(get("db.simd_blocks"), 0.0);
 
-  // And the wire Stats response carries the identical map.
-  auto wire_stats = client->Stats();
-  ASSERT_TRUE(wire_stats.ok());
-  auto wire_get = [&wire_stats](const std::string& key) -> double {
-    for (const auto& [k, v] : *wire_stats) {
+  // And the wire Metrics response carries the identical map.
+  auto wire_metrics = client->Metrics();
+  ASSERT_TRUE(wire_metrics.ok());
+  auto wire_get = [&wire_metrics](const std::string& key) -> double {
+    for (const auto& [k, v] : wire_metrics->entries) {
       if (k == key) return v;
     }
     return -1.0;
@@ -559,7 +559,7 @@ TEST(ServeServerTest, LiveScrapeAndMetricsCountEachEventOnce) {
   EXPECT_GE((*server)->counters().metrics_scrapes, 2u);
 
   // kMetrics: the typed half is exactly the scrape's histogram families,
-  // and the flat half is the kStats map.
+  // and the flat half is the server's Introspect() map.
   auto metrics = client->Metrics();
   ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
   ASSERT_FALSE(metrics->metrics.empty());
@@ -570,13 +570,13 @@ TEST(ServeServerTest, LiveScrapeAndMetricsCountEachEventOnce) {
   std::set<std::string> typed;
   for (const obs::MetricSnapshot& m : metrics->metrics) typed.insert(m.name);
   EXPECT_EQ(typed, histograms);
-  auto stats = client->Stats();
-  ASSERT_TRUE(stats.ok());
-  std::set<std::string> stats_keys;
-  for (const auto& [key, value] : *stats) stats_keys.insert(key);
+  std::set<std::string> introspect_keys;
+  for (const auto& [key, value] : (*server)->Introspect()) {
+    introspect_keys.insert(key);
+  }
   std::set<std::string> entry_keys;
   for (const auto& [key, value] : metrics->entries) entry_keys.insert(key);
-  EXPECT_EQ(entry_keys, stats_keys);
+  EXPECT_EQ(entry_keys, introspect_keys);
 
   (*server)->Shutdown();
   (*server)->Join();
