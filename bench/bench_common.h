@@ -100,7 +100,7 @@ inline const std::vector<std::string>& AllDatasetNames() {
   return *names;
 }
 
-/// Dataset axis shared by the sweep benches (throughput, serving):
+/// Dataset axis of bench_throughput's sweep:
 /// FLOOD_BENCH_DATASETS="sales,tpch" widens it, "all" runs every dataset,
 /// unset defaults to sales (the acceptance dataset).
 inline std::vector<std::string> DatasetSweep() {

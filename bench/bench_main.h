@@ -30,46 +30,11 @@ inline void RegisterResults(const std::vector<BenchRow>& rows) {
   }
 }
 
-/// Removes every "--<name>=<value>" occurrence from argv and returns the
-/// last value seen ("" when absent). Custom bench axes (e.g. bench_serving
-/// --shards=1,2,4) must be consumed BEFORE benchmark::Initialize, which
-/// rejects flags it doesn't know.
-inline std::string ConsumeFlag(int* argc, char** argv,
-                               const std::string& name) {
-  const std::string prefix = "--" + name + "=";
-  std::string value;
-  int w = 1;
-  for (int r = 1; r < *argc; ++r) {
-    const std::string arg = argv[r];
-    if (arg.rfind(prefix, 0) == 0) {
-      value = arg.substr(prefix.size());
-    } else {
-      argv[w++] = argv[r];
-    }
-  }
-  argv[w] = nullptr;
-  *argc = w;
-  return value;
-}
-
 /// Shared main: run the experiment (expensive part, exactly once), register
 /// its rows, emit the google-benchmark report, then print the paper-style
 /// tables.
 #define FLOOD_BENCH_MAIN(ExperimentFn)                                   \
   int main(int argc, char** argv) {                                      \
-    benchmark::Initialize(&argc, argv);                                  \
-    std::vector<::flood::bench::BenchRow> rows__ = ExperimentFn();       \
-    ::flood::bench::RegisterResults(rows__);                             \
-    benchmark::RunSpecifiedBenchmarks();                                 \
-    benchmark::Shutdown();                                               \
-    return 0;                                                            \
-  }
-
-/// As FLOOD_BENCH_MAIN, with a pre-parse hook that may consume custom
-/// flags (via ConsumeFlag) before google-benchmark sees argv.
-#define FLOOD_BENCH_MAIN_ARGS(ExperimentFn, PreParseFn)                  \
-  int main(int argc, char** argv) {                                      \
-    PreParseFn(&argc, argv);                                             \
     benchmark::Initialize(&argc, argv);                                  \
     std::vector<::flood::bench::BenchRow> rows__ = ExperimentFn();       \
     ::flood::bench::RegisterResults(rows__);                             \

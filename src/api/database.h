@@ -86,8 +86,8 @@ struct BatchResult {
   /// type), so the readout is the upper bound of the log-linear bucket
   /// holding the rank — within 25% of the exact-sort value by
   /// construction, and p >= 100 is the exact maximum. Every percentile
-  /// reader in the repo (this, the serving metrics, bench_serving) now
-  /// shares that one implementation.
+  /// reader in the repo (this and the serving metrics) shares that one
+  /// implementation.
   double LatencyPercentileMs(double p) const;
 
   double P50LatencyMs() const { return LatencyPercentileMs(50.0); }

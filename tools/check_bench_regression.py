@@ -1,38 +1,31 @@
 #!/usr/bin/env python3
 """Bench-regression gate for CI.
 
-Compares a freshly-measured google-benchmark JSON report against a
-committed baseline (bench/baselines/BENCH_*.json) and fails when any
-benchmark's throughput metric regressed by more than --max-regression
-(default 25%).
+Compares two google-benchmark JSON reports: --baseline from the parent
+commit and --current from the change, both run back to back on the same
+machine. Fails when any benchmark's throughput metric regressed by more
+than --max-regression (default 25%).
 
 Metric selection per benchmark, in order:
   1. the `rows_per_s` counter (bench_scan_kernel) — higher is better;
   2. the `qps` counter (bench_throughput) — higher is better;
   3. `real_time` — lower is better.
 
-Benchmarks present on only one side are reported but do not fail the gate
-(bench matrices legitimately grow/shrink with hardware, e.g. the thread
-sweep); pass --require-all to make them fatal.
+A row whose metric changed between the two reports fails, and so does a
+higher-is-better row whose current value is not positive; only a row with
+a non-positive baseline is skipped. Benchmarks only in the baseline are
+reported but do not fail the gate unless --require-all is given.
 
-Typical use:
+Typical use (the CI Release job runs exactly this):
 
-  # CI gate:
   python3 tools/check_bench_regression.py \
-      --baseline bench/baselines/BENCH_scan_kernel.json \
-      --current bench_scan_kernel.json
-
-  # Refresh the committed baseline after an intentional perf change or a
-  # runner-hardware change (then commit the result):
-  python3 tools/check_bench_regression.py \
-      --baseline bench/baselines/BENCH_scan_kernel.json \
-      --current bench_scan_kernel.json --update
+      --baseline parent.json --current change.json \
+      --require-same-context --require-all
 """
 
 import argparse
 import json
 import os
-import shutil
 import sys
 
 
@@ -46,9 +39,8 @@ def load_report(path, role):
         print(f"FAIL: cannot read {role} {path}: {e}")
         return None
     except json.JSONDecodeError as e:
-        print(f"FAIL: {role} {path} is not valid JSON ({e}); if this is "
-              "the committed baseline, regenerate it with the bench's "
-              "--benchmark_out JSON and --update")
+        print(f"FAIL: {role} {path} is not valid JSON ({e}); write it with "
+              "the bench's --benchmark_out and --benchmark_out_format=json")
         return None
 
 
@@ -57,19 +49,16 @@ def load_context(report):
 
 
 def check_context_mismatch(baseline, current):
-    """A baseline measured on different hardware (or a different build
-    flavor) makes absolute-throughput ratios meaningless: a slow-host
+    """Reports measured on different hardware (or a different build
+    flavor) make absolute-throughput ratios meaningless: a slow-host
     baseline lets real regressions sail through, a fast-host baseline
     fails good code. Returns the mismatched keys so the caller can fail
-    the gate (--require-same-context, what CI uses — a dead gate that
-    can never fire is worse than a red one demanding a baseline
-    refresh)."""
+    the gate (--require-same-context, what CI uses)."""
     base_ctx = load_context(baseline)
     cur_ctx = load_context(current)
     mismatched = []
-    # mhz_per_cpu rotates with the runner fleet's hardware generation, so
-    # it only warns; the structural keys are fatal under
-    # --require-same-context.
+    # mhz_per_cpu is a clock reading, not a hardware identity, so it only
+    # warns; the structural keys are fatal under --require-same-context.
     for key, fatal in (("num_cpus", True), ("library_build_type", True),
                        ("mhz_per_cpu", False)):
         b, c = base_ctx.get(key), cur_ctx.get(key)
@@ -78,8 +67,7 @@ def check_context_mismatch(baseline, current):
                 mismatched.append(key)
             print(f"WARNING: baseline/current context mismatch on "
                   f"'{key}': {b} vs {c} — absolute throughput is not "
-                  "comparable; refresh the baseline with --update from a "
-                  "run on the gating environment")
+                  "comparable; run both sides on one machine")
     return mismatched
 
 
@@ -102,45 +90,24 @@ def load_benchmarks(report):
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--baseline", required=True,
-                        help="committed baseline JSON")
+                        help="the parent commit's JSON report")
     parser.add_argument("--current", required=True,
-                        help="freshly measured JSON")
+                        help="the change's JSON report")
     parser.add_argument("--max-regression", type=float, default=0.25,
                         help="fail when metric worsens by more than this "
                              "fraction (default 0.25)")
     parser.add_argument("--require-all", action="store_true",
-                        help="fail when benchmark sets differ")
+                        help="fail when a baseline benchmark is missing "
+                             "from the current report")
     parser.add_argument("--require-same-context", action="store_true",
-                        help="fail when the baseline was measured on "
+                        help="fail when the two reports were measured on "
                              "different hardware or build flavor (instead "
                              "of comparing meaningless ratios)")
-    parser.add_argument("--update", action="store_true",
-                        help="copy --current over --baseline and exit")
     args = parser.parse_args()
 
-    if args.update:
-        # Validate before copying: a typo'd path or malformed JSON must
-        # not become (or stay) the committed baseline.
-        report = load_report(args.current, "current report")
-        if report is None:
-            return 1
-        if not load_benchmarks(report):
-            print(f"FAIL: {args.current} has no benchmark section; "
-                  "refusing to install it as a baseline")
-            return 1
-        shutil.copyfile(args.current, args.baseline)
-        print(f"baseline updated: {args.baseline} <- {args.current}")
-        return 0
-
-    # A brand-new bench has no committed baseline yet; the gate passes
-    # vacuously with instructions instead of failing (or stack-tracing) —
-    # new benches shouldn't go red before their first baseline lands.
     if not os.path.exists(args.baseline):
-        print(f"SKIP: baseline {args.baseline} does not exist yet — "
-              "nothing to gate against. To arm this gate, run the bench "
-              "on the gating environment and commit its JSON there "
-              f"(check_bench_regression.py --current <fresh.json> "
-              f"--baseline {args.baseline} --update).")
+        print(f"SKIP: baseline {args.baseline} does not exist — nothing "
+              "to gate against.")
         return 0
 
     baseline_report = load_report(args.baseline, "baseline")
@@ -151,21 +118,12 @@ def main():
     mismatched = check_context_mismatch(baseline_report, current_report)
     if mismatched and args.require_same_context:
         print(f"FAIL: benchmark context mismatch ({', '.join(mismatched)}) "
-              "— the committed baseline does not describe this "
-              "environment. Refresh it: rerun the bench here, then "
-              "check_bench_regression.py --update (CI uploads the fresh "
-              "JSON as an artifact for exactly this).")
+              "— the two reports come from different environments; run "
+              "the parent and the change on the same machine.")
         return 1
     baseline = load_benchmarks(baseline_report)
     current = load_benchmarks(current_report)
 
-    if not baseline:
-        # Same new-bench situation as a missing file, only someone
-        # committed a stub: skip with instructions, don't stack-trace or
-        # fail a bench that has nothing to be compared against.
-        print(f"SKIP: baseline {args.baseline} has no benchmark section — "
-              "refresh it from a real run with --update and commit it.")
-        return 0
     if not current:
         print(f"FAIL: current report {args.current} has no benchmark "
               "section — the bench produced no measurements")
@@ -179,23 +137,34 @@ def main():
         return 1
 
     failures = []
+    compared = 0
     width = max(len(n) for n in common)
     print(f"{'benchmark':<{width}}  {'metric':>10}  {'baseline':>12}  "
           f"{'current':>12}  {'ratio':>7}")
     for name in common:
         metric, base_value, higher_better = baseline[name]
         cur_metric, cur_value, _ = current[name]
-        if cur_metric != metric or base_value <= 0 or cur_value <= 0:
-            print(f"{name:<{width}}  (skipped: metric mismatch or "
-                  "non-positive value)")
+        if cur_metric != metric:
+            print(f"{name:<{width}}  metric changed: {metric} -> "
+                  f"{cur_metric}  << FAIL")
+            failures.append(f"{name}: metric {metric} -> {cur_metric}")
             continue
-        # Normalize so ratio > 1 always means "got better".
-        ratio = (cur_value / base_value) if higher_better \
-            else (base_value / cur_value)
+        if base_value <= 0:
+            print(f"{name:<{width}}  (skipped: non-positive baseline)")
+            continue
+        compared += 1
+        # Normalize so ratio > 1 always means "got better". A
+        # higher-is-better value that is not positive reads ratio <= 0
+        # and fails; a lower-is-better one cannot have regressed.
+        if higher_better:
+            ratio = cur_value / base_value
+        else:
+            ratio = base_value / cur_value if cur_value > 0 else float("inf")
         flag = ""
         if ratio < 1.0 - args.max_regression:
             flag = "  << REGRESSION"
-            failures.append((name, metric, base_value, cur_value, ratio))
+            failures.append(f"{name}: {metric} {base_value:.4g} -> "
+                            f"{cur_value:.4g} ({ratio:.2f}x)")
         print(f"{name:<{width}}  {metric:>10}  {base_value:>12.4g}  "
               f"{cur_value:>12.4g}  {ratio:>6.2f}x{flag}")
 
@@ -209,15 +178,12 @@ def main():
               "the current run")
         return 1
     if failures:
-        print(f"\nFAIL: {len(failures)} benchmark(s) regressed more than "
-              f"{args.max_regression:.0%}:")
-        for name, metric, base_value, cur_value, ratio in failures:
-            print(f"  {name}: {metric} {base_value:.4g} -> {cur_value:.4g} "
-                  f"({ratio:.2f}x)")
-        print("If intentional (or the runner hardware changed), refresh "
-              "with --update and commit the new baseline.")
+        print(f"\nFAIL: {len(failures)} benchmark(s) changed metric or "
+              f"regressed more than {args.max_regression:.0%}:")
+        for line in failures:
+            print(f"  {line}")
         return 1
-    print(f"\nOK: {len(common)} benchmark(s) within "
+    print(f"\nOK: {compared} benchmark(s) within "
           f"{args.max_regression:.0%} of baseline")
     return 0
 
