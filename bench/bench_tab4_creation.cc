@@ -1,6 +1,10 @@
 // Tab. 4 (§7.7): index creation time per index per dataset. Flood's time
 // splits into learning (layout optimization on samples) and loading
-// (building the physical index).
+// (FloodIndex::Build over the learned layout). Loading is linear passes:
+// flattener training on a sample, one cell assignment per row and grid
+// dimension, a radix sort of (cell, row) keys costing O(n) per 11-bit digit
+// of the cell id, a sort of each multi-row cell by its sort value, and the
+// table reorder, cell table and per-cell models.
 //
 // Paper shape to check: Flood's total creation time is competitive — same
 // order of magnitude as the tree baselines, far from the worst.

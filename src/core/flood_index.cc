@@ -1,11 +1,13 @@
 #include "core/flood_index.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <numeric>
 
 #include "api/index_registry.h"
 #include "common/inline_vec.h"
+#include "common/radix_sort.h"
 #include "common/timer.h"
 #include "core/layout_optimizer.h"
 #include "query/scan_util.h"
@@ -74,8 +76,9 @@ Status FloodIndex::Build(const Table& table, const BuildContext& ctx) {
     strides_[i - 1] = strides_[i] * layout_.columns[i];
   }
 
-  // Assign each row to a cell.
-  std::vector<uint32_t> cell_of(n, 0);
+  // Assign each row to a cell: key r holds (cell << 32 | r).
+  std::vector<uint64_t> keys(n);
+  std::iota(keys.begin(), keys.end(), uint64_t{0});
   for (size_t i = 0; i < k; ++i) {
     const size_t dim = layout_.grid_dim(i);
     const uint32_t cols = layout_.columns[i];
@@ -83,41 +86,48 @@ Status FloodIndex::Build(const Table& table, const BuildContext& ctx) {
     if (cols == 1) continue;  // Dimension excluded from the grid.
     const std::vector<Value> values = table.DecodeColumn(dim);
     for (size_t r = 0; r < n; ++r) {
-      cell_of[r] += static_cast<uint32_t>(
-          flattener_.ColumnOf(dim, values[r], cols) * stride);
+      keys[r] += (flattener_.ColumnOf(dim, values[r], cols) * stride) << 32;
     }
   }
 
-  // Order rows by (cell, sort value).
+  // Order rows by (cell, sort value, row). A stable radix sort over the
+  // cell-id bits orders the keys by (cell, row) in O(n) per 11-bit digit;
+  // then only each multi-row cell's (sort value, row) pairs are sorted.
+  {
+    std::vector<uint64_t> scratch;
+    RadixSort(&keys, &scratch, 32,
+              32 + static_cast<unsigned>(std::bit_width(num_cells_ - 1)), 11);
+  }
+  constexpr uint64_t kRowMask = 0xFFFFFFFFu;
   std::vector<RowId> perm(n);
-  std::iota(perm.begin(), perm.end(), RowId{0});
   if (layout_.use_sort_dim) {
     const std::vector<Value> sort_values =
         table.DecodeColumn(layout_.sort_dim());
-    std::sort(perm.begin(), perm.end(), [&](RowId a, RowId b) {
-      const size_t ia = static_cast<size_t>(a);
-      const size_t ib = static_cast<size_t>(b);
-      if (cell_of[ia] != cell_of[ib]) return cell_of[ia] < cell_of[ib];
-      if (sort_values[ia] != sort_values[ib]) {
-        return sort_values[ia] < sort_values[ib];
+    std::vector<std::pair<Value, uint32_t>> by_value(n);
+    for (size_t i = 0; i < n; ++i) {
+      const auto row = static_cast<uint32_t>(keys[i] & kRowMask);
+      by_value[i] = {sort_values[row], row};
+    }
+    for (size_t begin = 0, end = 0; begin < n; begin = end) {
+      const uint64_t cell = keys[begin] >> 32;
+      end = begin + 1;
+      while (end < n && keys[end] >> 32 == cell) ++end;
+      if (end - begin > 1) {
+        std::sort(by_value.begin() + static_cast<ptrdiff_t>(begin),
+                  by_value.begin() + static_cast<ptrdiff_t>(end));
       }
-      return a < b;
-    });
+    }
+    for (size_t i = 0; i < n; ++i) perm[i] = by_value[i].second;
   } else {
-    std::sort(perm.begin(), perm.end(), [&](RowId a, RowId b) {
-      const size_t ia = static_cast<size_t>(a);
-      const size_t ib = static_cast<size_t>(b);
-      if (cell_of[ia] != cell_of[ib]) return cell_of[ia] < cell_of[ib];
-      return a < b;
-    });
+    for (size_t i = 0; i < n; ++i) perm[i] = keys[i] & kRowMask;
   }
   InitStorage(table, &perm, ctx);
 
   // Cell table (§3.2.1): physical offset of each occupied cell's first
   // point, built from the rows' cells in storage order.
   std::vector<uint32_t> sorted_cells(n);
-  for (size_t r = 0; r < n; ++r) {
-    sorted_cells[r] = cell_of[static_cast<size_t>(perm[r])];
+  for (size_t i = 0; i < n; ++i) {
+    sorted_cells[i] = static_cast<uint32_t>(keys[i] >> 32);
   }
   cells_ = CellTable(num_cells_, sorted_cells);
 
@@ -209,19 +219,55 @@ void FloodIndex::ExecuteT(const Query& query, V& visitor,
   InlineVec<CellRun, 64> runs;
   const std::vector<uint32_t>& starts = cells_.starts();
 
-  // Odometer over the outer grid dimensions [0, k-1); the innermost
-  // dimension is emitted as up to three segments (boundary / merged
-  // interior / boundary), which keeps physically-adjacent interior cells in
-  // single runs when no refinement applies.
+  // Odometer over the outer grid dimensions [0, inner). The inner
+  // dimension is the last filtered one: the unfiltered grid dimensions
+  // after it are covered whole, so under each prefix its columns span one
+  // contiguous range of cell ids, `inner_stride` ids per column. It is
+  // emitted as up to three segments (boundary / merged interior /
+  // boundary), which keeps physically-adjacent interior cells in single
+  // runs when no refinement applies. With no filtered grid dimension, one
+  // segment covers the whole grid.
+  size_t inner = k;  // k: no grid dimension is filtered.
+  for (size_t i = k; i-- > 0;) {
+    if (spans[i].filtered) {
+      inner = i;
+      break;
+    }
+  }
+  const bool any_grid_filtered = inner < k;
+  const size_t outer_dims = any_grid_filtered ? inner : 0;
+  const uint64_t inner_stride =
+      any_grid_filtered ? strides_[inner] : num_cells_;
+  const DimSpan inner_span = any_grid_filtered ? spans[inner] : DimSpan{};
+
+  // Inner-dimension segments: [lo..lo], [lo+1..hi-1], [hi..hi].
+  struct Segment {
+    uint32_t a;
+    uint32_t b;
+    bool boundary;
+  };
+  Segment segments[3];
+  size_t num_segments = 0;
+  const uint32_t lo = inner_span.lo;
+  const uint32_t hi = inner_span.hi;
+  if (!inner_span.filtered) {
+    segments[num_segments++] = {lo, hi, false};
+  } else if (lo == hi) {
+    segments[num_segments++] = {lo, lo, true};
+  } else {
+    segments[num_segments++] = {lo, lo, true};
+    if (lo + 1 <= hi - 1) segments[num_segments++] = {lo + 1, hi - 1, false};
+    segments[num_segments++] = {hi, hi, true};
+  }
+
   uint32_t col[64];
-  for (size_t i = 0; i < k; ++i) col[i] = spans[i].lo;
-  const size_t inner = k > 0 ? k - 1 : 0;
+  for (size_t i = 0; i < outer_dims; ++i) col[i] = spans[i].lo;
 
   size_t outer_check[64];
   while (true) {
     uint64_t base = 0;
     size_t num_outer = 0;
-    for (size_t i = 0; i + 1 < k; ++i) {
+    for (size_t i = 0; i < outer_dims; ++i) {
       base += static_cast<uint64_t>(col[i]) * strides_[i];
       if (spans[i].filtered &&
           (col[i] == spans[i].lo || col[i] == spans[i].hi)) {
@@ -229,30 +275,6 @@ void FloodIndex::ExecuteT(const Query& query, V& visitor,
       }
     }
 
-    // Innermost-dimension segments: [lo..lo], [lo+1..hi-1], [hi..hi].
-    struct Segment {
-      uint32_t a;
-      uint32_t b;
-      bool boundary;
-    };
-    Segment segments[3];
-    size_t num_segments = 0;
-    if (k == 0) {
-      segments[num_segments++] = {0, 0, false};
-    } else {
-      const DimSpan& s = spans[inner];
-      if (!s.filtered) {
-        segments[num_segments++] = {s.lo, s.hi, false};
-      } else if (s.lo == s.hi) {
-        segments[num_segments++] = {s.lo, s.lo, true};
-      } else {
-        segments[num_segments++] = {s.lo, s.lo, true};
-        if (s.lo + 1 <= s.hi - 1) {
-          segments[num_segments++] = {s.lo + 1, s.hi - 1, false};
-        }
-        segments[num_segments++] = {s.hi, s.hi, true};
-      }
-    }
     for (size_t seg = 0; seg < num_segments; ++seg) {
       const Segment& sg = segments[seg];
       size_t seg_dims[64];
@@ -264,8 +286,9 @@ void FloodIndex::ExecuteT(const Query& query, V& visitor,
 
       // The segment's occupied cells, by ordinal; empty cells hold no
       // rows and are never visited.
-      const size_t first_ord = cells_.Ordinal(base + sg.a);
-      const size_t end_ord = cells_.Ordinal(base + sg.b + 1);
+      const size_t first_ord = cells_.Ordinal(base + sg.a * inner_stride);
+      const size_t end_ord =
+          cells_.Ordinal(base + (uint64_t{sg.b} + 1) * inner_stride);
       if (sort_filtered) {
         // Refined below, in one pass over every collected run.
         if (first_ord < end_ord) {
@@ -286,8 +309,7 @@ void FloodIndex::ExecuteT(const Query& query, V& visitor,
     }
 
     // Advance the odometer (outer dims only).
-    if (k <= 1) break;
-    size_t i = k - 1;
+    size_t i = outer_dims;
     bool done = true;
     while (i-- > 0) {
       if (++col[i] <= spans[i].hi) {

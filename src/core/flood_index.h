@@ -34,6 +34,16 @@ namespace flood {
 /// cells than rows (skewed or correlated data) costs little. The per-cell
 /// models are keyed by occupied ordinal the same way.
 ///
+/// Build runs in linear passes: it trains the flattener on a sample,
+/// assigns each row to its cell (one flattener lookup per row and grid
+/// dimension), clusters the rows with a stable radix sort of (cell, row)
+/// keys over the cell-id bits (O(n) per 11-bit digit of the cell id: two
+/// passes for a 2^22-cell grid), then sorts each multi-row cell by (sort
+/// value, row) on its own. Reordering the table, the cell
+/// table and the per-cell models follow, each O(n) or O(cells). Tab. 4's
+/// "Flood Loading" (bench_tab4_creation) times all of Build for a learned
+/// layout.
+///
 /// The layout itself is learned offline by LayoutOptimizer; Build accepts
 /// any valid layout, which is how the ablations of Fig. 11 are expressed.
 class FloodIndex final : public StorageBackedIndex {

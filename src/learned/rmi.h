@@ -70,6 +70,24 @@ class Rmi {
 
   size_t MemoryUsageBytes() const;
 
+  /// Spline-root routing: the leaf owning v is the last knot <= v (leaf 0
+  /// below the first knot), i.e. upper_bound - 1 clamped to 0. A
+  /// branch-free bisection: the answer stays in [base, base + len), and
+  /// each step is one compare feeding a conditional move.
+  size_t LeafIndex(Value v) const {
+    const Value* base = knots_.data();
+    size_t len = knots_.size();
+    while (len > 1) {
+      const size_t half = len / 2;
+      base = base[half] <= v ? base + half : base;
+      len -= half;
+    }
+    return static_cast<size_t>(base - knots_.data());
+  }
+
+  /// First value of each leaf, ascending.
+  const std::vector<Value>& knots() const { return knots_; }
+
  private:
   struct Leaf {
     LinearModel model;
@@ -80,14 +98,6 @@ class Rmi {
     uint32_t rank_begin = 0;
     uint32_t rank_end = 0;
   };
-
-  /// Spline-root routing: the leaf owning v is the last knot <= v.
-  size_t LeafIndex(Value v) const {
-    const auto it =
-        std::upper_bound(knots_.begin(), knots_.end(), v);
-    if (it == knots_.begin()) return 0;
-    return static_cast<size_t>(it - knots_.begin()) - 1;
-  }
 
   double PredictRank(Value v) const {
     const Leaf& leaf = leaves_[LeafIndex(v)];

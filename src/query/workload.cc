@@ -1,7 +1,10 @@
 #include "query/workload.h"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
+
+#include "common/radix_sort.h"
 
 namespace flood {
 
@@ -14,26 +17,50 @@ DataSample DataSample::FromTable(const Table& table, size_t sample_size,
 
   // Choose k distinct row ids: Floyd's algorithm would avoid the full
   // permutation, but a partial Fisher-Yates over an id vector is simple and
-  // build-time only.
+  // build-time only. The chosen ids are then read back in ascending order
+  // (sequential-ish column access) from a bitmap; when k == n every row is
+  // chosen and the draws need not be made.
   std::vector<RowId> ids(n);
   std::iota(ids.begin(), ids.end(), RowId{0});
-  Rng rng(seed);
-  for (size_t i = 0; i < k; ++i) {
-    const size_t j =
-        i + static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(n - i) - 1));
-    std::swap(ids[i], ids[j]);
+  if (k < n) {
+    Rng rng(seed);
+    for (size_t i = 0; i < k; ++i) {
+      const size_t j = i + static_cast<size_t>(rng.UniformInt(
+                               0, static_cast<int64_t>(n - i) - 1));
+      std::swap(ids[i], ids[j]);
+    }
+    std::vector<uint64_t> chosen((n + 63) / 64, 0);
+    for (size_t i = 0; i < k; ++i) {
+      chosen[ids[i] / 64] |= uint64_t{1} << (ids[i] % 64);
+    }
+    ids.clear();
+    for (size_t w = 0; w < chosen.size(); ++w) {
+      for (uint64_t bits = chosen[w]; bits != 0; bits &= bits - 1) {
+        ids.push_back(w * 64 + static_cast<size_t>(std::countr_zero(bits)));
+      }
+    }
   }
-  ids.resize(k);
-  std::sort(ids.begin(), ids.end());  // Sequential-ish column access.
 
+  // Sorted copies: a radix sort over the values with their sign bit
+  // flipped, so unsigned key order is signed value order.
+  constexpr uint64_t kSignBit = uint64_t{1} << 63;
+  std::vector<uint64_t> keys(k);
+  std::vector<uint64_t> scratch;
   s.rows_.resize(d);
   s.sorted_.resize(d);
   for (size_t dim = 0; dim < d; ++dim) {
     auto& col = s.rows_[dim];
     col.reserve(k);
     for (RowId r : ids) col.push_back(table.Get(r, dim));
-    s.sorted_[dim] = col;
-    std::sort(s.sorted_[dim].begin(), s.sorted_[dim].end());
+    for (size_t i = 0; i < k; ++i) {
+      keys[i] = static_cast<uint64_t>(col[i]) ^ kSignBit;
+    }
+    RadixSort(&keys, &scratch, 0, 64, 16);
+    auto& sorted = s.sorted_[dim];
+    sorted.resize(k);
+    for (size_t i = 0; i < k; ++i) {
+      sorted[i] = static_cast<Value>(keys[i] ^ kSignBit);
+    }
   }
   return s;
 }

@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/inline_vec.h"
 #include "common/math_util.h"
+#include "common/radix_sort.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/timer.h"
@@ -234,6 +237,46 @@ TEST(InlineVecTest, RangeForAndClear) {
   v.push_back(7);
   EXPECT_EQ(v.size(), 1u);
   EXPECT_EQ(v[0], 7u);
+}
+
+// RadixSort orders keys by bits [lo, hi) only and keeps the input order
+// of keys equal there: it must match std::stable_sort on that field, also
+// when the bits outside it vary, when the field's width is not a multiple
+// of the digit, and when some digits are the same in every key.
+TEST(RadixSortTest, MatchesStableSortOnTheField) {
+  struct Case {
+    unsigned lo;
+    unsigned hi;
+    unsigned digit_bits;
+  };
+  Rng rng(31);
+  for (const Case c : {Case{0, 64, 16}, Case{32, 55, 11}, Case{3, 40, 7},
+                       Case{20, 21, 11}, Case{60, 64, 16}}) {
+    SCOPED_TRACE(std::to_string(c.lo) + ".." + std::to_string(c.hi) + "/" +
+                 std::to_string(c.digit_bits));
+    const uint64_t field_mask =
+        c.hi - c.lo == 64 ? ~uint64_t{0} : (uint64_t{1} << (c.hi - c.lo)) - 1;
+    auto field = [&](uint64_t key) { return (key >> c.lo) & field_mask; };
+    for (const size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{1000}}) {
+      std::vector<uint64_t> keys(n);
+      for (uint64_t& k : keys) {
+        k = rng.Next();
+        // Clear a middle band of the field in every key: a constant digit.
+        if (c.hi - c.lo > 24) k &= ~(uint64_t{0xFFFF} << (c.lo + 8));
+        // Few distinct field values, so equal fields keep their order.
+        if (rng.Next() % 2 == 0) {
+          k = (k & ~(field_mask << c.lo)) | (field(keys[0]) << c.lo);
+        }
+      }
+      std::vector<uint64_t> want = keys;
+      std::stable_sort(want.begin(), want.end(), [&](uint64_t a, uint64_t b) {
+        return field(a) < field(b);
+      });
+      std::vector<uint64_t> scratch;
+      RadixSort(&keys, &scratch, c.lo, c.hi, c.digit_bits);
+      EXPECT_EQ(keys, want) << "n=" << n;
+    }
+  }
 }
 
 }  // namespace

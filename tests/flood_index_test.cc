@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
+#include <string>
 
 #include "baselines/full_scan.h"
 #include "core/flood_index.h"
@@ -116,6 +118,103 @@ TEST(FloodIndexTest, RowsWithinCellSortedBySortDim) {
       prev = v;
     }
     offset += size;
+  }
+}
+
+// Build clusters rows with a stable radix sort over the cell ids, then
+// sorts each multi-row cell by (sort value, row). The storage order and
+// every cell's range must equal the plain comparator sort over (cell,
+// sort value, row): for cell ids of one, two and three 11-bit digits
+// (more than 2^11 and 2^22 cells), with and without a sort dimension, over
+// duplicate sort values and INT64_MIN / INT64_MAX, and with empty and
+// one-row cells.
+TEST(FloodIndexTest, ClusteringMatchesComparatorSort) {
+  const size_t n = 20'000;
+  // d0, d1: grid dimensions. d2: sort values from a small domain plus
+  // both extremes. d3: the row id, which reads the storage order back.
+  std::vector<std::vector<Value>> cols(4, std::vector<Value>(n));
+  Rng rng(21);
+  for (size_t r = 0; r < n; ++r) {
+    cols[0][r] = static_cast<Value>(rng.Lognormal(8.0, 1.5));
+    cols[1][r] = rng.UniformInt(-1'000'000, 1'000'000);
+    const uint64_t pick = rng.Next() % 10;
+    cols[2][r] = pick == 0   ? std::numeric_limits<Value>::min()
+                 : pick == 1 ? std::numeric_limits<Value>::max()
+                             : rng.UniformInt(-50, 50);
+    cols[3][r] = static_cast<Value>(r);
+  }
+  StatusOr<Table> built = Table::FromColumns(cols);
+  ASSERT_TRUE(built.ok());
+  const Table& t = *built;
+  const BuildContext ctx = MakeCtx(t);
+
+  struct Case {
+    uint32_t c0;
+    uint32_t c1;
+    bool sort;
+  };
+  // 64, 4096 and 2^23 cells: one, two and three digits.
+  for (const Case& c : {Case{8, 8, true}, Case{64, 64, true},
+                        Case{4096, 2048, true}, Case{64, 64, false},
+                        Case{4096, 2048, false}}) {
+    SCOPED_TRACE(std::to_string(c.c0) + "x" + std::to_string(c.c1) +
+                 (c.sort ? " sort=d2" : " no sort dim"));
+    FloodIndex::Options o;
+    o.layout.dim_order = {0, 1, 3, 2};
+    o.layout.use_sort_dim = c.sort;
+    o.layout.columns = {c.c0, c.c1, 1};
+    if (!c.sort) o.layout.columns.push_back(1);
+    o.max_cells = uint64_t{1} << 24;
+    FloodIndex index(o);
+    ASSERT_TRUE(index.Build(t, ctx).ok());
+
+    // Reference: each row's cell from the index's own flattener, then the
+    // comparator sort.
+    const GridLayout& layout = index.layout();
+    std::vector<uint64_t> cell(n, 0);
+    uint64_t stride = 1;
+    for (size_t i = layout.NumGridDims(); i-- > 0;) {
+      const size_t dim = layout.grid_dim(i);
+      for (size_t r = 0; r < n; ++r) {
+        cell[r] += index.flattener().ColumnOf(dim, cols[dim][r],
+                                              layout.columns[i]) *
+                   stride;
+      }
+      stride *= layout.columns[i];
+    }
+    ASSERT_EQ(stride, index.num_cells());
+    std::vector<size_t> perm(n);
+    std::iota(perm.begin(), perm.end(), size_t{0});
+    std::sort(perm.begin(), perm.end(), [&](size_t a, size_t b) {
+      if (cell[a] != cell[b]) return cell[a] < cell[b];
+      if (c.sort && cols[2][a] != cols[2][b]) return cols[2][a] < cols[2][b];
+      return a < b;
+    });
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(index.data().Get(i, 3), static_cast<Value>(perm[i]))
+          << "row " << i;
+      for (size_t d = 0; d < 3; ++d) {
+        ASSERT_EQ(index.data().Get(i, d), cols[d][perm[i]]);
+      }
+    }
+
+    std::vector<uint32_t> count(index.num_cells(), 0);
+    for (size_t r = 0; r < n; ++r) ++count[cell[r]];
+    size_t begin = 0;
+    size_t empty = 0;
+    size_t single = 0;
+    for (size_t id = 0; id < index.num_cells(); ++id) {
+      const auto range = index.CellRange(id);
+      ASSERT_EQ(range.first, begin) << "cell " << id;
+      ASSERT_EQ(range.second, begin + count[id]) << "cell " << id;
+      begin += count[id];
+      empty += count[id] == 0 ? 1 : 0;
+      single += count[id] == 1 ? 1 : 0;
+    }
+    if (index.num_cells() > 64) {
+      EXPECT_GT(empty, 0u);
+      EXPECT_GT(single, 0u);
+    }
   }
 }
 

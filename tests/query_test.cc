@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <numeric>
+#include <string>
+
 #include "query/query.h"
 #include "query/workload.h"
 #include "tests/test_util.h"
@@ -101,6 +106,66 @@ TEST(DataSampleTest, MeasuredVsEstimatedSelectivityOnIndependentData) {
   const double measured = s.MeasuredQuerySelectivity(q);
   EXPECT_NEAR(est, 0.25, 0.02);
   EXPECT_NEAR(measured, est, 0.02);
+}
+
+// The sample FromTable draws: a partial Fisher-Yates over the row ids,
+// the chosen ids sorted, and each dimension's values sorted.
+void ReferenceSample(const Table& t, size_t sample_size, uint64_t seed,
+                     std::vector<std::vector<Value>>* rows,
+                     std::vector<std::vector<Value>>* sorted) {
+  const size_t n = t.num_rows();
+  const size_t k = std::min(sample_size, n);
+  std::vector<RowId> ids(n);
+  std::iota(ids.begin(), ids.end(), RowId{0});
+  Rng rng(seed);
+  for (size_t i = 0; i < k; ++i) {
+    const size_t j = i + static_cast<size_t>(rng.UniformInt(
+                             0, static_cast<int64_t>(n - i) - 1));
+    std::swap(ids[i], ids[j]);
+  }
+  ids.resize(k);
+  std::sort(ids.begin(), ids.end());
+  rows->assign(t.num_dims(), {});
+  sorted->assign(t.num_dims(), {});
+  for (size_t dim = 0; dim < t.num_dims(); ++dim) {
+    for (RowId r : ids) (*rows)[dim].push_back(t.Get(r, dim));
+    (*sorted)[dim] = (*rows)[dim];
+    std::sort((*sorted)[dim].begin(), (*sorted)[dim].end());
+  }
+}
+
+TEST(DataSampleTest, MatchesComparatorSortReference) {
+  // 1000 rows (not a multiple of 64): d0 spans the full signed range with
+  // both extremes; d1 holds a handful of duplicated negative and positive
+  // values; d2 is constant.
+  const size_t n = 1000;
+  std::vector<std::vector<Value>> cols(3, std::vector<Value>(n));
+  Rng rng(17);
+  for (size_t r = 0; r < n; ++r) {
+    const uint64_t pick = rng.Next() % 8;
+    cols[0][r] = pick == 0   ? std::numeric_limits<Value>::min()
+                 : pick == 1 ? std::numeric_limits<Value>::max()
+                             : static_cast<Value>(rng.Next());
+    cols[1][r] = rng.UniformInt(-3, 3) * 1'000'003;
+    cols[2][r] = -7;
+  }
+  StatusOr<Table> t = Table::FromColumns(cols);
+  ASSERT_TRUE(t.ok());
+  for (const size_t sample_size : {size_t{1}, size_t{63}, size_t{300},
+                                   size_t{999}, n, size_t{5000}}) {
+    SCOPED_TRACE("sample_size " + std::to_string(sample_size));
+    const DataSample s = DataSample::FromTable(*t, sample_size, 23);
+    std::vector<std::vector<Value>> rows;
+    std::vector<std::vector<Value>> sorted;
+    ReferenceSample(*t, sample_size, 23, &rows, &sorted);
+    ASSERT_EQ(s.num_rows(), rows[0].size());
+    for (size_t dim = 0; dim < 3; ++dim) {
+      for (size_t i = 0; i < s.num_rows(); ++i) {
+        ASSERT_EQ(s.Get(i, dim), rows[dim][i]) << "dim " << dim;
+      }
+      EXPECT_EQ(s.sorted(dim), sorted[dim]) << "dim " << dim;
+    }
+  }
 }
 
 TEST(WorkloadTest, FilterFrequencyAndSelectivity) {

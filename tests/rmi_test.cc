@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <string>
 
 #include "common/rng.h"
 #include "data/distributions.h"
@@ -124,6 +126,47 @@ TEST(RmiTest, MemoryGrowsWithLeaves) {
   const Rmi small = Rmi::Train(sorted, 8);
   const Rmi large = Rmi::Train(sorted, 512);
   EXPECT_LT(small.MemoryUsageBytes(), large.MemoryUsageBytes());
+}
+
+// Routing picks the last knot <= v, leaf 0 below the first knot:
+// exactly upper_bound - 1 clamped to 0, for knot counts from 1 to past 64
+// and for probes below the first knot, on each knot, between knots and
+// above the last.
+TEST(RmiTest, LeafIndexIsUpperBoundMinusOne) {
+  constexpr Value kMin = std::numeric_limits<Value>::min();
+  constexpr Value kMax = std::numeric_limits<Value>::max();
+  Rng rng(5);
+  std::vector<Value> data = UniformColumn(5000, -1'000'000, 1'000'000, rng);
+  data.push_back(kMin);
+  data.push_back(kMax);
+  std::sort(data.begin(), data.end());
+  for (const size_t leaves : {size_t{1}, size_t{2}, size_t{3}, size_t{7},
+                              size_t{63}, size_t{64}, size_t{65},
+                              size_t{200}}) {
+    SCOPED_TRACE("leaves " + std::to_string(leaves));
+    for (const bool extremes : {false, true}) {
+      const std::vector<Value> sorted =
+          extremes ? data
+                   : std::vector<Value>(data.begin() + 1, data.end() - 1);
+      const Rmi rmi = Rmi::Train(sorted, leaves);
+      const std::vector<Value>& knots = rmi.knots();
+      ASSERT_EQ(knots.size(), rmi.num_leaves());
+      auto reference = [&knots](Value v) {
+        const size_t ub = static_cast<size_t>(
+            std::upper_bound(knots.begin(), knots.end(), v) - knots.begin());
+        return ub == 0 ? size_t{0} : ub - 1;
+      };
+      std::vector<Value> probes = {kMin, kMax};
+      for (const Value k : knots) {
+        probes.push_back(k);
+        if (k > kMin) probes.push_back(k - 1);
+        if (k < kMax) probes.push_back(k + 1);
+      }
+      for (const Value v : probes) {
+        ASSERT_EQ(rmi.LeafIndex(v), reference(v)) << "v=" << v;
+      }
+    }
+  }
 }
 
 }  // namespace
