@@ -1,10 +1,13 @@
 // Tab. 4 (§7.7): index creation time per index per dataset. Flood's time
 // splits into learning (layout optimization on samples) and loading
 // (FloodIndex::Build over the learned layout). Loading is linear passes:
-// flattener training on a sample, one cell assignment per row and grid
-// dimension, a radix sort of (cell, row) keys costing O(n) per 11-bit digit
-// of the cell id, a sort of each multi-row cell by its sort value, and the
-// table reorder, cell table and per-cell models.
+// flattener training on a sample; cell assignment, where each grid
+// dimension's column boundaries are bisected once and each row counts the
+// boundaries at or below its value; a radix sort of (cell, row) keys
+// costing O(n) per 11-bit digit of the cell id; a sort of each multi-row
+// cell by its sort value; and the table reorder (each column decoded once,
+// gathered, packed block by block), cell table and per-cell models. Every
+// baseline's build ends in the same Table::Reorder.
 //
 // Paper shape to check: Flood's total creation time is competitive — same
 // order of magnitude as the tree baselines, far from the worst.

@@ -31,7 +31,6 @@ ShardMap ShardMap::FromQuantiles(const Table& table, size_t sort_dim,
   if (num_shards <= 1 || table.num_rows() == 0) return ShardMap(sort_dim);
 
   std::vector<Value> values = table.DecodeColumn(sort_dim);
-  std::sort(values.begin(), values.end());
   num_shards = std::min(num_shards, values.size());
 
   // Cut at the equal-count quantiles. A bound must be strictly greater
@@ -40,11 +39,18 @@ ShardMap ShardMap::FromQuantiles(const Table& table, size_t sort_dim,
   // own no rows); duplicates therefore collapse shards instead of
   // creating empty ones. Each surviving bound is an actual data value, so
   // the shard it opens contains at least that value's rows, and shard 0
-  // keeps the minimum — every shard is non-empty by construction.
+  // keeps the minimum — every shard is non-empty by construction. Only
+  // the num_shards - 1 cut ranks are selected (nth_element over the part
+  // right of the previous cut), not the whole column sorted.
   std::vector<Value> bounds;
-  Value prev = values.front();
+  Value prev = table.min_value(sort_dim);
+  auto rest = values.begin();
   for (size_t s = 1; s < num_shards; ++s) {
-    const Value candidate = values[s * values.size() / num_shards];
+    const size_t rank = s * values.size() / num_shards;
+    const auto cut = values.begin() + static_cast<ptrdiff_t>(rank);
+    std::nth_element(rest, cut, values.end());
+    rest = cut;
+    const Value candidate = *cut;
     if (candidate > prev) {
       bounds.push_back(candidate);
       prev = candidate;

@@ -29,26 +29,16 @@ StatusOr<ShardedDatabase> ShardedDatabase::Open(const Table& table,
   // the same table).
   const size_t n = map.num_shards();
   std::vector<std::vector<RowId>> rows_of(n);
+  const std::vector<Value> keys = table.DecodeColumn(options.sort_dim);
   for (RowId row = 0; row < table.num_rows(); ++row) {
-    rows_of[map.ShardForValue(table.Get(row, options.sort_dim))].push_back(
-        row);
+    rows_of[map.ShardForValue(keys[row])].push_back(row);
   }
 
   std::vector<std::unique_ptr<Database>> shards;
   shards.reserve(n);
   for (size_t s = 0; s < n; ++s) {
-    std::vector<std::vector<Value>> columns(table.num_dims());
-    std::vector<std::string> names(table.num_dims());
-    for (size_t d = 0; d < table.num_dims(); ++d) {
-      names[d] = table.name(d);
-      columns[d].reserve(rows_of[s].size());
-      for (RowId row : rows_of[s]) columns[d].push_back(table.Get(row, d));
-    }
-    auto shard_table = Table::FromColumns(std::move(columns),
-                                          Column::Encoding::kBlockDelta,
-                                          std::move(names));
-    FLOOD_RETURN_IF_ERROR(shard_table.status());
-    auto db = Database::Open(*shard_table, options.shard_options);
+    const Table shard_table = table.Gather(rows_of[s]);
+    auto db = Database::Open(shard_table, options.shard_options);
     if (!db.ok()) {
       return Status::Internal("opening shard " + std::to_string(s) + " of " +
                               std::to_string(n) + ": " +

@@ -1,15 +1,18 @@
 #ifndef FLOOD_COMMON_BYTES_H_
 #define FLOOD_COMMON_BYTES_H_
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <string>
 #include <string_view>
+#include <type_traits>
 
 namespace flood {
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over `n` bytes.
-/// Chainable: feed the previous result back through `seed`.
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over `n` bytes,
+/// folded 8 bytes per step (slicing-by-8); the value is the bytewise
+/// algorithm's. Chainable: feed the previous result back through `seed`.
 uint32_t Crc32(const void* data, size_t n, uint32_t seed = 0);
 
 /// Appends little-endian fixed-width primitives to a caller-owned string.
@@ -33,6 +36,18 @@ class ByteWriter {
 
   void PutBytes(const void* data, size_t n) {
     out_->append(static_cast<const char*>(data), n);
+  }
+
+  /// Appends `n` 64-bit integers as PutU64 / PutI64 would; on a
+  /// little-endian host that is one copy.
+  template <typename T>
+  void PutWords(const T* data, size_t n) {
+    static_assert(std::is_integral_v<T> && sizeof(T) == 8);
+    if constexpr (std::endian::native == std::endian::little) {
+      PutBytes(data, n * sizeof(T));
+    } else {
+      for (size_t i = 0; i < n; ++i) PutLE(static_cast<uint64_t>(data[i]));
+    }
   }
 
   /// Length-prefixed (u32) string.

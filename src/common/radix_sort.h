@@ -2,6 +2,7 @@
 #define FLOOD_COMMON_RADIX_SORT_H_
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <utility>
@@ -15,10 +16,11 @@ namespace flood {
 /// `digit_bits` (1..16) at a time, least significant digit first. Keys
 /// that agree on those bits keep their input order, so keys whose low bits
 /// carry an ascending tiebreak (a row id) come out ordered by (field,
-/// tiebreak). One counting pass builds every digit's histogram; each digit
-/// then costs one O(n) scatter, except that a digit on which all keys agree
-/// is skipped. `scratch` is working space; its contents on return are
-/// unspecified.
+/// tiebreak). The range first narrows to the bits on which some keys
+/// differ; one counting pass then builds every remaining digit's
+/// histogram, and each digit costs one O(n) scatter, except that a digit
+/// on which all keys agree is skipped. `scratch` is working space; its
+/// contents on return are unspecified.
 inline void RadixSort(std::vector<uint64_t>* keys,
                       std::vector<uint64_t>* scratch, unsigned lo_bit,
                       unsigned hi_bit, unsigned digit_bits) {
@@ -27,6 +29,16 @@ inline void RadixSort(std::vector<uint64_t>* keys,
   const size_t n = keys->size();
   if (n < 2 || lo_bit >= hi_bit) return;
   FLOOD_CHECK(n <= std::numeric_limits<uint32_t>::max());
+  // Only the bits on which some keys differ can reorder them: narrow
+  // [lo_bit, hi_bit) to those before any digit is counted.
+  const uint64_t first = (*keys)[0];
+  uint64_t differ = 0;
+  for (const uint64_t key : *keys) differ |= key ^ first;
+  if (hi_bit < 64) differ &= (uint64_t{1} << hi_bit) - 1;
+  differ &= ~uint64_t{0} << lo_bit;
+  if (differ == 0) return;
+  lo_bit = static_cast<unsigned>(std::countr_zero(differ));
+  hi_bit = static_cast<unsigned>(std::bit_width(differ));
   const unsigned num_digits = (hi_bit - lo_bit + digit_bits - 1) / digit_bits;
   const size_t radix = size_t{1} << digit_bits;
   // The top digit may be narrower than digit_bits: bits at and above

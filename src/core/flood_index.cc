@@ -13,6 +13,56 @@
 #include "query/scan_util.h"
 
 namespace flood {
+namespace {
+
+/// The column boundaries of grid dimension `dim` over the values [lo, hi]:
+/// entry c - 1 is the smallest v in [lo, hi] with ColumnOf(v) >= c, for
+/// each column c in 1..ColumnOf(hi). ColumnOf is monotone in the value
+/// under both flattener modes, so for v in [lo, hi] the column is the
+/// count of boundaries at or below v (CountAtOrBelow). Each boundary is
+/// one bisection over [previous boundary, hi].
+std::vector<Value> ColumnBoundaries(const Flattener& flattener, size_t dim,
+                                    uint32_t cols, Value lo, Value hi) {
+  const uint32_t top = flattener.ColumnOf(dim, hi, cols);
+  std::vector<Value> bounds;
+  bounds.reserve(top);
+  Value from = lo;
+  for (uint32_t c = 1; c <= top; ++c) {
+    // Offsets from `from`, in uint64: [lo, hi] may span all of int64.
+    uint64_t a = 0;
+    uint64_t b = static_cast<uint64_t>(hi) - static_cast<uint64_t>(from);
+    const auto at = [from](uint64_t off) {
+      return static_cast<Value>(static_cast<uint64_t>(from) + off);
+    };
+    while (a < b) {  // ColumnOf(at(b)) >= c; ColumnOf(at(x)) < c for x < a.
+      const uint64_t mid = a + (b - a) / 2;
+      if (flattener.ColumnOf(dim, at(mid), cols) >= c) {
+        b = mid;
+      } else {
+        a = mid + 1;
+      }
+    }
+    from = at(a);
+    bounds.push_back(from);
+  }
+  return bounds;
+}
+
+/// The number of `bounds` (ascending) at or below `v`: upper_bound as a
+/// branch-free bisection.
+uint64_t CountAtOrBelow(const std::vector<Value>& bounds, Value v) {
+  if (bounds.empty()) return 0;
+  const Value* base = bounds.data();
+  size_t len = bounds.size();
+  while (len > 1) {
+    const size_t half = len / 2;
+    base = base[half] <= v ? base + half : base;
+    len -= half;
+  }
+  return static_cast<uint64_t>(base - bounds.data()) + (*base <= v);
+}
+
+}  // namespace
 
 Status FloodIndex::Build(const Table& table, const BuildContext& ctx) {
   const size_t n = table.num_rows();
@@ -76,17 +126,33 @@ Status FloodIndex::Build(const Table& table, const BuildContext& ctx) {
     strides_[i - 1] = strides_[i] * layout_.columns[i];
   }
 
-  // Assign each row to a cell: key r holds (cell << 32 | r).
+  // Assign each row to a cell: key r holds (cell << 32 | r). ColumnOf is
+  // monotone in the value, so where it pays, a dimension's cols - 1
+  // column boundaries are found once by bisection and a row's column is
+  // the count of boundaries at or below its value.
   std::vector<uint64_t> keys(n);
   std::iota(keys.begin(), keys.end(), uint64_t{0});
+  std::vector<Value> values(n);
   for (size_t i = 0; i < k; ++i) {
     const size_t dim = layout_.grid_dim(i);
     const uint32_t cols = layout_.columns[i];
     const uint64_t stride = strides_[i];
     if (cols == 1) continue;  // Dimension excluded from the grid.
-    const std::vector<Value> values = table.DecodeColumn(dim);
-    for (size_t r = 0; r < n; ++r) {
-      keys[r] += (flattener_.ColumnOf(dim, values[r], cols) * stride) << 32;
+    table.column(dim).DecodeInto(values.data());
+    const Value lo = table.min_value(dim);
+    const Value hi = table.max_value(dim);
+    const uint64_t bisection_steps =
+        std::bit_width(static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo));
+    if ((cols - uint64_t{1}) * bisection_steps < n) {
+      const std::vector<Value> bounds =
+          ColumnBoundaries(flattener_, dim, cols, lo, hi);
+      for (size_t r = 0; r < n; ++r) {
+        keys[r] += (CountAtOrBelow(bounds, values[r]) * stride) << 32;
+      }
+    } else {
+      for (size_t r = 0; r < n; ++r) {
+        keys[r] += (flattener_.ColumnOf(dim, values[r], cols) * stride) << 32;
+      }
     }
   }
 
@@ -101,12 +167,11 @@ Status FloodIndex::Build(const Table& table, const BuildContext& ctx) {
   constexpr uint64_t kRowMask = 0xFFFFFFFFu;
   std::vector<RowId> perm(n);
   if (layout_.use_sort_dim) {
-    const std::vector<Value> sort_values =
-        table.DecodeColumn(layout_.sort_dim());
+    table.column(layout_.sort_dim()).DecodeInto(values.data());
     std::vector<std::pair<Value, uint32_t>> by_value(n);
     for (size_t i = 0; i < n; ++i) {
       const auto row = static_cast<uint32_t>(keys[i] & kRowMask);
-      by_value[i] = {sort_values[row], row};
+      by_value[i] = {values[row], row};
     }
     for (size_t begin = 0, end = 0; begin < n; begin = end) {
       const uint64_t cell = keys[begin] >> 32;
@@ -117,7 +182,11 @@ Status FloodIndex::Build(const Table& table, const BuildContext& ctx) {
                   by_value.begin() + static_cast<ptrdiff_t>(end));
       }
     }
-    for (size_t i = 0; i < n; ++i) perm[i] = by_value[i].second;
+    // `values` becomes the sort column in storage order, for the models.
+    for (size_t i = 0; i < n; ++i) {
+      values[i] = by_value[i].first;
+      perm[i] = by_value[i].second;
+    }
   } else {
     for (size_t i = 0; i < n; ++i) perm[i] = keys[i] & kRowMask;
   }
@@ -134,10 +203,8 @@ Status FloodIndex::Build(const Table& table, const BuildContext& ctx) {
   // Per-cell refinement models over the sort dimension (§5.2).
   cell_models_ = CellModels();
   if (layout_.use_sort_dim && options_.use_cell_models) {
-    const std::vector<Value> sort_values =
-        data_.DecodeColumn(layout_.sort_dim());
-    cell_models_.Build(sort_values, cells_.starts(),
-                       options_.plm_min_cell_size, options_.plm_delta);
+    cell_models_.Build(values, cells_.starts(), options_.plm_min_cell_size,
+                       options_.plm_delta);
   }
   return Status::OK();
 }

@@ -34,15 +34,21 @@ namespace flood {
 /// cells than rows (skewed or correlated data) costs little. The per-cell
 /// models are keyed by occupied ordinal the same way.
 ///
-/// Build runs in linear passes: it trains the flattener on a sample,
-/// assigns each row to its cell (one flattener lookup per row and grid
-/// dimension), clusters the rows with a stable radix sort of (cell, row)
-/// keys over the cell-id bits (O(n) per 11-bit digit of the cell id: two
-/// passes for a 2^22-cell grid), then sorts each multi-row cell by (sort
-/// value, row) on its own. Reordering the table, the cell
-/// table and the per-cell models follow, each O(n) or O(cells). Tab. 4's
-/// "Flood Loading" (bench_tab4_creation) times all of Build for a learned
-/// layout.
+/// Build runs in linear passes over decoded columns: it trains the
+/// flattener on a sample, then assigns each row to its cell. ColumnOf is
+/// monotone in the value, so a grid dimension's cols - 1 column
+/// boundaries are found once by bisection over [min, max], and a row's
+/// column is the count of boundaries at or below its value; a dimension
+/// whose bisections would cost more than one lookup per row keeps the
+/// per-row flattener lookup. The boundaries are build scratch, not
+/// members. A stable radix sort of (cell, row) keys over the
+/// cell-id bits (O(n) per 11-bit digit of the cell id: two passes for a
+/// 2^22-cell grid) clusters the rows, then each multi-row cell is sorted by
+/// (sort value, row) on its own. Table::Reorder decodes each column once,
+/// gathers it and packs it block by block; the cell table and the per-cell
+/// models (fed the sorted sort values) follow, each O(n) or O(cells).
+/// Tab. 4's "Flood Loading" (bench_tab4_creation) times all of Build for
+/// a learned layout.
 ///
 /// The layout itself is learned offline by LayoutOptimizer; Build accepts
 /// any valid layout, which is how the ablations of Fig. 11 are expressed.

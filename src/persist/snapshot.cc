@@ -313,55 +313,48 @@ Status WriteSnapshot(const std::string& path, const SnapshotContents& c) {
     }
   } recorder{watch};
 
-  // Serialize every section payload first; the header needs their sizes.
-  struct Section {
-    SectionId id;
-    std::string payload;
-  };
-  std::vector<Section> sections;
-  sections.reserve(5);
-  const auto add = [&sections](SectionId id) -> ByteWriter {
-    sections.push_back({id, {}});
-    return ByteWriter(&sections.back().payload);
-  };
-  {
-    ByteWriter w = add(SectionId::kMeta);
-    AppendMeta(c, &w);
-  }
-  {
-    ByteWriter w = add(SectionId::kTable);
-    c.base->AppendTo(&w);
-  }
-  {
-    ByteWriter w = add(SectionId::kDictionaries);
-    AppendDictionaries(c, &w);
-  }
-  {
-    ByteWriter w = add(SectionId::kWorkload);
-    AppendWorkload(c, &w);
-  }
-  {
-    ByteWriter w = add(SectionId::kDelta);
-    AppendDelta(c, &w);
-  }
-
-  // Header + section table, then the payloads at the recorded offsets.
+  // The header's size is fixed by the section count, so the sections are
+  // serialized straight into the file after room for it, and the header,
+  // which needs their extents and checksums, is written over that room.
+  constexpr size_t kNumSections = 5;
+  constexpr size_t kHeaderBytes = 8 + 4 + 8 + 4 + kNumSections * 24 + 4;
   std::string file;
-  ByteWriter header(&file);
+  file.reserve(kHeaderBytes + c.base->MemoryUsageBytes());
+  file.resize(kHeaderBytes);
+  ByteWriter w(&file);
+  struct Extent {
+    SectionId id;
+    size_t offset;
+    size_t length;
+  };
+  std::vector<Extent> extents;
+  extents.reserve(kNumSections);
+  const auto section = [&](SectionId id, const auto& append) {
+    const size_t offset = file.size();
+    append();
+    extents.push_back({id, offset, file.size() - offset});
+  };
+  section(SectionId::kMeta, [&] { AppendMeta(c, &w); });
+  section(SectionId::kTable, [&] { c.base->AppendTo(&w); });
+  section(SectionId::kDictionaries, [&] { AppendDictionaries(c, &w); });
+  section(SectionId::kWorkload, [&] { AppendWorkload(c, &w); });
+  section(SectionId::kDelta, [&] { AppendDelta(c, &w); });
+
+  std::string header_bytes;
+  ByteWriter header(&header_bytes);
   header.PutU64(kSnapshotMagic);
   header.PutU32(kSnapshotVersion);
   header.PutU64(c.epoch);
-  header.PutU32(static_cast<uint32_t>(sections.size()));
-  uint64_t offset = file.size() + sections.size() * 24 + 4;
-  for (const Section& s : sections) {
-    header.PutU32(static_cast<uint32_t>(s.id));
-    header.PutU64(offset);
-    header.PutU64(s.payload.size());
-    header.PutU32(Crc32(s.payload.data(), s.payload.size()));
-    offset += s.payload.size();
+  header.PutU32(static_cast<uint32_t>(extents.size()));
+  for (const Extent& e : extents) {
+    header.PutU32(static_cast<uint32_t>(e.id));
+    header.PutU64(e.offset);
+    header.PutU64(e.length);
+    header.PutU32(Crc32(file.data() + e.offset, e.length));
   }
-  header.PutU32(Crc32(file.data(), file.size()));
-  for (const Section& s : sections) file.append(s.payload);
+  header.PutU32(Crc32(header_bytes.data(), header_bytes.size()));
+  FLOOD_CHECK(header_bytes.size() == kHeaderBytes);
+  file.replace(0, kHeaderBytes, header_bytes);
 
   return WriteFileAtomic(path, file);
 }

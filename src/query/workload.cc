@@ -55,7 +55,7 @@ DataSample DataSample::FromTable(const Table& table, size_t sample_size,
     for (size_t i = 0; i < k; ++i) {
       keys[i] = static_cast<uint64_t>(col[i]) ^ kSignBit;
     }
-    RadixSort(&keys, &scratch, 0, 64, 16);
+    RadixSort(&keys, &scratch, 0, 64, 11);
     auto& sorted = s.sorted_[dim];
     sorted.resize(k);
     for (size_t i = 0; i < k; ++i) {

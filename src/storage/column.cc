@@ -55,17 +55,60 @@ constexpr std::array<UnpackFn, sizeof...(Ws)> MakeUnpackTable(
 constexpr std::array<UnpackFn, 65> kUnpackers =
     MakeUnpackTable(std::make_integer_sequence<uint32_t, 65>{});
 
+/// Packs the `n` (at most kBlockSize) values at `in` as W-bit deltas to
+/// `base` into the zeroed words at `out`, filling one word at a time. A
+/// block starts on a word boundary: kBlockSize * W bits is 2 * W words.
+/// The bits are those of UnpackBlock's layout: value i at bit i * W,
+/// spilling its high bits into the next word.
+template <uint32_t W>
+void PackBlock(const Value* in, size_t n, Value base, uint64_t* out) {
+  const uint64_t ubase = static_cast<uint64_t>(base);
+  if constexpr (W == 64) {
+    for (size_t i = 0; i < n; ++i) {
+      out[i] = static_cast<uint64_t>(in[i]) - ubase;
+    }
+  } else if constexpr (W > 0) {
+    uint64_t word = 0;
+    uint32_t fill = 0;  // Bits of `word` in use.
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t delta = static_cast<uint64_t>(in[i]) - ubase;
+      word |= delta << fill;
+      fill += W;
+      if (fill >= 64) {
+        *out++ = word;
+        fill -= 64;
+        // The delta's bits that did not fit; none when fill is 0, as the
+        // delta has only W < 64 bits.
+        word = delta >> (W - fill);
+      }
+    }
+    if (fill > 0) *out = word;
+  }
+}
+
+using PackFn = void (*)(const Value*, size_t, Value, uint64_t*);
+
+template <uint32_t... Ws>
+constexpr std::array<PackFn, sizeof...(Ws)> MakePackTable(
+    std::integer_sequence<uint32_t, Ws...>) {
+  return {&PackBlock<Ws>...};
+}
+
+/// One specialized packer per bit width 0..64.
+constexpr std::array<PackFn, 65> kPackers =
+    MakePackTable(std::make_integer_sequence<uint32_t, 65>{});
+
 }  // namespace
 
-Column Column::FromValues(std::vector<Value> values, Encoding encoding) {
+Column Column::FromValues(std::span<const Value> values, Encoding encoding) {
   Column col;
   col.encoding_ = encoding;
   col.size_ = values.size();
 
   const size_t n = values.size();
   const size_t num_blocks = (n + kBlockSize - 1) / kBlockSize;
-  col.block_min_.reserve(num_blocks);
-  col.block_max_.reserve(num_blocks);
+  col.block_min_.resize(num_blocks);
+  col.block_max_.resize(num_blocks);
   for (size_t b = 0; b < num_blocks; ++b) {
     const size_t begin = b * kBlockSize;
     const size_t end = std::min(n, begin + kBlockSize);
@@ -75,43 +118,34 @@ Column Column::FromValues(std::vector<Value> values, Encoding encoding) {
       mn = std::min(mn, values[i]);
       mx = std::max(mx, values[i]);
     }
-    col.block_min_.push_back(mn);
-    col.block_max_.push_back(mx);
+    col.block_min_[b] = mn;
+    col.block_max_[b] = mx;
   }
 
   if (encoding == Encoding::kPlain) {
-    col.plain_ = std::move(values);
+    col.plain_.assign(values.begin(), values.end());
     return col;
   }
 
-  col.block_width_.reserve(num_blocks);
-  col.block_bit_offset_.reserve(num_blocks);
+  col.block_width_.resize(num_blocks);
+  col.block_bit_offset_.resize(num_blocks);
   uint64_t total_bits = 0;
   for (size_t b = 0; b < num_blocks; ++b) {
     // Delta fits in the unsigned difference; int64 subtraction could
     // overflow for extreme ranges, so widen through uint64.
     const uint64_t max_delta = static_cast<uint64_t>(col.block_max_[b]) -
                                static_cast<uint64_t>(col.block_min_[b]);
-    const uint32_t width = static_cast<uint32_t>(BitWidth(max_delta));
-    col.block_width_.push_back(width);
-    col.block_bit_offset_.push_back(total_bits);
-    total_bits += static_cast<uint64_t>(kBlockSize) * width;
+    col.block_width_[b] = static_cast<uint32_t>(BitWidth(max_delta));
+    col.block_bit_offset_[b] = total_bits;
+    total_bits += static_cast<uint64_t>(kBlockSize) * col.block_width_[b];
   }
 
   col.words_.assign((total_bits + 63) / 64 + kDecodeSlackWords, 0);
-  for (size_t i = 0; i < n; ++i) {
-    const size_t b = i / kBlockSize;
-    const uint32_t width = col.block_width_[b];
-    if (width == 0) continue;
-    const uint64_t delta = static_cast<uint64_t>(values[i]) -
-                           static_cast<uint64_t>(col.block_min_[b]);
-    const uint64_t bit = col.block_bit_offset_[b] + (i % kBlockSize) * width;
-    const size_t word = bit >> 6;
-    const uint32_t shift = static_cast<uint32_t>(bit & 63);
-    col.words_[word] |= delta << shift;
-    if (shift + width > 64) {
-      col.words_[word + 1] |= delta >> (64 - shift);
-    }
+  for (size_t b = 0; b < num_blocks; ++b) {
+    const size_t begin = b * kBlockSize;
+    kPackers[col.block_width_[b]](
+        values.data() + begin, std::min(kBlockSize, n - begin),
+        col.block_min_[b], col.words_.data() + col.block_bit_offset_[b] / 64);
   }
   return col;
 }
@@ -225,8 +259,14 @@ size_t Column::SearchBlock(size_t b, size_t lo, size_t hi, Value v) const {
 
 std::vector<Value> Column::Decode() const {
   std::vector<Value> out(size_);
-  ForEach(0, size_, [&out](size_t i, Value v) { out[i] = v; });
+  DecodeInto(out.data());
   return out;
+}
+
+void Column::DecodeInto(Value* out) const {
+  for (size_t b = 0; b < NumBlocks(); ++b) {
+    DecodeBlockInto(b, out + b * kBlockSize);
+  }
 }
 
 size_t Column::MemoryUsageBytes() const {
@@ -267,10 +307,10 @@ bool ReadVector(ByteReader* r, size_t n, std::vector<T>* out, GetFn get) {
 void Column::AppendTo(ByteWriter* w) const {
   w->PutU8(encoding_ == Encoding::kPlain ? 0 : 1);
   w->PutU64(size_);
-  for (Value v : block_min_) w->PutI64(v);
-  for (Value v : block_max_) w->PutI64(v);
+  w->PutWords(block_min_.data(), block_min_.size());
+  w->PutWords(block_max_.data(), block_max_.size());
   if (encoding_ == Encoding::kPlain) {
-    for (Value v : plain_) w->PutI64(v);
+    w->PutWords(plain_.data(), plain_.size());
     return;
   }
   // Bit widths fit a byte; bit offsets are recomputed from them on read.
@@ -284,7 +324,7 @@ void Column::AppendTo(ByteWriter* w) const {
   const size_t serialized_words = (total_bits + 63) / 64 + 1;
   FLOOD_DCHECK(serialized_words <= words_.size());
   w->PutU64(serialized_words);
-  for (size_t i = 0; i < serialized_words; ++i) w->PutU64(words_[i]);
+  w->PutWords(words_.data(), serialized_words);
 }
 
 StatusOr<Column> Column::ReadFrom(ByteReader* r) {

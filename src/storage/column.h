@@ -2,6 +2,7 @@
 #define FLOOD_STORAGE_COLUMN_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/bytes.h"
@@ -48,8 +49,10 @@ class Column {
 
   Column() = default;
 
-  /// Builds a column from `values` using the requested encoding.
-  static Column FromValues(std::vector<Value> values,
+  /// Builds a column from `values` using the requested encoding. Works a
+  /// block at a time: one pass takes each block's zone map, and under
+  /// kBlockDelta one more packs its deltas a word at a time.
+  static Column FromValues(std::span<const Value> values,
                            Encoding encoding = Encoding::kBlockDelta);
 
   /// Number of values.
@@ -175,6 +178,10 @@ class Column {
   /// Materializes the column into a flat vector.
   std::vector<Value> Decode() const;
 
+  /// Decodes every value into `out` (size() slots), block by block through
+  /// DecodeBlockInto.
+  void DecodeInto(Value* out) const;
+
   /// Heap footprint of the encoded representation, in bytes.
   size_t MemoryUsageBytes() const;
 
@@ -199,12 +206,21 @@ class Column {
 
   Value GetBlockDelta(size_t i) const {
     const size_t block = i / kBlockSize;
-    const uint32_t width = block_width_[block];
+    const uint64_t width = block_width_[block];
     const uint64_t bit =
         block_bit_offset_[block] + (i % kBlockSize) * width;
+    // Branch-free, as in SearchBlock: the spill word is always OR-ed in
+    // (it contributes nothing at shift 0) and stays readable through the
+    // decode slack.
+    const size_t word = static_cast<size_t>(bit >> 6);
+    const uint32_t shift = static_cast<uint32_t>(bit & 63);
+    const uint64_t low = words_[word] >> shift;
+    const uint64_t spill = (words_[word + 1] << 1) << (63 - shift);
+    const uint64_t mask =
+        width == 64 ? ~uint64_t{0} : (uint64_t{1} << width) - 1;
     // uint64 (wrapping) addition; see ForEach.
     return static_cast<Value>(static_cast<uint64_t>(block_min_[block]) +
-                              ExtractBits(bit, width));
+                              ((low | spill) & mask));
   }
 
   /// Reads `width` bits starting at absolute bit offset `bit` from words_.

@@ -22,23 +22,8 @@ StatusOr<Table> Table::FromColumns(std::vector<std::vector<Value>> columns,
 
   Table t;
   t.num_rows_ = n;
-  t.columns_.reserve(columns.size());
-  t.min_.reserve(columns.size());
-  t.max_.reserve(columns.size());
-  for (size_t d = 0; d < columns.size(); ++d) {
-    Value mn = kValueMax;
-    Value mx = kValueMin;
-    for (Value v : columns[d]) {
-      mn = std::min(mn, v);
-      mx = std::max(mx, v);
-    }
-    if (n == 0) {
-      mn = 0;
-      mx = 0;
-    }
-    t.min_.push_back(mn);
-    t.max_.push_back(mx);
-    t.columns_.push_back(Column::FromValues(std::move(columns[d]), encoding));
+  for (const std::vector<Value>& values : columns) {
+    t.AddColumn(Column::FromValues(values, encoding));
   }
   if (names.empty()) {
     for (size_t d = 0; d < t.columns_.size(); ++d) {
@@ -50,21 +35,43 @@ StatusOr<Table> Table::FromColumns(std::vector<std::vector<Value>> columns,
   return t;
 }
 
+void Table::AddColumn(Column column) {
+  // Table min/max are the fold of the column's block zone maps.
+  Value mn = kValueMax;
+  Value mx = kValueMin;
+  for (size_t b = 0; b < column.NumBlocks(); ++b) {
+    mn = std::min(mn, column.BlockMin(b));
+    mx = std::max(mx, column.BlockMax(b));
+  }
+  if (column.empty()) {
+    mn = 0;
+    mx = 0;
+  }
+  min_.push_back(mn);
+  max_.push_back(mx);
+  columns_.push_back(std::move(column));
+}
+
+Table Table::Gather(std::span<const RowId> rows) const {
+  Table t;
+  t.num_rows_ = rows.size();
+  t.names_ = names_;
+  std::vector<Value> src(num_rows_);
+  std::vector<Value> dst(rows.size());
+  for (const Column& column : columns_) {
+    column.DecodeInto(src.data());
+    for (size_t i = 0; i < rows.size(); ++i) {
+      FLOOD_DCHECK(rows[i] < num_rows_);
+      dst[i] = src[static_cast<size_t>(rows[i])];
+    }
+    t.AddColumn(Column::FromValues(dst, column.encoding()));
+  }
+  return t;
+}
+
 Table Table::Reorder(const std::vector<RowId>& perm) const {
   FLOOD_CHECK(perm.size() == num_rows_);
-  std::vector<std::vector<Value>> cols(num_dims());
-  for (size_t d = 0; d < num_dims(); ++d) {
-    const std::vector<Value> src = columns_[d].Decode();
-    std::vector<Value>& dst = cols[d];
-    dst.resize(num_rows_);
-    for (size_t i = 0; i < num_rows_; ++i) {
-      dst[i] = src[static_cast<size_t>(perm[i])];
-    }
-  }
-  StatusOr<Table> t =
-      FromColumns(std::move(cols), columns_[0].encoding(), names_);
-  FLOOD_CHECK(t.ok());
-  return std::move(t).value();
+  return Gather(perm);
 }
 
 void Table::AppendTo(ByteWriter* w) const {
@@ -92,20 +99,7 @@ StatusOr<Table> Table::ReadFrom(ByteReader* r) {
     if (col->size() != t.num_rows_) {
       return Status::InvalidArgument("column length mismatch in table pages");
     }
-    // Table min/max are the fold of the column's block zone maps.
-    Value mn = kValueMax;
-    Value mx = kValueMin;
-    for (size_t b = 0; b < col->NumBlocks(); ++b) {
-      mn = std::min(mn, col->BlockMin(b));
-      mx = std::max(mx, col->BlockMax(b));
-    }
-    if (t.num_rows_ == 0) {
-      mn = 0;
-      mx = 0;
-    }
-    t.min_.push_back(mn);
-    t.max_.push_back(mx);
-    t.columns_.push_back(std::move(*col));
+    t.AddColumn(std::move(*col));
   }
   return t;
 }

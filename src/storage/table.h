@@ -1,6 +1,7 @@
 #ifndef FLOOD_STORAGE_TABLE_H_
 #define FLOOD_STORAGE_TABLE_H_
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -49,8 +50,15 @@ class Table {
   Value min_value(size_t dim) const { return min_[dim]; }
   Value max_value(size_t dim) const { return max_[dim]; }
 
-  /// Returns a copy of this table with rows permuted so that new row i is
-  /// old row perm[i]. `perm` must be a permutation of [0, num_rows).
+  /// Returns a table of the rows `rows`, in that order: new row i is old
+  /// row rows[i] (every id < num_rows(); ids may repeat or be left out).
+  /// Each column keeps its own encoding, and the names are kept. Each
+  /// source column is decoded once into a reused buffer, gathered into a
+  /// second one and packed from it block by block.
+  Table Gather(std::span<const RowId> rows) const;
+
+  /// Gather's permutation case: new row i is old row perm[i]. `perm` must
+  /// be a permutation of [0, num_rows).
   Table Reorder(const std::vector<RowId>& perm) const;
 
   /// Total bytes across encoded columns.
@@ -66,11 +74,15 @@ class Table {
   /// are preserved, never re-encoded.
   void AppendTo(ByteWriter* w) const;
 
-  /// Parses AppendTo output; per-dimension min/max are rebuilt from the
-  /// restored zone maps. Truncated/corrupt input returns InvalidArgument.
+  /// Parses AppendTo output. Truncated/corrupt input returns
+  /// InvalidArgument.
   static StatusOr<Table> ReadFrom(ByteReader* r);
 
  private:
+  /// Appends `column` with its min/max, the fold of its block zone maps
+  /// (0 and 0 for an empty column). Every constructor goes through here.
+  void AddColumn(Column column);
+
   size_t num_rows_ = 0;
   std::vector<Column> columns_;
   std::vector<std::string> names_;

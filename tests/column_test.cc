@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <string>
 
@@ -89,7 +90,7 @@ TEST(ColumnTest, ForEachMatchesGet) {
 
 TEST(ColumnTest, ForEachEmptyRange) {
   const Column col =
-      Column::FromValues({1, 2, 3}, Encoding::kBlockDelta);
+      Column::FromValues(std::vector<Value>{1, 2, 3}, Encoding::kBlockDelta);
   size_t calls = 0;
   col.ForEach(2, 2, [&](size_t, Value) { ++calls; });
   EXPECT_EQ(calls, 0u);
@@ -367,6 +368,93 @@ TEST(ColumnSerializeTest, AppendReadRoundTripIsExact) {
         EXPECT_EQ(restored->BlockMax(b), col.BlockMax(b));
       }
     }
+  }
+}
+
+/// The AppendTo pages of a kBlockDelta column as the per-value packer
+/// wrote them: each delta OR-ed in at bit offset + (i % 128) * width,
+/// spilling into the next word, plus the one serialized slack word.
+std::string PerValuePackedPages(const std::vector<Value>& values) {
+  const size_t n = values.size();
+  const size_t blocks = (n + Column::kBlockSize - 1) / Column::kBlockSize;
+  std::vector<Value> mins(blocks);
+  std::vector<Value> maxs(blocks);
+  std::vector<uint32_t> widths(blocks);
+  std::vector<uint64_t> offsets(blocks);
+  uint64_t total_bits = 0;
+  for (size_t b = 0; b < blocks; ++b) {
+    const size_t begin = b * Column::kBlockSize;
+    const size_t end = std::min(n, begin + Column::kBlockSize);
+    mins[b] = *std::min_element(values.begin() + begin, values.begin() + end);
+    maxs[b] = *std::max_element(values.begin() + begin, values.begin() + end);
+    const uint64_t span =
+        static_cast<uint64_t>(maxs[b]) - static_cast<uint64_t>(mins[b]);
+    widths[b] = static_cast<uint32_t>(std::bit_width(span));
+    offsets[b] = total_bits;
+    total_bits += Column::kBlockSize * widths[b];
+  }
+  std::vector<uint64_t> words((total_bits + 63) / 64 + 1, 0);
+  for (size_t i = 0; i < n; ++i) {
+    const size_t b = i / Column::kBlockSize;
+    const uint32_t width = widths[b];
+    if (width == 0) continue;
+    const uint64_t delta =
+        static_cast<uint64_t>(values[i]) - static_cast<uint64_t>(mins[b]);
+    const uint64_t bit = offsets[b] + (i % Column::kBlockSize) * width;
+    const uint32_t shift = static_cast<uint32_t>(bit & 63);
+    words[bit >> 6] |= delta << shift;
+    if (shift + width > 64) words[(bit >> 6) + 1] |= delta >> (64 - shift);
+  }
+  std::string out;
+  ByteWriter w(&out);
+  w.PutU8(1);
+  w.PutU64(n);
+  for (Value v : mins) w.PutI64(v);
+  for (Value v : maxs) w.PutI64(v);
+  for (uint32_t width : widths) w.PutU8(static_cast<uint8_t>(width));
+  w.PutU64(words.size());
+  for (uint64_t word : words) w.PutU64(word);
+  return out;
+}
+
+TEST(ColumnSerializeTest, BlockPackerMatchesPerValuePacker) {
+  // Block b has width b (0..64), block 65 holds INT64_MIN and INT64_MAX
+  // beside each other, and the last block is partial.
+  constexpr Value kMin = std::numeric_limits<Value>::min();
+  constexpr Value kMax = std::numeric_limits<Value>::max();
+  Rng rng(17);
+  std::vector<Value> values;
+  for (uint32_t width = 0; width <= 64; ++width) {
+    const uint64_t span =
+        width == 64 ? ~uint64_t{0} : (uint64_t{1} << width) - 1;
+    // Below 64 bits, centred on 0: base + span stays in the int64 range.
+    Value base = kMin;
+    if (width < 64) base = -static_cast<Value>(span / 2 + rng.Next() % 1000);
+    for (size_t i = 0; i < Column::kBlockSize; ++i) {
+      const uint64_t delta = i == 7 ? span : rng.Next() & span;
+      values.push_back(static_cast<Value>(static_cast<uint64_t>(base) + delta));
+    }
+  }
+  for (size_t i = 0; i < Column::kBlockSize; ++i) {
+    values.push_back(i % 3 == 0 ? kMin : i % 3 == 1 ? kMax : 0);
+  }
+  for (size_t i = 0; i < 77; ++i) {
+    values.push_back(static_cast<Value>(rng.Next() % 1000) - 500);
+  }
+
+  // Every prefix length ending inside, at, or one past a block boundary,
+  // so each width also appears as the partial last block.
+  for (size_t n = 0; n <= values.size(); ++n) {
+    const size_t in_block = n % Column::kBlockSize;
+    const bool boundary = in_block <= 1 || in_block == 63 || in_block == 100;
+    if (!boundary && n != values.size()) continue;
+    const std::vector<Value> prefix(values.begin(), values.begin() + n);
+    const Column col = Column::FromValues(prefix, Encoding::kBlockDelta);
+    std::string got;
+    ByteWriter w(&got);
+    col.AppendTo(&w);
+    ASSERT_EQ(got, PerValuePackedPages(prefix)) << "n " << n;
+    for (size_t i = 0; i < n; ++i) ASSERT_EQ(col.Get(i), prefix[i]);
   }
 }
 

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/inline_vec.h"
 #include "common/math_util.h"
 #include "common/radix_sort.h"
@@ -275,6 +276,54 @@ TEST(RadixSortTest, MatchesStableSortOnTheField) {
       std::vector<uint64_t> scratch;
       RadixSort(&keys, &scratch, c.lo, c.hi, c.digit_bits);
       EXPECT_EQ(keys, want) << "n=" << n;
+    }
+  }
+}
+
+/// The bytewise CRC-32 the slicing-by-8 Crc32 must equal: one table
+/// lookup per byte over the reflected IEEE polynomial.
+uint32_t BytewiseCrc32(const uint8_t* p, size_t n, uint32_t seed) {
+  uint32_t table[256];
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    table[i] = c;
+  }
+  uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (size_t i = 0; i < n; ++i) c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, KnownAnswers) {
+  EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(Crc32("", 0), 0u);
+  EXPECT_EQ(Crc32(nullptr, 0), 0u);
+}
+
+TEST(Crc32Test, ChainedSeedEqualsOneCall) {
+  std::vector<uint8_t> buf(1000);
+  Rng rng(5);
+  for (uint8_t& b : buf) b = static_cast<uint8_t>(rng.Next());
+  const uint32_t whole = Crc32(buf.data(), buf.size());
+  const size_t kCuts[] = {0, 1, 7, 8, 9, 500, 999, 1000};
+  for (const size_t cut : kCuts) {
+    const uint32_t head = Crc32(buf.data(), cut);
+    EXPECT_EQ(Crc32(buf.data() + cut, buf.size() - cut, head), whole)
+        << "cut " << cut;
+  }
+}
+
+TEST(Crc32Test, MatchesBytewiseAtEveryLengthAndAlignment) {
+  std::vector<uint8_t> buf(1024 + 8);
+  Rng rng(6);
+  for (uint8_t& b : buf) b = static_cast<uint8_t>(rng.Next());
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t n = 0; n <= 1024; ++n) {
+      const uint8_t* p = buf.data() + offset;
+      ASSERT_EQ(Crc32(p, n, 0), BytewiseCrc32(p, n, 0))
+          << "offset " << offset << " length " << n;
+      ASSERT_EQ(Crc32(p, n, 0x12345678u), BytewiseCrc32(p, n, 0x12345678u))
+          << "offset " << offset << " length " << n;
     }
   }
 }

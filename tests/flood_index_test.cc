@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <numeric>
+#include <set>
 #include <string>
 
 #include "baselines/full_scan.h"
@@ -214,6 +215,93 @@ TEST(FloodIndexTest, ClusteringMatchesComparatorSort) {
     if (index.num_cells() > 64) {
       EXPECT_GT(empty, 0u);
       EXPECT_GT(single, 0u);
+    }
+  }
+}
+
+TEST(FloodIndexTest, CellAssignmentMatchesPerRowColumnOf) {
+  // Grid dimensions of 2, 9 and 36 columns over dense integer domains, so
+  // every column boundary and its predecessor occur as values, plus a
+  // 1024-column dimension over a 41-bit range, where finding the
+  // boundaries would cost more than one flattener lookup per row. d1 is
+  // duplicate-heavy; d4, the sort dimension, too; d5 is the row id.
+  const size_t n = 20'000;
+  std::vector<std::vector<Value>> cols(6, std::vector<Value>(n));
+  Rng rng(43);
+  for (size_t r = 0; r < n; ++r) {
+    cols[0][r] = static_cast<Value>((r * 7919) % 2'000);
+    // Every value of [0, 24) occurs; 0, 1 and 2 take most rows.
+    const uint64_t pick = rng.Next() % 100;
+    cols[1][r] = static_cast<Value>(pick < 60 ? pick % 3 : pick % 24);
+    if (r < 24) cols[1][r] = static_cast<Value>(r);
+    cols[2][r] = static_cast<Value>(r % 10'000) - 5'000;
+    if (r % 3 == 0) cols[2][r] += static_cast<Value>(rng.Next() % 7);
+    cols[3][r] = static_cast<Value>(rng.Next() % (uint64_t{1} << 40));
+    cols[4][r] = static_cast<Value>(rng.Next() % 20);
+    cols[5][r] = static_cast<Value>(r);
+  }
+  cols[3][0] = 0;
+  cols[3][1] = (Value{1} << 40) - 1;
+  StatusOr<Table> built = Table::FromColumns(cols);
+  ASSERT_TRUE(built.ok());
+  const Table& t = *built;
+  const BuildContext ctx = MakeCtx(t);
+
+  using Mode = Flattener::Mode;
+  for (const Mode mode : {Mode::kCdf, Mode::kLinear}) {
+    SCOPED_TRACE(mode == Mode::kCdf ? "cdf" : "linear");
+    FloodIndex::Options o;
+    o.layout.dim_order = {0, 1, 2, 3, 5, 4};
+    o.layout.columns = {2, 9, 36, 1024, 1};
+    o.layout.use_sort_dim = true;
+    o.flatten_mode = mode;
+    FloodIndex index(o);
+    ASSERT_TRUE(index.Build(t, ctx).ok());
+    const Flattener& f = index.flattener();
+
+    // The dense dimensions hold every boundary (the first value of a
+    // column) and the value just below it.
+    for (size_t i = 0; i < 3; ++i) {
+      const uint32_t c = o.layout.columns[i];
+      const std::set<Value> present(cols[i].begin(), cols[i].end());
+      uint32_t seen = 0;
+      for (Value v = t.min_value(i); v <= t.max_value(i); ++v) {
+        const uint32_t col = f.ColumnOf(i, v, c);
+        if (col != seen) {
+          ASSERT_TRUE(present.count(v) && present.count(v - 1)) << v;
+          seen = col;
+        }
+      }
+    }
+
+    std::vector<uint64_t> cell(n, 0);
+    uint64_t stride = 1;
+    for (size_t i = o.layout.columns.size(); i-- > 0;) {
+      const size_t dim = o.layout.grid_dim(i);
+      for (size_t r = 0; r < n; ++r) {
+        cell[r] += f.ColumnOf(dim, cols[dim][r], o.layout.columns[i]) * stride;
+      }
+      stride *= o.layout.columns[i];
+    }
+    std::vector<size_t> perm(n);
+    std::iota(perm.begin(), perm.end(), size_t{0});
+    std::sort(perm.begin(), perm.end(), [&](size_t a, size_t b) {
+      if (cell[a] != cell[b]) return cell[a] < cell[b];
+      if (cols[4][a] != cols[4][b]) return cols[4][a] < cols[4][b];
+      return a < b;
+    });
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(index.data().Get(i, 5), static_cast<Value>(perm[i]))
+          << "row " << i;
+    }
+    std::vector<uint32_t> count(index.num_cells(), 0);
+    for (size_t r = 0; r < n; ++r) ++count[cell[r]];
+    size_t begin = 0;
+    for (size_t id = 0; id < index.num_cells(); ++id) {
+      const auto range = index.CellRange(id);
+      ASSERT_EQ(range.first, begin) << "cell " << id;
+      ASSERT_EQ(range.second, begin + count[id]) << "cell " << id;
+      begin += count[id];
     }
   }
 }

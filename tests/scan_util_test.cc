@@ -632,7 +632,7 @@ TEST(VisitorTest, SumVisitorBitmapMatchesPerRowPath) {
 }
 
 TEST(VisitorTest, KindsReported) {
-  const Column c = Column::FromValues({1});
+  const Column c = Column::FromValues(std::vector<Value>{1});
   EXPECT_EQ(CountVisitor().kind(), Visitor::Kind::kCount);
   EXPECT_EQ(SumVisitor(&c).kind(), Visitor::Kind::kSum);
   EXPECT_EQ(CollectVisitor().kind(), Visitor::Kind::kCollect);

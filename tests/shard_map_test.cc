@@ -139,6 +139,32 @@ TEST(ShardMapTest, FromQuantilesCollapsesDuplicateHeavyColumns) {
   }
 }
 
+TEST(ShardMapTest, FromQuantilesCutsAtTheSortedQuantiles) {
+  // The cuts come from selecting only the cut ranks; they must equal the
+  // ones read off the whole sorted column, duplicates and all.
+  using S = DataShape;
+  const size_t kShards[] = {2, 3, 7, 64, 5'000};
+  for (const S shape : {S::kUniform, S::kSkewed, S::kDuplicates}) {
+    const Table table = MakeTable(shape, 3'001, 2, 37);
+    std::vector<Value> sorted = table.DecodeColumn(0);
+    std::sort(sorted.begin(), sorted.end());
+    for (const size_t shards : kShards) {
+      const size_t cuts = std::min(shards, sorted.size());
+      std::vector<Value> want;
+      Value prev = sorted.front();
+      for (size_t s = 1; s < cuts; ++s) {
+        const Value candidate = sorted[s * sorted.size() / cuts];
+        if (candidate > prev) {
+          want.push_back(candidate);
+          prev = candidate;
+        }
+      }
+      const ShardMap map = ShardMap::FromQuantiles(table, 0, shards);
+      EXPECT_EQ(map.bounds(), want) << static_cast<int>(shape) << " " << shards;
+    }
+  }
+}
+
 TEST(ShardMapTest, FromQuantilesSingleShardAndToString) {
   const Table table = MakeTable(DataShape::kUniform, 1'000, 2, 29);
   const ShardMap one = ShardMap::FromQuantiles(table, 1, 1);
@@ -199,6 +225,38 @@ TEST(ShardedDatabaseTest, SingleShardIsTheIdentity) {
     ASSERT_EQ(routed.results.size(), 1u) << i;
     EXPECT_EQ(routed.results[0].code, serve::WireCode::kOk) << i;
     EXPECT_EQ(routed.results[0].count, single->Run(q).count) << i;
+  }
+}
+
+TEST(ShardedDatabaseTest, ShardTablesMatchPerRowConstruction) {
+  // Each shard's table is the rows its key range owns, in table order. A
+  // full scan keeps its table as given, so its data() is the shard table.
+  const Table table = MakeTable(DataShape::kSkewed, 3'000, 3, 41);
+  StatusOr<ShardedDatabase> sharded = OpenSharded(table, "full_scan", 3);
+  ASSERT_TRUE(sharded.ok());
+  const ShardMap& map = sharded->shard_map();
+  ASSERT_EQ(map.num_shards(), 3u);
+  for (size_t s = 0; s < map.num_shards(); ++s) {
+    std::vector<std::vector<Value>> columns(table.num_dims());
+    std::vector<std::string> names;
+    for (size_t d = 0; d < table.num_dims(); ++d) {
+      names.push_back(table.name(d));
+      for (RowId row = 0; row < table.num_rows(); ++row) {
+        if (map.ShardForValue(table.Get(row, 0)) == s) {
+          columns[d].push_back(table.Get(row, d));
+        }
+      }
+    }
+    const Column::Encoding enc = Column::Encoding::kBlockDelta;
+    StatusOr<Table> want = Table::FromColumns(std::move(columns), enc, names);
+    ASSERT_TRUE(want.ok());
+    std::string want_bytes;
+    std::string got_bytes;
+    ByteWriter want_writer(&want_bytes);
+    ByteWriter got_writer(&got_bytes);
+    want->AppendTo(&want_writer);
+    sharded->shard(s)->data().AppendTo(&got_writer);
+    EXPECT_EQ(got_bytes, want_bytes) << "shard " << s;
   }
 }
 

@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <numeric>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
 #include "storage/table.h"
 
 namespace flood {
@@ -108,6 +115,123 @@ TEST(TableTest, MemoryUsageReflectsCompression) {
   ASSERT_TRUE(compressed.ok());
   EXPECT_LT(compressed->MemoryUsageBytes(),
             compressed->UncompressedBytes() / 4);
+}
+
+std::string Pages(const Table& t) {
+  std::string bytes;
+  ByteWriter w(&bytes);
+  t.AppendTo(&w);
+  return bytes;
+}
+
+/// 1000 rows (7 full blocks and a partial one) of three columns: wide
+/// random values with both int64 extremes, a narrow column, a constant.
+std::vector<std::vector<Value>> MixedColumns() {
+  Rng rng(3);
+  std::vector<std::vector<Value>> cols(3, std::vector<Value>(1000));
+  for (size_t r = 0; r < 1000; ++r) {
+    cols[0][r] = static_cast<Value>(rng.Next());
+    cols[1][r] = static_cast<Value>(rng.Next() % 50);
+    cols[2][r] = 42;
+  }
+  cols[0][10] = std::numeric_limits<Value>::min();
+  cols[0][11] = std::numeric_limits<Value>::max();
+  return cols;
+}
+
+TEST(TableTest, ReorderMatchesFromColumnsOfThePermutedDecode) {
+  const std::vector<std::vector<Value>> cols = MixedColumns();
+  std::vector<RowId> perm(1000);
+  std::iota(perm.begin(), perm.end(), RowId{0});
+  Rng rng(4);
+  for (size_t i = perm.size(); i-- > 1;) {
+    std::swap(perm[i], perm[rng.Next() % (i + 1)]);
+  }
+  using Enc = Column::Encoding;
+  for (const Enc enc : {Enc::kPlain, Enc::kBlockDelta}) {
+    StatusOr<Table> t = Table::FromColumns(cols, enc, {"a", "b", "c"});
+    ASSERT_TRUE(t.ok());
+    std::vector<std::vector<Value>> permuted(3);
+    for (size_t d = 0; d < 3; ++d) {
+      const std::vector<Value> decoded = t->DecodeColumn(d);
+      for (RowId row : perm) permuted[d].push_back(decoded[row]);
+    }
+    StatusOr<Table> want = Table::FromColumns(permuted, enc, {"a", "b", "c"});
+    ASSERT_TRUE(want.ok());
+    const Table got = t->Reorder(perm);
+    EXPECT_EQ(Pages(got), Pages(*want));
+    for (size_t d = 0; d < 3; ++d) {
+      EXPECT_EQ(got.name(d), want->name(d));
+      EXPECT_EQ(got.min_value(d), want->min_value(d));
+      EXPECT_EQ(got.max_value(d), want->max_value(d));
+    }
+  }
+}
+
+TEST(TableTest, GatherMatchesFromColumnsOfTheChosenRows) {
+  const std::vector<std::vector<Value>> cols = MixedColumns();
+  StatusOr<Table> t = Table::FromColumns(cols);
+  ASSERT_TRUE(t.ok());
+  // Empty, one row, a repeated row, every third row (ascending), and the
+  // table backwards.
+  std::vector<RowId> thirds;
+  for (RowId r = 0; r < 1000; r += 3) thirds.push_back(r);
+  std::vector<RowId> backwards(1000);
+  std::iota(backwards.rbegin(), backwards.rend(), RowId{0});
+  std::vector<std::vector<RowId>> cases = {{}, {11}, {5, 5, 999, 5}};
+  cases.push_back(thirds);
+  cases.push_back(backwards);
+  for (const std::vector<RowId>& rows : cases) {
+    SCOPED_TRACE(rows.size());
+    std::vector<std::vector<Value>> chosen(3);
+    for (size_t d = 0; d < 3; ++d) {
+      for (RowId row : rows) chosen[d].push_back(cols[d][row]);
+    }
+    StatusOr<Table> want = Table::FromColumns(chosen);
+    ASSERT_TRUE(want.ok());
+    const Table got = t->Gather(rows);
+    EXPECT_EQ(got.num_rows(), rows.size());
+    EXPECT_EQ(Pages(got), Pages(*want));
+    for (size_t d = 0; d < 3; ++d) {
+      EXPECT_EQ(got.min_value(d), want->min_value(d));
+      EXPECT_EQ(got.max_value(d), want->max_value(d));
+    }
+  }
+}
+
+TEST(TableTest, ReorderKeepsEachColumnsEncoding) {
+  // A table whose columns differ in encoding, as ReadFrom can return it:
+  // plain pages for the first column, block-delta pages for the second.
+  const std::vector<std::vector<Value>> cols = MixedColumns();
+  using Enc = Column::Encoding;
+  StatusOr<Table> plain = Table::FromColumns(cols, Enc::kPlain);
+  StatusOr<Table> packed = Table::FromColumns(cols, Enc::kBlockDelta);
+  ASSERT_TRUE(plain.ok() && packed.ok());
+  std::string bytes;
+  ByteWriter w(&bytes);
+  w.PutU32(2);
+  w.PutU64(1000);
+  w.PutString("p");
+  plain->column(0).AppendTo(&w);
+  w.PutString("q");
+  packed->column(1).AppendTo(&w);
+  ByteReader r(bytes);
+  StatusOr<Table> mixed = Table::ReadFrom(&r);
+  ASSERT_TRUE(mixed.ok()) << mixed.status().ToString();
+  ASSERT_EQ(mixed->column(0).encoding(), Enc::kPlain);
+  ASSERT_EQ(mixed->column(1).encoding(), Enc::kBlockDelta);
+
+  std::vector<RowId> perm(1000);
+  std::iota(perm.rbegin(), perm.rend(), RowId{0});
+  const Table got = mixed->Reorder(perm);
+  EXPECT_EQ(got.column(0).encoding(), Enc::kPlain);
+  EXPECT_EQ(got.column(1).encoding(), Enc::kBlockDelta);
+  EXPECT_EQ(got.name(0), "p");
+  EXPECT_EQ(got.name(1), "q");
+  for (size_t i = 0; i < 1000; ++i) {
+    ASSERT_EQ(got.Get(i, 0), cols[0][999 - i]);
+    ASSERT_EQ(got.Get(i, 1), cols[1][999 - i]);
+  }
 }
 
 }  // namespace
