@@ -31,9 +31,7 @@ std::vector<BenchRow> Run() {
     const auto [train, test] =
         MakeWorkload(ds, WorkloadKind::kOlapSkewed, nq * 2, 202)
             .Split(0.5, 203);
-    BuildContext ctx;
-    ctx.workload = &train;
-    ctx.sample = DataSample::FromTable(ds.table, 10'000, 7);
+    const BuildContext ctx{&train};
 
     auto learned = BuildFlood(ds.table, train);
     FLOOD_CHECK(learned.ok());

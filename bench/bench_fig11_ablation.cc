@@ -57,9 +57,8 @@ std::vector<BenchRow> Run() {
     const size_t nq = NumQueries(100);
     const auto [train, test] =
         MakeWorkload(ds, WorkloadKind::kOlapSkewed, nq * 2, 92).Split(0.5, 93);
-    BuildContext ctx;
-    ctx.workload = &train;
-    ctx.sample = DataSample::FromTable(ds.table, 10'000, 7);
+    const BuildContext ctx{&train};
+    const DataSample sample = DataSample::FromTable(ds.table, 10'000, 7);
     const uint64_t target_cells =
         std::max<uint64_t>(64, ds.table.num_rows() / 64);
 
@@ -82,13 +81,13 @@ std::vector<BenchRow> Run() {
       o.layout.dim_order = all_dims;
       o.layout.use_sort_dim = false;
       o.layout.columns =
-          HeuristicColumns(ds, train, ctx.sample, all_dims, target_cells);
+          HeuristicColumns(ds, train, sample, all_dims, target_cells);
       o.flatten_mode = Flattener::Mode::kLinear;
       o.max_cells = uint64_t{1} << 24;
       run_variant("SimpleGrid", o);
     }
     // +Sort Dim: last (least selective) dim becomes the sort dimension.
-    std::vector<size_t> by_sel = ctx.DimsBySelectivity(d);
+    std::vector<size_t> by_sel = ctx.DimsBySelectivity(ds.table);
     std::vector<size_t> grid_dims(by_sel.begin(), by_sel.end() - 1);
     const size_t sort_dim = by_sel.back();
     FloodIndex::Options sorted;
@@ -96,7 +95,7 @@ std::vector<BenchRow> Run() {
     sorted.layout.dim_order.push_back(sort_dim);
     sorted.layout.use_sort_dim = true;
     sorted.layout.columns =
-        HeuristicColumns(ds, train, ctx.sample, grid_dims, target_cells);
+        HeuristicColumns(ds, train, sample, grid_dims, target_cells);
     sorted.flatten_mode = Flattener::Mode::kLinear;
     sorted.max_cells = uint64_t{1} << 24;
     run_variant("+SortDim", sorted);

@@ -32,9 +32,7 @@ std::vector<BenchRow> Run() {
       const auto [train, test] =
           MakeWorkload(ds, WorkloadKind::kOlapSkewed, nq * 2, 112)
               .Split(0.5, 113);
-      BuildContext ctx;
-      ctx.workload = &train;
-      ctx.sample = DataSample::FromTable(ds.table, 10'000, 7);
+      const BuildContext ctx{&train};
 
       std::vector<std::string> row{std::to_string(n)};
       for (const auto& name : index_set) {
@@ -75,9 +73,7 @@ std::vector<BenchRow> Run() {
       const auto [train, test] =
           MakeWorkload(ds, WorkloadKind::kOlapSkewed, nq * 2, 122, sel)
               .Split(0.5, 123);
-      BuildContext ctx;
-      ctx.workload = &train;
-      ctx.sample = DataSample::FromTable(ds.table, 10'000, 7);
+      const BuildContext ctx{&train};
 
       char label[32];
       std::snprintf(label, sizeof(label), "%g%%", sel * 100);

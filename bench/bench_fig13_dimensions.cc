@@ -32,9 +32,7 @@ std::vector<BenchRow> Run() {
     const auto [train, test] =
         Workload(MakeDimensionSweepWorkload(ds, nq * 2, 133).queries())
             .Split(0.5, 134);
-    BuildContext ctx;
-    ctx.workload = &train;
-    ctx.sample = DataSample::FromTable(ds.table, 10'000, 7);
+    const BuildContext ctx{&train};
 
     double full_scan_ms = 1;
     std::vector<std::string> row_ms{std::to_string(d)};

@@ -21,9 +21,7 @@ std::vector<BenchRow> Run() {
   const size_t nq = NumQueries(80);
   const auto [train, test] =
       MakeWorkload(ds, WorkloadKind::kOlapSkewed, nq * 2, 142).Split(0.5, 143);
-  BuildContext ctx;
-  ctx.workload = &train;
-  ctx.sample = DataSample::FromTable(ds.table, 10'000, 7);
+  const BuildContext ctx{&train};
 
   auto learned = BuildFlood(ds.table, train);
   FLOOD_CHECK(learned.ok());

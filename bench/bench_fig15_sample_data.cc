@@ -20,9 +20,7 @@ std::vector<BenchRow> Run() {
     const size_t nq = NumQueries(60);
     const auto [train, test] =
         MakeWorkload(ds, WorkloadKind::kOlapSkewed, nq * 2, 152).Split(0.5, 153);
-    BuildContext ctx;
-    ctx.workload = &train;
-    ctx.sample = DataSample::FromTable(ds.table, 10'000, 7);
+    const BuildContext ctx{&train};
 
     // Hyperoctree creation-time yardstick.
     double octree_create_s = 0;

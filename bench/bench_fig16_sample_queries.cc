@@ -20,9 +20,7 @@ std::vector<BenchRow> Run() {
     const size_t nq = NumQueries(60);
     const auto [train, test] =
         MakeWorkload(ds, WorkloadKind::kOlapSkewed, nq * 2, 162).Split(0.5, 163);
-    BuildContext ctx;
-    ctx.workload = &train;
-    ctx.sample = DataSample::FromTable(ds.table, 10'000, 7);
+    const BuildContext ctx{&train};
 
     std::vector<std::vector<std::string>> out;
     for (size_t sample : {size_t{3}, size_t{5}, size_t{10}, size_t{25},

@@ -28,9 +28,7 @@ std::vector<BenchRow> Run() {
                       std::to_string(ds.table.num_dims()),
                       FormatBytes(ds.table.MemoryUsageBytes())});
 
-    BuildContext ctx;
-    ctx.workload = &train;
-    ctx.sample = DataSample::FromTable(ds.table, 10'000, 7);
+    const BuildContext ctx{&train};
 
     for (const std::string& index_name : AllBaselineNames()) {
       size_t page = 1024;

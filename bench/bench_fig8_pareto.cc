@@ -20,9 +20,7 @@ std::vector<BenchRow> Run() {
     const size_t nq = NumQueries(80);
     const auto [train, test] =
         MakeWorkload(ds, WorkloadKind::kOlapSkewed, nq * 2, 62).Split(0.5, 63);
-    BuildContext ctx;
-    ctx.workload = &train;
-    ctx.sample = DataSample::FromTable(ds.table, 10'000, 7);
+    const BuildContext ctx{&train};
 
     std::vector<std::vector<std::string>> out;
     auto emit = [&](const std::string& name, const std::string& config,

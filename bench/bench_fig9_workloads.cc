@@ -36,9 +36,7 @@ std::vector<BenchRow> Run() {
     // Baselines are tuned once, for the default OLAP workload.
     const Workload tuning =
         MakeWorkload(ds, WorkloadKind::kOlapSkewed, nq, 72);
-    BuildContext ctx;
-    ctx.workload = &tuning;
-    ctx.sample = DataSample::FromTable(ds.table, 10'000, 7);
+    const BuildContext ctx{&tuning};
 
     std::map<std::string, std::unique_ptr<MultiDimIndex>> baselines;
     for (const std::string& name :

@@ -141,9 +141,8 @@ std::vector<BenchRow> RunScanKernelBench() {
     for (size_t i = 0; i < n; ++i) key[i] = static_cast<Value>(i);
     std::vector<Value> payload(n);
     for (auto& v : payload) v = rng.UniformInt(0, 1'000'000);
-    StatusOr<Table> t = Table::FromColumns(
-        {std::move(key), std::move(payload)},
-        Column::Encoding::kBlockDelta);
+    StatusOr<Table> t =
+        Table::FromColumns({std::move(key), std::move(payload)});
     FLOOD_CHECK(t.ok());
     return new Table(std::move(*t));
   }();

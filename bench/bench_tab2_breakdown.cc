@@ -21,9 +21,7 @@ std::vector<BenchRow> Run() {
     const size_t nq = NumQueries(100);
     const auto [train, test] =
         MakeWorkload(ds, WorkloadKind::kOlapSkewed, nq * 2, 52).Split(0.5, 53);
-    BuildContext ctx;
-    ctx.workload = &train;
-    ctx.sample = DataSample::FromTable(ds.table, 10'000, 7);
+    const BuildContext ctx{&train};
 
     std::vector<std::vector<std::string>> out;
     auto emit = [&](const std::string& name, const RunResult& r) {

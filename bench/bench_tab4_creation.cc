@@ -30,9 +30,7 @@ std::vector<BenchRow> Run() {
     const size_t nq = NumQueries(60);
     const Workload train =
         MakeWorkload(ds, WorkloadKind::kOlapSkewed, nq, 182);
-    BuildContext ctx;
-    ctx.workload = &train;
-    ctx.sample = DataSample::FromTable(ds.table, 10'000, 7);
+    const BuildContext ctx{&train};
 
     auto flood = BuildFlood(ds.table, train);
     FLOOD_CHECK(flood.ok());

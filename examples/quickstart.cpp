@@ -34,9 +34,7 @@ int main() {
     y[i] = rng.UniformInt(0, 999'999);
     value[i] = rng.UniformInt(1, 100);
   }
-  auto table = Table::FromColumns({x, y, value},
-                                  flood::Column::Encoding::kBlockDelta,
-                                  {"x", "y", "value"});
+  auto table = Table::FromColumns({x, y, value}, {"x", "y", "value"});
   if (!table.ok()) {
     std::fprintf(stderr, "table: %s\n", table.status().ToString().c_str());
     return 1;

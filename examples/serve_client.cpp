@@ -63,9 +63,7 @@ int main(int argc, char** argv) {
       y[i] = rng.UniformInt(0, 99'999);
       value[i] = rng.UniformInt(1, 100);
     }
-    auto table = Table::FromColumns({x, y, value},
-                                    flood::Column::Encoding::kBlockDelta,
-                                    {"x", "y", "value"});
+    auto table = Table::FromColumns({x, y, value}, {"x", "y", "value"});
     if (!table.ok()) return Fail(table.status(), "table");
 
     Workload train;

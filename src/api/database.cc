@@ -90,8 +90,6 @@ StatusOr<Database> Database::Open(const std::string& snapshot_path,
   }
   options.index_name = snap->index_name;
   options.index_options = std::move(build_options);
-  options.sample_size = static_cast<size_t>(snap->sample_size);
-  options.sample_seed = snap->sample_seed;
   if (!options.training_workload.has_value() && snap->workload.has_value()) {
     options.training_workload = std::move(snap->workload);
   }
@@ -127,11 +125,7 @@ StatusOr<std::unique_ptr<MultiDimIndex>> Database::BuildIndex(
   StatusOr<std::unique_ptr<MultiDimIndex>> index =
       IndexRegistry::Global().Create(index_name_, options_.index_options);
   if (!index.ok()) return index.status();
-  BuildContext ctx;
-  ctx.workload = workload;
-  ctx.sample =
-      DataSample::FromTable(table, options_.sample_size, options_.sample_seed);
-  FLOOD_RETURN_IF_ERROR((*index)->Build(table, ctx));
+  FLOOD_RETURN_IF_ERROR((*index)->Build(table, BuildContext{workload}));
   return index;
 }
 
@@ -662,9 +656,6 @@ Status Database::SaveLocked(const std::string& path) {
     contents.index_options.emplace_back(key, *options_.index_options.Get(key));
   }
   contents.layout = index_->SerializedLayout();
-  contents.index_properties = index_->DebugProperties();
-  contents.sample_size = options_.sample_size;
-  contents.sample_seed = options_.sample_seed;
   const Table& base = index_->data();
   contents.base = &base;
   contents.workload = options_.training_workload.has_value()

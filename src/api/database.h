@@ -126,9 +126,6 @@ struct DatabaseOptions {
   /// by selectivity), and SUM-aggregated dimensions get prefix-sum side
   /// columns. Without it every index falls back to workload-free defaults.
   std::optional<Workload> training_workload;
-  /// Row-sample size used for selectivity estimates at build time.
-  size_t sample_size = 20'000;
-  uint64_t sample_seed = 7;
   /// Worker threads for RunBatch: 1 (default) executes serially on the
   /// calling thread — bit-for-bit the pre-threading path; 0 sizes the pool
   /// to hardware_concurrency; N > 1 uses a fixed pool of N workers.
@@ -216,8 +213,8 @@ class Database {
   /// delta, and (with options.wal_path) replays the WAL tail.
   ///
   /// Structural knobs come from the snapshot: index_name, index_options
-  /// (caller-set keys override individually), the layout, sample
-  /// size/seed, and the training workload (unless the caller passes one).
+  /// (caller-set keys override individually), the layout, and the
+  /// training workload (unless the caller passes one).
   /// Runtime knobs come from `options`: num_threads, wal_path, durability,
   /// auto_retrain_fraction, workload_history.
   ///

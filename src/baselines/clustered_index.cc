@@ -15,7 +15,7 @@ Status ClusteredColumnIndex::Build(const Table& table,
                                    const BuildContext& ctx) {
   sort_dim_ = options_.sort_dim;
   if (sort_dim_ == Options::kAutoSelect) {
-    sort_dim_ = ctx.DimsBySelectivity(table.num_dims())[0];
+    sort_dim_ = ctx.DimsBySelectivity(table)[0];
   }
   if (sort_dim_ >= table.num_dims()) {
     return Status::InvalidArgument("sort_dim out of range");

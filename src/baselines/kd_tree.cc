@@ -15,7 +15,7 @@ Status KdTreeIndex::Build(const Table& table, const BuildContext& ctx) {
   const size_t d = table.num_dims();
   if (n == 0) return Status::InvalidArgument("empty table");
 
-  dim_order_ = ctx.DimsBySelectivity(d);
+  dim_order_ = ctx.DimsBySelectivity(table);
   std::vector<std::vector<Value>> cols(d);
   for (size_t dim = 0; dim < d; ++dim) cols[dim] = table.DecodeColumn(dim);
 

@@ -15,7 +15,8 @@ Status UbTreeIndex::Build(const Table& table, const BuildContext& ctx) {
   const size_t d = table.num_dims();
   if (n == 0) return Status::InvalidArgument("empty table");
 
-  mapper_ = std::make_unique<ZOrderMapper>(table, ctx.DimsBySelectivity(d));
+  mapper_ =
+      std::make_unique<ZOrderMapper>(table, ctx.DimsBySelectivity(table));
 
   std::vector<uint64_t> z(n);
   {

@@ -15,8 +15,8 @@ Status ZOrderIndex::Build(const Table& table, const BuildContext& ctx) {
   const size_t d = table.num_dims();
   if (n == 0) return Status::InvalidArgument("empty table");
 
-  mapper_ = std::make_unique<ZOrderMapper>(table,
-                                           ctx.DimsBySelectivity(d));
+  mapper_ =
+      std::make_unique<ZOrderMapper>(table, ctx.DimsBySelectivity(table));
 
   // Z-code per row, then sort rows by code.
   std::vector<uint64_t> z(n);

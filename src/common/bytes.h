@@ -17,9 +17,9 @@ uint32_t Crc32(const void* data, size_t n, uint32_t seed = 0);
 
 /// Appends little-endian fixed-width primitives to a caller-owned string.
 /// The writer never fails; the paired ByteReader carries the error state.
-/// This is the raw-page substrate of the persistence layer: Column /
-/// Dictionary / Table serialize through it, src/persist frames the result
-/// into checksummed sections.
+/// This is the raw-page substrate of the persistence layer: Column and
+/// Table serialize through it, src/persist frames the result into
+/// checksummed sections.
 class ByteWriter {
  public:
   explicit ByteWriter(std::string* out) : out_(out) {}

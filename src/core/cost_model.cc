@@ -60,9 +60,10 @@ StatusOr<std::vector<CostModel::Example>> CostModel::GenerateExamples(
   Rng rng(options.seed);
   const Workload queries = workload.Sample(options.max_queries, rng.Next());
 
-  BuildContext ctx;
-  ctx.workload = &queries;
-  ctx.sample = DataSample::FromTable(table, 10'000, rng.Next());
+  const BuildContext ctx{&queries};
+  // One draw is skipped here: the layouts drawn below, and the weights
+  // fitted to them, were calibrated on this stream.
+  rng.Next();
 
   std::vector<Example> examples;
   for (size_t l = 0; l < options.num_layouts; ++l) {

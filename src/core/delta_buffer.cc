@@ -68,14 +68,7 @@ StatusOr<Table> DeltaBuffer::Materialize(const Table& main) const {
     col.insert(col.end(), columns_[dim].begin(), columns_[dim].end());
     names.push_back(main.name(dim));
   }
-  return Table::FromColumns(std::move(cols), main.column(0).encoding(),
-                            std::move(names));
-}
-
-StatusOr<Table> DeltaBuffer::MergeInto(const Table& main) {
-  StatusOr<Table> merged = Materialize(main);
-  if (merged.ok()) Clear();
-  return merged;
+  return Table::FromColumns(std::move(cols), std::move(names));
 }
 
 }  // namespace flood

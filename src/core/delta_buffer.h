@@ -110,10 +110,6 @@ class DeltaBuffer {
   /// rebuild loses no writes.
   StatusOr<Table> Materialize(const Table& main) const;
 
-  /// Materialize + Clear in one step (legacy convenience for callers that
-  /// rebuild unconditionally).
-  StatusOr<Table> MergeInto(const Table& main);
-
   void Clear() {
     for (auto& c : columns_) c.clear();
     tombstones_.clear();

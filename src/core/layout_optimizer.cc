@@ -388,11 +388,9 @@ StatusOr<OptimizedFlood> BuildOptimizedFlood(
       std::max<uint64_t>(index_options.max_cells, optimizer_options.max_cells);
   out.index = std::make_unique<FloodIndex>(index_options);
 
-  BuildContext ctx;
-  ctx.workload = &train_workload;
-  ctx.sample = DataSample::FromTable(table, 10'000, optimizer_options.seed);
   const Stopwatch load;
-  FLOOD_RETURN_IF_ERROR(out.index->Build(table, ctx));
+  FLOOD_RETURN_IF_ERROR(
+      out.index->Build(table, BuildContext{&train_workload}));
   out.load_seconds = load.ElapsedSeconds();
   return out;
 }

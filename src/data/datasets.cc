@@ -12,8 +12,7 @@ namespace {
 
 Table TableFrom(std::vector<std::vector<Value>> cols,
                 std::vector<std::string> names) {
-  StatusOr<Table> t = Table::FromColumns(
-      std::move(cols), Column::Encoding::kBlockDelta, std::move(names));
+  StatusOr<Table> t = Table::FromColumns(std::move(cols), std::move(names));
   FLOOD_CHECK(t.ok());
   return std::move(t).value();
 }

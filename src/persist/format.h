@@ -13,7 +13,7 @@ namespace persist {
 
 /// "FLDSNAP1" as a little-endian u64.
 inline constexpr uint64_t kSnapshotMagic = 0x3150414E53444C46ull;
-inline constexpr uint32_t kSnapshotVersion = 1;
+inline constexpr uint32_t kSnapshotVersion = 2;
 
 /// "FLDWAL01" as a little-endian u64.
 inline constexpr uint64_t kWalMagic = 0x31304C4157444C46ull;
@@ -21,13 +21,13 @@ inline constexpr uint32_t kWalVersion = 1;
 
 /// Snapshot section ids. Order in the file matches this enumeration, but
 /// readers locate sections through the header's section table, so future
-/// versions may add or reorder sections.
+/// versions may add or reorder sections. Id 3 (string dictionaries, never
+/// filled) is retired as of version 2; it is not reused.
 enum class SectionId : uint32_t {
-  kMeta = 1,          ///< Index identity, options, layout, build knobs.
-  kTable = 2,         ///< Base table: encoded column pages, storage order.
-  kDictionaries = 3,  ///< Named string dictionaries (may be empty).
-  kWorkload = 4,      ///< Training workload queries (may be absent).
-  kDelta = 5,         ///< Staged inserts + tombstone keys.
+  kMeta = 1,      ///< Index identity, options, layout.
+  kTable = 2,     ///< Base table: encoded column pages, storage order.
+  kWorkload = 4,  ///< Training workload queries (may be absent).
+  kDelta = 5,     ///< Staged inserts + tombstone keys.
 };
 
 /// WAL record types. A record is the logical write operation, not its

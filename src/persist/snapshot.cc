@@ -81,13 +81,6 @@ void AppendMeta(const SnapshotContents& c, ByteWriter* w) {
     w->PutString(value);
   }
   w->PutString(c.layout);
-  w->PutU64(c.sample_size);
-  w->PutU64(c.sample_seed);
-  w->PutU32(static_cast<uint32_t>(c.index_properties.size()));
-  for (const auto& [name, value] : c.index_properties) {
-    w->PutString(name);
-    w->PutF64(value);
-  }
 }
 
 Status ReadMeta(ByteReader* r, SnapshotData* out) {
@@ -102,40 +95,7 @@ Status ReadMeta(ByteReader* r, SnapshotData* out) {
     out->index_options.emplace_back(std::move(key), std::move(value));
   }
   out->layout = r->GetString();
-  out->sample_size = r->GetU64();
-  out->sample_seed = r->GetU64();
-  const uint32_t num_properties = r->GetU32();
-  if (!r->ok() || num_properties > r->remaining() / 12) {
-    return InvalidSnapshot("corrupt meta section");
-  }
-  for (uint32_t i = 0; i < num_properties; ++i) {
-    std::string name = r->GetString();
-    const double value = r->GetF64();
-    out->index_properties.emplace_back(std::move(name), value);
-  }
   if (!r->ok()) return InvalidSnapshot("corrupt meta section");
-  return Status::OK();
-}
-
-void AppendDictionaries(const SnapshotContents& c, ByteWriter* w) {
-  w->PutU32(static_cast<uint32_t>(c.dictionaries.size()));
-  for (const auto& [name, dict] : c.dictionaries) {
-    w->PutString(name);
-    dict->AppendTo(w);
-  }
-}
-
-Status ReadDictionaries(ByteReader* r, SnapshotData* out) {
-  const uint32_t count = r->GetU32();
-  if (!r->ok() || count > r->remaining() / 12) {
-    return InvalidSnapshot("corrupt dictionary section");
-  }
-  for (uint32_t i = 0; i < count; ++i) {
-    std::string name = r->GetString();
-    StatusOr<Dictionary> dict = Dictionary::ReadFrom(r);
-    if (!dict.ok()) return dict.status();
-    out->dictionaries.emplace_back(std::move(name), std::move(*dict));
-  }
   return Status::OK();
 }
 
@@ -316,7 +276,7 @@ Status WriteSnapshot(const std::string& path, const SnapshotContents& c) {
   // The header's size is fixed by the section count, so the sections are
   // serialized straight into the file after room for it, and the header,
   // which needs their extents and checksums, is written over that room.
-  constexpr size_t kNumSections = 5;
+  constexpr size_t kNumSections = 4;
   constexpr size_t kHeaderBytes = 8 + 4 + 8 + 4 + kNumSections * 24 + 4;
   std::string file;
   file.reserve(kHeaderBytes + c.base->MemoryUsageBytes());
@@ -336,7 +296,6 @@ Status WriteSnapshot(const std::string& path, const SnapshotContents& c) {
   };
   section(SectionId::kMeta, [&] { AppendMeta(c, &w); });
   section(SectionId::kTable, [&] { c.base->AppendTo(&w); });
-  section(SectionId::kDictionaries, [&] { AppendDictionaries(c, &w); });
   section(SectionId::kWorkload, [&] { AppendWorkload(c, &w); });
   section(SectionId::kDelta, [&] { AppendDelta(c, &w); });
 
@@ -425,8 +384,6 @@ StatusOr<SnapshotData> ReadSnapshot(const std::string& path) {
   StatusOr<Table> base = Table::ReadFrom(&r);
   if (!base.ok()) return base.status();
   out.base = std::move(*base);
-  FLOOD_RETURN_IF_ERROR(section(SectionId::kDictionaries, &r));
-  FLOOD_RETURN_IF_ERROR(ReadDictionaries(&r, &out));
   FLOOD_RETURN_IF_ERROR(section(SectionId::kWorkload, &r));
   FLOOD_RETURN_IF_ERROR(ReadWorkloadSection(&r, &out));
   FLOOD_RETURN_IF_ERROR(section(SectionId::kDelta, &r));

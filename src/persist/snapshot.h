@@ -10,7 +10,6 @@
 #include "common/status.h"
 #include "query/query.h"
 #include "query/workload.h"
-#include "storage/dictionary.h"
 #include "storage/table.h"
 
 namespace flood {
@@ -18,7 +17,7 @@ namespace persist {
 
 /// What a snapshot captures (see src/persist/README.md for the byte-level
 /// layout): the full logical database state — base table in index storage
-/// order, the learned layout and build knobs needed to rebuild the index
+/// order, the learned layout and index options needed to rebuild the index
 /// WITHOUT re-running the optimizer, and the staged delta — so
 /// `old snapshot + WAL tail` always reproduces the acknowledged state.
 ///
@@ -33,13 +32,7 @@ struct SnapshotContents {
   std::string index_name;  ///< Canonical registry key.
   std::vector<std::pair<std::string, std::string>> index_options;
   std::string layout;  ///< GridLayout::Serialize() output; "" = none.
-  /// DebugProperties()-style structural counters, stored for telemetry /
-  /// offline inspection (not consulted on restore).
-  std::vector<std::pair<std::string, double>> index_properties;
-  uint64_t sample_size = 0;  ///< DatabaseOptions build-determinism knobs.
-  uint64_t sample_seed = 0;
   const Table* base = nullptr;  ///< Required; index storage order.
-  std::vector<std::pair<std::string, const Dictionary*>> dictionaries;
   const Workload* workload = nullptr;  ///< nullptr = no training workload.
   std::vector<std::vector<Value>> delta_inserts;   ///< Staged rows.
   std::vector<std::vector<Value>> tombstone_keys;  ///< Distinct key tuples.
@@ -51,11 +44,7 @@ struct SnapshotData {
   std::string index_name;
   std::vector<std::pair<std::string, std::string>> index_options;
   std::string layout;
-  std::vector<std::pair<std::string, double>> index_properties;
-  uint64_t sample_size = 0;
-  uint64_t sample_seed = 0;
   Table base;
-  std::vector<std::pair<std::string, Dictionary>> dictionaries;
   std::optional<Workload> workload;
   std::vector<std::vector<Value>> delta_inserts;
   std::vector<std::vector<Value>> tombstone_keys;

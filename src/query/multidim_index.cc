@@ -5,12 +5,15 @@
 
 namespace flood {
 
-std::vector<size_t> BuildContext::DimsBySelectivity(size_t num_dims) const {
+std::vector<size_t> BuildContext::DimsBySelectivity(const Table& table) const {
+  const size_t num_dims = table.num_dims();
   std::vector<size_t> dims(num_dims);
   std::iota(dims.begin(), dims.end(), size_t{0});
-  if (workload == nullptr || workload->empty() || sample.num_rows() == 0) {
+  if (workload == nullptr || workload->empty() || table.num_rows() == 0) {
     return dims;
   }
+  const DataSample sample =
+      DataSample::FromTable(table, /*sample_size=*/20'000, /*seed=*/7);
   std::vector<double> sel(num_dims);
   for (size_t d = 0; d < num_dims; ++d) {
     sel[d] = workload->AvgSelectivity(d, sample);

@@ -15,18 +15,18 @@
 
 namespace flood {
 
-/// Workload- and data-dependent inputs available at index build time.
-/// Baselines use it for tuning knobs the paper grants them (dimension
-/// ordering by selectivity, etc.); Flood uses it to learn its layout.
+/// Workload inputs available at index build time. Baselines use it for
+/// tuning knobs the paper grants them (dimension ordering by selectivity,
+/// etc.); Flood uses it to learn its layout.
 struct BuildContext {
   /// Training workload (nullptr = no workload knowledge).
   const Workload* workload = nullptr;
-  /// Row sample of the table being indexed.
-  DataSample sample;
 
-  /// Dimensions ordered by increasing average workload selectivity (most
-  /// selective first). Falls back to natural order without a workload.
-  std::vector<size_t> DimsBySelectivity(size_t num_dims) const;
+  /// Dimensions of `table` ordered by increasing average workload
+  /// selectivity (most selective first), estimated on a 20,000-row sample
+  /// (seed 7) drawn here. Natural order without a workload, in which case
+  /// no sample is drawn.
+  std::vector<size_t> DimsBySelectivity(const Table& table) const;
 };
 
 /// Common interface of Flood and every baseline index (§7.2, App. A):

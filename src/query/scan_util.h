@@ -188,14 +188,14 @@ void ScanRangeBlock(const Table& data, const Query& query, size_t begin,
 /// Vectorized block scan kernel (ISSUE: the SIMD tentpole). Same zone-map
 /// structure as ScanRangeBlock — per block, skip / exact-accept / filter —
 /// but the filter stage runs runtime-dispatched vector predicates:
-///  * widths 1..simd::kMaxPackedFilterWidth under kBlockDelta are filtered
+///  * widths 1..simd::kMaxPackedFilterWidth are filtered
 ///    straight off the packed words (no decode store/reload), against the
 ///    query bounds translated into delta space. Widths up to
 ///    simd::kMaxPacked8FilterWidth run 8 lanes of 32 bits per group of
 ///    eight deltas (two 16-byte loads, a byte shuffle and a per-lane
 ///    shift); wider ones run 4 lanes, each loading the byte-aligned 64-bit
 ///    window holding its delta;
-///  * wider blocks and kPlain columns are bulk-decoded once and compared
+///  * width 0 and wider blocks are bulk-decoded once and compared
 ///    4 (AVX2) or 8 (AVX-512) lanes at a time.
 /// Check dimensions AND-combine into the match bitmap with an all-zero
 /// early-out. Each block's zone maps are classified once: a forward peek
@@ -279,9 +279,8 @@ void ScanRangeSimd(const Table& data, const Query& query, size_t begin,
         const size_t dim = pending[p];
         const ValueRange& r = query.range(dim);
         const Column& col = data.column(dim);
-        Column::PackedBlock pb;
-        if (col.GetPackedBlock(b, &pb) && pb.width >= 1 &&
-            pb.width <= simd::kMaxPackedFilterWidth) {
+        const Column::PackedBlock pb = col.GetPackedBlock(b);
+        if (pb.width >= 1 && pb.width <= simd::kMaxPackedFilterWidth) {
           // Translate the query bounds into the block's delta space. The
           // zone pass guarantees BlockMin(b) == base <= r.hi and
           // r.lo <= BlockMax(b) (else kSkip), so dhi never underflows and
@@ -304,8 +303,8 @@ void ScanRangeSimd(const Table& data, const Query& query, size_t begin,
             any = simd::FilterPackedAvx2(pb.bytes, bit, w, dlo, dhi, n, bitmap);
           }
         } else {
-          // kPlain, width 0 (can't be pending, but harmless), or too wide
-          // for byte-window lane loads: decode once, compare vectorized.
+          // Width 0 (can't be pending, but harmless) or too wide for
+          // byte-window lane loads: decode once, compare vectorized.
           col.DecodeBlockInto(b, buf);
           const Value* vals = buf + (lo - block_begin);
           any = level >= simd::SimdLevel::kAvx512

@@ -99,19 +99,28 @@ Client::~Client() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-void Client::Backoff(int attempt) {
-  const RetryPolicy& p = options_.retry;
-  double ms = static_cast<double>(std::max<int64_t>(p.initial_backoff_ms, 0));
-  for (int i = 1; i < attempt; ++i) ms *= p.multiplier;
-  ms = std::min(ms, static_cast<double>(std::max<int64_t>(p.max_backoff_ms,
-                                                          0)));
-  const double jitter = std::clamp(p.jitter, 0.0, 1.0);
-  ms *= rng_.Uniform(1.0 - jitter, 1.0 + jitter);
+double BackoffDelayMs(const RetryPolicy& policy, int attempt, Rng& rng) {
+  double ms =
+      static_cast<double>(std::max<int64_t>(policy.initial_backoff_ms, 0));
+  for (int i = 1; i < attempt; ++i) ms *= policy.multiplier;
+  ms = std::min(ms, static_cast<double>(
+                        std::max<int64_t>(policy.max_backoff_ms, 0)));
+  const double jitter = std::clamp(policy.jitter, 0.0, 1.0);
+  return ms * rng.Uniform(1.0 - jitter, 1.0 + jitter);
+}
+
+namespace {
+
+/// Sleeps BackoffDelayMs before retry attempt `attempt`.
+void SleepBackoff(const RetryPolicy& policy, int attempt, Rng& rng) {
+  const double ms = BackoffDelayMs(policy, attempt, rng);
   if (ms > 0) {
     std::this_thread::sleep_for(
         std::chrono::duration<double, std::milli>(ms));
   }
 }
+
+}  // namespace
 
 StatusOr<Client> Client::ConnectOnce(const std::string& address,
                                      const ClientOptions& options) {
@@ -215,19 +224,7 @@ StatusOr<Client> Client::Connect(const std::string& address,
        client.status().code() == StatusCode::kUnavailable &&
        attempt < attempts;
        ++attempt) {
-    // Same backoff math as Client::Backoff, but there is no Client yet.
-    const RetryPolicy& p = options.retry;
-    double ms =
-        static_cast<double>(std::max<int64_t>(p.initial_backoff_ms, 0));
-    for (int i = 1; i < attempt; ++i) ms *= p.multiplier;
-    ms = std::min(ms, static_cast<double>(
-                          std::max<int64_t>(p.max_backoff_ms, 0)));
-    const double jitter = std::clamp(p.jitter, 0.0, 1.0);
-    ms *= rng.Uniform(1.0 - jitter, 1.0 + jitter);
-    if (ms > 0) {
-      std::this_thread::sleep_for(
-          std::chrono::duration<double, std::milli>(ms));
-    }
+    SleepBackoff(options.retry, attempt, rng);
     client = ConnectOnce(address, options);
   }
   return client;
@@ -386,7 +383,7 @@ StatusOr<BatchResultResponse> Client::RunBatch(
     const bool retryable = reply->code == WireCode::kOverloaded ||
                            reply->code == WireCode::kShuttingDown;
     if (!retryable || attempt >= attempts) return reply;
-    Backoff(attempt);
+    SleepBackoff(options_.retry, attempt, rng_);
   }
 }
 

@@ -33,6 +33,13 @@ struct RetryPolicy {
   uint64_t seed = 0x5EEDULL;
 };
 
+/// The delay before retry attempt `attempt` (1-based), in milliseconds:
+/// initial_backoff_ms times multiplier^(attempt - 1), capped at
+/// max_backoff_ms, then scaled by one draw from `rng` in
+/// [1 - jitter, 1 + jitter] (jitter clamped to [0, 1]; negative backoffs
+/// count as 0).
+double BackoffDelayMs(const RetryPolicy& policy, int attempt, Rng& rng);
+
 /// Per-operation deadlines + retry for a Client. A timeout of 0 or less
 /// means "wait forever" (the pre-deadline blocking behaviour).
 struct ClientOptions {
@@ -129,9 +136,6 @@ class Client {
   /// expiry.
   Status PollFd(short events, std::chrono::steady_clock::time_point deadline,
                 bool has_deadline);
-
-  /// Sleeps the backoff delay before retry attempt `attempt` (1-based).
-  void Backoff(int attempt);
 
   uint64_t NextId() { return next_id_++; }
 

@@ -3,6 +3,8 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "serve/client.h"
+
 namespace flood {
 namespace serve {
 
@@ -50,6 +52,40 @@ std::string FormatMetricsSummary(const MetricsResponse& resp) {
     out.append(line);
   }
   return out;
+}
+
+int CheckHealth(const std::string& address) {
+  ClientOptions copts;
+  copts.connect_timeout_ms = 2'000;
+  copts.send_timeout_ms = 2'000;
+  copts.recv_timeout_ms = 2'000;
+  copts.retry.max_attempts = 3;
+  copts.retry.initial_backoff_ms = 50;
+  StatusOr<Client> client = Client::Connect(address, copts);
+  if (!client.ok()) {
+    std::fprintf(stderr, "connect: %s\n", client.status().ToString().c_str());
+    return 2;
+  }
+  StatusOr<HealthResponse> health = client->Health();
+  if (!health.ok()) {
+    std::fprintf(stderr, "health: %s\n", health.status().ToString().c_str());
+    return 2;
+  }
+  std::printf(
+      "ready=%d draining=%d persist_poisoned=%d queue_depth=%llu "
+      "connections=%llu\n",
+      health->ready ? 1 : 0, health->draining ? 1 : 0,
+      health->persist_poisoned ? 1 : 0,
+      static_cast<unsigned long long>(health->queue_depth),
+      static_cast<unsigned long long>(health->connections_active));
+  StatusOr<MetricsResponse> metrics = client->Metrics();
+  if (metrics.ok()) {
+    std::fputs(FormatMetricsSummary(*metrics).c_str(), stdout);
+  } else {
+    std::fprintf(stderr, "metrics: %s\n",
+                 metrics.status().ToString().c_str());
+  }
+  return (health->ready && !health->persist_poisoned) ? 0 : 1;
 }
 
 }  // namespace serve

@@ -12,8 +12,15 @@ namespace serve {
 /// count + p50/p95/p99/max (durations in ms for *_ns metrics), then one
 /// `key value` line per flat introspection entry (every count lives
 /// there: queries, frames, scrapes, ...).
-/// Used by `flood_serve --check` and `flood_router --check`.
 std::string FormatMetricsSummary(const MetricsResponse& resp);
+
+/// `flood_serve --check ADDRESS` and `flood_router --check ADDRESS`:
+/// health-probes a running server or router over kHealth with 2 s
+/// deadlines (three connect attempts), prints its health line and the
+/// FormatMetricsSummary of its kMetrics snapshot to stdout, and returns the
+/// exit code: 0 when ready, 1 when reachable but draining, not ready or
+/// persistence-poisoned, 2 when unreachable.
+int CheckHealth(const std::string& address);
 
 }  // namespace serve
 }  // namespace flood

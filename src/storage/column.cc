@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cstring>
 #include <utility>
 
 #include "common/math_util.h"
@@ -100,9 +99,8 @@ constexpr std::array<PackFn, 65> kPackers =
 
 }  // namespace
 
-Column Column::FromValues(std::span<const Value> values, Encoding encoding) {
+Column Column::FromValues(std::span<const Value> values) {
   Column col;
-  col.encoding_ = encoding;
   col.size_ = values.size();
 
   const size_t n = values.size();
@@ -120,11 +118,6 @@ Column Column::FromValues(std::span<const Value> values, Encoding encoding) {
     }
     col.block_min_[b] = mn;
     col.block_max_[b] = mx;
-  }
-
-  if (encoding == Encoding::kPlain) {
-    col.plain_.assign(values.begin(), values.end());
-    return col;
   }
 
   col.block_width_.resize(num_blocks);
@@ -154,10 +147,6 @@ size_t Column::DecodeBlockInto(size_t block, Value* out) const {
   FLOOD_DCHECK(block < NumBlocks());
   const size_t begin = block * kBlockSize;
   const size_t n = std::min(kBlockSize, size_ - begin);
-  if (encoding_ == Encoding::kPlain) {
-    std::memcpy(out, plain_.data() + begin, n * sizeof(Value));
-    return n;
-  }
   kUnpackers[block_width_[block]](words_.data(), block_bit_offset_[block],
                                   block_min_[block], n, out);
   return n;
@@ -234,10 +223,6 @@ size_t Column::SearchBlock(size_t b, size_t lo, size_t hi, Value v) const {
     }
     return first + static_cast<size_t>(before(at(first)));
   };
-  if (encoding_ == Encoding::kPlain) {
-    const Value* values = plain_.data();
-    return bisect([values](size_t i) { return values[i]; });
-  }
   const uint64_t* words = words_.data();
   const uint64_t base = static_cast<uint64_t>(block_min_[b]);
   const uint64_t width = block_width_[b];
@@ -270,17 +255,17 @@ void Column::DecodeInto(Value* out) const {
 }
 
 size_t Column::MemoryUsageBytes() const {
-  const size_t zone_maps =
-      (block_min_.size() + block_max_.size()) * sizeof(Value);
-  if (encoding_ == Encoding::kPlain) {
-    return plain_.size() * sizeof(Value) + zone_maps;
-  }
-  return zone_maps + block_width_.size() * sizeof(uint32_t) +
+  return (block_min_.size() + block_max_.size()) * sizeof(Value) +
+         block_width_.size() * sizeof(uint32_t) +
          block_bit_offset_.size() * sizeof(uint64_t) +
          words_.size() * sizeof(uint64_t);
 }
 
 namespace {
+
+/// The leading byte of every column page: 1 names the block-delta
+/// encoding, the only one. ReadFrom rejects any other value as corrupt.
+constexpr uint8_t kBlockDeltaEncoding = 1;
 
 /// Reads a u64 element count and pre-validates it against the bytes left
 /// in `r` (each element occupies at least `elem_bytes`), so corrupt counts
@@ -305,14 +290,10 @@ bool ReadVector(ByteReader* r, size_t n, std::vector<T>* out, GetFn get) {
 }  // namespace
 
 void Column::AppendTo(ByteWriter* w) const {
-  w->PutU8(encoding_ == Encoding::kPlain ? 0 : 1);
+  w->PutU8(kBlockDeltaEncoding);
   w->PutU64(size_);
   w->PutWords(block_min_.data(), block_min_.size());
   w->PutWords(block_max_.data(), block_max_.size());
-  if (encoding_ == Encoding::kPlain) {
-    w->PutWords(plain_.data(), plain_.size());
-    return;
-  }
   // Bit widths fit a byte; bit offsets are recomputed from them on read.
   uint64_t total_bits = 0;
   for (uint32_t width : block_width_) {
@@ -333,14 +314,13 @@ StatusOr<Column> Column::ReadFrom(ByteReader* r) {
   };
   const uint8_t encoding = r->GetU8();
   const uint64_t size = r->GetU64();
-  if (!r->ok() || encoding > 1) return fail();
+  if (!r->ok() || encoding != kBlockDeltaEncoding) return fail();
   // A size near 2^64 would wrap NumBlocks() to 0 and sail past every
   // per-block bound below; any genuine column needs at least one zone-map
   // byte pair per block, so bound size by the bytes actually present.
   if (size / kBlockSize > r->remaining() / 16) return fail();
 
   Column col;
-  col.encoding_ = encoding == 0 ? Encoding::kPlain : Encoding::kBlockDelta;
   col.size_ = static_cast<size_t>(size);
   const size_t num_blocks = col.NumBlocks();
   // Zone maps alone need 16 bytes per block; reject impossible sizes
@@ -351,13 +331,6 @@ StatusOr<Column> Column::ReadFrom(ByteReader* r) {
       !ReadVector(r, num_blocks, &col.block_max_, get_i64)) {
     return fail();
   }
-
-  if (col.encoding_ == Encoding::kPlain) {
-    if (col.size_ > r->remaining() / sizeof(Value)) return fail();
-    if (!ReadVector(r, col.size_, &col.plain_, get_i64)) return fail();
-    return col;
-  }
-
   if (num_blocks > r->remaining()) return fail();
   uint64_t total_bits = 0;
   col.block_width_.reserve(num_blocks);

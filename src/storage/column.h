@@ -19,22 +19,16 @@ using RowId = uint64_t;
 inline constexpr Value kValueMin = INT64_MIN;
 inline constexpr Value kValueMax = INT64_MAX;
 
-/// An immutable in-memory column.
+/// An immutable in-memory column in the paper's block-delta compression
+/// (§7.1): values are grouped into blocks of 128; each value is stored as
+/// the delta to the block minimum, bit-packed with the narrowest width that
+/// fits the block. Element access stays O(1).
 ///
-/// Supports two encodings:
-///  * kPlain: a flat array of 64-bit values.
-///  * kBlockDelta: the paper's block-delta compression (§7.1) — values are
-///    grouped into blocks of 128; each value is stored as the delta to the
-///    block minimum, bit-packed with the narrowest width that fits the
-///    block. Element access stays O(1).
-///
-/// Both encodings carry a per-block zone map (min/max value per block of
-/// kBlockSize rows) so scan kernels can skip or exact-accept whole blocks
-/// without decoding; see ScanRange in query/scan_util.h.
+/// Every block carries a zone map (its min/max value) so scan kernels can
+/// skip or exact-accept whole blocks without decoding; see ScanRange in
+/// query/scan_util.h.
 class Column {
  public:
-  enum class Encoding { kPlain, kBlockDelta };
-
   static constexpr size_t kBlockSize = 128;
 
   /// Readable (zeroed) words kept past the last encoded bit of `words_`.
@@ -49,22 +43,34 @@ class Column {
 
   Column() = default;
 
-  /// Builds a column from `values` using the requested encoding. Works a
-  /// block at a time: one pass takes each block's zone map, and under
-  /// kBlockDelta one more packs its deltas a word at a time.
-  static Column FromValues(std::span<const Value> values,
-                           Encoding encoding = Encoding::kBlockDelta);
+  /// Builds a column from `values`. Works a block at a time: one pass
+  /// takes each block's zone map, and one more packs its deltas a word at a
+  /// time.
+  static Column FromValues(std::span<const Value> values);
 
   /// Number of values.
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
-  Encoding encoding() const { return encoding_; }
 
-  /// Random access; constant time under both encodings.
+  /// Random access in constant time.
   Value Get(size_t i) const {
     FLOOD_DCHECK(i < size_);
-    if (encoding_ == Encoding::kPlain) return plain_[i];
-    return GetBlockDelta(i);
+    const size_t block = i / kBlockSize;
+    const uint64_t width = block_width_[block];
+    const uint64_t bit =
+        block_bit_offset_[block] + (i % kBlockSize) * width;
+    // Branch-free, as in SearchBlock: the spill word is always OR-ed in
+    // (it contributes nothing at shift 0) and stays readable through the
+    // decode slack.
+    const size_t word = static_cast<size_t>(bit >> 6);
+    const uint32_t shift = static_cast<uint32_t>(bit & 63);
+    const uint64_t low = words_[word] >> shift;
+    const uint64_t spill = (words_[word + 1] << 1) << (63 - shift);
+    const uint64_t mask =
+        width == 64 ? ~uint64_t{0} : (uint64_t{1} << width) - 1;
+    // uint64 (wrapping) addition; see ForEach.
+    return static_cast<Value>(static_cast<uint64_t>(block_min_[block]) +
+                              ((low | spill) & mask));
   }
 
   /// Calls f(index, value) for every index in [begin, end). Decodes
@@ -73,10 +79,6 @@ class Column {
   template <typename F>
   void ForEach(size_t begin, size_t end, F&& f) const {
     FLOOD_DCHECK(begin <= end && end <= size_);
-    if (encoding_ == Encoding::kPlain) {
-      for (size_t i = begin; i < end; ++i) f(i, plain_[i]);
-      return;
-    }
     size_t i = begin;
     while (i < end) {
       const size_t block = i / kBlockSize;
@@ -96,8 +98,7 @@ class Column {
   /// Number of kBlockSize-row blocks (the last one may be partial).
   size_t NumBlocks() const { return (size_ + kBlockSize - 1) / kBlockSize; }
 
-  /// Zone map: smallest / largest value inside block `b`. Valid for both
-  /// encodings.
+  /// Zone map: smallest / largest value inside block `b`.
   Value BlockMin(size_t b) const {
     FLOOD_DCHECK(b < block_min_.size());
     return block_min_[b];
@@ -130,7 +131,7 @@ class Column {
   /// shift-mask per value.
   size_t DecodeBlockInto(size_t block, Value* out) const;
 
-  /// The raw bit-packed deltas of one kBlockDelta block, for kernels that
+  /// The raw bit-packed deltas of one block, for kernels that
   /// filter without materializing values (the SIMD packed path): value i of
   /// the block is the `width`-bit unsigned delta at absolute bit
   /// `bit_offset + i * width` of `bytes`, added to `base`. `bytes` stays
@@ -142,34 +143,22 @@ class Column {
     uint32_t width = 0;
   };
 
-  /// Fills `out` for block `b`. Returns false under kPlain (no packed
-  /// representation; scan the decoded values instead).
-  bool GetPackedBlock(size_t b, PackedBlock* out) const {
+  /// Block `b`'s packed deltas.
+  PackedBlock GetPackedBlock(size_t b) const {
     FLOOD_DCHECK(b < NumBlocks());
-    if (encoding_ == Encoding::kPlain) return false;
-    out->bytes = reinterpret_cast<const uint8_t*>(words_.data());
-    out->bit_offset = block_bit_offset_[b];
-    out->base = block_min_[b];
-    out->width = block_width_[b];
-    return true;
+    return {reinterpret_cast<const uint8_t*>(words_.data()),
+            block_bit_offset_[b], block_min_[b], block_width_[b]};
   }
 
-  /// Software-prefetches block `b`'s encoded bytes (packed words or plain
-  /// values) into cache — issued by scan kernels for the next
-  /// zone-map-surviving block while the current one filters.
+  /// Software-prefetches block `b`'s packed words into cache — issued by
+  /// scan kernels for the next zone-map-surviving block while the current
+  /// one filters.
   void PrefetchBlock(size_t b) const {
     FLOOD_DCHECK(b < NumBlocks());
-    const size_t begin = b * kBlockSize;
-    const char* p;
-    size_t bytes;
-    if (encoding_ == Encoding::kPlain) {
-      p = reinterpret_cast<const char*>(plain_.data() + begin);
-      bytes = std::min(kBlockSize, size_ - begin) * sizeof(Value);
-    } else {
-      const uint64_t bit = block_bit_offset_[b];
-      p = reinterpret_cast<const char*>(words_.data()) + (bit >> 3);
-      bytes = (static_cast<size_t>(block_width_[b]) * kBlockSize + 7) / 8;
-    }
+    const char* p = reinterpret_cast<const char*>(words_.data()) +
+                    (block_bit_offset_[b] >> 3);
+    const size_t bytes =
+        (static_cast<size_t>(block_width_[b]) * kBlockSize + 7) / 8;
     for (size_t off = 0; off < bytes; off += 64) {
       __builtin_prefetch(p + off, /*rw=*/0, /*locality=*/2);
     }
@@ -185,15 +174,16 @@ class Column {
   /// Heap footprint of the encoded representation, in bytes.
   size_t MemoryUsageBytes() const;
 
-  /// Appends the encoded representation (raw pages: zone maps + either the
-  /// plain values or the bit-packed words) to `w`. The round-trip through
+  /// Appends the encoded representation (raw pages: zone maps, bit widths
+  /// and the bit-packed words) to `w`. The round-trip through
   /// ReadFrom is bit-exact — no re-encoding — so a restored column returns
   /// identical values in identical storage order at identical cost.
   void AppendTo(ByteWriter* w) const;
 
   /// Parses AppendTo output from `r`. Every length and width is validated
   /// against the remaining input before any allocation, so truncated or
-  /// corrupt pages yield InvalidArgument, never UB.
+  /// corrupt pages (an encoding byte other than 1 included) yield
+  /// InvalidArgument, never UB.
   static StatusOr<Column> ReadFrom(ByteReader* r);
 
  private:
@@ -203,25 +193,6 @@ class Column {
   /// SortedBound's in-block step over rows [lo, hi) of block `b`.
   template <bool kUpper>
   size_t SearchBlock(size_t b, size_t lo, size_t hi, Value v) const;
-
-  Value GetBlockDelta(size_t i) const {
-    const size_t block = i / kBlockSize;
-    const uint64_t width = block_width_[block];
-    const uint64_t bit =
-        block_bit_offset_[block] + (i % kBlockSize) * width;
-    // Branch-free, as in SearchBlock: the spill word is always OR-ed in
-    // (it contributes nothing at shift 0) and stays readable through the
-    // decode slack.
-    const size_t word = static_cast<size_t>(bit >> 6);
-    const uint32_t shift = static_cast<uint32_t>(bit & 63);
-    const uint64_t low = words_[word] >> shift;
-    const uint64_t spill = (words_[word + 1] << 1) << (63 - shift);
-    const uint64_t mask =
-        width == 64 ? ~uint64_t{0} : (uint64_t{1} << width) - 1;
-    // uint64 (wrapping) addition; see ForEach.
-    return static_cast<Value>(static_cast<uint64_t>(block_min_[block]) +
-                              ((low | spill) & mask));
-  }
 
   /// Reads `width` bits starting at absolute bit offset `bit` from words_.
   uint64_t ExtractBits(uint64_t bit, uint32_t width) const {
@@ -236,18 +207,13 @@ class Column {
     return v & ((uint64_t{1} << width) - 1);
   }
 
-  Encoding encoding_ = Encoding::kPlain;
   size_t size_ = 0;
 
-  // kPlain storage.
-  std::vector<Value> plain_;
-
-  // Zone maps, both encodings. block_min_ doubles as the delta base under
-  // kBlockDelta.
+  // Zone maps; block_min_ doubles as the delta base.
   std::vector<Value> block_min_;
   std::vector<Value> block_max_;
 
-  // kBlockDelta storage.
+  // Packed deltas.
   std::vector<uint32_t> block_width_;
   std::vector<uint64_t> block_bit_offset_;
   std::vector<uint64_t> words_;

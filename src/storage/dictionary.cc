@@ -47,29 +47,6 @@ std::vector<Value> Dictionary::Finalize() {
   return mapping;
 }
 
-void Dictionary::AppendTo(ByteWriter* w) const {
-  w->PutU64(strings_.size());
-  for (const std::string& s : strings_) w->PutString(s);
-}
-
-StatusOr<Dictionary> Dictionary::ReadFrom(ByteReader* r) {
-  const uint64_t n = r->GetU64();
-  // Each entry costs at least its 4-byte length prefix.
-  if (!r->ok() || n > r->remaining() / 4) {
-    return Status::InvalidArgument("truncated or corrupt dictionary pages");
-  }
-  Dictionary dict;
-  dict.strings_.reserve(static_cast<size_t>(n));
-  for (uint64_t i = 0; i < n; ++i) {
-    dict.strings_.push_back(r->GetString());
-    if (!r->ok()) {
-      return Status::InvalidArgument("truncated or corrupt dictionary pages");
-    }
-    dict.code_of_.emplace(dict.strings_.back(), static_cast<Value>(i));
-  }
-  return dict;
-}
-
 size_t Dictionary::MemoryUsageBytes() const {
   size_t bytes = 0;
   for (const auto& s : strings_) bytes += s.size() + sizeof(std::string);

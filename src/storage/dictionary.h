@@ -6,8 +6,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/bytes.h"
-#include "common/status.h"
 #include "storage/column.h"
 
 namespace flood {
@@ -36,14 +34,6 @@ class Dictionary {
 
   size_t size() const { return strings_.size(); }
   size_t MemoryUsageBytes() const;
-
-  /// Appends the dictionary pages (strings in code order; the reverse map
-  /// is rebuilt on read) to `w`.
-  void AppendTo(ByteWriter* w) const;
-
-  /// Parses AppendTo output. Truncated or corrupt input returns
-  /// InvalidArgument.
-  static StatusOr<Dictionary> ReadFrom(ByteReader* r);
 
  private:
   std::unordered_map<std::string, Value> code_of_;

@@ -5,7 +5,6 @@
 namespace flood {
 
 StatusOr<Table> Table::FromColumns(std::vector<std::vector<Value>> columns,
-                                   Column::Encoding encoding,
                                    std::vector<std::string> names) {
   if (columns.empty()) {
     return Status::InvalidArgument("table requires at least one column");
@@ -23,7 +22,7 @@ StatusOr<Table> Table::FromColumns(std::vector<std::vector<Value>> columns,
   Table t;
   t.num_rows_ = n;
   for (const std::vector<Value>& values : columns) {
-    t.AddColumn(Column::FromValues(values, encoding));
+    t.AddColumn(Column::FromValues(values));
   }
   if (names.empty()) {
     for (size_t d = 0; d < t.columns_.size(); ++d) {
@@ -64,7 +63,7 @@ Table Table::Gather(std::span<const RowId> rows) const {
       FLOOD_DCHECK(rows[i] < num_rows_);
       dst[i] = src[static_cast<size_t>(rows[i])];
     }
-    t.AddColumn(Column::FromValues(dst, column.encoding()));
+    t.AddColumn(Column::FromValues(dst));
   }
   return t;
 }

@@ -21,10 +21,8 @@ class Table {
 
   /// Builds a table from per-dimension value vectors. All vectors must have
   /// equal length. Column names are optional ("dim0", "dim1", ... if empty).
-  static StatusOr<Table> FromColumns(
-      std::vector<std::vector<Value>> columns,
-      Column::Encoding encoding = Column::Encoding::kBlockDelta,
-      std::vector<std::string> names = {});
+  static StatusOr<Table> FromColumns(std::vector<std::vector<Value>> columns,
+                                     std::vector<std::string> names = {});
 
   size_t num_rows() const { return num_rows_; }
   size_t num_dims() const { return columns_.size(); }
@@ -52,7 +50,7 @@ class Table {
 
   /// Returns a table of the rows `rows`, in that order: new row i is old
   /// row rows[i] (every id < num_rows(); ids may repeat or be left out).
-  /// Each column keeps its own encoding, and the names are kept. Each
+  /// The names are kept. Each
   /// source column is decoded once into a reused buffer, gathered into a
   /// second one and packed from it block by block.
   Table Gather(std::span<const RowId> rows) const;
@@ -70,7 +68,7 @@ class Table {
   }
 
   /// Appends the table (names + encoded column pages) to `w`. Bit-exact
-  /// round-trip through ReadFrom: storage order, encodings, and zone maps
+  /// round-trip through ReadFrom: storage order, packed words and zone maps
   /// are preserved, never re-encoded.
   void AppendTo(ByteWriter* w) const;
 

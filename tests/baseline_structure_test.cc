@@ -19,12 +19,6 @@ namespace {
 using testing::DataShape;
 using testing::MakeTable;
 
-BuildContext Ctx(const Table& t) {
-  BuildContext ctx;
-  ctx.sample = DataSample::FromTable(t, 1000, 3);
-  return ctx;
-}
-
 std::unique_ptr<MultiDimIndex> Make(const std::string& name,
                                     const IndexOptions& opts = {}) {
   StatusOr<std::unique_ptr<MultiDimIndex>> index =
@@ -45,7 +39,7 @@ TEST(ClusteredStructureTest, DataSortedBySortDim) {
   const Table t = MakeTable(DataShape::kSkewed, 5000, 3, 1);
   std::unique_ptr<MultiDimIndex> index =
       Make("clustered", IndexOptions().SetInt("sort_dim", 1));
-  const BuildContext ctx = Ctx(t);
+  const BuildContext ctx;
   ASSERT_TRUE(index->Build(t, ctx).ok());
   EXPECT_EQ(Props(*index)["sort_dim"], 1.0);
   EXPECT_EQ(index->Describe(), "Clustered[sort_dim=1]");
@@ -61,7 +55,7 @@ TEST(KdTreeStructureTest, LeafSizesRespectPageBudget) {
   const Table t = MakeTable(DataShape::kUniform, 20'000, 3, 2);
   std::unique_ptr<MultiDimIndex> index =
       Make("kdtree", IndexOptions().SetInt("page_size", 256));
-  const BuildContext ctx = Ctx(t);
+  const BuildContext ctx;
   ASSERT_TRUE(index->Build(t, ctx).ok());
   // n/page lower bound; duplicates can force larger leaves on other shapes.
   EXPECT_GE(Props(*index)["num_leaves"], 20'000.0 / 256.0);
@@ -73,7 +67,7 @@ TEST(HyperoctreeStructureTest, LeafCountScalesWithPageSize) {
       Make("octree", IndexOptions().SetInt("page_size", 128));
   std::unique_ptr<MultiDimIndex> b =
       Make("octree", IndexOptions().SetInt("page_size", 4096));
-  const BuildContext ctx = Ctx(t);
+  const BuildContext ctx;
   ASSERT_TRUE(a->Build(t, ctx).ok());
   ASSERT_TRUE(b->Build(t, ctx).ok());
   EXPECT_GT(Props(*a)["num_leaves"], Props(*b)["num_leaves"]);
@@ -85,7 +79,7 @@ TEST(RTreeStructureTest, HeightAndLeaves) {
   std::unique_ptr<MultiDimIndex> index = Make(
       "rtree",
       IndexOptions().SetInt("leaf_capacity", 128).SetInt("fanout", 8));
-  const BuildContext ctx = Ctx(t);
+  const BuildContext ctx;
   ASSERT_TRUE(index->Build(t, ctx).ok());
   EXPECT_GE(Props(*index)["num_leaves"], 30'000.0 / 128.0);
   EXPECT_GE(Props(*index)["height"], 3.0);  // ~235 leaves at fanout 8.
@@ -95,7 +89,7 @@ TEST(GridFileStructureTest, BucketsPartitionRows) {
   const Table t = MakeTable(DataShape::kUniform, 10'000, 3, 5);
   std::unique_ptr<MultiDimIndex> index =
       Make("grid_file", IndexOptions().SetInt("page_size", 512));
-  const BuildContext ctx = Ctx(t);
+  const BuildContext ctx;
   ASSERT_TRUE(index->Build(t, ctx).ok());
   EXPECT_GT(Props(*index)["num_buckets"], 1.0);
 }
@@ -119,7 +113,7 @@ TEST(GridFileStructureTest, BudgetTripsOnPathologicalSkew) {
       Make("grid_file", IndexOptions()
                             .SetInt("page_size", 64)
                             .SetInt("max_directory_entries", 1 << 12));
-  const BuildContext ctx = Ctx(*t);
+  const BuildContext ctx;
   const Status s = index->Build(*t, ctx);
   // Either it finishes within budget or fails cleanly — never hangs/crashes.
   if (!s.ok()) {
@@ -133,7 +127,7 @@ TEST(ZOrderStructureTest, PageSizeControlsMetadataFootprint) {
       Make("zorder", IndexOptions().SetInt("page_size", 128));
   std::unique_ptr<MultiDimIndex> b =
       Make("zorder", IndexOptions().SetInt("page_size", 2048));
-  const BuildContext ctx = Ctx(t);
+  const BuildContext ctx;
   ASSERT_TRUE(a->Build(t, ctx).ok());
   ASSERT_TRUE(b->Build(t, ctx).ok());
   EXPECT_GT(Props(*a)["num_pages"], Props(*b)["num_pages"]);
@@ -147,7 +141,7 @@ TEST(UbTreeStructureTest, SkippingScansFewerPointsThanZOrderOnSparseBoxes) {
   std::unique_ptr<MultiDimIndex> ub = Make("ubtree");
   std::unique_ptr<MultiDimIndex> z =
       Make("zorder", IndexOptions().SetInt("page_size", 256));
-  const BuildContext ctx = Ctx(t);
+  const BuildContext ctx;
   ASSERT_TRUE(ub->Build(t, ctx).ok());
   ASSERT_TRUE(z->Build(t, ctx).ok());
   Query q = QueryBuilder(2)
@@ -166,7 +160,7 @@ TEST(UbTreeStructureTest, SkippingScansFewerPointsThanZOrderOnSparseBoxes) {
 
 TEST(BaselineSizeTest, IndexSizesArePositiveAndOrdered) {
   const Table t = MakeTable(DataShape::kUniform, 20'000, 3, 9);
-  const BuildContext ctx = Ctx(t);
+  const BuildContext ctx;
   std::unique_ptr<MultiDimIndex> ub = Make("ubtree");
   ASSERT_TRUE(ub->Build(t, ctx).ok());
   // UB-tree stores per-point keys: by far the largest.

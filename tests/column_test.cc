@@ -13,38 +13,35 @@
 namespace flood {
 namespace {
 
-using Encoding = Column::Encoding;
-
-class ColumnRoundTripTest
-    : public ::testing::TestWithParam<std::tuple<Encoding, size_t>> {};
+class ColumnRoundTripTest : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(ColumnRoundTripTest, UniformValues) {
-  const auto [encoding, n] = GetParam();
+  const size_t n = GetParam();
   Rng rng(42);
   std::vector<Value> values = UniformColumn(n, -1'000'000, 1'000'000, rng);
-  const Column col = Column::FromValues(values, encoding);
+  const Column col = Column::FromValues(values);
   ASSERT_EQ(col.size(), n);
   for (size_t i = 0; i < n; ++i) EXPECT_EQ(col.Get(i), values[i]) << i;
   EXPECT_EQ(col.Decode(), values);
 }
 
 TEST_P(ColumnRoundTripTest, SkewedValues) {
-  const auto [encoding, n] = GetParam();
+  const size_t n = GetParam();
   Rng rng(43);
   std::vector<Value> values = LognormalColumn(n, 8.0, 2.0, 1.0, rng);
-  const Column col = Column::FromValues(values, encoding);
+  const Column col = Column::FromValues(values);
   for (size_t i = 0; i < n; ++i) EXPECT_EQ(col.Get(i), values[i]) << i;
 }
 
 TEST_P(ColumnRoundTripTest, ConstantValues) {
-  const auto [encoding, n] = GetParam();
+  const size_t n = GetParam();
   std::vector<Value> values(n, 7777);
-  const Column col = Column::FromValues(values, encoding);
+  const Column col = Column::FromValues(values);
   for (size_t i = 0; i < n; ++i) EXPECT_EQ(col.Get(i), 7777) << i;
 }
 
 TEST_P(ColumnRoundTripTest, ExtremeValues) {
-  const auto [encoding, n] = GetParam();
+  const size_t n = GetParam();
   Rng rng(44);
   std::vector<Value> values(n);
   for (auto& v : values) {
@@ -57,28 +54,22 @@ TEST_P(ColumnRoundTripTest, ExtremeValues) {
       v = rng.UniformInt(kValueMin, kValueMax);
     }
   }
-  const Column col = Column::FromValues(values, encoding);
+  const Column col = Column::FromValues(values);
   for (size_t i = 0; i < n; ++i) EXPECT_EQ(col.Get(i), values[i]) << i;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Encodings, ColumnRoundTripTest,
-    ::testing::Combine(::testing::Values(Encoding::kPlain,
-                                         Encoding::kBlockDelta),
-                       ::testing::Values(size_t{1}, size_t{127}, size_t{128},
-                                         size_t{129}, size_t{1000},
-                                         size_t{4096})),
-    [](const auto& info) {
-      const Encoding enc = std::get<0>(info.param);
-      const size_t n = std::get<1>(info.param);
-      return std::string(enc == Encoding::kPlain ? "Plain" : "BlockDelta") +
-             "_" + std::to_string(n);
-    });
+INSTANTIATE_TEST_SUITE_P(Sizes, ColumnRoundTripTest,
+                         ::testing::Values(size_t{1}, size_t{127},
+                                           size_t{128}, size_t{129},
+                                           size_t{1000}, size_t{4096}),
+                         [](const auto& info) {
+                           return std::to_string(info.param);
+                         });
 
 TEST(ColumnTest, ForEachMatchesGet) {
   Rng rng(45);
   std::vector<Value> values = UniformColumn(5000, 0, 1000, rng);
-  const Column col = Column::FromValues(values, Encoding::kBlockDelta);
+  const Column col = Column::FromValues(values);
   // Sub-range not aligned to block boundaries.
   size_t calls = 0;
   col.ForEach(100, 4321, [&](size_t i, Value v) {
@@ -90,7 +81,7 @@ TEST(ColumnTest, ForEachMatchesGet) {
 
 TEST(ColumnTest, ForEachEmptyRange) {
   const Column col =
-      Column::FromValues(std::vector<Value>{1, 2, 3}, Encoding::kBlockDelta);
+      Column::FromValues(std::vector<Value>{1, 2, 3});
   size_t calls = 0;
   col.ForEach(2, 2, [&](size_t, Value) { ++calls; });
   EXPECT_EQ(calls, 0u);
@@ -101,22 +92,18 @@ TEST(ColumnTest, BlockDeltaCompressesNarrowData) {
   // Values in a narrow band: deltas fit in few bits.
   std::vector<Value> values = UniformColumn(100'000, 1'000'000, 1'000'255,
                                             rng);
-  const Column compressed =
-      Column::FromValues(values, Encoding::kBlockDelta);
-  const Column plain = Column::FromValues(values, Encoding::kPlain);
-  EXPECT_LT(compressed.MemoryUsageBytes(), plain.MemoryUsageBytes() / 4);
+  const Column compressed = Column::FromValues(values);
+  EXPECT_LT(compressed.MemoryUsageBytes(),
+            values.size() * sizeof(Value) / 4);
 }
 
-class ColumnBlockTest : public ::testing::TestWithParam<Encoding> {};
-
-TEST_P(ColumnBlockTest, DecodeBlockIntoMatchesGet) {
-  const Encoding enc = GetParam();
+TEST(ColumnBlockTest, DecodeBlockIntoMatchesGet) {
   Rng rng(47);
   // 4 full blocks plus a partial tail; wide value range.
   std::vector<Value> values =
       UniformColumn(4 * Column::kBlockSize + 61, -1'000'000'000,
                     1'000'000'000, rng);
-  const Column col = Column::FromValues(values, enc);
+  const Column col = Column::FromValues(values);
   Value buf[Column::kBlockSize];
   size_t covered = 0;
   for (size_t b = 0; b < col.NumBlocks(); ++b) {
@@ -129,8 +116,7 @@ TEST_P(ColumnBlockTest, DecodeBlockIntoMatchesGet) {
   EXPECT_EQ(covered, values.size());
 }
 
-TEST_P(ColumnBlockTest, DecodeBlockIntoAllWidths) {
-  const Encoding enc = GetParam();
+TEST(ColumnBlockTest, DecodeBlockIntoAllWidths) {
   Rng rng(48);
   for (uint32_t w = 0; w <= 64; ++w) {
     std::vector<Value> values(Column::kBlockSize + 17);
@@ -143,7 +129,7 @@ TEST_P(ColumnBlockTest, DecodeBlockIntoAllWidths) {
       if (i == 1) delta = mask;  // Pin the block's delta width to w.
       values[i] = static_cast<Value>(static_cast<uint64_t>(base) + delta);
     }
-    const Column col = Column::FromValues(values, enc);
+    const Column col = Column::FromValues(values);
     Value buf[Column::kBlockSize];
     for (size_t b = 0; b < col.NumBlocks(); ++b) {
       const size_t n = col.DecodeBlockInto(b, buf);
@@ -155,12 +141,11 @@ TEST_P(ColumnBlockTest, DecodeBlockIntoAllWidths) {
   }
 }
 
-TEST_P(ColumnBlockTest, ZoneMapsCoverBlockExtremes) {
-  const Encoding enc = GetParam();
+TEST(ColumnBlockTest, ZoneMapsCoverBlockExtremes) {
   Rng rng(49);
   std::vector<Value> values =
       UniformColumn(3 * Column::kBlockSize + 5, -500, 500, rng);
-  const Column col = Column::FromValues(values, enc);
+  const Column col = Column::FromValues(values);
   ASSERT_EQ(col.NumBlocks(), 4u);
   for (size_t b = 0; b < col.NumBlocks(); ++b) {
     const size_t begin = b * Column::kBlockSize;
@@ -172,15 +157,6 @@ TEST_P(ColumnBlockTest, ZoneMapsCoverBlockExtremes) {
     EXPECT_EQ(col.BlockMax(b), *mx) << b;
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(Encodings, ColumnBlockTest,
-                         ::testing::Values(Encoding::kPlain,
-                                           Encoding::kBlockDelta),
-                         [](const auto& info) {
-                           return info.param == Encoding::kPlain
-                                      ? "Plain"
-                                      : "BlockDelta";
-                         });
 
 // ---------------------------------------------------------------------------
 // LowerBound / UpperBound over a sorted run inside an unsorted column.
@@ -229,16 +205,13 @@ std::vector<Value> ProbesFor(const std::vector<Value>& values, size_t begin,
   return probes;
 }
 
-class ColumnBoundTest : public ::testing::TestWithParam<Encoding> {};
-
 // A sorted run [begin, end) between unsorted neighbours that share its
 // first and last blocks, with every block's delta width pinned to w. The
 // leading neighbour holds its block's maximum while the run's values in
 // that block stay in its lower half, so the zone map sends the search into
 // the first block even when the answer lies beyond it.
-TEST_P(ColumnBoundTest, SortedRunBetweenUnsortedNeighboursAllWidths) {
+TEST(ColumnBoundTest, SortedRunBetweenUnsortedNeighboursAllWidths) {
   constexpr size_t kB = Column::kBlockSize;
-  const Encoding enc = GetParam();
   for (uint32_t w = 0; w <= 64; ++w) {
     SCOPED_TRACE("w=" + std::to_string(w));
     Rng rng(500 + w);
@@ -287,7 +260,7 @@ TEST_P(ColumnBoundTest, SortedRunBetweenUnsortedNeighboursAllWidths) {
         values[hi - 1] = at(b, mask);
       }
     }
-    const Column col = Column::FromValues(values, enc);
+    const Column col = Column::FromValues(values);
     ExpectBoundsMatch(col, begin, end, ProbesFor(values, begin, end), rng);
   }
 }
@@ -295,9 +268,8 @@ TEST_P(ColumnBoundTest, SortedRunBetweenUnsortedNeighboursAllWidths) {
 // Duplicate runs straddling block boundaries (including whole width-0
 // blocks of one value) between unsorted neighbours, and runs smaller than
 // a block.
-TEST_P(ColumnBoundTest, DuplicatesStraddlingBlocks) {
+TEST(ColumnBoundTest, DuplicatesStraddlingBlocks) {
   constexpr size_t kB = Column::kBlockSize;
-  const Encoding enc = GetParam();
   Rng rng(77);
   const size_t n = 9 * kB + 5;
   const size_t kRepeats[] = {1, 3, 127, 128, 129, 300};
@@ -310,7 +282,7 @@ TEST_P(ColumnBoundTest, DuplicatesStraddlingBlocks) {
     for (size_t i = begin; i < end; ++i) {
       values[i] = -5'000 + static_cast<Value>((i - begin) / repeat) * 7;
     }
-    const Column col = Column::FromValues(values, enc);
+    const Column col = Column::FromValues(values);
     const auto check_run = [&](size_t b, size_t e) {
       ExpectBoundsMatch(col, b, e, ProbesFor(values, b, e), rng);
     };
@@ -322,56 +294,43 @@ TEST_P(ColumnBoundTest, DuplicatesStraddlingBlocks) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Encodings, ColumnBoundTest,
-                         ::testing::Values(Encoding::kPlain,
-                                           Encoding::kBlockDelta),
-                         [](const auto& info) {
-                           return info.param == Encoding::kPlain
-                                      ? "Plain"
-                                      : "BlockDelta";
-                         });
-
 TEST(ColumnTest, EmptyColumn) {
-  const Column col = Column::FromValues({}, Encoding::kBlockDelta);
+  const Column col = Column::FromValues({});
   EXPECT_EQ(col.size(), 0u);
   EXPECT_TRUE(col.empty());
   EXPECT_TRUE(col.Decode().empty());
 }
 
 // Serialization (the snapshot substrate): AppendTo -> ReadFrom must be
-// bit-exact across encodings, value shapes, and partial trailing blocks.
+// bit-exact across value shapes and partial trailing blocks.
 TEST(ColumnSerializeTest, AppendReadRoundTripIsExact) {
   Rng rng(44);
-  for (const Encoding encoding : {Encoding::kPlain, Encoding::kBlockDelta}) {
-    for (const size_t n : {size_t{1}, size_t{127}, size_t{128}, size_t{129},
-                           size_t{5000}}) {
-      std::vector<Value> values = UniformColumn(n, -1'000'000, 1'000'000,
-                                                rng);
-      values[0] = kValueMin;  // Exercise the width-64 extreme-range path.
-      if (n > 1) values[1] = kValueMax;
-      const Column col = Column::FromValues(values, encoding);
+  for (const size_t n : {size_t{1}, size_t{127}, size_t{128}, size_t{129},
+                         size_t{5000}}) {
+    std::vector<Value> values = UniformColumn(n, -1'000'000, 1'000'000, rng);
+    values[0] = kValueMin;  // Exercise the width-64 extreme-range path.
+    if (n > 1) values[1] = kValueMax;
+    const Column col = Column::FromValues(values);
 
-      std::string bytes;
-      ByteWriter w(&bytes);
-      col.AppendTo(&w);
-      ByteReader r(bytes);
-      StatusOr<Column> restored = Column::ReadFrom(&r);
-      ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-      EXPECT_TRUE(r.ok());
-      EXPECT_EQ(r.remaining(), 0u);
-      ASSERT_EQ(restored->size(), n);
-      EXPECT_EQ(restored->encoding(), encoding);
-      EXPECT_EQ(restored->Decode(), values);
-      EXPECT_EQ(restored->MemoryUsageBytes(), col.MemoryUsageBytes());
-      for (size_t b = 0; b < col.NumBlocks(); ++b) {
-        EXPECT_EQ(restored->BlockMin(b), col.BlockMin(b));
-        EXPECT_EQ(restored->BlockMax(b), col.BlockMax(b));
-      }
+    std::string bytes;
+    ByteWriter w(&bytes);
+    col.AppendTo(&w);
+    ByteReader r(bytes);
+    StatusOr<Column> restored = Column::ReadFrom(&r);
+    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+    EXPECT_TRUE(r.ok());
+    EXPECT_EQ(r.remaining(), 0u);
+    ASSERT_EQ(restored->size(), n);
+    EXPECT_EQ(restored->Decode(), values);
+    EXPECT_EQ(restored->MemoryUsageBytes(), col.MemoryUsageBytes());
+    for (size_t b = 0; b < col.NumBlocks(); ++b) {
+      EXPECT_EQ(restored->BlockMin(b), col.BlockMin(b));
+      EXPECT_EQ(restored->BlockMax(b), col.BlockMax(b));
     }
   }
 }
 
-/// The AppendTo pages of a kBlockDelta column as the per-value packer
+/// The AppendTo pages of a column as the per-value packer
 /// wrote them: each delta OR-ed in at bit offset + (i % 128) * width,
 /// spilling into the next word, plus the one serialized slack word.
 std::string PerValuePackedPages(const std::vector<Value>& values) {
@@ -449,7 +408,7 @@ TEST(ColumnSerializeTest, BlockPackerMatchesPerValuePacker) {
     const bool boundary = in_block <= 1 || in_block == 63 || in_block == 100;
     if (!boundary && n != values.size()) continue;
     const std::vector<Value> prefix(values.begin(), values.begin() + n);
-    const Column col = Column::FromValues(prefix, Encoding::kBlockDelta);
+    const Column col = Column::FromValues(prefix);
     std::string got;
     ByteWriter w(&got);
     col.AppendTo(&w);
@@ -461,7 +420,7 @@ TEST(ColumnSerializeTest, BlockPackerMatchesPerValuePacker) {
 TEST(ColumnSerializeTest, TruncatedAndCorruptPagesAreRejected) {
   Rng rng(45);
   std::vector<Value> values = UniformColumn(1000, 0, 1 << 20, rng);
-  const Column col = Column::FromValues(values, Encoding::kBlockDelta);
+  const Column col = Column::FromValues(values);
   std::string bytes;
   ByteWriter w(&bytes);
   col.AppendTo(&w);
@@ -478,13 +437,24 @@ TEST(ColumnSerializeTest, TruncatedAndCorruptPagesAreRejected) {
   ByteReader r(mutated);
   EXPECT_FALSE(Column::ReadFrom(&r).ok());
 
+  // The leading encoding byte is always 1 (block-delta); any other value
+  // is corrupt.
+  for (const uint8_t encoding : {uint8_t{0}, uint8_t{2}}) {
+    std::string other = bytes;
+    other[0] = static_cast<char>(encoding);
+    ByteReader er(other);
+    const StatusOr<Column> got = Column::ReadFrom(&er);
+    ASSERT_FALSE(got.ok()) << int{encoding};
+    EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
+  }
+
   // A near-2^64 size would wrap the block count to zero and bypass every
   // per-block bound; it must be rejected before any allocation.
   for (const uint64_t size :
        {~uint64_t{0}, ~uint64_t{0} - 100, uint64_t{1} << 60}) {
     std::string huge;
     ByteWriter hw(&huge);
-    hw.PutU8(1);  // kBlockDelta.
+    hw.PutU8(1);  // The block-delta encoding byte.
     hw.PutU64(size);
     hw.PutU64(0);  // A few plausible trailing bytes.
     ByteReader hr(huge);

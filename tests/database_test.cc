@@ -248,6 +248,56 @@ TEST(DatabaseTest, TrainingWorkloadShapesFloodLayout) {
   EXPECT_EQ(trained->Run(q).count, untrained->Run(q).count);
 }
 
+// The baselines that order dimensions by workload selectivity draw their
+// own row sample inside BuildContext::DimsBySelectivity, so a bare build
+// and a Database::Open build over the same table and workload pick the
+// same dimensions and store the same rows in the same order. The table is
+// larger than the 20,000-row sample.
+TEST(DatabaseTest, BareBuildMatchesDatabaseOpenForSelectivityOrderedIndexes) {
+  const Table t = MakeTable(DataShape::kUniform, 30'000, 3, 19);
+  // Narrow ranges on dim 2, wide ones on dim 0: dim 2 is most selective.
+  Workload train;
+  Rng rng(20);
+  for (int i = 0; i < 40; ++i) {
+    const Value lo2 = rng.UniformInt(0, 950'000);
+    const Value lo0 = rng.UniformInt(0, 400'000);
+    train.Add(QueryBuilder(3)
+                  .Range(0, lo0, lo0 + 600'000)
+                  .Range(2, lo2, lo2 + 30'000)
+                  .Count()
+                  .Build());
+  }
+  const auto pages = [](const Table& table) {
+    std::string bytes;
+    ByteWriter w(&bytes);
+    table.AppendTo(&w);
+    return bytes;
+  };
+  for (const char* name : {"kdtree", "zorder", "ubtree", "clustered"}) {
+    SCOPED_TRACE(name);
+    StatusOr<std::unique_ptr<MultiDimIndex>> bare =
+        IndexRegistry::Global().Create(name, {});
+    ASSERT_TRUE(bare.ok());
+    ASSERT_TRUE((*bare)->Build(t, BuildContext{&train}).ok());
+
+    DatabaseOptions options;
+    options.index_name = name;
+    options.training_workload = train;
+    StatusOr<Database> db = Database::Open(t, std::move(options));
+    ASSERT_TRUE(db.ok());
+
+    EXPECT_EQ(db->Describe(), (*bare)->Describe());
+    EXPECT_EQ(db->index().IndexSizeBytes(), (*bare)->IndexSizeBytes());
+    EXPECT_EQ(pages(db->index().data()), pages((*bare)->data()));
+  }
+  // The workload did steer the choice: clustered sorts by dim 2.
+  StatusOr<std::unique_ptr<MultiDimIndex>> clustered =
+      IndexRegistry::Global().Create("clustered", {});
+  ASSERT_TRUE(clustered.ok());
+  ASSERT_TRUE((*clustered)->Build(t, BuildContext{&train}).ok());
+  EXPECT_EQ((*clustered)->Describe(), "Clustered[sort_dim=2]");
+}
+
 TEST(DatabaseTest, TelemetryAccumulatesAcrossRuns) {
   const Table t = MakeTable(DataShape::kUniform, 1000, 2, 18);
   DatabaseOptions options;

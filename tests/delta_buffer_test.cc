@@ -34,17 +34,20 @@ TEST(DeltaBufferTest, RejectsArityMismatch) {
   EXPECT_FALSE(buffer.Insert({1, 2}).ok());
 }
 
-TEST(DeltaBufferTest, MergeIntoProducesCombinedTable) {
+TEST(DeltaBufferTest, MaterializeProducesCombinedTable) {
   StatusOr<Table> main = Table::FromColumns({{1, 2}, {10, 20}});
   ASSERT_TRUE(main.ok());
   DeltaBuffer buffer(2);
   ASSERT_TRUE(buffer.Insert({3, 30}).ok());
-  StatusOr<Table> merged = buffer.MergeInto(*main);
+  StatusOr<Table> merged = buffer.Materialize(*main);
   ASSERT_TRUE(merged.ok());
   EXPECT_EQ(merged->num_rows(), 3u);
   EXPECT_EQ(merged->Get(2, 0), 3);
   EXPECT_EQ(merged->Get(2, 1), 30);
-  EXPECT_EQ(buffer.size(), 0u);  // Cleared after merge.
+  // The caller clears once the rebuilt index is in place.
+  EXPECT_EQ(buffer.size(), 1u);
+  buffer.Clear();
+  EXPECT_EQ(buffer.size(), 0u);
 }
 
 TEST(DeltaBufferTest, EraseMatchingRemovesFullTupleEqualRows) {
@@ -118,7 +121,6 @@ TEST(DeltaBufferTest, InsertsVisibleThroughCombinedQueryPath) {
   o.layout = GridLayout::Default(2, 16);
   FloodIndex index(o);
   BuildContext ctx;
-  ctx.sample = DataSample::FromTable(t, 500, 1);
   ASSERT_TRUE(index.Build(t, ctx).ok());
 
   DeltaBuffer buffer(2);
@@ -135,11 +137,11 @@ TEST(DeltaBufferTest, InsertsVisibleThroughCombinedQueryPath) {
   const uint64_t combined = main_count.count() + buffer_count.count();
 
   // After merging and rebuilding, the single index agrees.
-  StatusOr<Table> merged = buffer.MergeInto(t);
+  StatusOr<Table> merged = buffer.Materialize(t);
   ASSERT_TRUE(merged.ok());
+  buffer.Clear();
   FloodIndex rebuilt(o);
   BuildContext ctx2;
-  ctx2.sample = DataSample::FromTable(*merged, 500, 2);
   ASSERT_TRUE(rebuilt.Build(*merged, ctx2).ok());
   EXPECT_EQ(ExecuteAggregate(rebuilt, q, nullptr).count, combined);
   EXPECT_GE(combined, 50u);

@@ -24,7 +24,6 @@ TEST(ExecutorTest, CountQuery) {
                                      3);
   std::unique_ptr<MultiDimIndex> index = MakeFullScan();
   BuildContext ctx;
-  ctx.sample = DataSample::FromTable(t, 100, 1);
   ASSERT_TRUE(index->Build(t, ctx).ok());
   Query q = QueryBuilder(2).Range(0, 0, 500'000).Count().Build();
   const AggResult r = ExecuteAggregate(*index, q, nullptr);
@@ -41,7 +40,6 @@ TEST(ExecutorTest, SumQueryWithAndWithoutPrefixSums) {
   w.Add(q);
   BuildContext ctx;
   ctx.workload = &w;
-  ctx.sample = DataSample::FromTable(t, 500, 1);
 
   FloodIndex::Options o;
   o.layout = GridLayout::Default(3, 64);
@@ -50,7 +48,6 @@ TEST(ExecutorTest, SumQueryWithAndWithoutPrefixSums) {
   ASSERT_NE(with_sums.prefix_sums(1), nullptr);
 
   BuildContext ctx_no;
-  ctx_no.sample = DataSample::FromTable(t, 500, 2);
   FloodIndex without(o);
   ASSERT_TRUE(without.Build(t, ctx_no).ok());
   EXPECT_EQ(without.prefix_sums(1), nullptr);
@@ -65,7 +62,6 @@ TEST(ExecutorTest, StatsTotalsAccumulate) {
                                      5);
   std::unique_ptr<MultiDimIndex> index = MakeFullScan();
   BuildContext ctx;
-  ctx.sample = DataSample::FromTable(t, 100, 1);
   ASSERT_TRUE(index->Build(t, ctx).ok());
   QueryStats stats;
   Query q = QueryBuilder(2).Range(0, 0, 100'000).Build();
@@ -83,7 +79,6 @@ TEST(ExecutorTest, EmptyQueryShortCircuits) {
                                      6);
   std::unique_ptr<MultiDimIndex> index = MakeFullScan();
   BuildContext ctx;
-  ctx.sample = DataSample::FromTable(t, 100, 1);
   ASSERT_TRUE(index->Build(t, ctx).ok());
   Query q(2);
   q.SetRange(0, 100, 50);  // Inverted: empty.
@@ -106,7 +101,6 @@ TEST(ExecutorTest, ConcurrentExecuteOnOneIndexIsReentrant) {
   o.layout = GridLayout::Default(3, 128);
   FloodIndex index(o);
   BuildContext ctx;
-  ctx.sample = DataSample::FromTable(t, 500, 1);
   ASSERT_TRUE(index.Build(t, ctx).ok());
 
   std::vector<Query> queries;

@@ -19,13 +19,6 @@ using testing::DataShape;
 using testing::MakeTable;
 using testing::RandomQuery;
 
-BuildContext MakeCtx(const Table& t, const Workload* w = nullptr) {
-  BuildContext ctx;
-  ctx.workload = w;
-  ctx.sample = DataSample::FromTable(t, 1000, 5);
-  return ctx;
-}
-
 // The values of `rows`, sorted: storage orders differ across indexes.
 std::vector<std::vector<Value>> SortedRows(const MultiDimIndex& index,
                                            const std::vector<RowId>& rows) {
@@ -47,7 +40,7 @@ TEST(FloodIndexTest, BuildRejectsInvalidLayout) {
   o.layout.dim_order = {0, 0, 1};
   o.layout.columns = {2, 2};
   FloodIndex index(o);
-  const BuildContext ctx = MakeCtx(t);
+  const BuildContext ctx;
   EXPECT_FALSE(index.Build(t, ctx).ok());
 }
 
@@ -57,7 +50,7 @@ TEST(FloodIndexTest, BuildRejectsCellBudgetOverflow) {
   o.layout = GridLayout::Default(3, 1u << 20);
   o.max_cells = 1024;
   FloodIndex index(o);
-  const BuildContext ctx = MakeCtx(t);
+  const BuildContext ctx;
   const Status s = index.Build(t, ctx);
   EXPECT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
@@ -73,7 +66,7 @@ TEST(FloodIndexTest, BuildRejectsOverflowingCellCount) {
   FloodIndex::Options o;
   o.layout = *layout;
   FloodIndex index(o);
-  const Status s = index.Build(t, MakeCtx(t));
+  const Status s = index.Build(t, BuildContext{});
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
 }
 
@@ -85,7 +78,7 @@ TEST(FloodIndexTest, BuildRejectsCellCountAbove32Bits) {
   o.layout.columns = {65536, 65537};
   o.max_cells = std::numeric_limits<uint64_t>::max();
   FloodIndex index(o);
-  const Status s = index.Build(t, MakeCtx(t));
+  const Status s = index.Build(t, BuildContext{});
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
 }
 
@@ -94,7 +87,7 @@ TEST(FloodIndexTest, CellTablePartitionsRows) {
   FloodIndex::Options o;
   o.layout = GridLayout::Default(3, 100);
   FloodIndex index(o);
-  const BuildContext ctx = MakeCtx(t);
+  const BuildContext ctx;
   ASSERT_TRUE(index.Build(t, ctx).ok());
   size_t total = 0;
   for (size_t c = 0; c < index.num_cells(); ++c) total += index.CellSize(c);
@@ -106,7 +99,7 @@ TEST(FloodIndexTest, RowsWithinCellSortedBySortDim) {
   FloodIndex::Options o;
   o.layout = GridLayout::Default(3, 64);
   FloodIndex index(o);
-  const BuildContext ctx = MakeCtx(t);
+  const BuildContext ctx;
   ASSERT_TRUE(index.Build(t, ctx).ok());
   const size_t sort_dim = index.layout().sort_dim();
   size_t offset = 0;
@@ -147,7 +140,7 @@ TEST(FloodIndexTest, ClusteringMatchesComparatorSort) {
   StatusOr<Table> built = Table::FromColumns(cols);
   ASSERT_TRUE(built.ok());
   const Table& t = *built;
-  const BuildContext ctx = MakeCtx(t);
+  const BuildContext ctx;
 
   struct Case {
     uint32_t c0;
@@ -245,7 +238,7 @@ TEST(FloodIndexTest, CellAssignmentMatchesPerRowColumnOf) {
   StatusOr<Table> built = Table::FromColumns(cols);
   ASSERT_TRUE(built.ok());
   const Table& t = *built;
-  const BuildContext ctx = MakeCtx(t);
+  const BuildContext ctx;
 
   using Mode = Flattener::Mode;
   for (const Mode mode : {Mode::kCdf, Mode::kLinear}) {
@@ -330,7 +323,7 @@ TEST_P(FloodLayoutSweepTest, MatchesOracleAcrossLayouts) {
       flatten ? Flattener::Mode::kCdf : Flattener::Mode::kLinear;
   o.plm_min_cell_size = 32;
   FloodIndex index(o);
-  const BuildContext ctx = MakeCtx(t);
+  const BuildContext ctx;
   ASSERT_TRUE(index.Build(t, ctx).ok());
 
   for (uint64_t seed = 0; seed < 20; ++seed) {
@@ -362,7 +355,7 @@ TEST(FloodIndexTest, RefinementShrinksScansWhenSortDimFiltered) {
   FloodIndex::Options o;
   o.layout = GridLayout::Default(3, 64);
   FloodIndex index(o);
-  const BuildContext ctx = MakeCtx(t);
+  const BuildContext ctx;
   ASSERT_TRUE(index.Build(t, ctx).ok());
   const size_t sort_dim = index.layout().sort_dim();
 
@@ -382,7 +375,7 @@ TEST(FloodIndexTest, ExactRangesSkipChecksOnGridFilteredQueries) {
   FloodIndex::Options o;
   o.layout = GridLayout::Default(3, 256);
   FloodIndex index(o);
-  const BuildContext ctx = MakeCtx(t);
+  const BuildContext ctx;
   ASSERT_TRUE(index.Build(t, ctx).ok());
   // Wide filter on one grid dimension: interior columns are exact.
   const size_t g0 = index.layout().grid_dim(0);
@@ -404,7 +397,7 @@ TEST(FloodIndexTest, CellModelsReduceNothingButStayCorrect) {
   FloodIndex::Options without = with_models;
   without.use_cell_models = false;
   FloodIndex b(without);
-  const BuildContext ctx = MakeCtx(t);
+  const BuildContext ctx;
   ASSERT_TRUE(a.Build(t, ctx).ok());
   ASSERT_TRUE(b.Build(t, ctx).ok());
   EXPECT_GT(a.num_cell_models(), 0u);
@@ -425,7 +418,7 @@ TEST(FloodIndexTest, IndexSizeTracksCellModelBudget) {
   big_delta.plm_delta = 500.0;
   FloodIndex a(small_delta);
   FloodIndex b(big_delta);
-  const BuildContext ctx = MakeCtx(t);
+  const BuildContext ctx;
   ASSERT_TRUE(a.Build(t, ctx).ok());
   ASSERT_TRUE(b.Build(t, ctx).ok());
   EXPECT_GT(a.IndexSizeBytes(), b.IndexSizeBytes());
@@ -439,7 +432,7 @@ TEST(FloodIndexTest, ZoneMapPruningSkipsDisjointSortRanges) {
   FloodIndex::Options o;
   o.layout = GridLayout::Default(3, 64);
   FloodIndex index(o);
-  const BuildContext ctx = MakeCtx(t);
+  const BuildContext ctx;
   ASSERT_TRUE(index.Build(t, ctx).ok());
   const size_t sort_dim = index.layout().sort_dim();
 
@@ -487,7 +480,7 @@ TEST(FloodIndexTest, SparseGridAnswersLikeFullScan) {
     o.enable_run_merging = false;
     o.enable_exact_ranges = false;
     FloodIndex unmerged(o);
-    const BuildContext ctx = MakeCtx(t);
+    const BuildContext ctx;
     ASSERT_TRUE(index.Build(t, ctx).ok());
     ASSERT_TRUE(unmerged.Build(t, ctx).ok());
     ASSERT_GE(index.num_cells(), 32 * n);
@@ -555,7 +548,7 @@ TEST(FloodIndexTest, SortFilteredQueriesMatchFullScan) {
                                 DataShape::kSkewed}) {
     SCOPED_TRACE(testing::DataShapeName(shape));
     const Table t = MakeTable(shape, n, 3, 15);
-    const BuildContext ctx = MakeCtx(t);
+    const BuildContext ctx;
     FullScanIndex oracle;
     ASSERT_TRUE(oracle.Build(t, ctx).ok());
     const std::vector<Value> sort_values = t.DecodeColumn(2);
@@ -611,7 +604,7 @@ TEST(FloodIndexTest, StatsCountCellsVisited) {
   FloodIndex::Options o;
   o.layout = GridLayout::Default(3, 100);
   FloodIndex index(o);
-  const BuildContext ctx = MakeCtx(t);
+  const BuildContext ctx;
   ASSERT_TRUE(index.Build(t, ctx).ok());
   Query q(3);  // Unfiltered: visits every cell.
   QueryStats stats;

@@ -18,12 +18,6 @@ using testing::DataShape;
 using testing::MakeTable;
 using testing::RandomQuery;
 
-BuildContext Ctx(const Table& t, uint64_t seed = 5) {
-  BuildContext ctx;
-  ctx.sample = DataSample::FromTable(t, 1000, seed);
-  return ctx;
-}
-
 std::unique_ptr<MultiDimIndex> MakeRegistered(const std::string& name,
                                               const IndexOptions& opts = {}) {
   StatusOr<std::unique_ptr<MultiDimIndex>> index =
@@ -54,7 +48,7 @@ TEST(ZOrderRegressionTest, DuplicateCodesAcrossPages) {
   ASSERT_TRUE(t.ok());
   std::unique_ptr<MultiDimIndex> index =
       MakeRegistered("zorder", IndexOptions().SetInt("page_size", 64));
-  const BuildContext ctx = Ctx(*t);
+  const BuildContext ctx;
   ASSERT_TRUE(index->Build(*t, ctx).ok());
   Query q = QueryBuilder(2).Equals(0, 500).Equals(1, 600).Build();
   EXPECT_EQ(ExecuteAggregate(*index, q, nullptr).count,
@@ -63,7 +57,7 @@ TEST(ZOrderRegressionTest, DuplicateCodesAcrossPages) {
 
 TEST(ZOrderVsUbTreeTest, IdenticalResultsAcrossManyQueries) {
   const Table t = MakeTable(DataShape::kClustered, 8000, 3, 18);
-  const BuildContext ctx = Ctx(t);
+  const BuildContext ctx;
   std::unique_ptr<MultiDimIndex> z = MakeRegistered("zorder");
   std::unique_ptr<MultiDimIndex> ub = MakeRegistered("ubtree");
   ASSERT_TRUE(z->Build(t, ctx).ok());
@@ -84,7 +78,7 @@ TEST(FloodBehaviorTest, InteriorCellsMergeIntoRuns) {
   o.layout.dim_order = {0, 1, 2};  // Grid over d0,d1; sort d2.
   o.layout.columns = {16, 16};
   FloodIndex index(o);
-  const BuildContext ctx = Ctx(t);
+  const BuildContext ctx;
   ASSERT_TRUE(index.Build(t, ctx).ok());
 
   // Filter only d0: for each of its ~k intersecting columns, the whole
@@ -113,7 +107,7 @@ TEST(FloodBehaviorTest, SingleColumnDimensionActsExcluded) {
   o.layout.dim_order = {0, 1, 2};
   o.layout.columns = {1, 32};  // d0 excluded, d1 gridded, d2 sorted.
   FloodIndex index(o);
-  const BuildContext ctx = Ctx(t);
+  const BuildContext ctx;
   ASSERT_TRUE(index.Build(t, ctx).ok());
   Query q(3);
   q.SetRange(0, 100'000, 200'000);  // Only the excluded dim.
@@ -134,7 +128,7 @@ TEST(FloodBehaviorTest, FlatteningBalancesCellSizes) {
   lin.flatten_mode = Flattener::Mode::kLinear;
   FloodIndex a(flat);
   FloodIndex b(lin);
-  const BuildContext ctx = Ctx(t);
+  const BuildContext ctx;
   ASSERT_TRUE(a.Build(t, ctx).ok());
   ASSERT_TRUE(b.Build(t, ctx).ok());
   auto max_cell = [](const FloodIndex& idx) {
@@ -171,7 +165,7 @@ TEST(FloodBuildDeterminismTest, SameOptionsSameStorageOrder) {
   o.layout = GridLayout::Default(3, 64);
   FloodIndex a(o);
   FloodIndex b(o);
-  const BuildContext ctx = Ctx(t);
+  const BuildContext ctx;
   ASSERT_TRUE(a.Build(t, ctx).ok());
   ASSERT_TRUE(b.Build(t, ctx).ok());
   for (RowId r = 0; r < t.num_rows(); r += 97) {
@@ -188,7 +182,7 @@ TEST(FloodBehaviorTest, ExactnessAccounting) {
   FloodIndex::Options o;
   o.layout = GridLayout::Default(3, 256);
   FloodIndex index(o);
-  const BuildContext ctx = Ctx(t);
+  const BuildContext ctx;
   ASSERT_TRUE(index.Build(t, ctx).ok());
   Query q(3);  // Unfiltered.
   QueryStats stats;
@@ -201,7 +195,7 @@ TEST(FloodBehaviorTest, ExactnessAccounting) {
 // never results.
 TEST(FloodBehaviorTest, AblationFlagsPreserveResults) {
   const Table t = MakeTable(DataShape::kClustered, 8000, 3, 26);
-  const BuildContext ctx = Ctx(t);
+  const BuildContext ctx;
   FloodIndex::Options base;
   base.layout = GridLayout::Default(3, 64);
   FloodIndex full(base);
@@ -244,7 +238,6 @@ TEST(FloodBehaviorTest, PrefixSumPathMatchesRowPath) {
   w.Add(q);
   BuildContext ctx;
   ctx.workload = &w;
-  ctx.sample = DataSample::FromTable(t, 1000, 3);
   FloodIndex::Options o;
   o.layout.dim_order = {0, 1, 2};
   o.layout.columns = {64, 4};

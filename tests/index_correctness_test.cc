@@ -145,7 +145,6 @@ TEST_P(IndexCorrectnessTest, AggregatesMatchBruteForceOracle) {
   }
   BuildContext ctx;
   ctx.workload = &hint;
-  ctx.sample = DataSample::FromTable(table, 1000, 77);
 
   std::unique_ptr<MultiDimIndex> index = MakeIndex(kind, d);
   ASSERT_NE(index, nullptr);
@@ -187,7 +186,6 @@ TEST_P(IndexCorrectnessTest, UnfilteredQueryMatchesEverything) {
   const size_t n = 500;
   const Table table = MakeTable(shape, n, 3, 99);
   BuildContext ctx;
-  ctx.sample = DataSample::FromTable(table, 200, 1);
   std::unique_ptr<MultiDimIndex> index = MakeIndex(kind, 3);
   ASSERT_TRUE(index->Build(table, ctx).ok());
   const Query q(3);
@@ -199,7 +197,6 @@ TEST_P(IndexCorrectnessTest, EmptyRangeMatchesNothing) {
   const auto [kind, shape] = GetParam();
   const Table table = MakeTable(shape, 400, 3, 101);
   BuildContext ctx;
-  ctx.sample = DataSample::FromTable(table, 200, 2);
   std::unique_ptr<MultiDimIndex> index = MakeIndex(kind, 3);
   ASSERT_TRUE(index->Build(table, ctx).ok());
   Query q(3);
@@ -212,7 +209,6 @@ TEST_P(IndexCorrectnessTest, OutOfDomainRangeMatchesNothing) {
   const auto [kind, shape] = GetParam();
   const Table table = MakeTable(shape, 400, 3, 103);
   BuildContext ctx;
-  ctx.sample = DataSample::FromTable(table, 200, 3);
   std::unique_ptr<MultiDimIndex> index = MakeIndex(kind, 3);
   ASSERT_TRUE(index->Build(table, ctx).ok());
   Query q(3);
@@ -245,7 +241,6 @@ TEST(IndexEdgeCaseTest, SinglePointTable) {
   StatusOr<Table> t = Table::FromColumns({{42}, {7}});
   ASSERT_TRUE(t.ok());
   BuildContext ctx;
-  ctx.sample = DataSample::FromTable(*t, 1, 1);
   for (IndexKind kind :
        {IndexKind::kFullScan, IndexKind::kClustered, IndexKind::kZOrder,
         IndexKind::kUbTree, IndexKind::kHyperoctree, IndexKind::kKdTree,
@@ -267,7 +262,6 @@ TEST(IndexEdgeCaseTest, AllRowsIdentical) {
   StatusOr<Table> t = Table::FromColumns({col, col, col});
   ASSERT_TRUE(t.ok());
   BuildContext ctx;
-  ctx.sample = DataSample::FromTable(*t, 100, 1);
   for (IndexKind kind :
        {IndexKind::kFullScan, IndexKind::kClustered, IndexKind::kZOrder,
         IndexKind::kUbTree, IndexKind::kHyperoctree, IndexKind::kKdTree,
@@ -290,7 +284,6 @@ TEST(IndexEdgeCaseTest, SingleDimensionTable) {
       Table::FromColumns({UniformColumn(2000, 0, 10'000, rng)});
   ASSERT_TRUE(t.ok());
   BuildContext ctx;
-  ctx.sample = DataSample::FromTable(*t, 500, 1);
   for (IndexKind kind :
        {IndexKind::kFullScan, IndexKind::kClustered, IndexKind::kZOrder,
         IndexKind::kHyperoctree, IndexKind::kKdTree,

@@ -44,7 +44,6 @@ TEST_P(KnnTest, MatchesBruteForceDistances) {
   o.layout.columns = {12, 12};
   FloodIndex index(o);
   BuildContext ctx;
-  ctx.sample = DataSample::FromTable(t, 1000, 1);
   ASSERT_TRUE(index.Build(t, ctx).ok());
 
   const std::vector<size_t> dims{0, 1};
@@ -102,7 +101,6 @@ TEST(KnnEdgeTest, SparseGridMatchesBruteForce) {
   o.layout.columns = {512, 256};  // 131072 cells, ~44x the rows.
   FloodIndex index(o);
   BuildContext ctx;
-  ctx.sample = DataSample::FromTable(t, 1000, 1);
   ASSERT_TRUE(index.Build(t, ctx).ok());
   ASSERT_GE(index.num_cells(), 32 * t.num_rows());
   ASSERT_LT(index.num_occupied_cells(), t.num_rows());
@@ -134,7 +132,6 @@ TEST(KnnEdgeTest, KLargerThanTable) {
   o.layout.columns = {4};
   FloodIndex index(o);
   BuildContext ctx;
-  ctx.sample = DataSample::FromTable(t, 20, 1);
   ASSERT_TRUE(index.Build(t, ctx).ok());
   const KnnEngine engine(&index);
   const auto got = engine.Search({500'000, 500'000}, 100);
@@ -151,7 +148,6 @@ TEST(KnnEdgeTest, ExactPointQueryFindsItself) {
   o.layout.columns = {16};
   FloodIndex index(o);
   BuildContext ctx;
-  ctx.sample = DataSample::FromTable(t, 500, 1);
   ASSERT_TRUE(index.Build(t, ctx).ok());
   const KnnEngine engine(&index);
   // Query exactly at a stored point: nearest distance must be 0.
@@ -169,7 +165,6 @@ TEST(KnnEdgeTest, RingPruningVisitsFewCellsOnEasyQueries) {
   o.layout.columns = {128};
   FloodIndex index(o);
   BuildContext ctx;
-  ctx.sample = DataSample::FromTable(t, 1000, 1);
   ASSERT_TRUE(index.Build(t, ctx).ok());
   const KnnEngine engine(&index, {0});
   (void)engine.Search({500'000, 0}, 4);

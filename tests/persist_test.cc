@@ -197,35 +197,26 @@ TEST(PersistTest, CorruptAndTruncatedSnapshotsAreRejected) {
                 .status()
                 .code(),
             StatusCode::kNotFound);
-}
 
-TEST(PersistTest, DictionariesRoundTripThroughSnapshotSections) {
-  const Table base = MakeTable(DataShape::kUniform, 300, 2, 85);
-  Dictionary colors;
-  colors.Encode("red");
-  colors.Encode("green");
-  colors.Encode("blue");
-  Dictionary cities;
-  cities.Encode("zurich");
-  cities.Encode("tokyo");
-
-  TempFile snap("dicts.snap");
-  persist::SnapshotContents contents;
-  contents.epoch = 3;
-  contents.index_name = "full_scan";
-  contents.base = &base;
-  contents.dictionaries = {{"color", &colors}, {"city", &cities}};
-  ASSERT_TRUE(persist::WriteSnapshot(snap.path(), contents).ok());
-
-  StatusOr<persist::SnapshotData> data = persist::ReadSnapshot(snap.path());
-  ASSERT_TRUE(data.ok()) << data.status().ToString();
-  EXPECT_EQ(data->epoch, 3u);
-  ASSERT_EQ(data->dictionaries.size(), 2u);
-  EXPECT_EQ(data->dictionaries[0].first, "color");
-  EXPECT_EQ(data->dictionaries[0].second.size(), 3u);
-  EXPECT_EQ(data->dictionaries[0].second.Lookup("green"), 1);
-  EXPECT_EQ(data->dictionaries[1].second.Decode(0), "zurich");
-  EXPECT_EQ(data->dictionaries[1].second.Lookup("nowhere"), -1);
+  // A version-1 file (it carried a sample size and seed, index properties
+  // and a dictionaries section) is refused by its version, even with a
+  // valid header checksum.
+  std::string v1 = good;
+  const uint32_t kVersionOffset = 8;
+  ASSERT_EQ(static_cast<uint8_t>(v1[kVersionOffset]), 2u);
+  v1[kVersionOffset] = 1;
+  const size_t header_bytes = 8 + 4 + 8 + 4 + 4 * 24;  // Four sections.
+  const uint32_t crc = Crc32(v1.data(), header_bytes);
+  for (size_t i = 0; i < 4; ++i) {
+    v1[header_bytes + i] = static_cast<char>(crc >> (8 * i));
+  }
+  ASSERT_TRUE(persist::WriteFileAtomic(bad.path(), v1).ok());
+  const StatusOr<persist::SnapshotData> old = persist::ReadSnapshot(bad.path());
+  ASSERT_FALSE(old.ok());
+  EXPECT_EQ(old.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(old.status().message().find("unsupported version 1"),
+            std::string::npos)
+      << old.status().ToString();
 }
 
 // --- WAL -------------------------------------------------------------------

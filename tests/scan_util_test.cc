@@ -265,7 +265,9 @@ void ExpectKernelsAgree(const Table& t, const Query& q, size_t begin,
   EXPECT_EQ(dispatched.stats.simd_blocks, chosen.stats.simd_blocks);
 }
 
-TEST(ScanKernelEquivalenceTest, AllBitWidthsBothEncodings) {
+// Every delta width 0..64: 1..57 take the simd kernel's packed filters,
+// 0 and 58..64 its decoded compare.
+TEST(ScanKernelEquivalenceTest, AllBitWidths) {
   constexpr size_t kB = Column::kBlockSize;
   const size_t n = 5 * kB + 37;  // Trailing partial block.
   for (uint32_t w = 0; w <= 64; ++w) {
@@ -279,23 +281,20 @@ TEST(ScanKernelEquivalenceTest, AllBitWidthsBothEncodings) {
     const Value hi = sorted[3 * n / 4];
     std::vector<Value> sorted1 = c1;
     std::sort(sorted1.begin(), sorted1.end());
-    for (Column::Encoding enc :
-         {Column::Encoding::kPlain, Column::Encoding::kBlockDelta}) {
-      StatusOr<Table> t = Table::FromColumns({c0, c1}, enc);
-      ASSERT_TRUE(t.ok());
-      const Query q = QueryBuilder(2)
-                          .Range(0, lo, hi)
-                          .Range(1, sorted1[n / 10], sorted1[9 * n / 10])
-                          .Build();
-      const std::vector<size_t> dims = FilteredDims(q);
-      // Full range, block-straddling sub-ranges, and intra-block ranges.
-      for (auto [begin, end] : std::vector<std::pair<size_t, size_t>>{
-               {0, n}, {1, n - 1}, {kB - 1, kB + 1}, {kB / 2, 3 * kB + 5},
-               {2 * kB, 3 * kB}, {n - 5, n}}) {
-        SCOPED_TRACE("width=" + std::to_string(w) + " range=" +
-                     std::to_string(begin) + ".." + std::to_string(end));
-        ExpectKernelsAgree(*t, q, begin, end, dims);
-      }
+    StatusOr<Table> t = Table::FromColumns({c0, c1});
+    ASSERT_TRUE(t.ok());
+    const Query q = QueryBuilder(2)
+                        .Range(0, lo, hi)
+                        .Range(1, sorted1[n / 10], sorted1[9 * n / 10])
+                        .Build();
+    const std::vector<size_t> dims = FilteredDims(q);
+    // Full range, block-straddling sub-ranges, and intra-block ranges.
+    for (auto [begin, end] : std::vector<std::pair<size_t, size_t>>{
+             {0, n}, {1, n - 1}, {kB - 1, kB + 1}, {kB / 2, 3 * kB + 5},
+             {2 * kB, 3 * kB}, {n - 5, n}}) {
+      SCOPED_TRACE("width=" + std::to_string(w) + " range=" +
+                   std::to_string(begin) + ".." + std::to_string(end));
+      ExpectKernelsAgree(*t, q, begin, end, dims);
     }
   }
 }
@@ -348,8 +347,7 @@ TEST(ScanKernelEquivalenceTest, PackedFiltersThroughFinalBlock) {
       std::sort(tail.begin(), tail.end());
       const Value lo = tail[tail.size() / 5];
       const Value hi = tail[4 * tail.size() / 5];
-      StatusOr<Table> t =
-          Table::FromColumns({c0}, Column::Encoding::kBlockDelta);
+      StatusOr<Table> t = Table::FromColumns({c0});
       ASSERT_TRUE(t.ok());
       const Query q = QueryBuilder(1).Range(0, lo, hi).Build();
       const std::vector<size_t> dims = FilteredDims(q);
@@ -372,11 +370,9 @@ TEST(ScanKernelTest, PackedFiltersMatchScalarReference) {
     SCOPED_TRACE("width=" + std::to_string(w));
     Rng rng(3000 + w);
     const std::vector<Value> values = WidthControlledColumn(w, 3 * kB, rng);
-    const Column col =
-        Column::FromValues(values, Column::Encoding::kBlockDelta);
+    const Column col = Column::FromValues(values);
     const size_t b = col.NumBlocks() - 1;
-    Column::PackedBlock pb;
-    ASSERT_TRUE(col.GetPackedBlock(b, &pb));
+    const Column::PackedBlock pb = col.GetPackedBlock(b);
     ASSERT_EQ(pb.width, w);
     const uint8_t* block = pb.bytes + pb.bit_offset / 8;
     const uint64_t base = static_cast<uint64_t>(pb.base);
@@ -418,8 +414,7 @@ TEST(ScanKernelTest, ZoneMapSkipAndExactCounters) {
   // Sorted column: each 128-block covers a distinct narrow range.
   std::vector<Value> col(1280);
   for (size_t i = 0; i < col.size(); ++i) col[i] = static_cast<Value>(i);
-  StatusOr<Table> t =
-      Table::FromColumns({col}, Column::Encoding::kBlockDelta);
+  StatusOr<Table> t = Table::FromColumns({col});
   ASSERT_TRUE(t.ok());
   const Query q = QueryBuilder(1).Range(0, 256, 800).Build();
   const std::vector<size_t> dims{0};
@@ -460,8 +455,7 @@ TEST(ScanKernelTest, DispatchFollowsRangeSizeAndIsa) {
   // straddles 200: it needs filtering.
   std::vector<Value> col(512);
   for (size_t i = 0; i < col.size(); ++i) col[i] = static_cast<Value>(i);
-  StatusOr<Table> t =
-      Table::FromColumns({col}, Column::Encoding::kBlockDelta);
+  StatusOr<Table> t = Table::FromColumns({col});
   ASSERT_TRUE(t.ok());
   const Query q = QueryBuilder(1).Range(0, 0, 200).Build();
   const std::vector<size_t> dims{0};

@@ -916,6 +916,44 @@ TEST(ServeServerTest, PipelinedFramesAllAnsweredAndMatchedById) {
   (*server)->Join();
 }
 
+// The one backoff schedule Client::Connect and RunBatch's shed retries
+// both sleep: exact without jitter, within its bounds and repeatable per
+// seed with it.
+TEST(ClientBackoffTest, DelayScheduleFollowsThePolicy) {
+  RetryPolicy policy;
+  policy.initial_backoff_ms = 10;
+  policy.multiplier = 2.0;
+  policy.max_backoff_ms = 100;
+  policy.jitter = 0.0;
+  Rng rng(policy.seed);
+  const double exact[] = {10, 20, 40, 80, 100, 100};
+  for (int attempt = 1; attempt <= 6; ++attempt) {
+    EXPECT_EQ(BackoffDelayMs(policy, attempt, rng), exact[attempt - 1])
+        << "attempt " << attempt;
+  }
+
+  policy.jitter = 0.5;
+  Rng a(policy.seed);
+  Rng b(policy.seed);
+  for (int attempt = 1; attempt <= 6; ++attempt) {
+    const double nominal = exact[attempt - 1];
+    const double ms = BackoffDelayMs(policy, attempt, a);
+    EXPECT_GE(ms, 0.5 * nominal) << "attempt " << attempt;
+    EXPECT_LE(ms, 1.5 * nominal) << "attempt " << attempt;
+    EXPECT_EQ(ms, BackoffDelayMs(policy, attempt, b)) << "attempt " << attempt;
+  }
+
+  // Jitter clamps to [0, 1]; a negative initial backoff means no delay.
+  policy.jitter = 3.0;
+  for (int attempt = 1; attempt <= 6; ++attempt) {
+    const double ms = BackoffDelayMs(policy, attempt, a);
+    EXPECT_GE(ms, 0.0);
+    EXPECT_LE(ms, 2.0 * exact[attempt - 1]);
+  }
+  policy.initial_backoff_ms = -5;
+  EXPECT_EQ(BackoffDelayMs(policy, 3, a), 0.0);
+}
+
 }  // namespace
 }  // namespace serve
 }  // namespace flood

@@ -247,8 +247,7 @@ TEST(ShardedDatabaseTest, ShardTablesMatchPerRowConstruction) {
         }
       }
     }
-    const Column::Encoding enc = Column::Encoding::kBlockDelta;
-    StatusOr<Table> want = Table::FromColumns(std::move(columns), enc, names);
+    StatusOr<Table> want = Table::FromColumns(std::move(columns), names);
     ASSERT_TRUE(want.ok());
     std::string want_bytes;
     std::string got_bytes;

@@ -24,8 +24,7 @@ TEST(TableTest, FromColumnsBasics) {
 }
 
 TEST(TableTest, NamedColumns) {
-  StatusOr<Table> t = Table::FromColumns(
-      {{1}, {2}}, Column::Encoding::kPlain, {"a", "b"});
+  StatusOr<Table> t = Table::FromColumns({{1}, {2}}, {"a", "b"});
   ASSERT_TRUE(t.ok());
   EXPECT_EQ(t->name(0), "a");
   EXPECT_EQ(t->name(1), "b");
@@ -43,8 +42,7 @@ TEST(TableTest, RejectsRaggedColumns) {
 }
 
 TEST(TableTest, RejectsNameArityMismatch) {
-  StatusOr<Table> t =
-      Table::FromColumns({{1}, {2}}, Column::Encoding::kPlain, {"only_one"});
+  StatusOr<Table> t = Table::FromColumns({{1}, {2}}, {"only_one"});
   EXPECT_FALSE(t.ok());
 }
 
@@ -77,8 +75,7 @@ TEST(TableTest, DecodeColumnMatchesGet) {
 
 TEST(TableTest, SerializeRoundTripPreservesEverything) {
   StatusOr<Table> t = Table::FromColumns(
-      {{5, -3, 9, 5}, {100, 200, 300, 400}},
-      Column::Encoding::kBlockDelta, {"price", "qty"});
+      {{5, -3, 9, 5}, {100, 200, 300, 400}}, {"price", "qty"});
   ASSERT_TRUE(t.ok());
 
   std::string bytes;
@@ -95,7 +92,6 @@ TEST(TableTest, SerializeRoundTripPreservesEverything) {
     EXPECT_EQ(restored->min_value(d), t->min_value(d));
     EXPECT_EQ(restored->max_value(d), t->max_value(d));
     EXPECT_EQ(restored->DecodeColumn(d), t->DecodeColumn(d));
-    EXPECT_EQ(restored->column(d).encoding(), t->column(d).encoding());
   }
 
   // Truncations never parse.
@@ -110,8 +106,7 @@ TEST(TableTest, MemoryUsageReflectsCompression) {
   for (size_t i = 0; i < narrow.size(); ++i) {
     narrow[i] = 1'000'000 + static_cast<Value>(i % 16);
   }
-  StatusOr<Table> compressed =
-      Table::FromColumns({narrow}, Column::Encoding::kBlockDelta);
+  StatusOr<Table> compressed = Table::FromColumns({narrow});
   ASSERT_TRUE(compressed.ok());
   EXPECT_LT(compressed->MemoryUsageBytes(),
             compressed->UncompressedBytes() / 4);
@@ -147,24 +142,21 @@ TEST(TableTest, ReorderMatchesFromColumnsOfThePermutedDecode) {
   for (size_t i = perm.size(); i-- > 1;) {
     std::swap(perm[i], perm[rng.Next() % (i + 1)]);
   }
-  using Enc = Column::Encoding;
-  for (const Enc enc : {Enc::kPlain, Enc::kBlockDelta}) {
-    StatusOr<Table> t = Table::FromColumns(cols, enc, {"a", "b", "c"});
-    ASSERT_TRUE(t.ok());
-    std::vector<std::vector<Value>> permuted(3);
-    for (size_t d = 0; d < 3; ++d) {
-      const std::vector<Value> decoded = t->DecodeColumn(d);
-      for (RowId row : perm) permuted[d].push_back(decoded[row]);
-    }
-    StatusOr<Table> want = Table::FromColumns(permuted, enc, {"a", "b", "c"});
-    ASSERT_TRUE(want.ok());
-    const Table got = t->Reorder(perm);
-    EXPECT_EQ(Pages(got), Pages(*want));
-    for (size_t d = 0; d < 3; ++d) {
-      EXPECT_EQ(got.name(d), want->name(d));
-      EXPECT_EQ(got.min_value(d), want->min_value(d));
-      EXPECT_EQ(got.max_value(d), want->max_value(d));
-    }
+  StatusOr<Table> t = Table::FromColumns(cols, {"a", "b", "c"});
+  ASSERT_TRUE(t.ok());
+  std::vector<std::vector<Value>> permuted(3);
+  for (size_t d = 0; d < 3; ++d) {
+    const std::vector<Value> decoded = t->DecodeColumn(d);
+    for (RowId row : perm) permuted[d].push_back(decoded[row]);
+  }
+  StatusOr<Table> want = Table::FromColumns(permuted, {"a", "b", "c"});
+  ASSERT_TRUE(want.ok());
+  const Table got = t->Reorder(perm);
+  EXPECT_EQ(Pages(got), Pages(*want));
+  for (size_t d = 0; d < 3; ++d) {
+    EXPECT_EQ(got.name(d), want->name(d));
+    EXPECT_EQ(got.min_value(d), want->min_value(d));
+    EXPECT_EQ(got.max_value(d), want->max_value(d));
   }
 }
 
@@ -196,41 +188,6 @@ TEST(TableTest, GatherMatchesFromColumnsOfTheChosenRows) {
       EXPECT_EQ(got.min_value(d), want->min_value(d));
       EXPECT_EQ(got.max_value(d), want->max_value(d));
     }
-  }
-}
-
-TEST(TableTest, ReorderKeepsEachColumnsEncoding) {
-  // A table whose columns differ in encoding, as ReadFrom can return it:
-  // plain pages for the first column, block-delta pages for the second.
-  const std::vector<std::vector<Value>> cols = MixedColumns();
-  using Enc = Column::Encoding;
-  StatusOr<Table> plain = Table::FromColumns(cols, Enc::kPlain);
-  StatusOr<Table> packed = Table::FromColumns(cols, Enc::kBlockDelta);
-  ASSERT_TRUE(plain.ok() && packed.ok());
-  std::string bytes;
-  ByteWriter w(&bytes);
-  w.PutU32(2);
-  w.PutU64(1000);
-  w.PutString("p");
-  plain->column(0).AppendTo(&w);
-  w.PutString("q");
-  packed->column(1).AppendTo(&w);
-  ByteReader r(bytes);
-  StatusOr<Table> mixed = Table::ReadFrom(&r);
-  ASSERT_TRUE(mixed.ok()) << mixed.status().ToString();
-  ASSERT_EQ(mixed->column(0).encoding(), Enc::kPlain);
-  ASSERT_EQ(mixed->column(1).encoding(), Enc::kBlockDelta);
-
-  std::vector<RowId> perm(1000);
-  std::iota(perm.rbegin(), perm.rend(), RowId{0});
-  const Table got = mixed->Reorder(perm);
-  EXPECT_EQ(got.column(0).encoding(), Enc::kPlain);
-  EXPECT_EQ(got.column(1).encoding(), Enc::kBlockDelta);
-  EXPECT_EQ(got.name(0), "p");
-  EXPECT_EQ(got.name(1), "q");
-  for (size_t i = 0; i < 1000; ++i) {
-    ASSERT_EQ(got.Get(i, 0), cols[0][999 - i]);
-    ASSERT_EQ(got.Get(i, 1), cols[1][999 - i]);
   }
 }
 

@@ -23,7 +23,6 @@
 
 #include "api/database.h"
 #include "data/datasets.h"
-#include "serve/client.h"
 #include "serve/metrics_summary.h"
 #include "serve/server.h"
 
@@ -80,44 +79,6 @@ void Usage(const char* argv0) {
       argv0, argv0);
 }
 
-/// `flood_serve --check ADDRESS`: health-probe a running server. Exit 0
-/// when ready, 1 when reachable but draining/poisoned, 2 when unreachable.
-int CheckHealth(const std::string& address) {
-  flood::serve::ClientOptions copts;
-  copts.connect_timeout_ms = 2'000;
-  copts.send_timeout_ms = 2'000;
-  copts.recv_timeout_ms = 2'000;
-  copts.retry.max_attempts = 3;
-  copts.retry.initial_backoff_ms = 50;
-  auto client = flood::serve::Client::Connect(address, copts);
-  if (!client.ok()) {
-    std::fprintf(stderr, "connect: %s\n",
-                 client.status().ToString().c_str());
-    return 2;
-  }
-  auto health = client->Health();
-  if (!health.ok()) {
-    std::fprintf(stderr, "health: %s\n",
-                 health.status().ToString().c_str());
-    return 2;
-  }
-  std::printf(
-      "ready=%d draining=%d persist_poisoned=%d queue_depth=%llu "
-      "connections=%llu\n",
-      health->ready ? 1 : 0, health->draining ? 1 : 0,
-      health->persist_poisoned ? 1 : 0,
-      static_cast<unsigned long long>(health->queue_depth),
-      static_cast<unsigned long long>(health->connections_active));
-  auto metrics = client->Metrics();
-  if (metrics.ok()) {
-    std::fputs(flood::serve::FormatMetricsSummary(*metrics).c_str(), stdout);
-  } else {
-    std::fprintf(stderr, "metrics: %s\n",
-                 metrics.status().ToString().c_str());
-  }
-  return (health->ready && !health->persist_poisoned) ? 0 : 1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -144,7 +105,7 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--check") {
-      return CheckHealth(next());
+      return flood::serve::CheckHealth(next());
     } else if (arg == "--uds") {
       uds_path = next();
     } else if (arg == "--tcp") {
