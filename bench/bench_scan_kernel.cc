@@ -64,7 +64,12 @@ uint64_t ScanOnce(const Scenario& s, Kernel kernel,
   if (kernel == Kernel::kNaive) {
     ScanRangeNaive(*s.table, s.query, 0, n, dims, v, stats);
   } else if (kernel == Kernel::kBlock) {
+    // The block kernel is the scalar fallback: measure it as it runs where
+    // the vector ISA is absent or masked, its block decode included.
+    const simd::SimdLevel active = simd::ActiveSimdLevel();
+    simd::SetSimdLevelForTest(simd::SimdLevel::kScalar);
     ScanRangeBlock(*s.table, s.query, 0, n, dims, v, stats);
+    simd::SetSimdLevelForTest(active);
   } else {
     ScanRangeSimd(*s.table, s.query, 0, n, dims, v, stats);
   }

@@ -9,11 +9,12 @@
 
 #include <cstdio>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "api/database.h"
 #include "core/knn.h"
 #include "data/datasets.h"
-#include "storage/dictionary.h"
 
 int main() {
   using namespace flood;
@@ -23,13 +24,16 @@ int main() {
   // Dims: 0 id, 1 timestamp, 2 lat, 3 lon, 4 record_type, 5 category.
 
   // The simulator emits integer category codes; a real ingest pipeline
-  // dictionary-encodes tag strings. Demonstrate the mapping for the query
-  // below ("school" happens to be category code 17 in our vocabulary).
-  Dictionary categories;
+  // dictionary-encodes tag strings (§7.1) into dense codes, in first-seen
+  // order here. Demonstrate the mapping for the query below ("school"
+  // happens to be category code 17 in our vocabulary).
+  std::vector<std::string> category_names;
+  std::unordered_map<std::string, Value> category_codes;
   for (int code = 0; code < 100; ++code) {
-    categories.Encode("category_" + std::to_string(code));
+    category_names.push_back("category_" + std::to_string(code));
+    category_codes.emplace(category_names.back(), code);
   }
-  const Value school = categories.Lookup("category_17");
+  const Value school = category_codes.at("category_17");
 
   const auto [train, test] =
       MakeWorkload(osm, WorkloadKind::kOlapSkewed, 160, 14).Split(0.5, 15);
@@ -64,7 +68,7 @@ int main() {
     const QueryResult r = db->Run(q);
     std::printf("'%s' landmarks in the rectangle: %llu (%.3f ms, scanned "
                 "%llu of %zu rows)\n",
-                categories.Decode(school).c_str(),
+                category_names[static_cast<size_t>(school)].c_str(),
                 static_cast<unsigned long long>(r.count),
                 static_cast<double>(r.stats.total_ns) / 1e6,
                 static_cast<unsigned long long>(r.stats.points_scanned),

@@ -980,4 +980,8 @@ uint64_t Database::batches_inline() const {
   return telemetry_->batches_inline;
 }
 
+void Database::SetMeanQueryNsForTest(int64_t ns) {
+  telemetry_->mean_query_ns.store(ns, std::memory_order_relaxed);
+}
+
 }  // namespace flood

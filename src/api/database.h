@@ -460,6 +460,12 @@ class Database {
   /// RunBatch), exposed as `db.batches_inline`.
   uint64_t batches_inline() const;
 
+  /// Replaces the moving mean of executed-query time that the dispatch
+  /// rule predicts from (0 = no measurement yet), so tests can check the
+  /// rule on either side of kInlineBatchNs whatever a query costs on the
+  /// host. The next executed batch folds into it as usual.
+  void SetMeanQueryNsForTest(int64_t ns);
+
  private:
   /// Mutex-guarded telemetry accumulators, heap-held so Database stays
   /// movable. Folded once per Run/Collect and once per RunBatch — never

@@ -167,7 +167,11 @@ BenchDataset MakeUniformDataset(size_t n, size_t num_dims, uint64_t seed) {
   cols.reserve(num_dims);
   for (size_t d = 0; d < num_dims; ++d) {
     cols.push_back(UniformColumn(n, 0, 1'000'000'000, rng));
-    names.push_back("u" + std::to_string(d));
+    // Appended, not "u" + std::to_string(d): GCC 12 misreads that prepend
+    // as an overlapping memcpy (-Wrestrict).
+    std::string name = "u";
+    name += std::to_string(d);
+    names.push_back(std::move(name));
   }
   BenchDataset ds;
   ds.name = "uniform" + std::to_string(num_dims) + "d";

@@ -56,15 +56,21 @@ void AppendHistogram(std::string* out, const std::string& name,
 }  // namespace
 
 std::string SanitizeMetricName(const std::string& name) {
+  // The prefix goes in first and the name is appended: inserting at the
+  // front afterwards trips GCC 12's -Wrestrict false positive. Sanitizing
+  // keeps a leading "flood", and a name that is empty or starts with a
+  // digit gets "_" before the "flood_" prefix.
   std::string out;
   out.reserve(name.size() + 8);
+  if (name.rfind("flood", 0) != 0) {
+    out = "flood_";
+    if (name.empty() || (name[0] >= '0' && name[0] <= '9')) out += '_';
+  }
   for (char c : name) {
     const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
                     (c >= '0' && c <= '9') || c == '_';
     out.push_back(ok ? c : '_');
   }
-  if (out.empty() || (out[0] >= '0' && out[0] <= '9')) out.insert(0, "_");
-  if (out.rfind("flood", 0) != 0) out.insert(0, "flood_");
   return out;
 }
 

@@ -188,13 +188,14 @@ void ScanRangeBlock(const Table& data, const Query& query, size_t begin,
 /// Vectorized block scan kernel (ISSUE: the SIMD tentpole). Same zone-map
 /// structure as ScanRangeBlock — per block, skip / exact-accept / filter —
 /// but the filter stage runs runtime-dispatched vector predicates:
-///  * widths 1..simd::kMaxPackedFilterWidth are filtered
+///  * widths 1..kMaxPacked64Width are filtered
 ///    straight off the packed words (no decode store/reload), against the
 ///    query bounds translated into delta space. Widths up to
-///    simd::kMaxPacked8FilterWidth run 8 lanes of 32 bits per group of
-///    eight deltas (two 16-byte loads, a byte shuffle and a per-lane
-///    shift); wider ones run 4 lanes, each loading the byte-aligned 64-bit
-///    window holding its delta;
+///    kMaxPacked32Width run 16 (AVX-512) or 8 (AVX2) lanes of
+///    32 bits per group (16-byte loads, a byte shuffle and a per-lane
+///    shift); wider ones run 8 lanes of 64 bits the same way on AVX-512,
+///    or 4 lanes on AVX2, each loading the byte-aligned 64-bit window
+///    holding its delta;
 ///  * width 0 and wider blocks are bulk-decoded once and compared
 ///    4 (AVX2) or 8 (AVX-512) lanes at a time.
 /// Check dimensions AND-combine into the match bitmap with an all-zero
@@ -280,7 +281,7 @@ void ScanRangeSimd(const Table& data, const Query& query, size_t begin,
         const ValueRange& r = query.range(dim);
         const Column& col = data.column(dim);
         const Column::PackedBlock pb = col.GetPackedBlock(b);
-        if (pb.width >= 1 && pb.width <= simd::kMaxPackedFilterWidth) {
+        if (pb.width >= 1 && pb.width <= kMaxPacked64Width) {
           // Translate the query bounds into the block's delta space. The
           // zone pass guarantees BlockMin(b) == base <= r.hi and
           // r.lo <= BlockMax(b) (else kSkip), so dhi never underflows and
@@ -294,9 +295,17 @@ void ScanRangeSimd(const Table& data, const Query& query, size_t begin,
               std::min(static_cast<uint64_t>(r.hi) - base, mask);
           const size_t off = lo - block_begin;
           const uint32_t w = pb.width;
-          if (w <= simd::kMaxPacked8FilterWidth) {
-            FLOOD_DCHECK(pb.bit_offset % 8 == 0);
-            const uint8_t* block = pb.bytes + pb.bit_offset / 8;
+          const bool narrow = w <= kMaxPacked32Width;
+          FLOOD_DCHECK(pb.bit_offset % 8 == 0);
+          const uint8_t* block = pb.bytes + pb.bit_offset / 8;
+          if (dlo > dhi) {
+            any = 0;  // An empty query range (lo > hi) matches nothing.
+          } else if (level >= simd::SimdLevel::kAvx512) {
+            any = narrow ? simd::FilterPacked16Avx512(block, w, dlo, dhi, off,
+                                                      n, bitmap)
+                         : simd::FilterPackedWideAvx512(block, w, dlo, dhi,
+                                                        off, n, bitmap);
+          } else if (narrow) {
             any = simd::FilterPacked8Avx2(block, w, dlo, dhi, off, n, bitmap);
           } else {
             const uint64_t bit = pb.bit_offset + off * w;

@@ -1,88 +1,12 @@
 #include "query/simd.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "common/macros.h"
 
-// The vector paths are x86-only and use per-function target attributes, so
-// the library builds (and runtime-dispatches to scalar) on any compiler or
-// architecture without -mavx2 in the global flags.
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define FLOOD_SIMD_X86 1
-#include <immintrin.h>
-#else
-#define FLOOD_SIMD_X86 0
-#endif
-
 namespace flood {
 namespace simd {
-
-const char* SimdLevelName(SimdLevel level) {
-  switch (level) {
-    case SimdLevel::kAvx512:
-      return "avx512";
-    case SimdLevel::kAvx2:
-      return "avx2";
-    case SimdLevel::kScalar:
-      return "scalar";
-  }
-  return "scalar";
-}
-
-SimdLevel DetectedSimdLevel() {
-  static const SimdLevel level = [] {
-#if FLOOD_SIMD_X86
-    if (__builtin_cpu_supports("avx512f")) return SimdLevel::kAvx512;
-    if (__builtin_cpu_supports("avx2")) return SimdLevel::kAvx2;
-#endif
-    return SimdLevel::kScalar;
-  }();
-  return level;
-}
-
-std::optional<SimdLevel> ParseSimdLevel(std::string_view name) {
-  for (SimdLevel level :
-       {SimdLevel::kScalar, SimdLevel::kAvx2, SimdLevel::kAvx512}) {
-    if (name == SimdLevelName(level)) return level;
-  }
-  return std::nullopt;
-}
-
-namespace {
-/// ISA cap: -1 = not yet resolved from FLOOD_SIMD_LEVEL. Benign race on
-/// first use: resolution is idempotent.
-std::atomic<int> g_simd_cap{-1};
-}  // namespace
-
-SimdLevel ActiveSimdLevel() {
-  int cap = g_simd_cap.load(std::memory_order_relaxed);
-  if (cap < 0) {
-    SimdLevel level = SimdLevel::kAvx512;  // Unset: no cap.
-    if (const char* env = std::getenv("FLOOD_SIMD_LEVEL")) {
-      // A typo must not silently leave the vector kernel on (or off).
-      const std::optional<SimdLevel> parsed = ParseSimdLevel(env);
-      if (!parsed.has_value()) {
-        std::fprintf(stderr,
-                     "FLOOD_SIMD_LEVEL=%s: expected scalar|avx2|avx512\n",
-                     env);
-        std::abort();
-      }
-      level = *parsed;
-    }
-    cap = static_cast<int>(level);
-    g_simd_cap.store(cap, std::memory_order_relaxed);
-  }
-  // The cap masks capabilities; it can never grant more than the hardware.
-  return std::min(DetectedSimdLevel(), static_cast<SimdLevel>(cap));
-}
-
-void SetSimdLevelForTest(SimdLevel cap) {
-  g_simd_cap.store(static_cast<int>(cap), std::memory_order_relaxed);
-}
 
 #if FLOOD_SIMD_X86
 
@@ -96,36 +20,20 @@ inline uint64_t LoadLE64(const uint8_t* p) {
   return v;
 }
 
-/// FilterPacked8Avx2's constants, one row per width. A group of eight
-/// deltas is loaded as two 16-byte halves: the low half from the group's
-/// first byte (lanes 0-3), the high half from byte `(4 * width) / 8`, the
-/// one holding lane 4's first bit (lanes 4-7). Lane j's shuffle gathers
-/// the four bytes from the one holding its first bit, relative to its
-/// half; its shift is that first bit's position within the byte. Lane 3
-/// (7) starts at most 12 bytes into its half at width 25, so every
-/// gathered byte is inside the 16 loaded.
-struct Packed8Tables {
-  alignas(32) uint8_t shuffle[kMaxPacked8FilterWidth + 1][32];
-  alignas(32) uint32_t shift[kMaxPacked8FilterWidth + 1][8];
-};
-
-constexpr Packed8Tables MakePacked8Tables() {
-  Packed8Tables t{};
-  for (uint32_t w = 1; w <= kMaxPacked8FilterWidth; ++w) {
-    const uint32_t high_half = (4 * w) / 8;
-    for (uint32_t j = 0; j < 8; ++j) {
-      const uint32_t bit = j * w;
-      const uint32_t byte = bit / 8 - (j < 4 ? 0 : high_half);
-      for (uint32_t k = 0; k < 4; ++k) {
-        t.shuffle[w][4 * j + k] = static_cast<uint8_t>(byte + k);
-      }
-      t.shift[w][j] = bit % 8;
-    }
+/// ANDs a block's 128 match bits, shifted down so bit i is delta
+/// off + i, into the `n`-bit bitmap; returns the OR of the surviving
+/// words.
+inline uint64_t AndBlockMatches(unsigned __int128 block_mask, size_t off,
+                                size_t n, uint64_t* bitmap) {
+  block_mask >>= off;
+  bitmap[0] &= static_cast<uint64_t>(block_mask);
+  uint64_t any = bitmap[0];
+  if (n > 64) {
+    bitmap[1] &= static_cast<uint64_t>(block_mask >> 64);
+    any |= bitmap[1];
   }
-  return t;
+  return any;
 }
-
-constexpr Packed8Tables kPacked8 = MakePacked8Tables();
 
 }  // namespace
 
@@ -190,7 +98,7 @@ __attribute__((target("avx512f"))) uint64_t FilterDecodedAvx512(
 __attribute__((target("avx2"))) uint64_t FilterPackedAvx2(
     const uint8_t* bytes, uint64_t bit, uint32_t width, uint64_t dlo,
     uint64_t dhi, size_t n, uint64_t* bitmap) {
-  FLOOD_DCHECK(width >= 1 && width <= kMaxPackedFilterWidth);
+  FLOOD_DCHECK(width >= 1 && width <= kMaxPacked64Width);
   const uint64_t mask = (uint64_t{1} << width) - 1;
   // Deltas and bounds are < 2^58, so signed lane compares are exact.
   const __m256i mask_v = _mm256_set1_epi64x(static_cast<int64_t>(mask));
@@ -243,52 +151,101 @@ __attribute__((target("avx2"))) uint64_t FilterPackedAvx2(
 __attribute__((target("avx2"))) uint64_t FilterPacked8Avx2(
     const uint8_t* block, uint32_t width, uint64_t dlo, uint64_t dhi,
     size_t off, size_t n, uint64_t* bitmap) {
-  FLOOD_DCHECK(width >= 1 && width <= kMaxPacked8FilterWidth);
+  FLOOD_DCHECK(width >= 1 && width <= kMaxPacked32Width);
   FLOOD_DCHECK(n >= 1 && off + n <= Column::kBlockSize);
-  const __m256i shuffle = _mm256_load_si256(
-      reinterpret_cast<const __m256i*>(kPacked8.shuffle[width]));
-  const __m256i shift = _mm256_load_si256(
-      reinterpret_cast<const __m256i*>(kPacked8.shift[width]));
+  const auto& row = kPackedLanes32[width];
+  const __m256i shuffle =
+      _mm256_load_si256(reinterpret_cast<const __m256i*>(row.shuffle));
+  const __m256i shift =
+      _mm256_load_si256(reinterpret_cast<const __m256i*>(row.shift));
   // Deltas and bounds are < 2^25, so signed 32-bit compares are exact.
   const int32_t mask = static_cast<int32_t>((uint32_t{1} << width) - 1);
   const __m256i mask_v = _mm256_set1_epi32(mask);
   const __m256i dlo_v = _mm256_set1_epi32(static_cast<int32_t>(dlo));
   const __m256i dhi_v = _mm256_set1_epi32(static_cast<int32_t>(dhi));
-  const size_t high_half = (4 * width) / 8;
-  // Match bits of the block's groups covering [off, off + n): bit i of the
-  // pair is delta i of the block.
-  uint64_t block_mask[2] = {0, 0};
+  // Match bits of the block's groups covering [off, off + n): bit i is
+  // delta i of the block.
+  unsigned __int128 block_mask = 0;
   const size_t group_end = (off + n + 7) / 8;
   for (size_t g = off / 8; g < group_end; ++g) {
-    const uint8_t* p = block + g * width;
-    const auto* lo_half = reinterpret_cast<const __m128i*>(p);
-    const auto* hi_half = reinterpret_cast<const __m128i*>(p + high_half);
-    const __m256i raw = _mm256_loadu2_m128i(hi_half, lo_half);
-    const __m256i lanes = _mm256_shuffle_epi8(raw, shuffle);
-    const __m256i d = _mm256_and_si256(_mm256_srlv_epi32(lanes, shift), mask_v);
+    const __m256i d =
+        UnpackLanes8x32(block + g * width, width, shuffle, shift, mask_v);
     const __m256i out = _mm256_or_si256(_mm256_cmpgt_epi32(dlo_v, d),
                                         _mm256_cmpgt_epi32(d, dhi_v));
     const uint64_t bad = static_cast<uint64_t>(
         _mm256_movemask_ps(_mm256_castsi256_ps(out)));
-    block_mask[g / 8] |= (~bad & 0xff) << (8 * (g % 8));
+    block_mask |= static_cast<unsigned __int128>(~bad & 0xff) << (8 * g);
   }
-  // Shift the block's mask down to the range: bit i <-> delta off + i.
-  uint64_t lo = block_mask[0];
-  uint64_t hi = block_mask[1];
-  if (off >= 64) {
-    lo = hi >> (off - 64);
-    hi = 0;
-  } else if (off > 0) {
-    lo = (lo >> off) | (hi << (64 - off));
-    hi >>= off;
+  return AndBlockMatches(block_mask, off, n, bitmap);
+}
+
+__attribute__((target("avx512f,avx512bw"))) uint64_t FilterPacked16Avx512(
+    const uint8_t* block, uint32_t width, uint64_t dlo, uint64_t dhi,
+    size_t off, size_t n, uint64_t* bitmap) {
+  FLOOD_DCHECK(width >= 1 && width <= kMaxPacked32Width);
+  FLOOD_DCHECK(n >= 1 && off + n <= Column::kBlockSize);
+  FLOOD_DCHECK(dlo <= dhi);
+  const auto& row = kPackedLanes32[width];
+  const __m512i shuffle = _mm512_load_si512(row.shuffle);
+  const __m512i shift = _mm512_load_si512(row.shift);
+  const __m512i mask =
+      _mm512_set1_epi32(static_cast<int32_t>((uint32_t{1} << width) - 1));
+  // dlo <= d <= dhi  <=>  d - dlo <= dhi - dlo, unsigned (a delta below
+  // dlo wraps high).
+  const __m512i dlo_v = _mm512_set1_epi32(static_cast<int32_t>(dlo));
+  const __m512i span_v = _mm512_set1_epi32(static_cast<int32_t>(dhi - dlo));
+  // The whole block, unrolled; its eight 16-bit masks are packed into two
+  // 64-bit halves in mask registers.
+  __mmask16 m[8];
+#pragma GCC unroll 8
+  for (size_t g = 0; g < 8; ++g) {
+    const __m512i d =
+        UnpackLanes16x32(block + g * 2 * width, width, shuffle, shift, mask);
+    m[g] = _mm512_cmple_epu32_mask(_mm512_sub_epi32(d, dlo_v), span_v);
   }
-  bitmap[0] &= lo;
-  uint64_t any = bitmap[0];
-  if (n > 64) {
-    bitmap[1] &= hi;
-    any |= bitmap[1];
+  const uint64_t lo = _mm512_kunpackd(_mm512_kunpackw(m[3], m[2]),
+                                      _mm512_kunpackw(m[1], m[0]));
+  const uint64_t hi = _mm512_kunpackd(_mm512_kunpackw(m[7], m[6]),
+                                      _mm512_kunpackw(m[5], m[4]));
+  const unsigned __int128 block_mask =
+      static_cast<unsigned __int128>(hi) << 64 | lo;
+  return AndBlockMatches(block_mask, off, n, bitmap);
+}
+
+__attribute__((target("avx512f,avx512bw"))) uint64_t FilterPackedWideAvx512(
+    const uint8_t* block, uint32_t width, uint64_t dlo, uint64_t dhi,
+    size_t off, size_t n, uint64_t* bitmap) {
+  FLOOD_DCHECK(width > kMaxPacked32Width &&
+               width <= kMaxPacked64Width);
+  FLOOD_DCHECK(n >= 1 && off + n <= Column::kBlockSize);
+  FLOOD_DCHECK(dlo <= dhi);
+  const auto& row = kPackedLanes64[width];
+  const __m512i shuffle = _mm512_load_si512(row.shuffle);
+  const __m512i shift = _mm512_load_si512(row.shift);
+  const __m512i mask =
+      _mm512_set1_epi64(static_cast<int64_t>((uint64_t{1} << width) - 1));
+  const __m512i dlo_v = _mm512_set1_epi64(static_cast<int64_t>(dlo));
+  const __m512i span_v = _mm512_set1_epi64(static_cast<int64_t>(dhi - dlo));
+  // The whole block, unrolled, as in FilterPacked16Avx512: sixteen 8-bit
+  // masks packed into two 64-bit halves.
+  __mmask8 m[16];
+#pragma GCC unroll 16
+  for (size_t g = 0; g < 16; ++g) {
+    const __m512i d =
+        UnpackLanes8x64(block + g * width, width, shuffle, shift, mask);
+    m[g] = _mm512_cmple_epu64_mask(_mm512_sub_epi64(d, dlo_v), span_v);
   }
-  return any;
+  __mmask32 q[4];
+#pragma GCC unroll 4
+  for (size_t i = 0; i < 4; ++i) {
+    q[i] = _mm512_kunpackw(_mm512_kunpackb(m[4 * i + 3], m[4 * i + 2]),
+                           _mm512_kunpackb(m[4 * i + 1], m[4 * i]));
+  }
+  const uint64_t lo = _mm512_kunpackd(q[1], q[0]);
+  const uint64_t hi = _mm512_kunpackd(q[3], q[2]);
+  const unsigned __int128 block_mask =
+      static_cast<unsigned __int128>(hi) << 64 | lo;
+  return AndBlockMatches(block_mask, off, n, bitmap);
 }
 
 __attribute__((target("avx2"))) uint64_t MaskedSumAvx2(const Value* vals,
@@ -346,6 +303,16 @@ uint64_t FilterPackedAvx2(const uint8_t*, uint64_t, uint32_t, uint64_t,
 }
 uint64_t FilterPacked8Avx2(const uint8_t*, uint32_t, uint64_t, uint64_t,
                            size_t, size_t, uint64_t*) {
+  FLOOD_CHECK(false);
+  return 0;
+}
+uint64_t FilterPacked16Avx512(const uint8_t*, uint32_t, uint64_t, uint64_t,
+                              size_t, size_t, uint64_t*) {
+  FLOOD_CHECK(false);
+  return 0;
+}
+uint64_t FilterPackedWideAvx512(const uint8_t*, uint32_t, uint64_t, uint64_t,
+                                size_t, size_t, uint64_t*) {
   FLOOD_CHECK(false);
   return 0;
 }

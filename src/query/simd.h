@@ -3,47 +3,17 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
-#include <string_view>
 
+#include "common/simd_level.h"
 #include "storage/column.h"
+#include "storage/packed_lanes.h"
 
 namespace flood {
 namespace simd {
 
-/// Vector ISA tiers the scan kernels dispatch over. Levels are ordered:
-/// every tier implies the ones below it, so "at least kAvx2" is a simple
-/// comparison.
-enum class SimdLevel { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
-
-const char* SimdLevelName(SimdLevel level);
-
-/// The tier a FLOOD_SIMD_LEVEL value names ("scalar", "avx2" or "avx512");
-/// nullopt for anything else. ActiveSimdLevel() aborts on such a value.
-std::optional<SimdLevel> ParseSimdLevel(std::string_view name);
-
-/// What the hardware supports (cpuid, probed once per process). kScalar on
-/// non-x86 builds.
-SimdLevel DetectedSimdLevel();
-
-/// The level kernels may actually use: DetectedSimdLevel() capped by
-/// FLOOD_SIMD_LEVEL=scalar|avx2|avx512 (read once) and by
-/// SetSimdLevelForTest. The cap can only mask capabilities, never invent
-/// them — forcing "avx512" on an AVX2-only host still yields kAvx2.
-SimdLevel ActiveSimdLevel();
-
-/// Caps ActiveSimdLevel() below the detected tier (dispatch-fallback tests,
-/// A/B benchmarks). Pass DetectedSimdLevel() to undo.
-void SetSimdLevelForTest(SimdLevel cap);
-
-/// Widest bit-packed delta the fused packed-word filter handles: a value's
-/// byte-granular 64-bit load window holds width + 7 alignment bits, and the
-/// delta-space bounds must stay below 2^62 for signed lane compares.
-inline constexpr uint32_t kMaxPackedFilterWidth = 57;
-
-/// Widest bit-packed delta the 8-lane packed filter handles: a delta's
-/// 32-bit lane holds width + 7 alignment bits.
-inline constexpr uint32_t kMaxPacked8FilterWidth = 25;
+// The packed filters take deltas of 1..kMaxPacked64Width bits; the
+// 32-bit-lane ones (8 lanes on AVX2, 16 on AVX-512) 1..kMaxPacked32Width
+// (storage/packed_lanes.h).
 
 // ---------------------------------------------------------------------------
 // Kernel primitives (defined in simd.cc behind per-function target
@@ -64,7 +34,7 @@ uint64_t FilterDecodedAvx512(const Value* vals, size_t n, Value lo, Value hi,
 /// Same contract, evaluated straight off bit-packed block-delta words:
 /// value i is the `width`-bit unsigned delta at absolute bit
 /// `bit + i * width` of `bytes`, matched against delta-space bounds
-/// dlo <= delta <= dhi. Requires 1 <= width <= kMaxPackedFilterWidth and
+/// dlo <= delta <= dhi. Requires 1 <= width <= kMaxPacked64Width and
 /// Column's decode slack (kDecodeSlackWords) past the last encoded bit —
 /// lanes load 64-bit windows at byte granularity, so reads may extend a few
 /// bytes past the final delta.
@@ -72,7 +42,7 @@ uint64_t FilterPackedAvx2(const uint8_t* bytes, uint64_t bit, uint32_t width,
                           uint64_t dlo, uint64_t dhi, size_t n,
                           uint64_t* bitmap);
 
-/// The 8-lane variant for 1 <= width <= kMaxPacked8FilterWidth, over the
+/// The 8-lane variant for 1 <= width <= kMaxPacked32Width, over the
 /// deltas [off, off + n) of one block (off + n <= Column::kBlockSize):
 /// delta i of the block sits at bit i * width of `block`, the block's
 /// first byte (block bit offsets are multiples of 128). Eight deltas span
@@ -83,6 +53,24 @@ uint64_t FilterPackedAvx2(const uint8_t* bytes, uint64_t bit, uint32_t width,
 uint64_t FilterPacked8Avx2(const uint8_t* block, uint32_t width, uint64_t dlo,
                            uint64_t dhi, size_t off, size_t n,
                            uint64_t* bitmap);
+
+/// The AVX-512 packed filters, with FilterPacked8Avx2's contract (deltas
+/// [off, off + n) of one block at `block`, dlo <= dhi). The 16-lane one
+/// takes widths 1..kMaxPacked32Width: each step gathers sixteen
+/// deltas into 32-bit lanes with four 16-byte loads, one vpshufb, one
+/// variable shift and one mask, reading up to 15 bytes past the block's
+/// last delta. The wide one takes widths kMaxPacked32Width + 1 ..
+/// kMaxPacked64Width, eight deltas per step in 64-bit lanes, reading
+/// up to 9 bytes past the block. Both test the range as one unsigned
+/// compare, (d - dlo) <= (dhi - dlo), into a k-mask, and filter the whole
+/// block unrolled, whatever the range: its k-masks are packed into the
+/// block's 128 match bits in mask registers, then shifted down to `off`.
+uint64_t FilterPacked16Avx512(const uint8_t* block, uint32_t width,
+                              uint64_t dlo, uint64_t dhi, size_t off,
+                              size_t n, uint64_t* bitmap);
+uint64_t FilterPackedWideAvx512(const uint8_t* block, uint32_t width,
+                                uint64_t dlo, uint64_t dhi, size_t off,
+                                size_t n, uint64_t* bitmap);
 
 /// Sum (wrapping uint64) of vals[i] over the set bits of `word`. All 64
 /// lanes are loaded and masked, so vals must have 64 readable entries even

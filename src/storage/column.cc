@@ -5,6 +5,8 @@
 #include <utility>
 
 #include "common/math_util.h"
+#include "common/simd_level.h"
+#include "storage/packed_lanes.h"
 
 namespace flood {
 namespace {
@@ -53,6 +55,78 @@ constexpr std::array<UnpackFn, sizeof...(Ws)> MakeUnpackTable(
 /// One specialized unpacker per bit width 0..64.
 constexpr std::array<UnpackFn, 65> kUnpackers =
     MakeUnpackTable(std::make_integer_sequence<uint32_t, 65>{});
+
+#if FLOOD_SIMD_X86
+
+// Vector block decoders: each decodes the whole groups of the first `n`
+// deltas of the block at `block` (its first byte) and returns how many
+// values it wrote, a multiple of the group size; the scalar unpacker
+// finishes the rest. Per group: the shared lane extraction
+// (storage/packed_lanes.h), widening to 64 bits and the base added in
+// wrapping uint64 arithmetic, as UnpackBlock does.
+
+__attribute__((target("avx2"))) size_t DecodeLanes8x32Avx2(
+    const uint8_t* block, uint32_t width, Value base, size_t n, Value* out) {
+  const auto& row = kPackedLanes32[width];
+  const __m256i shuffle =
+      _mm256_load_si256(reinterpret_cast<const __m256i*>(row.shuffle));
+  const __m256i shift =
+      _mm256_load_si256(reinterpret_cast<const __m256i*>(row.shift));
+  const __m256i mask =
+      _mm256_set1_epi32(static_cast<int32_t>((uint32_t{1} << width) - 1));
+  const __m256i base_v = _mm256_set1_epi64x(base);
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256i d =
+        UnpackLanes8x32(block + i / 8 * width, width, shuffle, shift, mask);
+    const __m256i lo = _mm256_cvtepu32_epi64(_mm256_castsi256_si128(d));
+    const __m256i hi = _mm256_cvtepu32_epi64(_mm256_extracti128_si256(d, 1));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
+                        _mm256_add_epi64(lo, base_v));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i + 4),
+                        _mm256_add_epi64(hi, base_v));
+  }
+  return i;
+}
+
+__attribute__((target("avx512f,avx512bw"))) size_t DecodeLanes16x32Avx512(
+    const uint8_t* block, uint32_t width, Value base, size_t n, Value* out) {
+  const auto& row = kPackedLanes32[width];
+  const __m512i shuffle = _mm512_load_si512(row.shuffle);
+  const __m512i shift = _mm512_load_si512(row.shift);
+  const __m512i mask =
+      _mm512_set1_epi32(static_cast<int32_t>((uint32_t{1} << width) - 1));
+  const __m512i base_v = _mm512_set1_epi64(base);
+  size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    const __m512i d =
+        UnpackLanes16x32(block + i / 8 * width, width, shuffle, shift, mask);
+    const __m512i lo = _mm512_cvtepu32_epi64(_mm512_castsi512_si256(d));
+    const __m512i hi = _mm512_cvtepu32_epi64(_mm512_extracti64x4_epi64(d, 1));
+    _mm512_storeu_si512(out + i, _mm512_add_epi64(lo, base_v));
+    _mm512_storeu_si512(out + i + 8, _mm512_add_epi64(hi, base_v));
+  }
+  return i;
+}
+
+__attribute__((target("avx512f,avx512bw"))) size_t DecodeLanes8x64Avx512(
+    const uint8_t* block, uint32_t width, Value base, size_t n, Value* out) {
+  const auto& row = kPackedLanes64[width];
+  const __m512i shuffle = _mm512_load_si512(row.shuffle);
+  const __m512i shift = _mm512_load_si512(row.shift);
+  const __m512i mask =
+      _mm512_set1_epi64(static_cast<int64_t>((uint64_t{1} << width) - 1));
+  const __m512i base_v = _mm512_set1_epi64(base);
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m512i d =
+        UnpackLanes8x64(block + i / 8 * width, width, shuffle, shift, mask);
+    _mm512_storeu_si512(out + i, _mm512_add_epi64(d, base_v));
+  }
+  return i;
+}
+
+#endif  // FLOOD_SIMD_X86
 
 /// Packs the `n` (at most kBlockSize) values at `in` as W-bit deltas to
 /// `base` into the zeroed words at `out`, filling one word at a time. A
@@ -147,8 +221,29 @@ size_t Column::DecodeBlockInto(size_t block, Value* out) const {
   FLOOD_DCHECK(block < NumBlocks());
   const size_t begin = block * kBlockSize;
   const size_t n = std::min(kBlockSize, size_ - begin);
-  kUnpackers[block_width_[block]](words_.data(), block_bit_offset_[block],
-                                  block_min_[block], n, out);
+  const uint32_t width = block_width_[block];
+  const uint64_t bit = block_bit_offset_[block];
+  const Value base = block_min_[block];
+  size_t done = 0;
+#if FLOOD_SIMD_X86
+  if (width >= 1 && width <= kMaxPacked64Width) {
+    const simd::SimdLevel level = simd::ActiveSimdLevel();
+    const uint8_t* bytes =
+        reinterpret_cast<const uint8_t*>(words_.data()) + bit / 8;
+    if (level >= simd::SimdLevel::kAvx512) {
+      done = width <= kMaxPacked32Width
+                 ? DecodeLanes16x32Avx512(bytes, width, base, n, out)
+                 : DecodeLanes8x64Avx512(bytes, width, base, n, out);
+    } else if (level >= simd::SimdLevel::kAvx2 &&
+               width <= kMaxPacked32Width) {
+      done = DecodeLanes8x32Avx2(bytes, width, base, n, out);
+    }
+  }
+#endif
+  if (done < n) {
+    kUnpackers[width](words_.data(), bit + done * width, base, n - done,
+                      out + done);
+  }
   return n;
 }
 

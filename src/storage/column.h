@@ -33,10 +33,11 @@ class Column {
 
   /// Readable (zeroed) words kept past the last encoded bit of `words_`.
   /// The width-specialized unpackers and LowerBound/UpperBound read one
-  /// word past a value's own; the SIMD packed filters need the second
-  /// (query/simd.h): the 4-lane filter's byte-granular 64-bit lane loads
-  /// reach up to 7 bytes past the last delta, and the 8-lane filter's
-  /// 16-byte group loads up to 15 bytes past the last block. The slack is
+  /// word past a value's own; the vector decoders and the SIMD packed
+  /// filters need the second (storage/packed_lanes.h, query/simd.h): the
+  /// 4-lane filter's byte-granular 64-bit lane loads reach up to 7 bytes
+  /// past the last delta, and the 16-byte group loads up to 15 bytes past
+  /// the last block for 32-bit lanes, 9 for 64-bit ones. The slack is
   /// in-memory only — AppendTo serializes exactly one slack word, so the
   /// on-disk format is unchanged.
   static constexpr size_t kDecodeSlackWords = 2;
@@ -124,11 +125,14 @@ class Column {
   size_t LowerBound(size_t from, size_t end, Value v) const;
   size_t UpperBound(size_t from, size_t end, Value v) const;
 
-  /// Decodes all values of block `block` into `out` (capacity >=
-  /// kBlockSize) and returns how many were written (kBlockSize except for
-  /// a trailing partial block). Branch-free width-specialized bit
-  /// unpacking: one indirect call per 128 values instead of a div/mod and
-  /// shift-mask per value.
+  /// Decodes all values of block `block` into `out` and returns how many
+  /// were written: kBlockSize, or fewer for a trailing partial block, and
+  /// exactly that many slots are written. Widths 1..25 decode 16 (AVX-512)
+  /// or 8 (AVX2) deltas per vector step, widths 26..57 8 per step on
+  /// AVX-512 (storage/packed_lanes.h); the rest, the partial group at the
+  /// end of a trailing block, hosts without AVX2 and
+  /// FLOOD_SIMD_LEVEL=scalar take the branch-free width-specialized scalar
+  /// unpacker. Every path yields the same values.
   size_t DecodeBlockInto(size_t block, Value* out) const;
 
   /// The raw bit-packed deltas of one block, for kernels that

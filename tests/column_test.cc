@@ -6,9 +6,9 @@
 #include <string>
 
 #include "common/rng.h"
+#include "common/simd_level.h"
 #include "data/distributions.h"
 #include "storage/column.h"
-#include "storage/dictionary.h"
 
 namespace flood {
 namespace {
@@ -139,6 +139,68 @@ TEST(ColumnBlockTest, DecodeBlockIntoAllWidths) {
       }
     }
   }
+}
+
+// DecodeBlockInto under every ISA tier the hardware has (scalar unpacker,
+// AVX2 8-lane and AVX-512 16-lane/8-lane vector decode) against per-value
+// Get: every width 0..64, blocks that start at INT64_MIN or end at
+// INT64_MAX, full columns and trailing partial blocks of every group
+// remainder. A partial block's decode must write exactly its values, and
+// Decode() (which sizes its vector to the column) must match too.
+TEST(ColumnBlockTest, VectorDecodeMatchesGetAtEveryTier) {
+  constexpr size_t kB = Column::kBlockSize;
+  constexpr Value kSentinel = 0x5a5a5a5a;
+  std::vector<simd::SimdLevel> levels;
+  for (simd::SimdLevel level : {simd::SimdLevel::kScalar,
+                                simd::SimdLevel::kAvx2,
+                                simd::SimdLevel::kAvx512}) {
+    if (level <= simd::DetectedSimdLevel()) levels.push_back(level);
+  }
+  const simd::SimdLevel saved = simd::ActiveSimdLevel();
+  Rng rng(50);
+  for (uint32_t w = 0; w <= 64; ++w) {
+    const uint64_t mask =
+        w == 0 ? 0 : (w >= 64 ? ~uint64_t{0} : (uint64_t{1} << w) - 1);
+    for (const bool at_max : {false, true}) {
+      // The block's smallest value: INT64_MIN, or what puts its largest at
+      // INT64_MAX.
+      const uint64_t base =
+          at_max ? static_cast<uint64_t>(kValueMax) - mask
+                 : static_cast<uint64_t>(kValueMin);
+      for (const size_t tail : {0, 1, 7, 8, 9, 15, 16, 17, 100, 127}) {
+        const size_t n = 2 * kB + tail;
+        SCOPED_TRACE("w=" + std::to_string(w) + " at_max=" +
+                     std::to_string(at_max) + " n=" + std::to_string(n));
+        std::vector<Value> values(n);
+        for (size_t i = 0; i < n; ++i) {
+          uint64_t delta = rng.Next() & mask;
+          if (i % kB == 0) delta = 0;
+          if (i % kB == 1) delta = mask;  // Pin every block's width to w.
+          values[i] = static_cast<Value>(base + delta);
+        }
+        const Column col = Column::FromValues(values);
+        for (simd::SimdLevel level : levels) {
+          SCOPED_TRACE(simd::SimdLevelName(level));
+          simd::SetSimdLevelForTest(level);
+          for (size_t b = 0; b < col.NumBlocks(); ++b) {
+            Value buf[kB];
+            std::fill(buf, buf + kB, kSentinel);
+            const size_t got = col.DecodeBlockInto(b, buf);
+            ASSERT_EQ(got, std::min(kB, n - b * kB));
+            for (size_t i = 0; i < got; ++i) {
+              ASSERT_EQ(buf[i], col.Get(b * kB + i)) << b << ":" << i;
+              ASSERT_EQ(buf[i], values[b * kB + i]) << b << ":" << i;
+            }
+            for (size_t i = got; i < kB; ++i) {
+              ASSERT_EQ(buf[i], kSentinel) << "wrote past the block: " << i;
+            }
+          }
+          ASSERT_EQ(col.Decode(), values);
+        }
+      }
+    }
+  }
+  simd::SetSimdLevelForTest(saved);
 }
 
 TEST(ColumnBlockTest, ZoneMapsCoverBlockExtremes) {
@@ -481,39 +543,6 @@ TEST(PrefixSumsTest, EmptyIsEmpty) {
   EXPECT_TRUE(sums.empty());
   PrefixSums sums2(std::vector<Value>{});
   EXPECT_TRUE(sums2.empty());
-}
-
-TEST(DictionaryTest, EncodeDecodeRoundTrip) {
-  Dictionary dict;
-  const Value a = dict.Encode("apple");
-  const Value b = dict.Encode("banana");
-  EXPECT_NE(a, b);
-  EXPECT_EQ(dict.Encode("apple"), a);  // Idempotent.
-  EXPECT_EQ(dict.Decode(a), "apple");
-  EXPECT_EQ(dict.Decode(b), "banana");
-  EXPECT_EQ(dict.size(), 2u);
-}
-
-TEST(DictionaryTest, LookupMissingReturnsMinusOne) {
-  Dictionary dict;
-  dict.Encode("x");
-  EXPECT_EQ(dict.Lookup("y"), -1);
-  EXPECT_EQ(dict.Lookup("x"), 0);
-}
-
-TEST(DictionaryTest, FinalizeOrdersLexicographically) {
-  Dictionary dict;
-  const Value zebra = dict.Encode("zebra");
-  const Value apple = dict.Encode("apple");
-  const Value mango = dict.Encode("mango");
-  const std::vector<Value> mapping = dict.Finalize();
-  // After finalize, codes sort like strings.
-  EXPECT_EQ(mapping[static_cast<size_t>(apple)], 0);
-  EXPECT_EQ(mapping[static_cast<size_t>(mango)], 1);
-  EXPECT_EQ(mapping[static_cast<size_t>(zebra)], 2);
-  EXPECT_EQ(dict.Decode(0), "apple");
-  EXPECT_EQ(dict.Decode(2), "zebra");
-  EXPECT_EQ(dict.Lookup("mango"), 1);
 }
 
 }  // namespace

@@ -155,35 +155,41 @@ TEST(DatabaseAsyncTest, SingleShardRunBatchRunsOnTheCallingThread) {
 TEST(DatabaseAsyncTest, CheapAsyncBatchRunsOnTheCallingThread) {
   // The dispatch rule: once the database has measured a batch, an async
   // batch predicted below kInlineBatchNs (size x moving mean) runs on the
-  // caller, so the callback fires before RunBatchAsync returns.
+  // caller, so the callback fires before RunBatchAsync returns. The mean
+  // is injected before each batch, so the rule is checked on both sides
+  // of the constant whatever a query costs on this host.
   const Table table = MakeTable(DataShape::kUniform, 2'000, 3, 39);
   Database db = OpenDb(table, 2, "clustered");
-  // Many queries in the warm-up spread its cold-start cost thin.
-  const std::vector<Query> warm_up = AbsentKeyQueries(table, 1'024);
-  const std::vector<Query> cheap = AbsentKeyQueries(table, 1);
+  const std::vector<Query> one = AbsentKeyQueries(table, 1);
+  const std::vector<Query> two = AbsentKeyQueries(table, 2);
+  const auto submit = [&](int64_t mean_ns, const std::vector<Query>& qs) {
+    db.SetMeanQueryNsForTest(mean_ns);
+    Dispatch d = SubmitAndWait(db, qs);
+    EXPECT_TRUE(d.batch.status.ok());
+    return d;
+  };
+  const std::thread::id caller = std::this_thread::get_id();
 
-  const Dispatch warm = SubmitAndWait(db, warm_up);  // No mean yet: pool.
-  ASSERT_TRUE(warm.batch.status.ok());
-  EXPECT_NE(warm.completer, std::this_thread::get_id());
+  // No mean yet: every batch is predicted expensive.
+  EXPECT_NE(submit(0, one).completer, caller);
   EXPECT_EQ(db.batches_inline(), 0u);
-  // The mean is now the warm-up's, and so is the prediction for a
-  // one-query batch. It is far below the constant in an optimized build.
-  // Under a sanitizer a lookup can cost more than the constant, and then
-  // the rule must keep the batch on the pool: both sides are checked.
-  const bool predicted_cheap =
-      warm.batch.stats.total_ns / 1'024 < Database::kInlineBatchNs;
-#ifdef NDEBUG
-  ASSERT_TRUE(predicted_cheap) << warm.batch.stats.total_ns / 1'024;
-#endif
 
-  const Dispatch hot = SubmitAndWait(db, cheap);
-  ASSERT_TRUE(hot.batch.status.ok());
-  EXPECT_EQ(hot.completer == std::this_thread::get_id(), predicted_cheap);
-  if (predicted_cheap) EXPECT_TRUE(hot.before_return);
-  EXPECT_EQ(db.batches_inline(), predicted_cheap ? 1u : 0u);
+  // One query predicted just under the constant: inline.
+  const Dispatch hot = submit(Database::kInlineBatchNs - 1, one);
+  EXPECT_EQ(hot.completer, caller);
+  EXPECT_TRUE(hot.before_return);
+  EXPECT_EQ(db.batches_inline(), 1u);
   ASSERT_EQ(hot.batch.results.size(), 1u);
   EXPECT_EQ(hot.batch.results[0].count, 0u);
   EXPECT_FALSE(hot.batch.results[0].skipped_empty);
+
+  // At the constant, and two queries whose sum passes it: the pool.
+  EXPECT_NE(submit(Database::kInlineBatchNs, one).completer, caller);
+  EXPECT_NE(submit(Database::kInlineBatchNs / 2 + 1, two).completer, caller);
+  EXPECT_EQ(db.batches_inline(), 1u);
+  // Two queries whose sum stays under it: inline again.
+  EXPECT_EQ(submit(Database::kInlineBatchNs / 2 - 1, two).completer, caller);
+  EXPECT_EQ(db.batches_inline(), 2u);
 }
 
 TEST(DatabaseAsyncTest, ExpensiveMixReturnsToThePoolAfterOneBatch) {

@@ -22,8 +22,23 @@ bool SimdAvailable() {
   return simd::ActiveSimdLevel() >= simd::SimdLevel::kAvx2;
 }
 
-/// The three scan kernels, called directly, and ScanRange's own choice.
-enum class Kernel { kNaive, kBlock, kSimd, kDispatch };
+/// Caps the ISA for its scope, then restores the level active before (so
+/// a FLOOD_SIMD_LEVEL cap outlives the test).
+class ScopedSimdLevel {
+ public:
+  explicit ScopedSimdLevel(simd::SimdLevel cap)
+      : saved_(simd::ActiveSimdLevel()) {
+    simd::SetSimdLevelForTest(cap);
+  }
+  ~ScopedSimdLevel() { simd::SetSimdLevelForTest(saved_); }
+
+ private:
+  simd::SimdLevel saved_;
+};
+
+/// The three scan kernels, called directly (the simd one under each
+/// vector tier), and ScanRange's own choice.
+enum class Kernel { kNaive, kBlock, kSimdAvx2, kSimdAvx512, kDispatch };
 
 const char* KernelName(Kernel kernel) {
   switch (kernel) {
@@ -31,18 +46,29 @@ const char* KernelName(Kernel kernel) {
       return "naive";
     case Kernel::kBlock:
       return "block";
-    case Kernel::kSimd:
-      return "simd";
+    case Kernel::kSimdAvx2:
+      return "simd/avx2";
+    case Kernel::kSimdAvx512:
+      return "simd/avx512";
     case Kernel::kDispatch:
       return "dispatch";
   }
   return "?";
 }
 
-/// Every kernel this host can run: simd only where AVX2 is active.
+bool IsSimd(Kernel kernel) {
+  return kernel == Kernel::kSimdAvx2 || kernel == Kernel::kSimdAvx512;
+}
+
+/// Every kernel this run can use: the simd kernel under each vector tier
+/// up to the active one (the hardware's, capped by FLOOD_SIMD_LEVEL).
 std::vector<Kernel> RunnableKernels() {
   std::vector<Kernel> kernels{Kernel::kNaive, Kernel::kBlock};
-  if (SimdAvailable()) kernels.push_back(Kernel::kSimd);
+  const simd::SimdLevel active = simd::ActiveSimdLevel();
+  if (active >= simd::SimdLevel::kAvx2) kernels.push_back(Kernel::kSimdAvx2);
+  if (active >= simd::SimdLevel::kAvx512) {
+    kernels.push_back(Kernel::kSimdAvx512);
+  }
   return kernels;
 }
 
@@ -59,9 +85,16 @@ void ScanWith(Kernel kernel, const Table& t, const Query& q, size_t begin,
     case Kernel::kBlock:
       ScanRangeBlock(t, q, begin, end, dims, visitor, stats);
       return;
-    case Kernel::kSimd:
+    case Kernel::kSimdAvx2: {
+      ScopedSimdLevel cap(simd::SimdLevel::kAvx2);
       ScanRangeSimd(t, q, begin, end, dims, visitor, stats);
       return;
+    }
+    case Kernel::kSimdAvx512: {
+      ScopedSimdLevel cap(simd::SimdLevel::kAvx512);
+      ScanRangeSimd(t, q, begin, end, dims, visitor, stats);
+      return;
+    }
     case Kernel::kDispatch:
       ScanRange(t, q, begin, end, false, dims, visitor, stats);
       return;
@@ -214,11 +247,11 @@ KernelRun RunKernel(Kernel kernel, const Table& t, const Query& q,
 }
 
 /// Runs every kernel this host can run over the same non-empty range and
-/// asserts the block and simd kernels are bit-identical to the naive
-/// reference: same matched rows, counts, sums and points_matched. The
-/// simd kernel must also reproduce the block kernel's zone-map outcomes
-/// exactly. ScanRange must give the same answer with the counters of the
-/// kernel its dispatch rule names.
+/// asserts the block and simd kernels (AVX2 and AVX-512) are bit-identical
+/// to the naive reference: same matched rows, counts, sums and
+/// points_matched. The simd kernel must also reproduce the block kernel's
+/// zone-map outcomes exactly under every tier. ScanRange must give the
+/// same answer with the counters of the kernel its dispatch rule names.
 void ExpectKernelsAgree(const Table& t, const Query& q, size_t begin,
                         size_t end, std::span<const size_t> dims) {
   std::vector<std::pair<Kernel, KernelRun>> runs;
@@ -240,18 +273,20 @@ void ExpectKernelsAgree(const Table& t, const Query& q, size_t begin,
   EXPECT_EQ(naive.stats.blocks_exact, 0u);
   EXPECT_EQ(naive.stats.simd_blocks, 0u);
   EXPECT_EQ(block.stats.simd_blocks, 0u);
-  const KernelRun* simd = nullptr;
-  if (SimdAvailable()) {
-    simd = &runs[2].second;
+  const KernelRun* simd = nullptr;  // The active tier's: the last one run.
+  for (const auto& [kernel, run] : runs) {
+    if (!IsSimd(kernel)) continue;
+    SCOPED_TRACE(KernelName(kernel));
+    simd = &run;
     // Zone-map outcomes must not depend on the (block vs simd) filter
     // implementation, and every zone-surviving block that needed
     // filtering went through the vector path.
-    EXPECT_EQ(block.stats.blocks_skipped, simd->stats.blocks_skipped);
-    EXPECT_EQ(block.stats.blocks_exact, simd->stats.blocks_exact);
+    EXPECT_EQ(block.stats.blocks_skipped, run.stats.blocks_skipped);
+    EXPECT_EQ(block.stats.blocks_exact, run.stats.blocks_exact);
     const size_t blocks = (end - 1) / Column::kBlockSize -
                           begin / Column::kBlockSize + 1;
-    EXPECT_EQ(simd->stats.simd_blocks,
-              blocks - simd->stats.blocks_skipped - simd->stats.blocks_exact);
+    EXPECT_EQ(run.stats.simd_blocks,
+              blocks - run.stats.blocks_skipped - run.stats.blocks_exact);
   }
 
   const KernelRun& dispatched = runs.back().second;
@@ -317,11 +352,11 @@ TEST(ScanKernelEquivalenceTest, RandomQueriesOnShapedData) {
 /// 26..57 (both ends of that tier).
 std::vector<uint32_t> PackedFilterWidths() {
   std::vector<uint32_t> widths;
-  for (uint32_t w = 1; w <= simd::kMaxPacked8FilterWidth; ++w) {
+  for (uint32_t w = 1; w <= kMaxPacked32Width; ++w) {
     widths.push_back(w);
   }
-  widths.push_back(simd::kMaxPacked8FilterWidth + 1);
-  widths.push_back(simd::kMaxPackedFilterWidth);
+  widths.push_back(kMaxPacked32Width + 1);
+  widths.push_back(kMaxPacked64Width);
   return widths;
 }
 
@@ -330,8 +365,8 @@ std::vector<uint32_t> PackedFilterWidths() {
 // column's decode slack (kDecodeSlackWords), where ASan watches them.
 TEST(ScanKernelEquivalenceTest, PackedFiltersThroughFinalBlock) {
   constexpr size_t kB = Column::kBlockSize;
-  static_assert(simd::kMaxPacked8FilterWidth == 25);
-  static_assert(simd::kMaxPackedFilterWidth == 57);
+  static_assert(kMaxPacked32Width == 25);
+  static_assert(kMaxPacked64Width == 57);
   for (const uint32_t w : PackedFilterWidths()) {
     SCOPED_TRACE("width=" + std::to_string(w));
     // A full final block (its last group of 8 deltas ends the packed
@@ -362,10 +397,34 @@ TEST(ScanKernelEquivalenceTest, PackedFiltersThroughFinalBlock) {
 
 // The packed kernels themselves against a scalar reference, at every
 // offset into the column's final block and with bounds at and inside the
-// width's extremes.
+// width's extremes: the AVX2 ones, and the AVX-512 ones where the
+// hardware has them.
 TEST(ScanKernelTest, PackedFiltersMatchScalarReference) {
-  if (!SimdAvailable()) GTEST_SKIP() << "no AVX2";
+  const simd::SimdLevel hw = simd::DetectedSimdLevel();
+  if (hw < simd::SimdLevel::kAvx2) GTEST_SKIP() << "no AVX2";
   constexpr size_t kB = Column::kBlockSize;
+  const auto filter = [](simd::SimdLevel level, const Column::PackedBlock& pb,
+                         uint64_t dlo, uint64_t dhi, size_t off, size_t len,
+                         uint64_t* bitmap) {
+    const uint32_t w = pb.width;
+    const uint8_t* block = pb.bytes + pb.bit_offset / 8;
+    const bool narrow = w <= kMaxPacked32Width;
+    if (level == simd::SimdLevel::kAvx512) {
+      return narrow ? simd::FilterPacked16Avx512(block, w, dlo, dhi, off, len,
+                                                 bitmap)
+                    : simd::FilterPackedWideAvx512(block, w, dlo, dhi, off,
+                                                   len, bitmap);
+    }
+    if (narrow) {
+      return simd::FilterPacked8Avx2(block, w, dlo, dhi, off, len, bitmap);
+    }
+    const uint64_t bit = pb.bit_offset + off * w;
+    return simd::FilterPackedAvx2(pb.bytes, bit, w, dlo, dhi, len, bitmap);
+  };
+  std::vector<simd::SimdLevel> levels{simd::SimdLevel::kAvx2};
+  if (hw >= simd::SimdLevel::kAvx512) {
+    levels.push_back(simd::SimdLevel::kAvx512);
+  }
   for (const uint32_t w : PackedFilterWidths()) {
     SCOPED_TRACE("width=" + std::to_string(w));
     Rng rng(3000 + w);
@@ -374,7 +433,6 @@ TEST(ScanKernelTest, PackedFiltersMatchScalarReference) {
     const size_t b = col.NumBlocks() - 1;
     const Column::PackedBlock pb = col.GetPackedBlock(b);
     ASSERT_EQ(pb.width, w);
-    const uint8_t* block = pb.bytes + pb.bit_offset / 8;
     const uint64_t base = static_cast<uint64_t>(pb.base);
     const uint64_t mask = (uint64_t{1} << w) - 1;
     for (int trial = 0; trial < 4; ++trial) {
@@ -392,21 +450,42 @@ TEST(ScanKernelTest, PackedFiltersMatchScalarReference) {
           const uint64_t hit = d >= dlo && d <= dhi;
           want[i / 64] |= hit << (i % 64);
         }
-        uint64_t got[2];
-        const size_t words = InitMatchBitmap(got, len);
-        uint64_t any;
-        if (w <= simd::kMaxPacked8FilterWidth) {
-          any = simd::FilterPacked8Avx2(block, w, dlo, dhi, off, len, got);
-        } else {
-          const uint64_t bit = pb.bit_offset + off * w;
-          any = simd::FilterPackedAvx2(pb.bytes, bit, w, dlo, dhi, len, got);
+        for (const simd::SimdLevel level : levels) {
+          SCOPED_TRACE(simd::SimdLevelName(level));
+          uint64_t got[2];
+          const size_t words = InitMatchBitmap(got, len);
+          const uint64_t any = filter(level, pb, dlo, dhi, off, len, got);
+          for (size_t k = 0; k < words; ++k) {
+            EXPECT_EQ(got[k], want[k]) << "off=" << off << " word=" << k;
+          }
+          EXPECT_EQ(any, words == 1 ? want[0] : want[0] | want[1]);
         }
-        for (size_t k = 0; k < words; ++k) {
-          EXPECT_EQ(got[k], want[k]) << "off=" << off << " word=" << k;
-        }
-        EXPECT_EQ(any, words == 1 ? want[0] : want[0] | want[1]);
       }
     }
+  }
+}
+
+// A query range with lo > hi can still pass a block's zone map (bmin <=
+// hi < lo <= bmax); its delta-space bounds are then inverted, and every
+// kernel must match nothing.
+TEST(ScanKernelEquivalenceTest, InvertedRangeInsideTheZoneMap) {
+  constexpr size_t kB = Column::kBlockSize;
+  for (const uint32_t w : {5u, 17u, 40u}) {
+    SCOPED_TRACE("width=" + std::to_string(w));
+    Rng rng(4000 + w);
+    const std::vector<Value> c0 = WidthControlledColumn(w, 3 * kB, rng);
+    StatusOr<Table> t = Table::FromColumns({c0});
+    ASSERT_TRUE(t.ok());
+    // Block 1 spans [1'000'000, 1'000'000 + 2^w - 1].
+    const Value base = 1'000'000;
+    const Value span = (Value{1} << w) - 1;
+    const Query q =
+        QueryBuilder(1).Range(0, base + span / 2 + 1, base + span / 2).Build();
+    const std::vector<size_t> dims = FilteredDims(q);
+    ExpectKernelsAgree(*t, q, 0, 3 * kB, dims);
+    CountVisitor count;
+    ScanRange(*t, q, 0, 3 * kB, false, dims, count, nullptr);
+    EXPECT_EQ(count.count(), 0u);
   }
 }
 
@@ -434,7 +513,7 @@ TEST(ScanKernelTest, ZoneMapSkipAndExactCounters) {
       // the simd kernel counts.
       EXPECT_EQ(stats.blocks_skipped, zoned ? 5u : 0u);
       EXPECT_EQ(stats.blocks_exact, zoned ? 4u : 0u);
-      EXPECT_EQ(stats.simd_blocks, kernel == Kernel::kSimd ? 1u : 0u);
+      EXPECT_EQ(stats.simd_blocks, IsSimd(kernel) ? 1u : 0u);
     }
     {
       // Clipped scan range: zone maps still apply to partial blocks.
@@ -481,9 +560,11 @@ TEST(ScanKernelTest, DispatchFollowsRangeSizeAndIsa) {
   EXPECT_EQ(wide.simd_blocks, SimdAvailable() ? 1u : 0u);
 
   // With the vector ISA masked off, the same range runs the block kernel.
-  simd::SetSimdLevelForTest(simd::SimdLevel::kScalar);
-  const QueryStats masked = scan(112, 144);
-  simd::SetSimdLevelForTest(simd::DetectedSimdLevel());
+  QueryStats masked;
+  {
+    ScopedSimdLevel cap(simd::SimdLevel::kScalar);
+    masked = scan(112, 144);
+  }
   EXPECT_EQ(masked.blocks_skipped, 0u);
   EXPECT_EQ(masked.blocks_exact, 1u);
   EXPECT_EQ(masked.simd_blocks, 0u);
@@ -502,12 +583,13 @@ TEST(ScanKernelTest, SimdDispatchFallsBackWhenIsaMasked) {
   QueryStats unmasked_stats;
   ScanRange(t, q, 0, t.num_rows(), false, dims, unmasked, &unmasked_stats);
 
-  simd::SetSimdLevelForTest(simd::SimdLevel::kScalar);
-  ASSERT_EQ(simd::ActiveSimdLevel(), simd::SimdLevel::kScalar);
   CollectVisitor masked;
   QueryStats masked_stats;
-  ScanRange(t, q, 0, t.num_rows(), false, dims, masked, &masked_stats);
-  simd::SetSimdLevelForTest(simd::DetectedSimdLevel());
+  {
+    ScopedSimdLevel cap(simd::SimdLevel::kScalar);
+    ASSERT_EQ(simd::ActiveSimdLevel(), simd::SimdLevel::kScalar);
+    ScanRange(t, q, 0, t.num_rows(), false, dims, masked, &masked_stats);
+  }
 
   EXPECT_EQ(unmasked.rows(), masked.rows());
   EXPECT_EQ(unmasked_stats.points_matched, masked_stats.points_matched);
@@ -515,9 +597,8 @@ TEST(ScanKernelTest, SimdDispatchFallsBackWhenIsaMasked) {
   EXPECT_EQ(unmasked_stats.blocks_exact, masked_stats.blocks_exact);
   EXPECT_EQ(masked_stats.simd_blocks, 0u);
   // The cap only masks: it can never exceed what cpuid detected.
-  simd::SetSimdLevelForTest(simd::SimdLevel::kAvx512);
+  ScopedSimdLevel cap(simd::SimdLevel::kAvx512);
   EXPECT_LE(simd::ActiveSimdLevel(), simd::DetectedSimdLevel());
-  simd::SetSimdLevelForTest(simd::DetectedSimdLevel());
 }
 
 TEST(SimdLevelTest, ParseNamesEachTierAndRejectsTheRest) {
@@ -556,7 +637,7 @@ TEST(VisitorTest, SumVisitorFullWordUsesPrefixSums) {
   for (simd::SimdLevel level :
        {simd::DetectedSimdLevel(), simd::SimdLevel::kScalar}) {
     SCOPED_TRACE(simd::SimdLevelName(level));
-    simd::SetSimdLevelForTest(level);
+    ScopedSimdLevel cap(level);
     SumVisitor v(&column);
     v.set_prefix_sums(&sums);
     // Rows 0..63 -> prefix-sum path; rows 64 and 66 -> per-bit path.
@@ -569,7 +650,6 @@ TEST(VisitorTest, SumVisitorFullWordUsesPrefixSums) {
     EXPECT_EQ(v.sum(), 63 * 64 / 2 + 64 + 66 + (130 + 193) * 64 / 2 +
                            194 + 197);
   }
-  simd::SetSimdLevelForTest(simd::DetectedSimdLevel());
 }
 
 TEST(VisitorTest, CollectVisitorExpandsMatchBitmapsInOrder) {
