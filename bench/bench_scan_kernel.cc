@@ -1,18 +1,20 @@
-// Scan-kernel micro-benchmark: naive row-at-a-time vs scalar block-decoded
-// vs SIMD (AVX2/AVX-512 runtime-dispatched) kernels with zone-map pruning
-// (query/scan_util.h), reported as rows/s over block-delta-compressed
-// columns.
+// Scan-kernel micro-benchmark: the naive row-at-a-time kernel vs the
+// zone-mapped block kernel (query/scan_util.h) at the scalar tier and at
+// the active vector tier (AVX2/AVX-512, runtime-dispatched), reported as
+// rows/s over block-delta-compressed columns.
 //
 // Scenarios: a mid-selectivity 2-dim range filter over each standard
 // dataset (zone maps help only incidentally — this measures the decode +
-// predicate-evaluation win, the simd kernel's target regime), plus a
+// predicate-evaluation win, the vector tiers' target regime), plus a
 // "sorted" table filtered on its sort key (zone maps skip or exact-accept
 // nearly every block, so all kernels converge).
 //
-// Each kernel is called directly, so all three always run: block rows carry
-// speedup_vs_naive, and simd rows carry speedup_vs_block (the
-// regression-gated >=2x headline). The simd kernel runs where AVX2 is
-// active; FLOOD_SIMD_LEVEL=scalar leaves it out. FLOOD_BENCH_SCAN_SECONDS
+// Each kernel is called directly. Rows are named for the filter step:
+// "naive", "block" (ScanRangeBlocks with the ISA masked to scalar, as it
+// runs on pre-AVX2 hosts) and "simd" (ScanRangeBlocks at the active tier).
+// Block rows carry speedup_vs_naive, and simd rows speedup_vs_block (the
+// regression-gated >=2x headline). The simd rows run where AVX2 is
+// active; FLOOD_SIMD_LEVEL=scalar leaves them out. FLOOD_BENCH_SCAN_SECONDS
 // tunes the per-cell measurement budget (default 0.3).
 
 #include <optional>
@@ -40,6 +42,7 @@ struct Scenario {
   Query query;
 };
 
+/// The naive kernel, and the block kernel at the scalar and active tiers.
 enum class Kernel { kNaive, kBlock, kSimd };
 
 const char* KernelName(Kernel k) {
@@ -47,7 +50,7 @@ const char* KernelName(Kernel k) {
   return k == Kernel::kSimd ? "simd" : "block";
 }
 
-/// The kernels to measure: all three, simd only where AVX2 is active.
+/// The rows to measure: all three, simd only where AVX2 is active.
 std::vector<Kernel> KernelsToRun() {
   std::vector<Kernel> kernels{Kernel::kNaive, Kernel::kBlock};
   if (simd::ActiveSimdLevel() >= simd::SimdLevel::kAvx2) {
@@ -64,14 +67,14 @@ uint64_t ScanOnce(const Scenario& s, Kernel kernel,
   if (kernel == Kernel::kNaive) {
     ScanRangeNaive(*s.table, s.query, 0, n, dims, v, stats);
   } else if (kernel == Kernel::kBlock) {
-    // The block kernel is the scalar fallback: measure it as it runs where
-    // the vector ISA is absent or masked, its block decode included.
+    // Measure the scalar tier as it runs where the vector ISA is absent or
+    // masked, its block decode included.
     const simd::SimdLevel active = simd::ActiveSimdLevel();
     simd::SetSimdLevelForTest(simd::SimdLevel::kScalar);
-    ScanRangeBlock(*s.table, s.query, 0, n, dims, v, stats);
+    ScanRangeBlocks(*s.table, s.query, 0, n, dims, v, stats);
     simd::SetSimdLevelForTest(active);
   } else {
-    ScanRangeSimd(*s.table, s.query, 0, n, dims, v, stats);
+    ScanRangeBlocks(*s.table, s.query, 0, n, dims, v, stats);
   }
   return v.count();
 }
@@ -91,7 +94,7 @@ struct KernelResult {
   uint64_t matched = 0;
   double blocks_skipped = 0;  ///< Per pass.
   double blocks_exact = 0;    ///< Per pass.
-  double simd_blocks = 0;     ///< Per pass (simd kernel only).
+  double simd_blocks = 0;     ///< Per pass (vector tiers only).
 };
 
 KernelResult Measure(const Scenario& s, Kernel kernel) {

@@ -54,7 +54,7 @@ inline BlockZoneOutcome ClassifyBlockZones(
 /// The original row-at-a-time scan: evaluate one predicate column at a
 /// time over a match bitmap, paying a per-value lambda call, div/mod, and
 /// bit extraction. ScanRange runs it on ranges too small to amortize a
-/// block decode; it is also the reference the other kernels are tested
+/// block decode; it is also the reference the block kernel is tested
 /// against.
 template <typename V>
 void ScanRangeNaive(const Table& data, const Query& query, size_t begin,
@@ -95,7 +95,76 @@ void ScanRangeNaive(const Table& data, const Query& query, size_t begin,
   if (stats != nullptr) stats->points_matched += matched;
 }
 
-/// Block-at-a-time scan kernel (the §7.1-style fast path). Per
+/// Filters rows [off, off + n) of `col`'s block `b` against `range`,
+/// ANDing the matches into `bitmap` (initialized through InitMatchBitmap;
+/// bit i <-> row off + i of the block). Returns the OR of the surviving
+/// words, so 0 means nothing is left for later dimensions to narrow. The
+/// block's zone map must overlap `range` (ClassifyBlockZones kept it). The
+/// tier picks the step:
+///  * at AVX2 and above, widths 1..kMaxPacked64Width are filtered straight
+///    off the packed words (no decode store/reload), against the query
+///    bounds translated into delta space: widths up to kMaxPacked32Width
+///    16 (AVX-512) or 8 (AVX2) lanes of 32 bits at a time, wider ones 8
+///    (AVX-512) or 4 (AVX2) lanes of 64 bits;
+///  * width 0, widths past kMaxPacked64Width and the scalar tier decode the
+///    block into `buf` (Column::kBlockSize values) once and compare: 8
+///    (AVX-512) or 4 (AVX2) lanes at a time, or branch-free scalar.
+inline uint64_t FilterBlock(simd::SimdLevel level, const Column& col,
+                            size_t b, const ValueRange& range, size_t off,
+                            size_t n, uint64_t* bitmap, Value* buf) {
+  if (level >= simd::SimdLevel::kAvx2) {
+    const Column::PackedBlock pb = col.GetPackedBlock(b);
+    if (pb.width >= 1 && pb.width <= kMaxPacked64Width) {
+      // Translate the query bounds into the block's delta space. The zone
+      // pass guarantees BlockMin(b) == base <= range.hi and range.lo <=
+      // BlockMax(b) (else kSkip), so dhi never underflows and dlo never
+      // exceeds the width mask; clamping dhi to the mask keeps lane
+      // compares exact: deltas can't exceed it.
+      const uint64_t base = static_cast<uint64_t>(pb.base);
+      const uint64_t mask = (uint64_t{1} << pb.width) - 1;
+      const uint64_t dlo =
+          range.lo <= pb.base ? 0 : static_cast<uint64_t>(range.lo) - base;
+      const uint64_t dhi =
+          std::min(static_cast<uint64_t>(range.hi) - base, mask);
+      if (dlo > dhi) return 0;  // An empty range (lo > hi) matches nothing.
+      const uint32_t w = pb.width;
+      const bool narrow = w <= kMaxPacked32Width;
+      FLOOD_DCHECK(pb.bit_offset % 8 == 0);
+      const uint8_t* block = pb.bytes + pb.bit_offset / 8;
+      if (level >= simd::SimdLevel::kAvx512) {
+        return narrow ? simd::FilterPacked16Avx512(block, w, dlo, dhi, off, n,
+                                                   bitmap)
+                      : simd::FilterPackedWideAvx512(block, w, dlo, dhi, off,
+                                                     n, bitmap);
+      }
+      return narrow
+                 ? simd::FilterPacked8Avx2(block, w, dlo, dhi, off, n, bitmap)
+                 : simd::FilterPackedAvx2(block, w, dlo, dhi, off, n, bitmap);
+    }
+  }
+  col.DecodeBlockInto(b, buf);
+  const Value* vals = buf + off;
+  if (level >= simd::SimdLevel::kAvx512) {
+    return simd::FilterDecodedAvx512(vals, n, range.lo, range.hi, bitmap);
+  }
+  if (level >= simd::SimdLevel::kAvx2) {
+    return simd::FilterDecodedAvx2(vals, n, range.lo, range.hi, bitmap);
+  }
+  uint64_t any = 0;
+  for (size_t w = 0; w * 64 < n; ++w) {
+    const size_t cnt = std::min<size_t>(64, n - w * 64);
+    uint64_t m = 0;
+    for (size_t i = 0; i < cnt; ++i) {
+      const Value v = vals[w * 64 + i];
+      m |= static_cast<uint64_t>((v >= range.lo) & (v <= range.hi)) << i;
+    }
+    bitmap[w] &= m;
+    any |= bitmap[w];
+  }
+  return any;
+}
+
+/// The block-at-a-time scan kernel (the §7.1-style fast path). Per
 /// Column::kBlockSize block it first consults the per-block zone maps of
 /// every check dimension:
 ///  * some dimension's query range is disjoint with the block range ->
@@ -103,116 +172,18 @@ void ScanRangeNaive(const Table& data, const Query& query, size_t begin,
 ///  * every dimension's block range is contained in its query range ->
 ///    the block matches entirely, delivered as an exact range so
 ///    cumulative aggregates apply (blocks_exact);
-///  * otherwise the surviving dimensions are bulk-decoded once
-///    (width-specialized branch-free unpacking) and the range predicate
-///    is evaluated branchlessly into a match bitmap, delivered one block
-///    at a time through V::VisitMatchBitmap.
-/// The scalar kernel: what ScanRange runs when the vector ISA is absent
-/// or masked (FLOOD_SIMD_LEVEL=scalar).
+///  * otherwise each surviving dimension is filtered by FilterBlock at the
+///    active ISA tier, AND-combined into a match bitmap with an all-zero
+///    early-out, and delivered one block at a time through
+///    V::VisitMatchBitmap. At AVX2 and above these blocks count as
+///    simd_blocks.
+/// Each block's zone maps are classified once: a forward peek finds the
+/// next zone-map-surviving block, and the loop jumps straight to it.
 template <typename V>
-void ScanRangeBlock(const Table& data, const Query& query, size_t begin,
-                    size_t end, std::span<const size_t> check_dims,
-                    V& visitor, QueryStats* stats) {
-  constexpr size_t kBlock = Column::kBlockSize;
-  static_assert(kBlock % 64 == 0);
-  constexpr size_t kWords = kBlock / 64;
-  Value buf[kBlock];
-  uint64_t bitmap[kWords];
-  // Dimensions a zone map could neither reject nor fully accept.
-  constexpr size_t kMaxDims = 64;
-  size_t pending[kMaxDims];
-  FLOOD_DCHECK(check_dims.size() <= kMaxDims);
-
-  size_t matched = 0;
-  uint64_t blocks_skipped = 0;
-  uint64_t blocks_exact = 0;
-  const size_t first_block = begin / kBlock;
-  const size_t last_block = (end - 1) / kBlock;
-  for (size_t b = first_block; b <= last_block; ++b) {
-    const size_t block_begin = b * kBlock;
-    const size_t lo = std::max(begin, block_begin);
-    const size_t hi = std::min(end, block_begin + kBlock);
-    const size_t n = hi - lo;
-
-    // Zone-map pass. Zone maps cover the full block, so they are a (safe)
-    // superset of [lo, hi) when the scan range clips the block.
-    size_t num_pending = 0;
-    const BlockZoneOutcome outcome = ClassifyBlockZones(
-        data, query, check_dims, b, pending, &num_pending);
-    if (outcome == BlockZoneOutcome::kSkip) {
-      ++blocks_skipped;
-      continue;
-    }
-    if (outcome == BlockZoneOutcome::kExact) {
-      ++blocks_exact;
-      matched += n;
-      visitor.VisitExactRange(static_cast<RowId>(lo),
-                              static_cast<RowId>(hi));
-      continue;
-    }
-
-    const size_t words = InitMatchBitmap(bitmap, n);
-    uint64_t any = 0;
-    for (size_t p = 0; p < num_pending; ++p) {
-      const size_t dim = pending[p];
-      const ValueRange& r = query.range(dim);
-      data.column(dim).DecodeBlockInto(b, buf);
-      const Value* vals = buf + (lo - block_begin);
-      any = 0;
-      for (size_t w = 0; w < words; ++w) {
-        const size_t base = w * 64;
-        const size_t cnt = std::min<size_t>(64, n - base);
-        uint64_t m = 0;
-        for (size_t i = 0; i < cnt; ++i) {
-          const Value v = vals[base + i];
-          m |= static_cast<uint64_t>((v >= r.lo) & (v <= r.hi)) << i;
-        }
-        bitmap[w] &= m;
-        any |= bitmap[w];
-      }
-      if (any == 0) break;  // Nothing left for later dimensions to narrow.
-    }
-
-    if (any != 0) {
-      matched += simd::PopcountWords(bitmap, words);
-      visitor.VisitMatchBitmap(static_cast<RowId>(lo), n, bitmap);
-    }
-  }
-  if (stats != nullptr) {
-    stats->points_matched += matched;
-    stats->blocks_skipped += blocks_skipped;
-    stats->blocks_exact += blocks_exact;
-  }
-}
-
-/// Vectorized block scan kernel (ISSUE: the SIMD tentpole). Same zone-map
-/// structure as ScanRangeBlock — per block, skip / exact-accept / filter —
-/// but the filter stage runs runtime-dispatched vector predicates:
-///  * widths 1..kMaxPacked64Width are filtered
-///    straight off the packed words (no decode store/reload), against the
-///    query bounds translated into delta space. Widths up to
-///    kMaxPacked32Width run 16 (AVX-512) or 8 (AVX2) lanes of
-///    32 bits per group (16-byte loads, a byte shuffle and a per-lane
-///    shift); wider ones run 8 lanes of 64 bits the same way on AVX-512,
-///    or 4 lanes on AVX2, each loading the byte-aligned 64-bit window
-///    holding its delta;
-///  * width 0 and wider blocks are bulk-decoded once and compared
-///    4 (AVX2) or 8 (AVX-512) lanes at a time.
-/// Check dimensions AND-combine into the match bitmap with an all-zero
-/// early-out. Each block's zone maps are classified once: a forward peek
-/// finds the *next* zone-map-surviving block, whose packed bytes are
-/// software-prefetched while the current one filters, and the loop then
-/// jumps straight to it. Matches are delivered one block at a time via
-/// V::VisitMatchBitmap, like the block kernel's.
-///
-/// Caller guarantees simd::ActiveSimdLevel() >= kAvx2 (ScanRange falls
-/// back to the block kernel otherwise).
-template <typename V>
-void ScanRangeSimd(const Table& data, const Query& query, size_t begin,
-                   size_t end, std::span<const size_t> check_dims,
-                   V& visitor, QueryStats* stats) {
+void ScanRangeBlocks(const Table& data, const Query& query, size_t begin,
+                     size_t end, std::span<const size_t> check_dims,
+                     V& visitor, QueryStats* stats) {
   const simd::SimdLevel level = simd::ActiveSimdLevel();
-  FLOOD_DCHECK(level >= simd::SimdLevel::kAvx2);
   constexpr size_t kBlock = Column::kBlockSize;
   static_assert(kBlock % 64 == 0);
   constexpr size_t kWords = kBlock / 64;
@@ -227,11 +198,13 @@ void ScanRangeSimd(const Table& data, const Query& query, size_t begin,
   size_t matched = 0;
   uint64_t blocks_skipped = 0;
   uint64_t blocks_exact = 0;
-  uint64_t simd_blocks = 0;
+  uint64_t filtered_blocks = 0;
   const size_t first_block = begin / kBlock;
   const size_t last_block = (end - 1) / kBlock;
   // Classifies blocks from `b` on and returns the first that survives its
   // zone maps (last_block + 1 if none does), counting the skipped ones.
+  // Zone maps cover the full block, so they are a (safe) superset of the
+  // rows when the scan range clips it.
   const auto next_surviving = [&](size_t b, size_t* pend, size_t* num_pend,
                                   BlockZoneOutcome* outcome) {
     for (; b <= last_block; ++b) {
@@ -253,19 +226,12 @@ void ScanRangeSimd(const Table& data, const Query& query, size_t begin,
     const size_t hi = std::min(end, block_begin + kBlock);
     const size_t n = hi - lo;
 
-    // Forward peek: classify up to the next surviving block now, and
-    // prefetch the packed bytes its filter will touch so they arrive in
-    // cache while this block is handled. The loop then jumps there with
-    // the verdict in hand, so each block is classified exactly once.
+    // Forward peek: classify up to the next surviving block now, so the
+    // loop jumps there with its verdict in hand.
     size_t num_peeked = 0;
     BlockZoneOutcome next_outcome = BlockZoneOutcome::kSkip;
     const size_t next = next_surviving(b + 1, peeked, &num_peeked,
                                        &next_outcome);
-    if (next_outcome == BlockZoneOutcome::kFilter) {
-      for (size_t p = 0; p < num_peeked; ++p) {
-        data.column(peeked[p]).PrefetchBlock(next);
-      }
-    }
 
     if (outcome == BlockZoneOutcome::kExact) {
       ++blocks_exact;
@@ -274,55 +240,14 @@ void ScanRangeSimd(const Table& data, const Query& query, size_t begin,
                               static_cast<RowId>(hi));
     } else {
       const size_t words = InitMatchBitmap(bitmap, n);
-      ++simd_blocks;
+      ++filtered_blocks;
       uint64_t any = 0;
       for (size_t p = 0; p < num_pending; ++p) {
         const size_t dim = pending[p];
-        const ValueRange& r = query.range(dim);
-        const Column& col = data.column(dim);
-        const Column::PackedBlock pb = col.GetPackedBlock(b);
-        if (pb.width >= 1 && pb.width <= kMaxPacked64Width) {
-          // Translate the query bounds into the block's delta space. The
-          // zone pass guarantees BlockMin(b) == base <= r.hi and
-          // r.lo <= BlockMax(b) (else kSkip), so dhi never underflows and
-          // dlo never exceeds the width mask; clamping dhi to the mask
-          // keeps lane compares exact: deltas can't exceed it.
-          const uint64_t base = static_cast<uint64_t>(pb.base);
-          const uint64_t mask = (uint64_t{1} << pb.width) - 1;
-          const uint64_t dlo =
-              r.lo <= pb.base ? 0 : static_cast<uint64_t>(r.lo) - base;
-          const uint64_t dhi =
-              std::min(static_cast<uint64_t>(r.hi) - base, mask);
-          const size_t off = lo - block_begin;
-          const uint32_t w = pb.width;
-          const bool narrow = w <= kMaxPacked32Width;
-          FLOOD_DCHECK(pb.bit_offset % 8 == 0);
-          const uint8_t* block = pb.bytes + pb.bit_offset / 8;
-          if (dlo > dhi) {
-            any = 0;  // An empty query range (lo > hi) matches nothing.
-          } else if (level >= simd::SimdLevel::kAvx512) {
-            any = narrow ? simd::FilterPacked16Avx512(block, w, dlo, dhi, off,
-                                                      n, bitmap)
-                         : simd::FilterPackedWideAvx512(block, w, dlo, dhi,
-                                                        off, n, bitmap);
-          } else if (narrow) {
-            any = simd::FilterPacked8Avx2(block, w, dlo, dhi, off, n, bitmap);
-          } else {
-            const uint64_t bit = pb.bit_offset + off * w;
-            any = simd::FilterPackedAvx2(pb.bytes, bit, w, dlo, dhi, n, bitmap);
-          }
-        } else {
-          // Width 0 (can't be pending, but harmless) or too wide for
-          // byte-window lane loads: decode once, compare vectorized.
-          col.DecodeBlockInto(b, buf);
-          const Value* vals = buf + (lo - block_begin);
-          any = level >= simd::SimdLevel::kAvx512
-                    ? simd::FilterDecodedAvx512(vals, n, r.lo, r.hi, bitmap)
-                    : simd::FilterDecodedAvx2(vals, n, r.lo, r.hi, bitmap);
-        }
+        any = FilterBlock(level, data.column(dim), b, query.range(dim),
+                          lo - block_begin, n, bitmap, buf);
         if (any == 0) break;  // Nothing left for later dimensions to narrow.
       }
-
       if (any != 0) {
         matched += simd::PopcountWords(bitmap, words);
         visitor.VisitMatchBitmap(static_cast<RowId>(lo), n, bitmap);
@@ -338,23 +263,21 @@ void ScanRangeSimd(const Table& data, const Query& query, size_t begin,
     stats->points_matched += matched;
     stats->blocks_skipped += blocks_skipped;
     stats->blocks_exact += blocks_exact;
-    stats->simd_blocks += simd_blocks;
+    if (level >= simd::SimdLevel::kAvx2) stats->simd_blocks += filtered_blocks;
   }
 }
 
 /// Scans one range, checking each row of `check_dims` against the query.
 /// Non-listed dimensions are assumed satisfied by construction (e.g. the
-/// refined sort dimension). The kernel follows from the range and the
-/// platform: ranges under 32 rows and predicates over 64 dimensions run
-/// naive; otherwise the simd kernel runs when simd::ActiveSimdLevel() is
-/// at least AVX2, and the block kernel when it is not (no AVX2, or
-/// masked by FLOOD_SIMD_LEVEL / SetSimdLevelForTest). All three give
-/// identical results; only the simd kernel advances simd_blocks.
+/// refined sort dimension). The kernel follows from the range: ranges
+/// under 32 rows and predicates over 64 dimensions run naive, the rest
+/// the block kernel, whose filter step follows simd::ActiveSimdLevel().
+/// Both give identical results.
 ///
 /// Counters: adds end-begin to points_scanned, matches to points_matched,
-/// and one to ranges_scanned; the block kernels also tally
-/// blocks_skipped / blocks_exact from their zone-map outcomes, and the
-/// simd kernel counts vector-filtered blocks in simd_blocks.
+/// and one to ranges_scanned; the block kernel also tallies
+/// blocks_skipped / blocks_exact from its zone-map outcomes, and, at AVX2
+/// and above, its filtered blocks in simd_blocks.
 template <typename V>
 void ScanRange(const Table& data, const Query& query, size_t begin,
                size_t end, bool exact, std::span<const size_t> check_dims,
@@ -380,10 +303,8 @@ void ScanRange(const Table& data, const Query& query, size_t begin,
   constexpr size_t kMinBlockKernelRows = 32;
   if (check_dims.size() > 64 || n < kMinBlockKernelRows) {
     ScanRangeNaive(data, query, begin, end, check_dims, visitor, stats);
-  } else if (simd::ActiveSimdLevel() >= simd::SimdLevel::kAvx2) {
-    ScanRangeSimd(data, query, begin, end, check_dims, visitor, stats);
   } else {
-    ScanRangeBlock(data, query, begin, end, check_dims, visitor, stats);
+    ScanRangeBlocks(data, query, begin, end, check_dims, visitor, stats);
   }
 }
 

@@ -96,9 +96,10 @@ __attribute__((target("avx512f"))) uint64_t FilterDecodedAvx512(
 }
 
 __attribute__((target("avx2"))) uint64_t FilterPackedAvx2(
-    const uint8_t* bytes, uint64_t bit, uint32_t width, uint64_t dlo,
-    uint64_t dhi, size_t n, uint64_t* bitmap) {
+    const uint8_t* block, uint32_t width, uint64_t dlo, uint64_t dhi,
+    size_t off, size_t n, uint64_t* bitmap) {
   FLOOD_DCHECK(width >= 1 && width <= kMaxPacked64Width);
+  FLOOD_DCHECK(n >= 1 && off + n <= Column::kBlockSize);
   const uint64_t mask = (uint64_t{1} << width) - 1;
   // Deltas and bounds are < 2^58, so signed lane compares are exact.
   const __m256i mask_v = _mm256_set1_epi64x(static_cast<int64_t>(mask));
@@ -116,15 +117,15 @@ __attribute__((target("avx2"))) uint64_t FilterPackedAvx2(
       // (shift <= 7, so width + 7 <= 64 bits stay in view), then shifts and
       // masks it out. Reads past the last delta stay inside the column's
       // kDecodeSlackWords tail.
-      const uint64_t b0 = bit + (i + j) * w1;
+      const uint64_t b0 = (off + i + j) * w1;
       const uint64_t b1 = b0 + w1;
       const uint64_t b2 = b0 + 2 * w1;
       const uint64_t b3 = b0 + 3 * w1;
       const __m256i raw = _mm256_set_epi64x(
-          static_cast<int64_t>(LoadLE64(bytes + (b3 >> 3))),
-          static_cast<int64_t>(LoadLE64(bytes + (b2 >> 3))),
-          static_cast<int64_t>(LoadLE64(bytes + (b1 >> 3))),
-          static_cast<int64_t>(LoadLE64(bytes + (b0 >> 3))));
+          static_cast<int64_t>(LoadLE64(block + (b3 >> 3))),
+          static_cast<int64_t>(LoadLE64(block + (b2 >> 3))),
+          static_cast<int64_t>(LoadLE64(block + (b1 >> 3))),
+          static_cast<int64_t>(LoadLE64(block + (b0 >> 3))));
       const __m256i shifts = _mm256_set_epi64x(
           static_cast<int64_t>(b3 & 7), static_cast<int64_t>(b2 & 7),
           static_cast<int64_t>(b1 & 7), static_cast<int64_t>(b0 & 7));
@@ -137,8 +138,8 @@ __attribute__((target("avx2"))) uint64_t FilterPackedAvx2(
       m |= (~bad & 0xf) << j;
     }
     for (; j < cnt; ++j) {  // Masked scalar epilogue, same window math.
-      const uint64_t bpos = bit + (i + j) * w1;
-      const uint64_t d = (LoadLE64(bytes + (bpos >> 3)) >> (bpos & 7)) & mask;
+      const uint64_t bpos = (off + i + j) * w1;
+      const uint64_t d = (LoadLE64(block + (bpos >> 3)) >> (bpos & 7)) & mask;
       m |= static_cast<uint64_t>((d >= dlo) & (d <= dhi)) << j;
     }
     bitmap[w] &= m;
@@ -296,8 +297,8 @@ uint64_t FilterDecodedAvx512(const Value*, size_t, Value, Value, uint64_t*) {
   FLOOD_CHECK(false);
   return 0;
 }
-uint64_t FilterPackedAvx2(const uint8_t*, uint64_t, uint32_t, uint64_t,
-                          uint64_t, size_t, uint64_t*) {
+uint64_t FilterPackedAvx2(const uint8_t*, uint32_t, uint64_t, uint64_t,
+                          size_t, size_t, uint64_t*) {
   FLOOD_CHECK(false);
   return 0;
 }

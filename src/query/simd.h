@@ -31,25 +31,23 @@ uint64_t FilterDecodedAvx2(const Value* vals, size_t n, Value lo, Value hi,
 uint64_t FilterDecodedAvx512(const Value* vals, size_t n, Value lo, Value hi,
                              uint64_t* bitmap);
 
-/// Same contract, evaluated straight off bit-packed block-delta words:
-/// value i is the `width`-bit unsigned delta at absolute bit
-/// `bit + i * width` of `bytes`, matched against delta-space bounds
-/// dlo <= delta <= dhi. Requires 1 <= width <= kMaxPacked64Width and
-/// Column's decode slack (kDecodeSlackWords) past the last encoded bit —
-/// lanes load 64-bit windows at byte granularity, so reads may extend a few
-/// bytes past the final delta.
-uint64_t FilterPackedAvx2(const uint8_t* bytes, uint64_t bit, uint32_t width,
-                          uint64_t dlo, uint64_t dhi, size_t n,
+/// Same contract, evaluated straight off one block's bit-packed deltas
+/// [off, off + n) (off + n <= Column::kBlockSize): delta i of the block is
+/// the `width`-bit unsigned value at bit i * width of `block`, the block's
+/// first byte (block bit offsets are multiples of 128), matched against
+/// delta-space bounds dlo <= delta <= dhi. Bit i of the bitmap is delta
+/// off + i. All four packed filters take this signature. This one, for
+/// 1 <= width <= kMaxPacked64Width, loads each delta's byte-aligned 64-bit
+/// window into one of 4 lanes, reading up to 7 bytes past the last delta
+/// it uses (inside Column's kDecodeSlackWords for the final block).
+uint64_t FilterPackedAvx2(const uint8_t* block, uint32_t width, uint64_t dlo,
+                          uint64_t dhi, size_t off, size_t n,
                           uint64_t* bitmap);
 
-/// The 8-lane variant for 1 <= width <= kMaxPacked32Width, over the
-/// deltas [off, off + n) of one block (off + n <= Column::kBlockSize):
-/// delta i of the block sits at bit i * width of `block`, the block's
-/// first byte (block bit offsets are multiples of 128). Eight deltas span
-/// exactly `width` bytes, so each group of eight starts on a byte: two
-/// 16-byte loads, one byte shuffle and one per-lane shift extract it into
-/// 32-bit lanes. Bit i of the bitmap is delta off + i; the same contract
-/// otherwise, including reads up to 15 bytes past the block's last delta.
+/// The 8-lane variant for 1 <= width <= kMaxPacked32Width. Eight deltas
+/// span exactly `width` bytes, so each group of eight starts on a byte:
+/// two 16-byte loads, one byte shuffle and one per-lane shift extract it
+/// into 32-bit lanes. Reads up to 15 bytes past the block's last delta.
 uint64_t FilterPacked8Avx2(const uint8_t* block, uint32_t width, uint64_t dlo,
                            uint64_t dhi, size_t off, size_t n,
                            uint64_t* bitmap);

@@ -9,6 +9,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -30,6 +31,54 @@ constexpr size_t kReadChunk = 64 * 1024;
 
 Status Errno(const std::string& what) {
   return Status::Internal(what + ": " + std::strerror(errno));
+}
+
+/// What an IPv4 listener's failures are called.
+struct Ipv4ListenerNames {
+  const char* socket;
+  const char* bad_host;  ///< InvalidArgument prefix for an unparsable host.
+  std::string bind;
+  const char* listen;
+  const char* getsockname;
+};
+
+/// Opens a non-blocking IPv4 listener on host:port (SO_REUSEADDR) and
+/// returns its fd, with the bound port (the kernel's pick for port 0) in
+/// *bound_port. The fd is closed again on any failure.
+StatusOr<int> OpenIpv4Listener(const std::string& host, uint16_t port,
+                               int backlog, const Ipv4ListenerNames& names,
+                               uint16_t* bound_port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK |
+                                       SOCK_CLOEXEC, 0);
+  if (fd < 0) return Errno(names.socket);
+  const Status status = [&]() -> Status {
+    const int one = 1;
+    (void)::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+    struct sockaddr_in addr;
+    std::memset(&addr, 0, sizeof(addr));
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
+      return Status::InvalidArgument(names.bad_host + host);
+    }
+    if (::bind(fd, reinterpret_cast<struct sockaddr*>(&addr),
+               sizeof(addr)) < 0) {
+      return Errno("bind(" + names.bind + ")");
+    }
+    if (::listen(fd, backlog) < 0) return Errno(names.listen);
+    socklen_t len = sizeof(addr);
+    if (::getsockname(fd, reinterpret_cast<struct sockaddr*>(&addr),
+                      &len) < 0) {
+      return Errno(names.getsockname);
+    }
+    *bound_port = ntohs(addr.sin_port);
+    return Status::OK();
+  }();
+  if (!status.ok()) {
+    ::close(fd);
+    return status;
+  }
+  return fd;
 }
 
 void BumpHwm(std::atomic<uint64_t>& hwm, uint64_t depth) {
@@ -82,12 +131,7 @@ Server::~Server() {
     (void)fd;
     if (conn->fd >= 0) ::close(conn->fd);
   }
-  if (tcp_listen_fd_ >= 0) ::close(tcp_listen_fd_);
-  if (metrics_listen_fd_ >= 0) ::close(metrics_listen_fd_);
-  if (uds_listen_fd_ >= 0) {
-    ::close(uds_listen_fd_);
-    if (!options_.uds_path.empty()) ::unlink(options_.uds_path.c_str());
-  }
+  CloseListeners();
   if (wake_fd_ >= 0) ::close(wake_fd_);
   if (shutdown_fd_ >= 0) ::close(shutdown_fd_);
   if (epoll_fd_ >= 0) ::close(epoll_fd_);
@@ -129,47 +173,19 @@ Status Server::Init() {
   shutdown_fd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
   if (shutdown_fd_ < 0) return Errno("eventfd(shutdown)");
 
-  auto watch = [this](int fd) -> Status {
-    struct epoll_event ev;
-    std::memset(&ev, 0, sizeof(ev));
-    ev.events = EPOLLIN;
-    ev.data.fd = fd;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) < 0) {
-      return Errno("epoll_ctl(ADD)");
-    }
-    return Status::OK();
-  };
-  FLOOD_RETURN_IF_ERROR(watch(wake_fd_));
-  FLOOD_RETURN_IF_ERROR(watch(shutdown_fd_));
+  FLOOD_RETURN_IF_ERROR(Watch(wake_fd_));
+  FLOOD_RETURN_IF_ERROR(Watch(shutdown_fd_));
 
   if (options_.listen_tcp) {
-    tcp_listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK |
-                                           SOCK_CLOEXEC, 0);
-    if (tcp_listen_fd_ < 0) return Errno("socket(tcp)");
-    const int one = 1;
-    (void)::setsockopt(tcp_listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one,
-                       sizeof(one));
-    struct sockaddr_in addr;
-    std::memset(&addr, 0, sizeof(addr));
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(options_.tcp_port);
-    if (::inet_pton(AF_INET, options_.tcp_host.c_str(), &addr.sin_addr) !=
-        1) {
-      return Status::InvalidArgument("bad tcp_host " + options_.tcp_host);
-    }
-    if (::bind(tcp_listen_fd_, reinterpret_cast<struct sockaddr*>(&addr),
-               sizeof(addr)) < 0) {
-      return Errno("bind(" + options_.tcp_host + ":" +
-                   std::to_string(options_.tcp_port) + ")");
-    }
-    if (::listen(tcp_listen_fd_, 128) < 0) return Errno("listen(tcp)");
-    socklen_t len = sizeof(addr);
-    if (::getsockname(tcp_listen_fd_,
-                      reinterpret_cast<struct sockaddr*>(&addr), &len) < 0) {
-      return Errno("getsockname");
-    }
-    tcp_port_ = ntohs(addr.sin_port);
-    FLOOD_RETURN_IF_ERROR(watch(tcp_listen_fd_));
+    const StatusOr<int> fd = OpenIpv4Listener(
+        options_.tcp_host, options_.tcp_port, 128,
+        {"socket(tcp)", "bad tcp_host ",
+         options_.tcp_host + ":" + std::to_string(options_.tcp_port),
+         "listen(tcp)", "getsockname"},
+        &tcp_port_);
+    if (!fd.ok()) return fd.status();
+    listeners_.push_back({*fd, /*is_tcp=*/true, /*is_http=*/false});
+    FLOOD_RETURN_IF_ERROR(Watch(*fd));
   }
 
   if (!options_.uds_path.empty()) {
@@ -178,20 +194,21 @@ Status Server::Init() {
       return Status::InvalidArgument("uds_path too long: " +
                                      options_.uds_path);
     }
-    uds_listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK |
-                                           SOCK_CLOEXEC, 0);
-    if (uds_listen_fd_ < 0) return Errno("socket(unix)");
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK |
+                                         SOCK_CLOEXEC, 0);
+    if (fd < 0) return Errno("socket(unix)");
+    listeners_.push_back({fd, /*is_tcp=*/false, /*is_http=*/false});
     ::unlink(options_.uds_path.c_str());  // Stale socket from a crash.
     std::memset(&addr, 0, sizeof(addr));
     addr.sun_family = AF_UNIX;
     std::strncpy(addr.sun_path, options_.uds_path.c_str(),
                  sizeof(addr.sun_path) - 1);
-    if (::bind(uds_listen_fd_, reinterpret_cast<struct sockaddr*>(&addr),
+    if (::bind(fd, reinterpret_cast<struct sockaddr*>(&addr),
                sizeof(addr)) < 0) {
       return Errno("bind(" + options_.uds_path + ")");
     }
-    if (::listen(uds_listen_fd_, 128) < 0) return Errno("listen(unix)");
-    FLOOD_RETURN_IF_ERROR(watch(uds_listen_fd_));
+    if (::listen(fd, 128) < 0) return Errno("listen(unix)");
+    FLOOD_RETURN_IF_ERROR(Watch(fd));
   }
 
   if (!options_.metrics_addr.empty()) {
@@ -207,31 +224,14 @@ Status Server::Init() {
     if (end == port_str.c_str() || *end != '\0' || port > 65535) {
       return Status::InvalidArgument("bad metrics_addr port " + port_str);
     }
-    metrics_listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK |
-                                               SOCK_CLOEXEC, 0);
-    if (metrics_listen_fd_ < 0) return Errno("socket(metrics)");
-    const int one = 1;
-    (void)::setsockopt(metrics_listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one,
-                       sizeof(one));
-    struct sockaddr_in addr;
-    std::memset(&addr, 0, sizeof(addr));
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<uint16_t>(port));
-    if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-      return Status::InvalidArgument("bad metrics_addr host " + host);
-    }
-    if (::bind(metrics_listen_fd_, reinterpret_cast<struct sockaddr*>(&addr),
-               sizeof(addr)) < 0) {
-      return Errno("bind(" + options_.metrics_addr + ")");
-    }
-    if (::listen(metrics_listen_fd_, 16) < 0) return Errno("listen(metrics)");
-    socklen_t len = sizeof(addr);
-    if (::getsockname(metrics_listen_fd_,
-                      reinterpret_cast<struct sockaddr*>(&addr), &len) < 0) {
-      return Errno("getsockname(metrics)");
-    }
-    metrics_port_ = ntohs(addr.sin_port);
-    FLOOD_RETURN_IF_ERROR(watch(metrics_listen_fd_));
+    const StatusOr<int> fd = OpenIpv4Listener(
+        host, static_cast<uint16_t>(port), 16,
+        {"socket(metrics)", "bad metrics_addr host ", options_.metrics_addr,
+         "listen(metrics)", "getsockname(metrics)"},
+        &metrics_port_);
+    if (!fd.ok()) return fd.status();
+    listeners_.push_back({*fd, /*is_tcp=*/true, /*is_http=*/true});
+    FLOOD_RETURN_IF_ERROR(Watch(*fd));
     // Pre-register every layer's histograms so the first scrape already
     // exposes the full zero-valued series set (rate() works from t=0)
     // instead of families appearing as code paths first run.
@@ -241,6 +241,26 @@ Status Server::Init() {
     (void)obs::GlobalPersistMetrics();
   }
   return Status::OK();
+}
+
+Status Server::Watch(int fd) {
+  struct epoll_event ev;
+  std::memset(&ev, 0, sizeof(ev));
+  ev.events = EPOLLIN;
+  ev.data.fd = fd;
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) < 0) {
+    return Errno("epoll_ctl(ADD)");
+  }
+  return Status::OK();
+}
+
+void Server::CloseListeners() {
+  for (const Listener& l : listeners_) {
+    (void)::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, l.fd, nullptr);
+    ::close(l.fd);
+    if (!l.is_tcp) ::unlink(options_.uds_path.c_str());
+  }
+  listeners_.clear();
 }
 
 Status Server::Run() { return Loop(); }
@@ -312,9 +332,11 @@ Status Server::Loop() {
         BeginDrain();
         continue;
       }
-      if (fd == tcp_listen_fd_ || fd == uds_listen_fd_ ||
-          fd == metrics_listen_fd_) {
-        HandleAccept(fd);
+      const auto listener =
+          std::find_if(listeners_.begin(), listeners_.end(),
+                       [fd](const Listener& l) { return l.fd == fd; });
+      if (listener != listeners_.end()) {
+        HandleAccept(*listener);
         continue;
       }
       auto it = conns_.find(fd);
@@ -380,22 +402,7 @@ bool Server::draining_done() const {
 void Server::BeginDrain() {
   if (draining_) return;
   draining_ = true;
-  if (tcp_listen_fd_ >= 0) {
-    (void)::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, tcp_listen_fd_, nullptr);
-    ::close(tcp_listen_fd_);
-    tcp_listen_fd_ = -1;
-  }
-  if (uds_listen_fd_ >= 0) {
-    (void)::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, uds_listen_fd_, nullptr);
-    ::close(uds_listen_fd_);
-    uds_listen_fd_ = -1;
-    ::unlink(options_.uds_path.c_str());
-  }
-  if (metrics_listen_fd_ >= 0) {
-    (void)::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, metrics_listen_fd_, nullptr);
-    ::close(metrics_listen_fd_);
-    metrics_listen_fd_ = -1;
-  }
+  CloseListeners();
   // Final read pass: requests already in a socket buffer at drain time
   // are still answered — executed if admitted, or shed with a typed
   // kShuttingDown (HandleFrame's draining_ branch). MaybeFinish (via
@@ -408,9 +415,9 @@ void Server::BeginDrain() {
   }
 }
 
-void Server::HandleAccept(int listener_fd) {
+void Server::HandleAccept(Listener listener) {
   for (;;) {
-    const int fd = failpoint::InjectedAccept4("serve.accept", listener_fd,
+    const int fd = failpoint::InjectedAccept4("serve.accept", listener.fd,
                                               nullptr, nullptr,
                                               SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd < 0) {
@@ -435,8 +442,8 @@ void Server::HandleAccept(int listener_fd) {
     auto conn = std::make_unique<Connection>();
     conn->fd = fd;
     conn->id = next_conn_id_++;
-    conn->is_tcp = listener_fd != uds_listen_fd_;
-    conn->is_http = listener_fd == metrics_listen_fd_;
+    conn->is_tcp = listener.is_tcp;
+    conn->is_http = listener.is_http;
     conn->last_activity = std::chrono::steady_clock::now();
     conn->events = EPOLLIN | EPOLLRDHUP;
     if (conn->is_tcp) {
@@ -461,14 +468,8 @@ void Server::HandleAccept(int listener_fd) {
 
 void Server::PauseListeners() {
   if (listeners_paused_ || draining_) return;
-  if (tcp_listen_fd_ >= 0) {
-    (void)::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, tcp_listen_fd_, nullptr);
-  }
-  if (uds_listen_fd_ >= 0) {
-    (void)::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, uds_listen_fd_, nullptr);
-  }
-  if (metrics_listen_fd_ >= 0) {
-    (void)::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, metrics_listen_fd_, nullptr);
+  for (const Listener& l : listeners_) {
+    (void)::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, l.fd, nullptr);
   }
   listeners_paused_ = true;
   listener_resume_at_ =
@@ -478,18 +479,8 @@ void Server::PauseListeners() {
 void Server::ResumeListeners() {
   if (!listeners_paused_) return;
   listeners_paused_ = false;
-  if (draining_) return;  // Drain already closed the listeners.
-  auto rearm = [this](int fd) {
-    if (fd < 0) return;
-    struct epoll_event ev;
-    std::memset(&ev, 0, sizeof(ev));
-    ev.events = EPOLLIN;
-    ev.data.fd = fd;
-    (void)::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
-  };
-  rearm(tcp_listen_fd_);
-  rearm(uds_listen_fd_);
-  rearm(metrics_listen_fd_);
+  // Empty after a drain, so nothing is re-armed then.
+  for (const Listener& l : listeners_) (void)Watch(l.fd);
 }
 
 void Server::HandleReadable(Connection* conn) {

@@ -192,12 +192,23 @@ class Server {
     Stopwatch submitted;
   };
 
+  /// An accepting socket and what its connections speak.
+  struct Listener {
+    int fd = -1;
+    bool is_tcp = false;   ///< IPv4 (Nagle off) rather than Unix-domain.
+    bool is_http = false;  ///< The metrics endpoint: HTTP, not the wire.
+  };
+
   Server(BatchEngine* engine, std::unique_ptr<BatchEngine> owned,
          ServerOptions options);
   Status Init();
+  /// Adds `fd` to the epoll set, readable-triggered.
+  Status Watch(int fd);
+  /// Closes every listener (unlinking the UDS path) and empties the list.
+  void CloseListeners();
 
   Status Loop();
-  void HandleAccept(int listener_fd);
+  void HandleAccept(Listener listener);
   /// Accept-storm mitigation: on EMFILE/ENFILE-class accept failures the
   /// listeners leave the epoll set for a cooldown instead of spinning on a
   /// level-triggered event they can't clear; ResumeListeners() re-arms
@@ -239,9 +250,9 @@ class Server {
   ServerOptions options_;
 
   int epoll_fd_ = -1;
-  int tcp_listen_fd_ = -1;
-  int uds_listen_fd_ = -1;
-  int metrics_listen_fd_ = -1;  ///< Prometheus HTTP listener (optional).
+  /// The TCP, UDS and Prometheus HTTP listeners that are configured;
+  /// emptied at drain.
+  std::vector<Listener> listeners_;
   int wake_fd_ = -1;      ///< eventfd: batch completions ready.
   int shutdown_fd_ = -1;  ///< eventfd: Shutdown() was called.
   uint16_t tcp_port_ = 0;

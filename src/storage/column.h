@@ -154,20 +154,6 @@ class Column {
             block_bit_offset_[b], block_min_[b], block_width_[b]};
   }
 
-  /// Software-prefetches block `b`'s packed words into cache — issued by
-  /// scan kernels for the next zone-map-surviving block while the current
-  /// one filters.
-  void PrefetchBlock(size_t b) const {
-    FLOOD_DCHECK(b < NumBlocks());
-    const char* p = reinterpret_cast<const char*>(words_.data()) +
-                    (block_bit_offset_[b] >> 3);
-    const size_t bytes =
-        (static_cast<size_t>(block_width_[b]) * kBlockSize + 7) / 8;
-    for (size_t off = 0; off < bytes; off += 64) {
-      __builtin_prefetch(p + off, /*rw=*/0, /*locality=*/2);
-    }
-  }
-
   /// Materializes the column into a flat vector.
   std::vector<Value> Decode() const;
 

@@ -17,7 +17,7 @@ namespace {
 using testing::DataShape;
 using testing::MakeTable;
 
-/// True when the simd kernel's vector paths can actually execute here.
+/// True when the block kernel's vector filters can actually execute here.
 bool SimdAvailable() {
   return simd::ActiveSimdLevel() >= simd::SimdLevel::kAvx2;
 }
@@ -36,40 +36,55 @@ class ScopedSimdLevel {
   simd::SimdLevel saved_;
 };
 
-/// The three scan kernels, called directly (the simd one under each
-/// vector tier), and ScanRange's own choice.
-enum class Kernel { kNaive, kBlock, kSimdAvx2, kSimdAvx512, kDispatch };
+/// The two scan kernels, called directly (the block one under each ISA
+/// tier), and ScanRange's own choice.
+enum class Kernel {
+  kNaive,
+  kBlocksScalar,
+  kBlocksAvx2,
+  kBlocksAvx512,
+  kDispatch
+};
 
 const char* KernelName(Kernel kernel) {
   switch (kernel) {
     case Kernel::kNaive:
       return "naive";
-    case Kernel::kBlock:
-      return "block";
-    case Kernel::kSimdAvx2:
-      return "simd/avx2";
-    case Kernel::kSimdAvx512:
-      return "simd/avx512";
+    case Kernel::kBlocksScalar:
+      return "blocks/scalar";
+    case Kernel::kBlocksAvx2:
+      return "blocks/avx2";
+    case Kernel::kBlocksAvx512:
+      return "blocks/avx512";
     case Kernel::kDispatch:
       return "dispatch";
   }
   return "?";
 }
 
+/// The block kernel at a vector tier: its filtered blocks count as
+/// simd_blocks.
 bool IsSimd(Kernel kernel) {
-  return kernel == Kernel::kSimdAvx2 || kernel == Kernel::kSimdAvx512;
+  return kernel == Kernel::kBlocksAvx2 || kernel == Kernel::kBlocksAvx512;
 }
 
-/// Every kernel this run can use: the simd kernel under each vector tier
-/// up to the active one (the hardware's, capped by FLOOD_SIMD_LEVEL).
+/// Every kernel this run can use: the block kernel under each tier up to
+/// the active one (the hardware's, capped by FLOOD_SIMD_LEVEL).
 std::vector<Kernel> RunnableKernels() {
-  std::vector<Kernel> kernels{Kernel::kNaive, Kernel::kBlock};
+  std::vector<Kernel> kernels{Kernel::kNaive, Kernel::kBlocksScalar};
   const simd::SimdLevel active = simd::ActiveSimdLevel();
-  if (active >= simd::SimdLevel::kAvx2) kernels.push_back(Kernel::kSimdAvx2);
+  if (active >= simd::SimdLevel::kAvx2) kernels.push_back(Kernel::kBlocksAvx2);
   if (active >= simd::SimdLevel::kAvx512) {
-    kernels.push_back(Kernel::kSimdAvx512);
+    kernels.push_back(Kernel::kBlocksAvx512);
   }
   return kernels;
+}
+
+/// The ISA tier a block-kernel entry runs under.
+simd::SimdLevel TierOf(Kernel kernel) {
+  if (kernel == Kernel::kBlocksAvx512) return simd::SimdLevel::kAvx512;
+  if (kernel == Kernel::kBlocksAvx2) return simd::SimdLevel::kAvx2;
+  return simd::SimdLevel::kScalar;
 }
 
 /// Scans the non-empty range [begin, end) with `kernel`. Only kDispatch
@@ -82,17 +97,11 @@ void ScanWith(Kernel kernel, const Table& t, const Query& q, size_t begin,
     case Kernel::kNaive:
       ScanRangeNaive(t, q, begin, end, dims, visitor, stats);
       return;
-    case Kernel::kBlock:
-      ScanRangeBlock(t, q, begin, end, dims, visitor, stats);
-      return;
-    case Kernel::kSimdAvx2: {
-      ScopedSimdLevel cap(simd::SimdLevel::kAvx2);
-      ScanRangeSimd(t, q, begin, end, dims, visitor, stats);
-      return;
-    }
-    case Kernel::kSimdAvx512: {
-      ScopedSimdLevel cap(simd::SimdLevel::kAvx512);
-      ScanRangeSimd(t, q, begin, end, dims, visitor, stats);
+    case Kernel::kBlocksScalar:
+    case Kernel::kBlocksAvx2:
+    case Kernel::kBlocksAvx512: {
+      ScopedSimdLevel cap(TierOf(kernel));
+      ScanRangeBlocks(t, q, begin, end, dims, visitor, stats);
       return;
     }
     case Kernel::kDispatch:
@@ -187,7 +196,7 @@ TEST(ScanUtilTest, FilteredDimsListsOnlyFiltered) {
 }
 
 // ---------------------------------------------------------------------------
-// Block / simd kernels vs naive reference equivalence.
+// Block kernel at every tier vs naive reference equivalence.
 // ---------------------------------------------------------------------------
 
 /// A column whose every full block has exactly `w` delta bits: the first
@@ -247,11 +256,11 @@ KernelRun RunKernel(Kernel kernel, const Table& t, const Query& q,
 }
 
 /// Runs every kernel this host can run over the same non-empty range and
-/// asserts the block and simd kernels (AVX2 and AVX-512) are bit-identical
-/// to the naive reference: same matched rows, counts, sums and
-/// points_matched. The simd kernel must also reproduce the block kernel's
-/// zone-map outcomes exactly under every tier. ScanRange must give the
-/// same answer with the counters of the kernel its dispatch rule names.
+/// asserts the block kernel at every tier (scalar, AVX2, AVX-512) is
+/// bit-identical to the naive reference: same matched rows, counts, sums
+/// and points_matched. Its zone-map outcomes must not depend on the tier.
+/// ScanRange must give the same answer with the counters of the kernel its
+/// dispatch rule names at the active tier.
 void ExpectKernelsAgree(const Table& t, const Query& q, size_t begin,
                         size_t end, std::span<const size_t> dims) {
   std::vector<std::pair<Kernel, KernelRun>> runs;
@@ -273,14 +282,12 @@ void ExpectKernelsAgree(const Table& t, const Query& q, size_t begin,
   EXPECT_EQ(naive.stats.blocks_exact, 0u);
   EXPECT_EQ(naive.stats.simd_blocks, 0u);
   EXPECT_EQ(block.stats.simd_blocks, 0u);
-  const KernelRun* simd = nullptr;  // The active tier's: the last one run.
   for (const auto& [kernel, run] : runs) {
     if (!IsSimd(kernel)) continue;
     SCOPED_TRACE(KernelName(kernel));
-    simd = &run;
-    // Zone-map outcomes must not depend on the (block vs simd) filter
-    // implementation, and every zone-surviving block that needed
-    // filtering went through the vector path.
+    // Zone-map outcomes must not depend on the tier's filter step, and
+    // every zone-surviving block that needed filtering went through the
+    // vector path.
     EXPECT_EQ(block.stats.blocks_skipped, run.stats.blocks_skipped);
     EXPECT_EQ(block.stats.blocks_exact, run.stats.blocks_exact);
     const size_t blocks = (end - 1) / Column::kBlockSize -
@@ -292,16 +299,17 @@ void ExpectKernelsAgree(const Table& t, const Query& q, size_t begin,
   const KernelRun& dispatched = runs.back().second;
   EXPECT_EQ(dispatched.stats.points_scanned, end - begin);
   EXPECT_EQ(dispatched.stats.ranges_scanned, 1u);
-  const KernelRun& chosen = end - begin < 32 || dims.size() > 64 ? naive
-                            : simd != nullptr                     ? *simd
-                                                                  : block;
+  // The active tier's block kernel is the last one run before dispatch.
+  const KernelRun& chosen = end - begin < 32 || dims.size() > 64
+                                ? naive
+                                : runs[runs.size() - 2].second;
   EXPECT_EQ(dispatched.stats.blocks_skipped, chosen.stats.blocks_skipped);
   EXPECT_EQ(dispatched.stats.blocks_exact, chosen.stats.blocks_exact);
   EXPECT_EQ(dispatched.stats.simd_blocks, chosen.stats.simd_blocks);
 }
 
-// Every delta width 0..64: 1..57 take the simd kernel's packed filters,
-// 0 and 58..64 its decoded compare.
+// Every delta width 0..64: at the vector tiers 1..57 take the packed
+// filters, 0 and 58..64 the decoded compare; the scalar tier decodes all.
 TEST(ScanKernelEquivalenceTest, AllBitWidths) {
   constexpr size_t kB = Column::kBlockSize;
   const size_t n = 5 * kB + 37;  // Trailing partial block.
@@ -415,11 +423,9 @@ TEST(ScanKernelTest, PackedFiltersMatchScalarReference) {
                     : simd::FilterPackedWideAvx512(block, w, dlo, dhi, off,
                                                    len, bitmap);
     }
-    if (narrow) {
-      return simd::FilterPacked8Avx2(block, w, dlo, dhi, off, len, bitmap);
-    }
-    const uint64_t bit = pb.bit_offset + off * w;
-    return simd::FilterPackedAvx2(pb.bytes, bit, w, dlo, dhi, len, bitmap);
+    return narrow
+               ? simd::FilterPacked8Avx2(block, w, dlo, dhi, off, len, bitmap)
+               : simd::FilterPackedAvx2(block, w, dlo, dhi, off, len, bitmap);
   };
   std::vector<simd::SimdLevel> levels{simd::SimdLevel::kAvx2};
   if (hw >= simd::SimdLevel::kAvx512) {
@@ -510,7 +516,7 @@ TEST(ScanKernelTest, ZoneMapSkipAndExactCounters) {
       EXPECT_EQ(stats.points_matched, 545u);
       // Blocks 0-1 and 7-9 are disjoint with [256, 800]; blocks 2-5 are
       // fully contained; block 6 (768..895) needs filtering, which only
-      // the simd kernel counts.
+      // the vector tiers count as a simd block.
       EXPECT_EQ(stats.blocks_skipped, zoned ? 5u : 0u);
       EXPECT_EQ(stats.blocks_exact, zoned ? 4u : 0u);
       EXPECT_EQ(stats.simd_blocks, IsSimd(kernel) ? 1u : 0u);
@@ -547,19 +553,20 @@ TEST(ScanKernelTest, DispatchFollowsRangeSizeAndIsa) {
     return stats;
   };
 
-  // 31 rows across both blocks: too few for a block kernel, so naive.
+  // 31 rows across both blocks: too few for the block kernel, so naive.
   const QueryStats naive = scan(112, 143);
   EXPECT_EQ(naive.blocks_skipped, 0u);
   EXPECT_EQ(naive.blocks_exact, 0u);
   EXPECT_EQ(naive.simd_blocks, 0u);
 
-  // 32 rows: a block kernel, the simd one where AVX2 is active.
+  // 32 rows: the block kernel, counting a simd block where AVX2 is
+  // active.
   const QueryStats wide = scan(112, 144);
   EXPECT_EQ(wide.blocks_skipped, 0u);
   EXPECT_EQ(wide.blocks_exact, 1u);
   EXPECT_EQ(wide.simd_blocks, SimdAvailable() ? 1u : 0u);
 
-  // With the vector ISA masked off, the same range runs the block kernel.
+  // With the vector ISA masked off, the same range filters at scalar.
   QueryStats masked;
   {
     ScopedSimdLevel cap(simd::SimdLevel::kScalar);
@@ -571,9 +578,9 @@ TEST(ScanKernelTest, DispatchFollowsRangeSizeAndIsa) {
 }
 
 TEST(ScanKernelTest, SimdDispatchFallsBackWhenIsaMasked) {
-  // With the vector ISA masked off, ScanRange must fall back to the
-  // scalar block kernel at call time: identical results and zone-map
-  // counters, and no block ever counted as vector-filtered.
+  // With the vector ISA masked off, ScanRange's block kernel must fall
+  // back to its scalar filter step at call time: identical results and
+  // zone-map counters, and no block ever counted as vector-filtered.
   const Table t = MakeTable(DataShape::kClustered, 4096, 3, 11);
   const Query q = testing::RandomQuery(t, 77);
   const std::vector<size_t> dims = FilteredDims(q);

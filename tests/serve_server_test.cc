@@ -729,6 +729,41 @@ TEST(ServeServerTest, IdleConnectionsAreSweptAndCounted) {
 // TCP listener.
 // ---------------------------------------------------------------------------
 
+// Create rejects each malformed listener option with InvalidArgument
+// before anything is served.
+TEST(ServeServerTest, CreateRejectsMalformedListenerOptions) {
+  const Table table = MakeTable(DataShape::kUniform, 500, 2, 80);
+  StatusOr<Database> db = OpenDb(table, "kdtree", 1);
+  ASSERT_TRUE(db.ok());
+  const auto expect_invalid = [&](const std::string& what,
+                                  ServerOptions sopts) {
+    SCOPED_TRACE(what);
+    auto server = Server::Create(&*db, std::move(sopts));
+    ASSERT_FALSE(server.ok());
+    EXPECT_EQ(server.status().code(), StatusCode::kInvalidArgument)
+        << server.status().ToString();
+  };
+  const auto tcp = [] {
+    ServerOptions sopts;
+    sopts.listen_tcp = true;
+    return sopts;
+  };
+
+  ServerOptions bad_host = tcp();
+  bad_host.tcp_host = "x";
+  expect_invalid("tcp_host x", std::move(bad_host));
+  for (const std::string addr :
+       {"127.0.0.1", "127.0.0.1:70000", "127.0.0.1:p", "nohost:0"}) {
+    ServerOptions sopts = tcp();
+    sopts.metrics_addr = addr;
+    expect_invalid("metrics_addr " + addr, std::move(sopts));
+  }
+  ServerOptions long_path;
+  long_path.uds_path = std::string(200, 'u');  // sun_path holds 108.
+  expect_invalid("uds_path of 200 bytes", std::move(long_path));
+}
+
+
 TEST(ServeServerTest, TcpLoopbackServesTheSameProtocol) {
   const Table table = MakeTable(DataShape::kUniform, 3'000, 3, 79);
   StatusOr<Database> db = OpenDb(table, "kdtree", 2);
