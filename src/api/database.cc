@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <future>
 #include <string>
 #include <utility>
 
@@ -224,32 +225,15 @@ bool Database::NoteQueryMetrics(const QueryResult& result) const {
   const bool slow =
       options_.slow_query_ns > 0 && s.total_ns > options_.slow_query_ns;
   if (slow) {
-    char line[512];
-    std::snprintf(
-        line, sizeof(line),
-        "slow_query threshold_ns=%lld total_ns=%lld plan_ns=%lld "
-        "scan_ns=%lld delta_ns=%lld refine_ns=%lld points_scanned=%llu "
-        "points_matched=%llu cells_visited=%llu ranges_scanned=%llu "
-        "blocks_skipped=%llu blocks_exact=%llu simd_blocks=%llu "
-        "delta_rows_scanned=%llu",
-        static_cast<long long>(options_.slow_query_ns),
-        static_cast<long long>(s.total_ns),
-        static_cast<long long>(s.index_ns),
-        static_cast<long long>(s.scan_ns),
-        static_cast<long long>(s.delta_ns),
-        static_cast<long long>(s.refine_ns),
-        static_cast<unsigned long long>(s.points_scanned),
-        static_cast<unsigned long long>(s.points_matched),
-        static_cast<unsigned long long>(s.cells_visited),
-        static_cast<unsigned long long>(s.ranges_scanned),
-        static_cast<unsigned long long>(s.blocks_skipped),
-        static_cast<unsigned long long>(s.blocks_exact),
-        static_cast<unsigned long long>(s.simd_blocks),
-        static_cast<unsigned long long>(s.delta_rows_scanned));
+    std::string line =
+        "slow_query threshold_ns=" + std::to_string(options_.slow_query_ns);
+    ForEachField(kQueryStatsSums, [&line, &s](const auto& f) {
+      line += std::string(" ") + f.name + "=" + std::to_string(s.*f.member);
+    });
     if (options_.slow_query_log) {
       options_.slow_query_log(line);
     } else {
-      std::fprintf(stderr, "%s\n", line);
+      std::fprintf(stderr, "%s\n", line.c_str());
     }
   }
   return slow;
@@ -489,16 +473,6 @@ void Database::ExecuteBatch(std::span<const Query> queries, bool caller_waits,
 void Database::RunBatchAsync(std::span<const Query> queries,
                              std::function<void(BatchResult)> on_done) {
   ExecuteBatch(queries, /*caller_waits=*/false, std::move(on_done));
-}
-
-std::future<BatchResult> Database::RunBatchAsync(
-    std::span<const Query> queries) {
-  auto promise = std::make_shared<std::promise<BatchResult>>();
-  std::future<BatchResult> future = promise->get_future();
-  RunBatchAsync(queries, [promise](BatchResult batch) {
-    promise->set_value(std::move(batch));
-  });
-  return future;
 }
 
 // --- Writes ---------------------------------------------------------------

@@ -6,7 +6,6 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -262,8 +261,8 @@ class Database {
   /// mismatches fail the whole batch (BatchResult::status) before any
   /// shard starts. Must not be called from a task on this database's pool.
   ///
-  /// One dispatch rule serves this and both RunBatchAsync flavors. The
-  /// batch runs on the calling thread, as one shard, when
+  /// One dispatch rule serves this and RunBatchAsync. The batch runs on
+  /// the calling thread, as one shard, when
   ///   - there is no pool (num_threads == 1); or
   ///   - the caller waits (this RunBatch) and the batch carves into one
   ///     shard (a single query); or
@@ -277,37 +276,22 @@ class Database {
   BatchResult RunBatch(std::span<const Query> queries);
   BatchResult RunBatch(const Workload& workload);
 
-  /// Submits the batch and returns; the future is fulfilled with exactly
-  /// the BatchResult a synchronous RunBatch of the same span would have
-  /// produced — same deterministic shard-order stats merge, same telemetry
-  /// fold. Dispatch follows RunBatch's rule: a batch that runs inline
-  /// (no pool, or predicted cheap) has its future ready on return;
-  /// otherwise the last pool worker to finish fulfils it. The queries are
-  /// copied when they go to the pool, so the caller's span may die as
-  /// soon as this returns.
+  /// Submits the batch and returns; `on_done` fires exactly once with
+  /// exactly the BatchResult a synchronous RunBatch of the same span would
+  /// have produced. It runs on the calling thread before this returns for
+  /// an inline batch (no pool, or predicted cheap; see RunBatch), else on
+  /// whichever pool worker finished last. The queries are copied when they
+  /// go to the pool, so the caller's span may die as soon as this returns.
+  /// The callback must not block and must not submit a batch to this
+  /// database from a pool worker: hand the result off (the epoll server in
+  /// src/serve writes an eventfd) and return.
   ///
-  /// Concurrency: async batches interleave freely with each other and with
-  /// Run/Collect/Insert/Delete/Compact — each shard takes the shared side
-  /// of the delta seam like any query, so a batch submitted before a
-  /// compaction may observe the index either side of the swap, but never a
-  /// torn state.
-  ///
-  /// Lifetime: the Database must not be destroyed or moved while async
-  /// batches are in flight (the pool drains at destruction, but the shards
-  /// dereference this object — wait on or drop your futures first; see
+  /// Async batches interleave freely with each other and with writes and
+  /// Compact: each shard takes the shared side of the delta seam like any
+  /// query, so a batch may observe the index either side of a compaction,
+  /// but never a torn state. The Database must not be destroyed or moved
+  /// while async batches are in flight (the shards dereference it; see
   /// also the serving tier's drain in src/serve/server.h).
-  std::future<BatchResult> RunBatchAsync(std::span<const Query> queries);
-
-  /// Event-loop flavor: as RunBatchAsync, but `on_done` fires exactly once
-  /// with the finished result. Which thread runs it follows the dispatch
-  /// rule on RunBatch: an inline batch (no pool, or predicted cheap)
-  /// calls it on the calling thread before this returns; a pool batch
-  /// calls it on whichever worker finished last. The callback must not
-  /// block and must not call back into batch submission of this database
-  /// from a pool worker — hand the result off (e.g. write an eventfd) and
-  /// return. This is the primitive the epoll server in src/serve uses to
-  /// get completion wakeups without a future-polling thread; it delivers
-  /// an inline completion directly on its loop.
   void RunBatchAsync(std::span<const Query> queries,
                      std::function<void(BatchResult)> on_done);
 
@@ -602,13 +586,13 @@ class Database {
   /// the query was slow (a line went to the sink); the caller counts it.
   bool NoteQueryMetrics(const QueryResult& result) const;
 
-  /// The one batch executor behind RunBatch and both RunBatchAsync
-  /// flavors: validates, applies the dispatch rule documented on RunBatch
-  /// (one shard on the calling thread, or contiguous near-equal shards,
-  /// one per pool worker and at most one per query, each a pool task),
-  /// runs each through RunShard, merges in shard order, folds telemetry
-  /// once, and fires `on_done` exactly once. The queries are copied only
-  /// when shards go to the pool and the caller does not wait.
+  /// The one batch executor behind RunBatch and RunBatchAsync: validates,
+  /// applies the dispatch rule documented on RunBatch (one shard on the
+  /// calling thread, or contiguous near-equal shards, one per pool worker
+  /// and at most one per query, each a pool task), runs each through
+  /// RunShard, merges in shard order, folds telemetry once, and fires
+  /// `on_done` exactly once. The queries are copied only when shards go to
+  /// the pool and the caller does not wait.
   void ExecuteBatch(std::span<const Query> queries, bool caller_waits,
                     std::function<void(BatchResult)> on_done);
 

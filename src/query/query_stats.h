@@ -2,6 +2,9 @@
 #define FLOOD_QUERY_QUERY_STATS_H_
 
 #include <cstdint>
+#include <tuple>
+
+#include "common/counter_fields.h"
 
 namespace flood {
 
@@ -32,24 +35,10 @@ struct QueryStats {
   uint64_t queries = 0;       ///< Queries folded in via RecordQuery.
   int64_t max_query_ns = 0;   ///< Slowest single query folded in.
 
-  /// Raw element-wise counter/timing sum; no per-query bookkeeping. Used
-  /// by indexes accumulating phases into one per-query stats object.
-  void Add(const QueryStats& o) {
-    points_scanned += o.points_scanned;
-    points_matched += o.points_matched;
-    points_exact += o.points_exact;
-    cells_visited += o.cells_visited;
-    ranges_scanned += o.ranges_scanned;
-    blocks_skipped += o.blocks_skipped;
-    blocks_exact += o.blocks_exact;
-    simd_blocks += o.simd_blocks;
-    delta_rows_scanned += o.delta_rows_scanned;
-    index_ns += o.index_ns;
-    refine_ns += o.refine_ns;
-    scan_ns += o.scan_ns;
-    delta_ns += o.delta_ns;
-    total_ns += o.total_ns;
-  }
+  /// Raw element-wise sum of the kQueryStatsSums fields; no per-query
+  /// bookkeeping. Used by indexes accumulating phases into one per-query
+  /// stats object.
+  void Add(const QueryStats& o);
 
   /// Folds one executed query's stats into this accumulator, recording its
   /// end-to-end latency against the extremes.
@@ -90,6 +79,34 @@ struct QueryStats {
            static_cast<double>(ranges_scanned);
   }
 };
+
+/// QueryStats' summed fields (common/counter_fields.h), in member order:
+/// every field but the accumulator bookkeeping. The `db.*` Introspect()
+/// keys and the slow-query line use these names.
+inline constexpr auto kQueryStatsSums = std::tuple{
+    Field{"points_scanned", &QueryStats::points_scanned},
+    Field{"points_matched", &QueryStats::points_matched},
+    Field{"points_exact", &QueryStats::points_exact},
+    Field{"cells_visited", &QueryStats::cells_visited},
+    Field{"ranges_scanned", &QueryStats::ranges_scanned},
+    Field{"blocks_skipped", &QueryStats::blocks_skipped},
+    Field{"blocks_exact", &QueryStats::blocks_exact},
+    Field{"simd_blocks", &QueryStats::simd_blocks},
+    Field{"delta_rows_scanned", &QueryStats::delta_rows_scanned},
+    Field{"index_ns", &QueryStats::index_ns},
+    Field{"refine_ns", &QueryStats::refine_ns},
+    Field{"scan_ns", &QueryStats::scan_ns},
+    Field{"delta_ns", &QueryStats::delta_ns},
+    Field{"total_ns", &QueryStats::total_ns},
+};
+// The list plus `queries` and `max_query_ns` covers the struct.
+static_assert(sizeof(QueryStats) ==
+              8 * (std::tuple_size_v<decltype(kQueryStatsSums)> + 2));
+
+inline void QueryStats::Add(const QueryStats& o) {
+  ForEachField(kQueryStatsSums,
+               [&](const auto& f) { this->*f.member += o.*f.member; });
+}
 
 }  // namespace flood
 

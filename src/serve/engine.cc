@@ -46,25 +46,11 @@ std::vector<std::pair<std::string, double>> DatabaseGauges(
   put("persist.dir_fsync_failures",
       static_cast<double>(persist::DirFsyncFailures()));
   put("db.num_threads", static_cast<double>(db.num_threads()));
-  // Cumulative QueryStats: every counter and timing the execution layer
-  // tracks is surfaced here, so the wire Metrics entries stay a faithful
-  // superset of what a local caller can read (metrics_test diffs the key
-  // set against QueryStats to catch fields added on one side only).
+  // Cumulative QueryStats: every summed counter and timing the execution
+  // layer tracks, walked from its one field list, so the wire Metrics
+  // entries stay a faithful superset of what a local caller can read.
   const QueryStats qs = db.cumulative_stats();
-  put("db.points_scanned", static_cast<double>(qs.points_scanned));
-  put("db.points_matched", static_cast<double>(qs.points_matched));
-  put("db.points_exact", static_cast<double>(qs.points_exact));
-  put("db.cells_visited", static_cast<double>(qs.cells_visited));
-  put("db.ranges_scanned", static_cast<double>(qs.ranges_scanned));
-  put("db.blocks_skipped", static_cast<double>(qs.blocks_skipped));
-  put("db.blocks_exact", static_cast<double>(qs.blocks_exact));
-  put("db.simd_blocks", static_cast<double>(qs.simd_blocks));
-  put("db.delta_rows_scanned", static_cast<double>(qs.delta_rows_scanned));
-  put("db.index_ns", static_cast<double>(qs.index_ns));
-  put("db.refine_ns", static_cast<double>(qs.refine_ns));
-  put("db.scan_ns", static_cast<double>(qs.scan_ns));
-  put("db.delta_ns", static_cast<double>(qs.delta_ns));
-  put("db.total_ns", static_cast<double>(qs.total_ns));
+  AppendFieldEntries(kQueryStatsSums, qs, "db.", &entries);
   put("db.max_query_ns", static_cast<double>(qs.max_query_ns));
   return entries;
 }

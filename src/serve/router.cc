@@ -1,6 +1,7 @@
 #include "serve/router.h"
 
 #include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <mutex>
@@ -38,8 +39,7 @@ Router::Router(ShardMap map,
   FLOOD_CHECK(!backends_.empty());
   FLOOD_CHECK(backends_.size() == map_.num_shards());
   for (const auto& b : backends_) FLOOD_CHECK(b != nullptr);
-  per_shard_subqueries_.reset(new std::atomic<uint64_t>[backends_.size()]);
-  for (size_t s = 0; s < backends_.size(); ++s) per_shard_subqueries_[s] = 0;
+  counters_.per_shard_subqueries.resize(backends_.size());
 }
 
 std::unique_ptr<Router> Router::Over(ShardedDatabase* db) {
@@ -57,8 +57,8 @@ std::unique_ptr<Router> Router::Over(ShardedDatabase* db) {
 void Router::RunBatchAsync(std::vector<Query> queries,
                            std::function<void(EngineBatchResult)> on_done) {
   const size_t num_shards = backends_.size();
-  batches_routed_.fetch_add(1, std::memory_order_relaxed);
-  queries_routed_.fetch_add(queries.size(), std::memory_order_relaxed);
+  CounterAdd(counters_.batches_routed);
+  CounterAdd(counters_.queries_routed, queries.size());
 
   auto g = std::make_shared<Gather>();
   g->on_done = std::move(on_done);
@@ -87,12 +87,12 @@ void Router::RunBatchAsync(std::vector<Query> queries,
       sub[s].push_back(q);
       g->origin[s].push_back(i);
       ++sent;
-      per_shard_subqueries_[s].fetch_add(1, std::memory_order_relaxed);
+      CounterAdd(counters_.per_shard_subqueries[s]);
     }
   }
-  subqueries_sent_.fetch_add(sent, std::memory_order_relaxed);
-  subqueries_pruned_.fetch_add(pruned, std::memory_order_relaxed);
-  queries_skipped_empty_.fetch_add(empties, std::memory_order_relaxed);
+  CounterAdd(counters_.subqueries_sent, sent);
+  CounterAdd(counters_.subqueries_pruned, pruned);
+  CounterAdd(counters_.queries_skipped_empty, empties);
 
   for (size_t s = 0; s < num_shards; ++s) {
     if (!sub[s].empty()) g->active.push_back(s);
@@ -141,7 +141,7 @@ void Router::Finish(Gather* g) {
                       " queries";
     }
     if (batch_code != WireCode::kOk) {
-      shard_errors_.fetch_add(1, std::memory_order_relaxed);
+      CounterAdd(counters_.shard_errors);
       for (const size_t i : origin) {
         EngineQueryResult& m = g->merged.results[i];
         if (m.code == WireCode::kOk) {
@@ -195,7 +195,7 @@ Status Router::RouteKeyShard(const std::vector<Value>& key,
 Status Router::Insert(const std::vector<Value>& row) {
   size_t shard = 0;
   FLOOD_RETURN_IF_ERROR(RouteKeyShard(row, &shard));
-  writes_routed_.fetch_add(1, std::memory_order_relaxed);
+  CounterAdd(counters_.writes_routed);
   return backends_[shard]->Insert(row);
 }
 
@@ -221,7 +221,7 @@ Status Router::InsertBatch(std::span<const std::vector<Value>> rows) {
     }
     parts[shard].push_back(rows[i]);
   }
-  writes_routed_.fetch_add(1, std::memory_order_relaxed);
+  CounterAdd(counters_.writes_routed);
   // Not atomic across shards: a shard that fails for any other reason
   // (a WAL error, a dead remote) leaves earlier shards' rows applied and
   // reports the first error.
@@ -235,7 +235,7 @@ Status Router::InsertBatch(std::span<const std::vector<Value>> rows) {
 StatusOr<uint64_t> Router::Delete(const std::vector<Value>& key) {
   size_t shard = 0;
   FLOOD_RETURN_IF_ERROR(RouteKeyShard(key, &shard));
-  writes_routed_.fetch_add(1, std::memory_order_relaxed);
+  CounterAdd(counters_.writes_routed);
   return backends_[shard]->Delete(key);
 }
 
@@ -255,18 +255,10 @@ EngineHealth Router::Health() const {
 
 RouterCounters Router::counters() const {
   RouterCounters c;
-  c.batches_routed = batches_routed_.load(std::memory_order_relaxed);
-  c.queries_routed = queries_routed_.load(std::memory_order_relaxed);
-  c.subqueries_sent = subqueries_sent_.load(std::memory_order_relaxed);
-  c.subqueries_pruned = subqueries_pruned_.load(std::memory_order_relaxed);
-  c.queries_skipped_empty =
-      queries_skipped_empty_.load(std::memory_order_relaxed);
-  c.writes_routed = writes_routed_.load(std::memory_order_relaxed);
-  c.shard_errors = shard_errors_.load(std::memory_order_relaxed);
+  LoadCounters(kRouterCounterFields, counters_, &c);
   c.per_shard_subqueries.resize(backends_.size());
   for (size_t s = 0; s < backends_.size(); ++s) {
-    c.per_shard_subqueries[s] =
-        per_shard_subqueries_[s].load(std::memory_order_relaxed);
+    c.per_shard_subqueries[s] = CounterLoad(counters_.per_shard_subqueries[s]);
   }
   return c;
 }
@@ -276,20 +268,7 @@ std::vector<std::pair<std::string, double>> Router::Introspect() const {
   std::vector<std::pair<std::string, double>> entries;
   entries.emplace_back("router.num_shards",
                        static_cast<double>(backends_.size()));
-  entries.emplace_back("router.batches_routed",
-                       static_cast<double>(c.batches_routed));
-  entries.emplace_back("router.queries_routed",
-                       static_cast<double>(c.queries_routed));
-  entries.emplace_back("router.subqueries_sent",
-                       static_cast<double>(c.subqueries_sent));
-  entries.emplace_back("router.subqueries_pruned",
-                       static_cast<double>(c.subqueries_pruned));
-  entries.emplace_back("router.queries_skipped_empty",
-                       static_cast<double>(c.queries_skipped_empty));
-  entries.emplace_back("router.writes_routed",
-                       static_cast<double>(c.writes_routed));
-  entries.emplace_back("router.shard_errors",
-                       static_cast<double>(c.shard_errors));
+  AppendFieldEntries(kRouterCounterFields, c, "router.", &entries);
   for (size_t s = 0; s < backends_.size(); ++s) {
     const std::string prefix = "shard" + std::to_string(s) + ".";
     entries.emplace_back(prefix + "subqueries",

@@ -1,16 +1,17 @@
 #ifndef FLOOD_SERVE_ROUTER_H_
 #define FLOOD_SERVE_ROUTER_H_
 
-#include <atomic>
 #include <functional>
 #include <memory>
 #include <span>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "api/shard_map.h"
 #include "api/sharded_database.h"
+#include "common/counter_fields.h"
 #include "common/status.h"
 #include "serve/client.h"
 #include "serve/engine.h"
@@ -19,7 +20,8 @@ namespace flood {
 namespace serve {
 
 /// Point-in-time snapshot of the router's routing counters (flattened into
-/// Introspect() under "router.*"). The pruning counters are what the
+/// Introspect() under "router.<field>", and per_shard_subqueries under
+/// "shard<i>.subqueries"). The pruning counters are what the
 /// router bench and tests assert on: `subqueries_pruned` counts
 /// (query, shard) pairs the shard map proved empty — work a naive
 /// broadcast router would have done.
@@ -33,6 +35,21 @@ struct RouterCounters {
   uint64_t shard_errors = 0;       ///< Failed sub-batches (shed/died shards).
   std::vector<uint64_t> per_shard_subqueries;  ///< Sent, by shard.
 };
+
+/// RouterCounters' field list (common/counter_fields.h), in member order:
+/// every field but the per-shard vector.
+inline constexpr auto kRouterCounterFields = std::tuple{
+    Field{"batches_routed", &RouterCounters::batches_routed},
+    Field{"queries_routed", &RouterCounters::queries_routed},
+    Field{"subqueries_sent", &RouterCounters::subqueries_sent},
+    Field{"subqueries_pruned", &RouterCounters::subqueries_pruned},
+    Field{"queries_skipped_empty", &RouterCounters::queries_skipped_empty},
+    Field{"writes_routed", &RouterCounters::writes_routed},
+    Field{"shard_errors", &RouterCounters::shard_errors},
+};
+static_assert(sizeof(RouterCounters) ==
+              8 * std::tuple_size_v<decltype(kRouterCounterFields)> +
+                  sizeof(std::vector<uint64_t>));
 
 /// Key-range scatter-gather over N shard backends, behind the unchanged
 /// wire protocol: Router is a BatchEngine, so serve::Server fronts it
@@ -112,15 +129,10 @@ class Router : public BatchEngine {
   ShardMap map_;
   std::vector<std::unique_ptr<BatchEngine>> backends_;
 
-  mutable std::atomic<uint64_t> batches_routed_{0};
-  mutable std::atomic<uint64_t> queries_routed_{0};
-  mutable std::atomic<uint64_t> subqueries_sent_{0};
-  mutable std::atomic<uint64_t> subqueries_pruned_{0};
-  mutable std::atomic<uint64_t> queries_skipped_empty_{0};
-  mutable std::atomic<uint64_t> writes_routed_{0};
-  mutable std::atomic<uint64_t> shard_errors_{0};
-  /// Fixed-size array (atomics are not movable): one sent-count per shard.
-  std::unique_ptr<std::atomic<uint64_t>[]> per_shard_subqueries_;
+  /// Written by planning and shard completions, read from any thread:
+  /// every access goes through the Counter* helpers (atomic_ref).
+  /// per_shard_subqueries is sized once, at construction.
+  mutable RouterCounters counters_;
 };
 
 /// A BatchEngine speaking the wire protocol to one remote flood_serve

@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -81,7 +82,8 @@ StatusOr<int> OpenIpv4Listener(const std::string& host, uint16_t port,
   return fd;
 }
 
-void BumpHwm(std::atomic<uint64_t>& hwm, uint64_t depth) {
+void BumpHwm(uint64_t& hwm_counter, uint64_t depth) {
+  std::atomic_ref hwm(hwm_counter);
   uint64_t seen = hwm.load(std::memory_order_relaxed);
   while (depth > seen &&
          !hwm.compare_exchange_weak(seen, depth, std::memory_order_relaxed)) {
@@ -305,7 +307,7 @@ Status Server::Loop() {
     if (n < 0 && errno != EINTR) {
       // Unrecoverable: the loop can't watch anything anymore. Surface a
       // typed status instead of dying silently.
-      counters_.loop_errors.fetch_add(1, std::memory_order_relaxed);
+      CounterAdd(counters_.loop_errors);
       loop_status_ = Errno("epoll_wait");
       break;
     }
@@ -368,7 +370,7 @@ Status Server::Loop() {
       ::close(fd);
       by_id_.erase(it->second->id);
       conns_.erase(it);
-      counters_.connections_active.fetch_sub(1, std::memory_order_relaxed);
+      CounterDecrement(counters_.connections_active);
     }
 
     if (draining_ && draining_done()) loop_done_ = true;
@@ -379,7 +381,7 @@ Status Server::Loop() {
     // pool still reference this server through their completion callbacks
     // — wait them out (flushing whatever responses still can be flushed)
     // so the server can be destroyed safely after Run()/Join() returns.
-    while (counters_.queue_depth.load(std::memory_order_relaxed) != 0) {
+    while (CounterLoad(counters_.queue_depth) != 0) {
       DrainCompletions();
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
@@ -390,7 +392,7 @@ Status Server::Loop() {
 
 bool Server::draining_done() const {
   if (!conns_.empty()) return false;
-  if (counters_.queue_depth.load(std::memory_order_relaxed) != 0) {
+  if (CounterLoad(counters_.queue_depth) != 0) {
     // Batches still on the pool reference this server through their
     // completion callbacks — the drain must outlive them.
     return false;
@@ -423,7 +425,7 @@ void Server::HandleAccept(Listener listener) {
     if (fd < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) return;
       if (errno == EINTR) continue;
-      counters_.accept_failures.fetch_add(1, std::memory_order_relaxed);
+      CounterAdd(counters_.accept_failures);
       if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
           errno == ENOMEM) {
         // Resource exhaustion: the pending connection stays in the backlog,
@@ -435,7 +437,7 @@ void Server::HandleAccept(Listener listener) {
       return;
     }
     if (draining_ || conns_.size() >= options_.max_connections) {
-      counters_.connections_rejected.fetch_add(1, std::memory_order_relaxed);
+      CounterAdd(counters_.connections_rejected);
       ::close(fd);
       continue;
     }
@@ -459,8 +461,8 @@ void Server::HandleAccept(Listener listener) {
       ::close(fd);
       continue;
     }
-    counters_.connections_accepted.fetch_add(1, std::memory_order_relaxed);
-    counters_.connections_active.fetch_add(1, std::memory_order_relaxed);
+    CounterAdd(counters_.connections_accepted);
+    CounterAdd(counters_.connections_active);
     by_id_[conn->id] = conn.get();
     conns_[fd] = std::move(conn);
   }
@@ -501,8 +503,7 @@ void Server::HandleReadable(Connection* conn) {
     const ssize_t n =
         failpoint::InjectedRecv("serve.recv", conn->fd, buf, sizeof(buf), 0);
     if (n > 0) {
-      counters_.bytes_in.fetch_add(static_cast<uint64_t>(n),
-                                   std::memory_order_relaxed);
+      CounterAdd(counters_.bytes_in, static_cast<uint64_t>(n));
       conn->assembler.Feed(buf, static_cast<size_t>(n));
       conn->last_activity = std::chrono::steady_clock::now();
       continue;
@@ -513,7 +514,7 @@ void Server::HandleReadable(Connection* conn) {
     }
     if (errno == EAGAIN || errno == EWOULDBLOCK) break;
     if (errno == EINTR) continue;
-    counters_.recv_errors.fetch_add(1, std::memory_order_relaxed);
+    CounterAdd(counters_.recv_errors);
     CloseConnection(conn);
     return;
   }
@@ -537,8 +538,7 @@ void Server::HandleHttpReadable(Connection* conn) {
   for (;;) {
     const ssize_t n = ::recv(conn->fd, buf, sizeof(buf), 0);
     if (n > 0) {
-      counters_.bytes_in.fetch_add(static_cast<uint64_t>(n),
-                                   std::memory_order_relaxed);
+      CounterAdd(counters_.bytes_in, static_cast<uint64_t>(n));
       conn->http_buf.append(buf, static_cast<size_t>(n));
       conn->last_activity = std::chrono::steady_clock::now();
       continue;
@@ -549,7 +549,7 @@ void Server::HandleHttpReadable(Connection* conn) {
     }
     if (errno == EAGAIN || errno == EWOULDBLOCK) break;
     if (errno == EINTR) continue;
-    counters_.recv_errors.fetch_add(1, std::memory_order_relaxed);
+    CounterAdd(counters_.recv_errors);
     CloseConnection(conn);
     return;
   }
@@ -586,7 +586,7 @@ void Server::HandleHttpReadable(Connection* conn) {
     content_type = "text/plain; version=0.0.4; charset=utf-8";
     body = obs::RenderPrometheus(obs::MetricsRegistry::Instance().SnapshotAll(),
                                  Introspect());
-    counters_.metrics_scrapes.fetch_add(1, std::memory_order_relaxed);
+    CounterAdd(counters_.metrics_scrapes);
   } else {
     status_line = "404 Not Found";
     body = "try /metrics\n";
@@ -616,13 +616,13 @@ void Server::ProcessFrames(Connection* conn) {
     const FrameAssembler::Result r = conn->assembler.Next(&frame);
     if (r == FrameAssembler::Result::kNeedMore) break;
     if (r == FrameAssembler::Result::kBad) {
-      counters_.bad_frames.fetch_add(1, std::memory_order_relaxed);
+      CounterAdd(counters_.bad_frames);
       SendError(conn, 0, conn->assembler.error_code(),
                 conn->assembler.error());
       conn->closing = true;
       break;
     }
-    counters_.frames_decoded.fetch_add(1, std::memory_order_relaxed);
+    CounterAdd(counters_.frames_decoded);
     HandleFrame(conn, frame, &group, &group_queries);
     if (conn->dead || conn->closing) break;
   }
@@ -651,16 +651,15 @@ void Server::HandleFrame(Connection* conn, const Frame& frame,
       StatusOr<RunBatchRequest> req = ParseRunBatch(frame.payload);
       if (!req.ok()) break;
       if (draining_) {
-        counters_.requests_shed.fetch_add(1, std::memory_order_relaxed);
+        CounterAdd(counters_.requests_shed);
         SendError(conn, req->request_id, WireCode::kShuttingDown,
                   "server is draining");
         return;
       }
-      const uint64_t depth =
-          counters_.queue_depth.load(std::memory_order_relaxed);
+      const uint64_t depth = CounterLoad(counters_.queue_depth);
       if (depth >= options_.max_inflight_batches ||
           conn->inflight_frames >= options_.max_inflight_per_connection) {
-        counters_.requests_shed.fetch_add(1, std::memory_order_relaxed);
+        CounterAdd(counters_.requests_shed);
         SendError(conn, req->request_id, WireCode::kOverloaded,
                   depth >= options_.max_inflight_batches
                       ? "submission queue full"
@@ -684,12 +683,12 @@ void Server::HandleFrame(Connection* conn, const Frame& frame,
       if (draining_) {
         ack.code = WireCode::kShuttingDown;
         ack.message = "server is draining";
-        counters_.requests_shed.fetch_add(1, std::memory_order_relaxed);
+        CounterAdd(counters_.requests_shed);
       } else {
         const Status status = engine_->Insert(req->row);
         ack.code = WireCodeFromStatus(status);
         ack.message = status.message();
-        counters_.writes_applied.fetch_add(1, std::memory_order_relaxed);
+        CounterAdd(counters_.writes_applied);
       }
       AppendWriteAck(ack, &conn->outbuf);
       return;
@@ -702,12 +701,12 @@ void Server::HandleFrame(Connection* conn, const Frame& frame,
       if (draining_) {
         ack.code = WireCode::kShuttingDown;
         ack.message = "server is draining";
-        counters_.requests_shed.fetch_add(1, std::memory_order_relaxed);
+        CounterAdd(counters_.requests_shed);
       } else {
         const Status status = engine_->InsertBatch(req->rows);
         ack.code = WireCodeFromStatus(status);
         ack.message = status.message();
-        counters_.writes_applied.fetch_add(1, std::memory_order_relaxed);
+        CounterAdd(counters_.writes_applied);
       }
       AppendWriteAck(ack, &conn->outbuf);
       return;
@@ -720,7 +719,7 @@ void Server::HandleFrame(Connection* conn, const Frame& frame,
       if (draining_) {
         ack.code = WireCode::kShuttingDown;
         ack.message = "server is draining";
-        counters_.requests_shed.fetch_add(1, std::memory_order_relaxed);
+        CounterAdd(counters_.requests_shed);
       } else {
         StatusOr<uint64_t> deleted = engine_->Delete(req->key);
         if (deleted.ok()) {
@@ -729,7 +728,7 @@ void Server::HandleFrame(Connection* conn, const Frame& frame,
           ack.code = WireCodeFromStatus(deleted.status());
           ack.message = deleted.status().message();
         }
-        counters_.writes_applied.fetch_add(1, std::memory_order_relaxed);
+        CounterAdd(counters_.writes_applied);
       }
       AppendWriteAck(ack, &conn->outbuf);
       return;
@@ -752,16 +751,15 @@ void Server::HandleFrame(Connection* conn, const Frame& frame,
       // Like Ping: answered inline from the loop, even while draining or
       // overloaded — health must stay observable exactly when the server
       // is unhealthy.
-      counters_.health_checks.fetch_add(1, std::memory_order_relaxed);
+      CounterAdd(counters_.health_checks);
       const EngineHealth health = engine_->Health();
       HealthResponse resp;
       resp.request_id = req->request_id;
       resp.draining = draining_;
       resp.ready = !draining_ && health.ready;
       resp.persist_poisoned = health.persist_poisoned;
-      resp.queue_depth = counters_.queue_depth.load(std::memory_order_relaxed);
-      resp.connections_active =
-          counters_.connections_active.load(std::memory_order_relaxed);
+      resp.queue_depth = CounterLoad(counters_.queue_depth);
+      resp.connections_active = CounterLoad(counters_.connections_active);
       AppendHealthResult(resp, &conn->outbuf);
       return;
     }
@@ -770,7 +768,7 @@ void Server::HandleFrame(Connection* conn, const Frame& frame,
       // violation.
       break;
   }
-  counters_.bad_frames.fetch_add(1, std::memory_order_relaxed);
+  CounterAdd(counters_.bad_frames);
   SendError(conn, 0, WireCode::kBadFrame,
             "unparseable or unexpected frame (type " +
                 std::to_string(static_cast<int>(frame.type)) + ")");
@@ -779,14 +777,11 @@ void Server::HandleFrame(Connection* conn, const Frame& frame,
 
 void Server::SubmitGroup(Connection* conn, std::vector<GroupFrame> frames,
                          std::vector<Query> queries) {
-  counters_.batches_submitted.fetch_add(1, std::memory_order_relaxed);
-  counters_.queries_executed.fetch_add(queries.size(),
-                                       std::memory_order_relaxed);
+  CounterAdd(counters_.batches_submitted);
+  CounterAdd(counters_.queries_executed, queries.size());
   obs::GlobalServeMetrics().batch_queries->Record(
       static_cast<int64_t>(queries.size()));
-  const uint64_t depth =
-      counters_.queue_depth.fetch_add(1, std::memory_order_relaxed) + 1;
-  BumpHwm(counters_.queue_depth_hwm, depth);
+  BumpHwm(counters_.queue_depth_hwm, CounterAdd(counters_.queue_depth));
   ++conn->inflight_groups;
 
   const uint64_t conn_id = conn->id;
@@ -841,7 +836,7 @@ void Server::DrainCompletions() {
 }
 
 Server::Connection* Server::Deliver(const Completion& c) {
-  counters_.queue_depth.fetch_sub(1, std::memory_order_relaxed);
+  CounterDecrement(counters_.queue_depth);
   // Group timings: end-to-end frame latency (submit -> delivered), engine
   // execution time, and their difference — the queue wait (pool +
   // completion-drain delay; about 0 for an inline group). Recorded even
@@ -916,14 +911,13 @@ void Server::FlushOrArm(Connection* conn) {
         conn->outbuf.size() - conn->out_pos, MSG_NOSIGNAL);
     if (n > 0) {
       conn->out_pos += static_cast<size_t>(n);
-      counters_.bytes_out.fetch_add(static_cast<uint64_t>(n),
-                                    std::memory_order_relaxed);
+      CounterAdd(counters_.bytes_out, static_cast<uint64_t>(n));
       conn->last_activity = std::chrono::steady_clock::now();
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
     if (n < 0 && errno == EINTR) continue;
-    counters_.send_errors.fetch_add(1, std::memory_order_relaxed);
+    CounterAdd(counters_.send_errors);
     CloseConnection(conn);
     return;
   }
@@ -972,8 +966,7 @@ void Server::SweepIdle() {
     (void)fd;
     if (conn->dead || conn->inflight_groups > 0) continue;
     if (now - conn->last_activity > limit) {
-      counters_.connections_closed_idle.fetch_add(1,
-                                                  std::memory_order_relaxed);
+      CounterAdd(counters_.connections_closed_idle);
       CloseConnection(conn.get());
     }
   }
@@ -983,66 +976,13 @@ void Server::SweepIdle() {
 
 ServerCounters Server::counters() const {
   ServerCounters c;
-  c.connections_accepted =
-      counters_.connections_accepted.load(std::memory_order_relaxed);
-  c.connections_active =
-      counters_.connections_active.load(std::memory_order_relaxed);
-  c.connections_rejected =
-      counters_.connections_rejected.load(std::memory_order_relaxed);
-  c.connections_closed_idle =
-      counters_.connections_closed_idle.load(std::memory_order_relaxed);
-  c.frames_decoded = counters_.frames_decoded.load(std::memory_order_relaxed);
-  c.bad_frames = counters_.bad_frames.load(std::memory_order_relaxed);
-  c.requests_shed = counters_.requests_shed.load(std::memory_order_relaxed);
-  c.batches_submitted =
-      counters_.batches_submitted.load(std::memory_order_relaxed);
-  c.queries_executed =
-      counters_.queries_executed.load(std::memory_order_relaxed);
-  c.writes_applied = counters_.writes_applied.load(std::memory_order_relaxed);
-  c.bytes_in = counters_.bytes_in.load(std::memory_order_relaxed);
-  c.bytes_out = counters_.bytes_out.load(std::memory_order_relaxed);
-  c.queue_depth = counters_.queue_depth.load(std::memory_order_relaxed);
-  c.queue_depth_hwm =
-      counters_.queue_depth_hwm.load(std::memory_order_relaxed);
-  c.loop_errors = counters_.loop_errors.load(std::memory_order_relaxed);
-  c.accept_failures =
-      counters_.accept_failures.load(std::memory_order_relaxed);
-  c.recv_errors = counters_.recv_errors.load(std::memory_order_relaxed);
-  c.send_errors = counters_.send_errors.load(std::memory_order_relaxed);
-  c.health_checks = counters_.health_checks.load(std::memory_order_relaxed);
-  c.metrics_scrapes = counters_.metrics_scrapes.load(std::memory_order_relaxed);
+  LoadCounters(kServerCounterFields, counters_, &c);
   return c;
 }
 
 std::vector<std::pair<std::string, double>> Server::Introspect() const {
-  const ServerCounters c = counters();
   std::vector<std::pair<std::string, double>> entries;
-  auto put = [&entries](const char* key, double value) {
-    entries.emplace_back(key, value);
-  };
-  put("serve.connections_accepted",
-      static_cast<double>(c.connections_accepted));
-  put("serve.connections_active", static_cast<double>(c.connections_active));
-  put("serve.connections_rejected",
-      static_cast<double>(c.connections_rejected));
-  put("serve.connections_closed_idle",
-      static_cast<double>(c.connections_closed_idle));
-  put("serve.frames_decoded", static_cast<double>(c.frames_decoded));
-  put("serve.bad_frames", static_cast<double>(c.bad_frames));
-  put("serve.requests_shed", static_cast<double>(c.requests_shed));
-  put("serve.batches_submitted", static_cast<double>(c.batches_submitted));
-  put("serve.queries_executed", static_cast<double>(c.queries_executed));
-  put("serve.writes_applied", static_cast<double>(c.writes_applied));
-  put("serve.bytes_in", static_cast<double>(c.bytes_in));
-  put("serve.bytes_out", static_cast<double>(c.bytes_out));
-  put("serve.queue_depth", static_cast<double>(c.queue_depth));
-  put("serve.queue_depth_hwm", static_cast<double>(c.queue_depth_hwm));
-  put("serve.loop_errors", static_cast<double>(c.loop_errors));
-  put("serve.accept_failures", static_cast<double>(c.accept_failures));
-  put("serve.recv_errors", static_cast<double>(c.recv_errors));
-  put("serve.send_errors", static_cast<double>(c.send_errors));
-  put("serve.health_checks", static_cast<double>(c.health_checks));
-  put("serve.metrics_scrapes", static_cast<double>(c.metrics_scrapes));
+  AppendFieldEntries(kServerCounterFields, counters(), "serve.", &entries);
   // Engine gauges, same map: one Metrics request observes the whole stack
   // (db.* for a database engine, router.*/shard<i>.* for a router).
   for (auto& entry : engine_->Introspect()) {

@@ -1,18 +1,19 @@
 #ifndef FLOOD_SERVE_SERVER_H_
 #define FLOOD_SERVE_SERVER_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "api/database.h"
+#include "common/counter_fields.h"
 #include "common/status.h"
 #include "common/timer.h"
 #include "serve/engine.h"
@@ -58,7 +59,7 @@ struct ServerOptions {
 };
 
 /// Snapshot of the per-server counters (also flattened into Introspect()
-/// and the kMetrics wire response's entries, keys "serve.*").
+/// and the kMetrics wire response's entries, keys "serve.<field>").
 struct ServerCounters {
   uint64_t connections_accepted = 0;
   uint64_t connections_active = 0;
@@ -81,6 +82,32 @@ struct ServerCounters {
   uint64_t health_checks = 0;          ///< kHealth frames answered.
   uint64_t metrics_scrapes = 0;        ///< HTTP /metrics scrapes served.
 };
+
+/// ServerCounters' field list (common/counter_fields.h), in member order.
+inline constexpr auto kServerCounterFields = std::tuple{
+    Field{"connections_accepted", &ServerCounters::connections_accepted},
+    Field{"connections_active", &ServerCounters::connections_active},
+    Field{"connections_rejected", &ServerCounters::connections_rejected},
+    Field{"connections_closed_idle", &ServerCounters::connections_closed_idle},
+    Field{"frames_decoded", &ServerCounters::frames_decoded},
+    Field{"bad_frames", &ServerCounters::bad_frames},
+    Field{"requests_shed", &ServerCounters::requests_shed},
+    Field{"batches_submitted", &ServerCounters::batches_submitted},
+    Field{"queries_executed", &ServerCounters::queries_executed},
+    Field{"writes_applied", &ServerCounters::writes_applied},
+    Field{"bytes_in", &ServerCounters::bytes_in},
+    Field{"bytes_out", &ServerCounters::bytes_out},
+    Field{"queue_depth", &ServerCounters::queue_depth},
+    Field{"queue_depth_hwm", &ServerCounters::queue_depth_hwm},
+    Field{"loop_errors", &ServerCounters::loop_errors},
+    Field{"accept_failures", &ServerCounters::accept_failures},
+    Field{"recv_errors", &ServerCounters::recv_errors},
+    Field{"send_errors", &ServerCounters::send_errors},
+    Field{"health_checks", &ServerCounters::health_checks},
+    Field{"metrics_scrapes", &ServerCounters::metrics_scrapes},
+};
+static_assert(sizeof(ServerCounters) ==
+              8 * std::tuple_size_v<decltype(kServerCounterFields)>);
 
 /// Non-blocking epoll serving loop in front of one BatchEngine — a local
 /// flood::Database (the common case, via Create(Database*)) or the
@@ -163,11 +190,11 @@ class Server {
   /// Point-in-time counter snapshot; safe from any thread while running.
   ServerCounters counters() const;
 
-  /// The counters as a flat key->value map ("serve.queue_depth_hwm", ...)
-  /// plus the engine's gauges ("db.pending_writes", ... for a database,
-  /// "router.*"/"shard<i>.*" for a router) — the same shape as the PR 5
-  /// persistence telemetry and MultiDimIndex::DebugProperties, and exactly
-  /// the entries the Metrics wire request returns.
+  /// The counters as a flat key->value map ("serve.<field>", walked from
+  /// kServerCounterFields) plus the engine's gauges ("db.*" for a
+  /// database, "router.*"/"shard<i>.*" for a router) — the same shape as
+  /// the persistence telemetry and MultiDimIndex::DebugProperties, and
+  /// exactly the entries the Metrics wire request returns.
   std::vector<std::pair<std::string, double>> Introspect() const;
 
  private:
@@ -281,31 +308,9 @@ class Server {
   mutable std::mutex completions_mu_;
   std::vector<Completion> completions_;
 
-  /// Counters are atomics: written by the loop (and completion callbacks),
-  /// read by counters()/Introspect() from any thread.
-  struct AtomicCounters {
-    std::atomic<uint64_t> connections_accepted{0};
-    std::atomic<uint64_t> connections_active{0};
-    std::atomic<uint64_t> connections_rejected{0};
-    std::atomic<uint64_t> connections_closed_idle{0};
-    std::atomic<uint64_t> frames_decoded{0};
-    std::atomic<uint64_t> bad_frames{0};
-    std::atomic<uint64_t> requests_shed{0};
-    std::atomic<uint64_t> batches_submitted{0};
-    std::atomic<uint64_t> queries_executed{0};
-    std::atomic<uint64_t> writes_applied{0};
-    std::atomic<uint64_t> bytes_in{0};
-    std::atomic<uint64_t> bytes_out{0};
-    std::atomic<uint64_t> queue_depth{0};
-    std::atomic<uint64_t> queue_depth_hwm{0};
-    std::atomic<uint64_t> loop_errors{0};
-    std::atomic<uint64_t> accept_failures{0};
-    std::atomic<uint64_t> recv_errors{0};
-    std::atomic<uint64_t> send_errors{0};
-    std::atomic<uint64_t> health_checks{0};
-    std::atomic<uint64_t> metrics_scrapes{0};
-  };
-  AtomicCounters counters_;
+  /// Written by the loop and completion callbacks, read from any thread:
+  /// every access goes through the Counter* helpers (atomic_ref).
+  mutable ServerCounters counters_;
 
   std::thread loop_thread_;
   bool started_ = false;

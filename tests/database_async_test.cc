@@ -1,17 +1,17 @@
-// Database::RunBatchAsync: the future- and callback-based batch APIs the
-// serving tier executes on. Checks result parity with synchronous
-// RunBatch, completion on the pool (not the caller), the single-threaded
-// synchronous fallback, the dispatch rule that keeps a one-shard
-// synchronous RunBatch and a predicted-cheap async batch on the calling
-// thread (and sends batches back to the pool when the query mix turns
-// expensive), and — the load-bearing part — many async batches
-// in flight concurrently with Insert/Delete/Compact traffic through the
-// same reader-writer seam.
+// Database::RunBatchAsync: the callback-based batch API the serving tier
+// executes on. Checks result parity with synchronous RunBatch, completion
+// on the pool (not the caller), the single-threaded synchronous fallback,
+// the dispatch rule that keeps a one-shard synchronous RunBatch and a
+// predicted-cheap async batch on the calling thread (and sends batches
+// back to the pool when the query mix turns expensive), and — the
+// load-bearing part — many async batches in flight concurrently with
+// Insert/Delete/Compact traffic through the same reader-writer seam.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -72,14 +72,25 @@ Dispatch SubmitAndWait(Database& db, const std::vector<Query>& queries) {
   return done.get_future().get();
 }
 
+/// Submits through RunBatchAsync; the callback fulfils the returned
+/// future, so several batches can be in flight at once.
+std::future<BatchResult> Submit(Database& db,
+                                const std::vector<Query>& queries) {
+  auto done = std::make_shared<std::promise<BatchResult>>();
+  std::future<BatchResult> result = done->get_future();
+  db.RunBatchAsync(queries, [done](BatchResult batch) {
+    done->set_value(std::move(batch));
+  });
+  return result;
+}
+
 TEST(DatabaseAsyncTest, FutureMatchesSynchronousRunBatch) {
   const Table table = MakeTable(DataShape::kUniform, 20'000, 3, 31);
   Database db = OpenDb(table, 4);
   const std::vector<Query> queries = MakeQueries(table, 64, 100);
 
   const BatchResult sync = db.RunBatch(queries);
-  std::future<BatchResult> fut = db.RunBatchAsync(queries);
-  const BatchResult async = fut.get();
+  const BatchResult async = Submit(db, queries).get();
 
   ASSERT_TRUE(sync.status.ok());
   ASSERT_TRUE(async.status.ok());
@@ -97,13 +108,13 @@ TEST(DatabaseAsyncTest, SingleThreadedDatabaseCompletesSynchronously) {
   Database db = OpenDb(table, 1);  // No pool at all.
   const std::vector<Query> queries = MakeQueries(table, 16, 200);
 
-  std::future<BatchResult> fut = db.RunBatchAsync(queries);
-  // The contract: with num_threads == 1 the future is ready on return.
-  ASSERT_EQ(fut.wait_for(std::chrono::seconds(0)),
-            std::future_status::ready);
-  const BatchResult batch = fut.get();
-  ASSERT_TRUE(batch.status.ok());
-  EXPECT_EQ(batch.results.size(), queries.size());
+  // The contract: with num_threads == 1 the callback runs on the calling
+  // thread before RunBatchAsync returns.
+  const Dispatch d = SubmitAndWait(db, queries);
+  EXPECT_TRUE(d.before_return);
+  EXPECT_EQ(d.completer, std::this_thread::get_id());
+  ASSERT_TRUE(d.batch.status.ok());
+  EXPECT_EQ(d.batch.results.size(), queries.size());
 }
 
 TEST(DatabaseAsyncTest, CallbackFiresOffCallerThreadExactlyOnce) {
@@ -235,8 +246,7 @@ TEST(DatabaseAsyncTest, ValidationFailureCompletesWithoutExecuting) {
   Database db = OpenDb(table, 4);
   std::vector<Query> queries = {Query(2)};  // Arity mismatch: 2 != 3.
 
-  std::future<BatchResult> fut = db.RunBatchAsync(queries);
-  const BatchResult batch = fut.get();
+  const BatchResult batch = Submit(db, queries).get();
   EXPECT_FALSE(batch.status.ok());
   EXPECT_TRUE(batch.results.empty());
 }
@@ -253,7 +263,7 @@ TEST(DatabaseAsyncTest, ManyConcurrentAsyncBatchesMatchOracle) {
     batches.push_back(MakeQueries(table, kPerBatch, 1000 + b * 97));
   }
   for (size_t b = 0; b < kBatches; ++b) {
-    futures.push_back(db.RunBatchAsync(batches[b]));
+    futures.push_back(Submit(db, batches[b]));
   }
   for (size_t b = 0; b < kBatches; ++b) {
     const BatchResult batch = futures[b].get();
@@ -307,8 +317,7 @@ TEST(DatabaseAsyncTest, AsyncBatchesInterleavedWithWritesAndCompaction) {
 
   uint64_t last_count = 0;
   while (!writer_done.load()) {
-    std::future<BatchResult> fut = db.RunBatchAsync(probe);
-    const BatchResult batch = fut.get();
+    const BatchResult batch = Submit(db, probe).get();
     ASSERT_TRUE(batch.status.ok());
     ASSERT_EQ(batch.results.size(), 2u);
     // Each query individually sees >= what any earlier batch saw.
@@ -323,11 +332,11 @@ TEST(DatabaseAsyncTest, AsyncBatchesInterleavedWithWritesAndCompaction) {
 
   // Quiescent: the final async batch must see every insert, and a final
   // compaction must not change the answer.
-  const BatchResult final_batch = db.RunBatchAsync(probe).get();
+  const BatchResult final_batch = Submit(db, probe).get();
   ASSERT_TRUE(final_batch.status.ok());
   EXPECT_EQ(final_batch.results[0].count, base_rows + kInserts);
   ASSERT_TRUE(db.Compact().ok());
-  const BatchResult compacted = db.RunBatchAsync(probe).get();
+  const BatchResult compacted = Submit(db, probe).get();
   EXPECT_EQ(compacted.results[0].count, base_rows + kInserts);
 }
 
@@ -355,14 +364,14 @@ TEST(DatabaseAsyncTest, AsyncBatchesInterleavedWithDeletes) {
 
   uint64_t last = n;
   while (!writer_done.load()) {
-    const BatchResult batch = db.RunBatchAsync(probe).get();
+    const BatchResult batch = Submit(db, probe).get();
     ASSERT_TRUE(batch.status.ok());
     EXPECT_LE(batch.results[0].count, last);
     last = batch.results[0].count;
   }
   writer.join();
 
-  const BatchResult final_batch = db.RunBatchAsync(probe).get();
+  const BatchResult final_batch = Submit(db, probe).get();
   EXPECT_EQ(final_batch.results[0].count, n - deleted_total.load());
 }
 

@@ -381,6 +381,128 @@ TEST(ServeRouterTest, WireWritesRouteByKeyAndStatsHealthMerge) {
 }
 
 // ---------------------------------------------------------------------------
+// The exact, ordered Introspect() key list of a server over a 2-shard
+// router, and its counts after known traffic: serve.*, router.*, then each
+// shard's subqueries and db.* block under its shard<i>. prefix.
+// ---------------------------------------------------------------------------
+
+TEST(ServeRouterTest, IntrospectKeysAndCountsAreGolden) {
+  const Table table = MakeTable(DataShape::kUniform, 3'000, 3, 87);
+  StatusOr<ShardedDatabase> sharded = OpenSharded(table, "kdtree", 2);
+  ASSERT_TRUE(sharded.ok());
+  ASSERT_EQ(sharded->num_shards(), 2u);
+  std::unique_ptr<Router> router = Router::Over(&*sharded);
+  const ShardMap& map = router->shard_map();
+
+  ServerOptions sopts;
+  SocketPath sock("golden");
+  sopts.uds_path = sock.path;
+  auto server = Server::Create(router.get(), std::move(sopts));
+  ASSERT_TRUE(server.ok());
+  (*server)->Start();
+  auto client = Client::Connect("unix:" + sock.path);
+  ASSERT_TRUE(client.ok());
+
+  // One RunBatch frame: 4 queries inside shard 0's key range (shard 1
+  // pruned for each), 3 that do not filter the sort dimension (sent to
+  // both shards) and 1 empty query (answered by the router).
+  std::vector<Query> queries;
+  const ValueRange r0 = map.RangeOf(0);
+  for (Value i = 0; i < 4; ++i) {
+    Query q(3);
+    q.SetRange(0, r0.lo, r0.hi - i);
+    queries.push_back(std::move(q));
+  }
+  for (Value i = 0; i < 3; ++i) {
+    Query q(3);
+    q.SetRange(1, 1'000 * i, kValueMax);
+    queries.push_back(std::move(q));
+  }
+  Query empty(3);
+  empty.SetRange(2, 10, 5);
+  queries.push_back(std::move(empty));
+  ASSERT_TRUE(client->RunBatch(queries).ok());
+
+  // Writes: one insert per shard, and a delete of a base row of shard 1.
+  const Value k1 = map.RangeOf(1).lo;
+  ASSERT_TRUE(client->Insert({r0.lo == kValueMin ? 0 : r0.lo, 7, 7}).ok());
+  ASSERT_TRUE(client->Insert({k1, 7, 7}).ok());
+  std::vector<Value> victim;
+  for (const std::vector<Value>& row : RowsOf(table)) {
+    if (map.ShardForValue(row[0]) == 1) {
+      victim = row;
+      break;
+    }
+  }
+  ASSERT_FALSE(victim.empty());
+  StatusOr<uint64_t> deleted = client->Delete(victim);
+  ASSERT_TRUE(deleted.ok());
+  ASSERT_GE(*deleted, 1u);
+  ASSERT_TRUE(client->Health().ok());
+
+  std::vector<testing::GoldenEntry> want = {
+      {"serve.connections_accepted", 1},
+      {"serve.connections_active", 1},
+      {"serve.connections_rejected", 0},
+      {"serve.connections_closed_idle", 0},
+      {"serve.frames_decoded", 5},
+      {"serve.bad_frames", 0},
+      {"serve.requests_shed", 0},
+      {"serve.batches_submitted", 1},
+      {"serve.queries_executed", 8},
+      {"serve.writes_applied", 3},
+      {"serve.bytes_in", testing::kAnyValue},
+      {"serve.bytes_out", testing::kAnyValue},
+      {"serve.queue_depth", 0},
+      {"serve.queue_depth_hwm", 1},
+      {"serve.loop_errors", 0},
+      {"serve.accept_failures", 0},
+      {"serve.recv_errors", 0},
+      {"serve.send_errors", 0},
+      {"serve.health_checks", 1},
+      {"serve.metrics_scrapes", 0},
+      {"router.num_shards", 2},
+      {"router.batches_routed", 1},
+      {"router.queries_routed", 8},
+      {"router.subqueries_sent", 4 + 3 * 2},
+      {"router.subqueries_pruned", 4},
+      {"router.queries_skipped_empty", 1},
+      {"router.writes_routed", 3},
+      {"router.shard_errors", 0},
+  };
+  const double subqueries[2] = {7, 3};
+  const double tombstones[2] = {0, static_cast<double>(*deleted)};
+  for (size_t s = 0; s < 2; ++s) {
+    const std::string prefix = "shard" + std::to_string(s) + ".";
+    const Database& shard = *sharded->shard(s);
+    want.push_back({prefix + "subqueries", subqueries[s]});
+    testing::GoldenDb golden_db;
+    golden_db.base_rows = static_cast<double>(shard.base_rows());
+    golden_db.num_rows = golden_db.base_rows + 1 - tombstones[s];
+    golden_db.delta_inserts = 1;
+    golden_db.delta_tombstones = tombstones[s];
+    golden_db.queries_run = subqueries[s];
+    golden_db.num_threads = 2;
+    golden_db.stats = shard.cumulative_stats();
+    EXPECT_GT(golden_db.stats.points_matched, 0u) << prefix;
+    for (testing::GoldenEntry& entry :
+         testing::GoldenDbEntries(prefix, golden_db)) {
+      want.push_back(std::move(entry));
+    }
+  }
+  EXPECT_EQ(sharded->shard(0)->base_rows() + sharded->shard(1)->base_rows(),
+            3'000u);
+  testing::ExpectGolden((*server)->Introspect(), want);
+
+  // The router's own map is the tail of the server's.
+  const std::vector<testing::GoldenEntry> tail(want.begin() + 20, want.end());
+  testing::ExpectGolden(router->Introspect(), tail);
+
+  (*server)->Shutdown();
+  (*server)->Join();
+}
+
+// ---------------------------------------------------------------------------
 // A malformed InsertBatch is rejected before any shard write, with the same
 // batch-global row index one unsharded Database would name.
 // ---------------------------------------------------------------------------

@@ -453,6 +453,88 @@ TEST(ServeServerTest, CountersTrackAScriptedSession) {
   (*server)->Join();
 }
 
+// The exact, ordered Introspect() key list and its counts after a scripted
+// session. These are the names and values the kMetrics response and
+// /metrics publish, so a change to how counters are stored or walked must
+// leave this test untouched.
+TEST(ServeServerTest, IntrospectKeysAndCountsAreGolden) {
+  const Table table = MakeTable(DataShape::kUniform, 3'000, 3, 76);
+  StatusOr<Database> db = OpenDb(table, "kdtree", 1);
+  ASSERT_TRUE(db.ok());
+
+  ServerOptions sopts;
+  SocketPath sock("golden");
+  sopts.uds_path = sock.path;
+  auto server = Server::Create(&*db, std::move(sopts));
+  ASSERT_TRUE(server.ok());
+  (*server)->Start();
+  auto client = Client::Connect("unix:" + sock.path);
+  ASSERT_TRUE(client.ok());
+
+  // Ping, 2 RunBatch, Insert, Delete, Health = 6 decoded frames.
+  ASSERT_TRUE(client->Ping().ok());
+  const std::vector<Query> queries = MakeQueries(table, 10, 1300);
+  ASSERT_TRUE(client->RunBatch(queries).ok());
+  ASSERT_TRUE(client->RunBatch(queries).ok());
+  ASSERT_TRUE(client->Insert({1, 2, 3}).ok());
+  StatusOr<uint64_t> deleted = client->Delete(RowsOf(table)[0]);
+  ASSERT_TRUE(deleted.ok());
+  ASSERT_GE(*deleted, 1u);
+  ASSERT_TRUE(client->Health().ok());
+
+  const QueryStats stats = db->cumulative_stats();
+  ASSERT_GT(stats.points_scanned, stats.points_matched);
+  const double tombstones = static_cast<double>(*deleted);
+  std::vector<testing::GoldenEntry> want = {
+      {"serve.connections_accepted", 1},
+      {"serve.connections_active", 1},
+      {"serve.connections_rejected", 0},
+      {"serve.connections_closed_idle", 0},
+      {"serve.frames_decoded", 6},
+      {"serve.bad_frames", 0},
+      {"serve.requests_shed", 0},
+      {"serve.batches_submitted", 2},
+      {"serve.queries_executed", 2.0 * queries.size()},
+      {"serve.writes_applied", 2},
+      {"serve.bytes_in", testing::kAnyValue},
+      {"serve.bytes_out", testing::kAnyValue},
+      {"serve.queue_depth", 0},
+      {"serve.queue_depth_hwm", 1},
+      {"serve.loop_errors", 0},
+      {"serve.accept_failures", 0},
+      {"serve.recv_errors", 0},
+      {"serve.send_errors", 0},
+      {"serve.health_checks", 1},
+      {"serve.metrics_scrapes", 0},
+  };
+  testing::GoldenDb golden_db;
+  golden_db.base_rows = 3'000;
+  golden_db.num_rows = 3'001 - tombstones;
+  golden_db.delta_inserts = 1;
+  golden_db.delta_tombstones = tombstones;
+  golden_db.queries_run = 2.0 * queries.size();
+  golden_db.batches_inline = 2;  // No pool: every batch runs inline.
+  golden_db.num_threads = 1;
+  golden_db.stats = stats;
+  for (testing::GoldenEntry& entry : testing::GoldenDbEntries("", golden_db)) {
+    want.push_back(std::move(entry));
+  }
+  const auto entries = (*server)->Introspect();
+  testing::ExpectGolden(entries, want);
+  EXPECT_GT(entries[10].second, 0.0);  // serve.bytes_in
+  EXPECT_GT(entries[11].second, 0.0);  // serve.bytes_out
+
+  // The wire Metrics response carries the same keys; its own frame is the
+  // seventh decoded.
+  auto wire = client->Metrics();
+  ASSERT_TRUE(wire.ok());
+  want[4].value = 7;
+  testing::ExpectGolden(wire->entries, want);
+
+  (*server)->Shutdown();
+  (*server)->Join();
+}
+
 /// One HTTP GET over a raw loopback TCP socket; returns the body ("" on
 /// any failure or a non-200 status).
 std::string HttpGet(uint16_t port, const std::string& path) {

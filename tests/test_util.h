@@ -6,11 +6,13 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "data/distributions.h"
 #include "query/query.h"
+#include "query/query_stats.h"
 #include "storage/table.h"
 
 namespace flood {
@@ -174,6 +176,87 @@ inline OracleResult BruteForce(const Table& table, const Query& q,
     }
   }
   return r;
+}
+
+// --- Golden Introspect() key lists ------------------------------------------
+
+/// One expected Introspect() entry: its key and its value, or kAnyValue
+/// where the value depends on timing or byte counts.
+struct GoldenEntry {
+  std::string key;
+  double value;
+};
+inline constexpr double kAnyValue = -1.0;
+
+/// Holds `got` to exactly the keys of `want`, in order, and to every value
+/// `want` pins.
+inline void ExpectGolden(
+    const std::vector<std::pair<std::string, double>>& got,
+    const std::vector<GoldenEntry>& want) {
+  std::vector<std::string> got_keys;
+  std::vector<std::string> want_keys;
+  for (const auto& entry : got) got_keys.push_back(entry.first);
+  for (const GoldenEntry& entry : want) want_keys.push_back(entry.key);
+  ASSERT_EQ(got_keys, want_keys);
+  for (size_t i = 0; i < want.size(); ++i) {
+    if (want[i].value == kAnyValue) continue;
+    EXPECT_EQ(got[i].second, want[i].value) << want[i].key;
+  }
+}
+
+/// The pinned db.* gauges of one database without persistence.
+struct GoldenDb {
+  double base_rows = 0;
+  double num_rows = 0;
+  double delta_inserts = 0;
+  double delta_tombstones = 0;
+  double queries_run = 0;
+  double empty_queries_skipped = 0;
+  double batches_inline = kAnyValue;
+  double num_threads = 0;
+  QueryStats stats;  ///< Counters are pinned; timings are not.
+};
+
+/// The db.* block one database contributes to an Introspect() map, each
+/// key under `prefix` ("" for a server's own database, "shard<i>." under
+/// a router).
+inline std::vector<GoldenEntry> GoldenDbEntries(const std::string& prefix,
+                                                const GoldenDb& db) {
+  const QueryStats& s = db.stats;
+  auto count = [](uint64_t v) { return static_cast<double>(v); };
+  std::vector<GoldenEntry> entries = {
+      {"db.base_rows", db.base_rows},
+      {"db.num_rows", db.num_rows},
+      {"db.pending_writes", db.delta_inserts + db.delta_tombstones},
+      {"db.delta_inserts", db.delta_inserts},
+      {"db.delta_tombstones", db.delta_tombstones},
+      {"db.compactions", 0},
+      {"db.queries_run", db.queries_run},
+      {"db.empty_queries_skipped", db.empty_queries_skipped},
+      {"db.slow_queries", 0},
+      {"db.batches_inline", db.batches_inline},
+      {"db.persist_epoch", 0},
+      {"db.persist_poisoned", 0},
+      {"persist.dir_fsync_failures", kAnyValue},
+      {"db.num_threads", db.num_threads},
+      {"db.points_scanned", count(s.points_scanned)},
+      {"db.points_matched", count(s.points_matched)},
+      {"db.points_exact", count(s.points_exact)},
+      {"db.cells_visited", count(s.cells_visited)},
+      {"db.ranges_scanned", count(s.ranges_scanned)},
+      {"db.blocks_skipped", count(s.blocks_skipped)},
+      {"db.blocks_exact", count(s.blocks_exact)},
+      {"db.simd_blocks", count(s.simd_blocks)},
+      {"db.delta_rows_scanned", count(s.delta_rows_scanned)},
+      {"db.index_ns", kAnyValue},
+      {"db.refine_ns", kAnyValue},
+      {"db.scan_ns", kAnyValue},
+      {"db.delta_ns", kAnyValue},
+      {"db.total_ns", kAnyValue},
+      {"db.max_query_ns", kAnyValue},
+  };
+  for (GoldenEntry& entry : entries) entry.key = prefix + entry.key;
+  return entries;
 }
 
 }  // namespace testing

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Tests for check_bench_regression.py on synthetic google-benchmark
-reports. Each case writes a parent and a change report, runs the gate as
-CI does, and checks its exit code.
+reports. Each case writes the parent's and the change's reports (one or
+several per side), runs the gate as CI does, and checks its exit code.
 
   python3 tools/check_bench_regression_test.py
 """
@@ -35,16 +35,20 @@ class GateTest(unittest.TestCase):
         self.addCleanup(self.dir.cleanup)
 
     def gate(self, parent, change, *flags):
-        """Runs the gate on the two reports; returns its exit code."""
-        paths = []
-        for role, data in (("parent", parent), ("change", change)):
-            path = os.path.join(self.dir.name, role + ".json")
-            with open(path, "w") as f:
-                json.dump(data, f)
-            paths.append(path)
+        """Runs the gate on the reports, each side one report or a list of
+        them; returns its exit code."""
+        args = []
+        for role, flag, data in (("parent", "--baseline", parent),
+                                 ("change", "--current", change)):
+            args.append(flag)
+            for i, report_data in enumerate(
+                    data if isinstance(data, list) else [data]):
+                path = os.path.join(self.dir.name, f"{role}_{i}.json")
+                with open(path, "w") as f:
+                    json.dump(report_data, f)
+                args.append(path)
         done = subprocess.run(
-            [sys.executable, GATE, "--baseline", paths[0],
-             "--current", paths[1], *flags],
+            [sys.executable, GATE, *args, *flags],
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
         return done.returncode
 
@@ -87,6 +91,68 @@ class GateTest(unittest.TestCase):
         self.assertEqual(self.gate(parent, change), 0)
         self.assertEqual(
             self.gate(parent, change, "--require-same-context"), 1)
+
+    def test_one_noisy_run_of_three_passes(self):
+        parent = [report({"a": 100.0, "b": 100.0})] * 3
+        change = [report({"a": 60.0, "b": 50.0}),
+                  report({"a": 100.0, "b": 98.0}),
+                  report({"a": 99.0, "b": 101.0})]
+        self.assertEqual(self.gate(parent, change), 0)
+
+    def test_host_slow_phase_spanning_runs_passes(self):
+        # The host slows down from the change's 2nd run through the
+        # parent's 3rd: each side's median is a slow run, but each pair
+        # compares like with like.
+        parent = [report({"a": 100.0}), report({"a": 100.0}),
+                  report({"a": 60.0})]
+        change = [report({"a": 100.0}), report({"a": 60.0}),
+                  report({"a": 60.0})]
+        self.assertEqual(self.gate(parent, change), 0)
+
+    def test_unequal_report_counts_fail(self):
+        self.assertEqual(
+            self.gate([report({"a": 100.0})] * 3, [report({"a": 100.0})] * 2),
+            1)
+
+    def test_noisy_parent_run_does_not_hide_a_regression(self):
+        parent = [report({"a": 100.0}), report({"a": 50.0}),
+                  report({"a": 102.0})]
+        change = [report({"a": 60.0})] * 3
+        self.assertEqual(self.gate(parent, change), 1)
+
+    def test_consistent_regression_over_three_runs_fails(self):
+        parent = [report({"a": 100.0, "b": 100.0}),
+                  report({"a": 102.0, "b": 99.0}),
+                  report({"a": 98.0, "b": 101.0})]
+        change = [report({"a": 70.0, "b": 100.0}),
+                  report({"a": 71.4, "b": 99.0}),
+                  report({"a": 68.6, "b": 101.0})]
+        self.assertEqual(self.gate(parent, change), 1)
+
+    def test_metric_switched_in_one_run_fails(self):
+        parent = [report({"a": 100.0})] * 3
+        change = [report({"a": 100.0}) for _ in range(3)]
+        del change[1]["benchmarks"][0]["rows_per_s"]
+        self.assertEqual(self.gate(parent, change), 1)
+
+    def test_num_cpus_mismatch_in_any_run_fails(self):
+        parent = [report({"a": 100.0})] * 3
+        change = [report({"a": 100.0}), report({"a": 100.0}, num_cpus=1),
+                  report({"a": 100.0})]
+        self.assertEqual(self.gate(parent, change), 0)
+        self.assertEqual(
+            self.gate(parent, change, "--require-same-context"), 1)
+
+    def test_missing_baseline_skips(self):
+        path = os.path.join(self.dir.name, "change.json")
+        with open(path, "w") as f:
+            json.dump(report({"a": 100.0}), f)
+        done = subprocess.run(
+            [sys.executable, GATE, "--baseline",
+             os.path.join(self.dir.name, "absent.json"), "--current", path],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+        self.assertEqual(done.returncode, 0)
+        self.assertIn("SKIP", done.stdout)
 
 
 if __name__ == "__main__":
