@@ -2,8 +2,8 @@
 //
 // With no arguments, this example is fully self-contained: it builds a
 // small database, starts a flood::serve::Server on a Unix-domain socket
-// in this process, connects a Client, and runs Ping -> RunBatch ->
-// Insert -> RunBatch -> Stats before draining the server.
+// in this process, connects a Client, and runs Ping -> Health ->
+// RunBatch -> Insert -> RunBatch -> Metrics before draining the server.
 //
 // With an address argument it skips the in-process server and talks to
 // an already-running flood_serve instead:

@@ -478,21 +478,7 @@ void Database::RunBatchAsync(std::span<const Query> queries,
 // --- Writes ---------------------------------------------------------------
 
 Status Database::Insert(const std::vector<Value>& row) {
-  if (row.size() != num_dims_) {
-    return Status::InvalidArgument(
-        "row has " + std::to_string(row.size()) + " values, table has " +
-        std::to_string(num_dims_) + " dims");
-  }
-  std::unique_lock<std::shared_mutex> lock(write_->mu);
-  FLOOD_RETURN_IF_ERROR(write_->wal_error);
-  if (write_->wal != nullptr) {
-    // Log-before-mutate: a WAL failure acknowledges (and stages) nothing.
-    write_->wal->AppendInsert(row);
-    FLOOD_RETURN_IF_ERROR(write_->wal->Commit());
-  }
-  FLOOD_RETURN_IF_ERROR(write_->delta.Insert(row));
-  MaybeAutoCompactLocked();
-  return Status::OK();
+  return InsertBatch({&row, 1});
 }
 
 Status Database::InsertBatch(std::span<const std::vector<Value>> rows) {
@@ -507,8 +493,9 @@ Status Database::InsertBatch(std::span<const std::vector<Value>> rows) {
   std::unique_lock<std::shared_mutex> lock(write_->mu);
   FLOOD_RETURN_IF_ERROR(write_->wal_error);
   if (write_->wal != nullptr) {
-    // Group commit: the whole batch rides one write() (+ one fsync under
-    // Durability::kSync) before any row is staged.
+    // Log-before-mutate, as one group commit: the whole batch rides one
+    // write() (+ one fsync under Durability::kSync) before any row is
+    // staged, so a WAL failure acknowledges (and stages) nothing.
     for (const std::vector<Value>& row : rows) {
       write_->wal->AppendInsert(row);
     }

@@ -334,7 +334,8 @@ class Database {
   /// a WAL failure returns the error and stages nothing. May trigger an
   /// automatic compaction (see DatabaseOptions::auto_retrain_fraction); a
   /// failed auto-compaction keeps the staged writes (reads stay correct)
-  /// and is retried at the next threshold crossing.
+  /// and is retried at the next threshold crossing. A one-row
+  /// InsertBatch.
   Status Insert(const std::vector<Value>& row);
 
   /// Stages many rows under one exclusive-lock acquisition; the

@@ -291,50 +291,52 @@ StatusOr<Frame> Client::ReadFrame() {
   }
 }
 
-Status Client::Ping() {
-  const uint64_t id = NextId();
-  std::string out;
-  AppendPing({id}, &out);
-  FLOOD_RETURN_IF_ERROR(WriteAll(out));
+template <typename Parse>
+auto Client::Call(std::string_view request, uint64_t id, MessageType expect,
+                  Parse parse) -> decltype(parse(std::string_view())) {
+  FLOOD_RETURN_IF_ERROR(WriteAll(request));
   StatusOr<Frame> frame = ReadFrame();
   if (!frame.ok()) return frame.status();
-  if (frame->type == MessageType::kPong) {
-    StatusOr<PongResponse> pong = ParsePong(frame->payload);
-    if (!pong.ok()) return pong.status();
-    if (pong->request_id != id) {
-      return Status::Internal("pong for the wrong request id");
-    }
-    return Status::OK();
-  }
   if (frame->type == MessageType::kError) {
     StatusOr<ErrorResponse> err = ParseError(frame->payload);
     if (!err.ok()) return err.status();
     return StatusFromWireCode(err->code, err->message);
   }
-  return Status::Internal("unexpected response frame to Ping");
+  if (frame->type != expect) {
+    return Status::Internal(
+        "unexpected response frame type " +
+        std::to_string(static_cast<int>(frame->type)) + " (expected " +
+        std::to_string(static_cast<int>(expect)) + ")");
+  }
+  auto reply = parse(frame->payload);
+  if (reply.ok() && reply->request_id != id) {
+    return Status::Internal("reply for the wrong request id");
+  }
+  return reply;
+}
+
+StatusOr<uint64_t> Client::Write(std::string_view request, uint64_t id) {
+  StatusOr<WriteAckResponse> ack =
+      Call(request, id, MessageType::kWriteAck, ParseWriteAck);
+  if (!ack.ok()) return ack.status();
+  FLOOD_RETURN_IF_ERROR(StatusFromWireCode(ack->code, ack->message));
+  return ack->deleted;
+}
+
+Status Client::Ping() {
+  const uint64_t id = NextId();
+  std::string out;
+  AppendRequestId(MessageType::kPing, {id}, &out);
+  return Call(out, id, MessageType::kPong, [](std::string_view payload) {
+           return ParseRequestId(MessageType::kPong, payload);
+         }).status();
 }
 
 StatusOr<HealthResponse> Client::Health() {
   const uint64_t id = NextId();
   std::string out;
-  AppendHealth({id}, &out);
-  FLOOD_RETURN_IF_ERROR(WriteAll(out));
-  StatusOr<Frame> frame = ReadFrame();
-  if (!frame.ok()) return frame.status();
-  if (frame->type == MessageType::kHealthResult) {
-    StatusOr<HealthResponse> resp = ParseHealthResult(frame->payload);
-    if (!resp.ok()) return resp.status();
-    if (resp->request_id != id) {
-      return Status::Internal("health reply for the wrong request id");
-    }
-    return resp;
-  }
-  if (frame->type == MessageType::kError) {
-    StatusOr<ErrorResponse> err = ParseError(frame->payload);
-    if (!err.ok()) return err.status();
-    return StatusFromWireCode(err->code, err->message);
-  }
-  return Status::Internal("unexpected response frame to Health");
+  AppendRequestId(MessageType::kHealth, {id}, &out);
+  return Call(out, id, MessageType::kHealthResult, ParseHealthResult);
 }
 
 Status Client::SendRunBatch(uint64_t request_id,
@@ -387,93 +389,32 @@ StatusOr<BatchResultResponse> Client::RunBatch(
   }
 }
 
-namespace {
-
-/// Shared ack handling for the three write RPCs.
-StatusOr<WriteAckResponse> ExpectWriteAck(StatusOr<Frame> frame,
-                                          uint64_t id) {
-  if (!frame.ok()) return frame.status();
-  if (frame->type == MessageType::kWriteAck) {
-    StatusOr<WriteAckResponse> ack = ParseWriteAck(frame->payload);
-    if (!ack.ok()) return ack.status();
-    if (ack->request_id != id) {
-      return Status::Internal("write ack for the wrong request id");
-    }
-    return ack;
-  }
-  if (frame->type == MessageType::kError) {
-    StatusOr<ErrorResponse> err = ParseError(frame->payload);
-    if (!err.ok()) return err.status();
-    return StatusFromWireCode(err->code, err->message);
-  }
-  return Status::Internal("unexpected response frame to a write");
-}
-
-}  // namespace
-
 Status Client::Insert(const std::vector<Value>& row) {
   const uint64_t id = NextId();
-  InsertRequest req;
-  req.request_id = id;
-  req.row = row;
   std::string out;
-  AppendInsert(req, &out);
-  FLOOD_RETURN_IF_ERROR(WriteAll(out));
-  StatusOr<WriteAckResponse> ack = ExpectWriteAck(ReadFrame(), id);
-  if (!ack.ok()) return ack.status();
-  return StatusFromWireCode(ack->code, ack->message);
+  AppendInsert({id, row}, &out);
+  return Write(out, id).status();
 }
 
 Status Client::InsertBatch(std::span<const std::vector<Value>> rows) {
   const uint64_t id = NextId();
-  InsertBatchRequest req;
-  req.request_id = id;
-  req.rows.assign(rows.begin(), rows.end());
   std::string out;
-  AppendInsertBatch(req, &out);
-  FLOOD_RETURN_IF_ERROR(WriteAll(out));
-  StatusOr<WriteAckResponse> ack = ExpectWriteAck(ReadFrame(), id);
-  if (!ack.ok()) return ack.status();
-  return StatusFromWireCode(ack->code, ack->message);
+  AppendInsertBatch({id, {rows.begin(), rows.end()}}, &out);
+  return Write(out, id).status();
 }
 
 StatusOr<uint64_t> Client::Delete(const std::vector<Value>& key) {
   const uint64_t id = NextId();
-  DeleteRequest req;
-  req.request_id = id;
-  req.key = key;
   std::string out;
-  AppendDelete(req, &out);
-  FLOOD_RETURN_IF_ERROR(WriteAll(out));
-  StatusOr<WriteAckResponse> ack = ExpectWriteAck(ReadFrame(), id);
-  if (!ack.ok()) return ack.status();
-  if (ack->code != WireCode::kOk) {
-    return StatusFromWireCode(ack->code, ack->message);
-  }
-  return ack->deleted;
+  AppendDelete({id, key}, &out);
+  return Write(out, id);
 }
 
 StatusOr<MetricsResponse> Client::Metrics() {
   const uint64_t id = NextId();
   std::string out;
-  AppendMetrics({id}, &out);
-  FLOOD_RETURN_IF_ERROR(WriteAll(out));
-  StatusOr<Frame> frame = ReadFrame();
-  if (!frame.ok()) return frame.status();
-  if (frame->type == MessageType::kMetricsResult) {
-    StatusOr<MetricsResponse> resp = ParseMetricsResult(frame->payload);
-    if (!resp.ok()) return resp.status();
-    if (resp->request_id != id) {
-      return Status::Internal("metrics reply for the wrong request id");
-    }
-    return resp;
-  }
-  if (frame->type == MessageType::kError) {
-    StatusOr<ErrorResponse> err = ParseError(frame->payload);
-    if (!err.ok()) return err.status();
-    return StatusFromWireCode(err->code, err->message);
-  }
-  return Status::Internal("unexpected response frame to Metrics");
+  AppendRequestId(MessageType::kMetrics, {id}, &out);
+  return Call(out, id, MessageType::kMetricsResult, ParseMetricsResult);
 }
 
 }  // namespace serve

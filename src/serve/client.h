@@ -132,6 +132,14 @@ class Client {
   /// Waits (up to recv_timeout_ms) until one complete frame arrives, the
   /// peer closes, or the stream goes bad.
   StatusOr<Frame> ReadFrame();
+  /// Sends `request`, one frame with id `id`, and reads its reply: a frame
+  /// of type `expect` goes through `parse` and must echo `id`; a kError
+  /// reply becomes its Status, and any other frame is Internal.
+  template <typename Parse>
+  auto Call(std::string_view request, uint64_t id, MessageType expect,
+            Parse parse) -> decltype(parse(std::string_view()));
+  /// Call() for a write: the ack's code as a Status, else its delete count.
+  StatusOr<uint64_t> Write(std::string_view request, uint64_t id);
   /// Waits for `events` on fd_ until `deadline`; kDeadlineExceeded on
   /// expiry.
   Status PollFd(short events, std::chrono::steady_clock::time_point deadline,

@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "persist/snapshot.h"
-
 namespace flood {
 namespace serve {
 
@@ -43,8 +41,6 @@ std::vector<std::pair<std::string, double>> DatabaseGauges(
   put("db.batches_inline", static_cast<double>(db.batches_inline()));
   put("db.persist_epoch", static_cast<double>(db.persist_epoch()));
   put("db.persist_poisoned", db.persistence_poisoned() ? 1.0 : 0.0);
-  put("persist.dir_fsync_failures",
-      static_cast<double>(persist::DirFsyncFailures()));
   put("db.num_threads", static_cast<double>(db.num_threads()));
   // Cumulative QueryStats: every summed counter and timing the execution
   // layer tracks, walked from its one field list, so the wire Metrics
@@ -64,10 +60,6 @@ void DatabaseEngine::RunBatchAsync(
                                   BatchResult batch) mutable {
     on_done(EngineResultFromBatch(batch));
   });
-}
-
-Status DatabaseEngine::Insert(const std::vector<Value>& row) {
-  return db_->Insert(row);
 }
 
 Status DatabaseEngine::InsertBatch(std::span<const std::vector<Value>> rows) {

@@ -14,19 +14,16 @@
 namespace flood {
 namespace serve {
 
-/// One query's outcome inside an engine batch. Unlike QueryResult this
-/// carries a per-query WireCode: an engine backed by many shards can fail
-/// some queries (the shard that owned them shed or died) while the rest of
-/// the batch succeeds — the server maps each reply frame to an error iff
-/// its slice contains a non-kOk query (partial shed at frame granularity).
-struct EngineQueryResult {
+/// One query's outcome inside an engine batch: the wire result (its
+/// total_ns is the max across shards) plus a per-query WireCode. An engine
+/// backed by many shards can fail some queries (the shard that owned them
+/// shed or died) while the rest of the batch succeeds — the server maps
+/// each reply frame to an error iff its slice contains a non-kOk query
+/// (partial shed at frame granularity), and otherwise sends the slice's
+/// WireQueryResult parts.
+struct EngineQueryResult : WireQueryResult {
   WireCode code = WireCode::kOk;
-  std::string message;       ///< Empty on kOk.
-  uint8_t kind = 0;          ///< 0 = COUNT, 1 = SUM (wire encoding).
-  bool skipped_empty = false;
-  uint64_t count = 0;
-  int64_t sum = 0;
-  uint64_t total_ns = 0;     ///< Execution time (max across shards).
+  std::string message;  ///< Empty on kOk.
 };
 
 /// Outcome of one engine batch. `status` is the batch-level gate, exactly
@@ -68,8 +65,7 @@ class BatchEngine {
 
   /// Synchronous writes, called inline from the serving loop (bounded: a
   /// local engine stages into the delta; a remote engine's wire deadlines
-  /// apply).
-  virtual Status Insert(const std::vector<Value>& row) = 0;
+  /// apply). A single-row insert is a one-row InsertBatch.
   virtual Status InsertBatch(std::span<const std::vector<Value>> rows) = 0;
   virtual StatusOr<uint64_t> Delete(const std::vector<Value>& key) = 0;
 
@@ -98,7 +94,6 @@ class DatabaseEngine : public BatchEngine {
 
   void RunBatchAsync(std::vector<Query> queries,
                      std::function<void(EngineBatchResult)> on_done) override;
-  Status Insert(const std::vector<Value>& row) override;
   Status InsertBatch(std::span<const std::vector<Value>> rows) override;
   StatusOr<uint64_t> Delete(const std::vector<Value>& key) override;
   EngineHealth Health() const override;

@@ -87,6 +87,29 @@ StatusOr<T> Finish(const ByteReader& r, T value, const char* what) {
   return value;
 }
 
+/// Reads a WireCode byte; a byte that names no WireCode fails the reader.
+WireCode GetWireCode(ByteReader* r) {
+  const auto code = static_cast<WireCode>(r->GetU8());
+  if (WireCodeToString(code) == "UnknownWireCode") r->MarkFailed();
+  return code;
+}
+
+/// What a request-id-only message is called; null for any other type.
+const char* RequestIdMessageName(MessageType type) {
+  switch (type) {
+    case MessageType::kPing:
+      return "Ping";
+    case MessageType::kHealth:
+      return "Health";
+    case MessageType::kMetrics:
+      return "Metrics";
+    case MessageType::kPong:
+      return "Pong";
+    default:
+      return nullptr;
+  }
+}
+
 }  // namespace
 
 std::string_view WireCodeToString(WireCode code) {
@@ -189,9 +212,10 @@ void AppendFrame(MessageType type, std::string_view payload,
   w.PutBytes(payload.data(), payload.size());
 }
 
-void AppendPing(const PingRequest& req, std::string* out) {
-  AppendWith(MessageType::kPing, out,
-             [&](ByteWriter* w) { w->PutU64(req.request_id); });
+void AppendRequestId(MessageType type, const RequestIdMessage& msg,
+                     std::string* out) {
+  FLOOD_CHECK(RequestIdMessageName(type) != nullptr);
+  AppendWith(type, out, [&](ByteWriter* w) { w->PutU64(msg.request_id); });
 }
 
 void AppendRunBatch(const RunBatchRequest& req, std::string* out) {
@@ -224,16 +248,6 @@ void AppendDelete(const DeleteRequest& req, std::string* out) {
   });
 }
 
-void AppendHealth(const HealthRequest& req, std::string* out) {
-  AppendWith(MessageType::kHealth, out,
-             [&](ByteWriter* w) { w->PutU64(req.request_id); });
-}
-
-void AppendMetrics(const MetricsRequest& req, std::string* out) {
-  AppendWith(MessageType::kMetrics, out,
-             [&](ByteWriter* w) { w->PutU64(req.request_id); });
-}
-
 void AppendHealthResult(const HealthResponse& resp, std::string* out) {
   AppendWith(MessageType::kHealthResult, out, [&](ByteWriter* w) {
     w->PutU64(resp.request_id);
@@ -243,11 +257,6 @@ void AppendHealthResult(const HealthResponse& resp, std::string* out) {
     w->PutU64(resp.queue_depth);
     w->PutU64(resp.connections_active);
   });
-}
-
-void AppendPong(const PongResponse& resp, std::string* out) {
-  AppendWith(MessageType::kPong, out,
-             [&](ByteWriter* w) { w->PutU64(resp.request_id); });
 }
 
 void AppendBatchResult(const BatchResultResponse& resp, std::string* out) {
@@ -315,11 +324,18 @@ void AppendError(const ErrorResponse& resp, std::string* out) {
 
 // --- Decoding --------------------------------------------------------------
 
-StatusOr<PingRequest> ParsePing(std::string_view payload) {
+StatusOr<RequestIdMessage> ParseRequestId(MessageType type,
+                                          std::string_view payload) {
+  const char* name = RequestIdMessageName(type);
+  if (name == nullptr) {
+    return Status::InvalidArgument(
+        "message type " + std::to_string(static_cast<int>(type)) +
+        " carries more than a request id");
+  }
   ByteReader r(payload);
-  PingRequest req;
-  req.request_id = r.GetU64();
-  return Finish(r, std::move(req), "Ping");
+  RequestIdMessage msg;
+  msg.request_id = r.GetU64();
+  return Finish(r, msg, name);
 }
 
 StatusOr<RunBatchRequest> ParseRunBatch(std::string_view payload) {
@@ -367,20 +383,6 @@ StatusOr<DeleteRequest> ParseDelete(std::string_view payload) {
   req.request_id = r.GetU64();
   if (!GetRow(&r, &req.key)) return ParseFailed("Delete");
   return Finish(r, std::move(req), "Delete");
-}
-
-StatusOr<HealthRequest> ParseHealth(std::string_view payload) {
-  ByteReader r(payload);
-  HealthRequest req;
-  req.request_id = r.GetU64();
-  return Finish(r, std::move(req), "Health");
-}
-
-StatusOr<MetricsRequest> ParseMetrics(std::string_view payload) {
-  ByteReader r(payload);
-  MetricsRequest req;
-  req.request_id = r.GetU64();
-  return Finish(r, std::move(req), "Metrics");
 }
 
 StatusOr<MetricsResponse> ParseMetricsResult(std::string_view payload) {
@@ -446,18 +448,11 @@ StatusOr<HealthResponse> ParseHealthResult(std::string_view payload) {
   return Finish(r, std::move(resp), "HealthResult");
 }
 
-StatusOr<PongResponse> ParsePong(std::string_view payload) {
-  ByteReader r(payload);
-  PongResponse resp;
-  resp.request_id = r.GetU64();
-  return Finish(r, std::move(resp), "Pong");
-}
-
 StatusOr<BatchResultResponse> ParseBatchResult(std::string_view payload) {
   ByteReader r(payload);
   BatchResultResponse resp;
   resp.request_id = r.GetU64();
-  resp.code = static_cast<WireCode>(r.GetU8());
+  resp.code = GetWireCode(&r);
   resp.message = r.GetString();
   resp.server_wall_ms = r.GetF64();
   const uint32_t n = r.GetU32();
@@ -469,10 +464,12 @@ StatusOr<BatchResultResponse> ParseBatchResult(std::string_view payload) {
   for (uint32_t i = 0; i < n; ++i) {
     WireQueryResult& res = resp.results[i];
     res.kind = r.GetU8();
-    res.skipped_empty = r.GetU8() != 0;
+    const uint8_t skipped_empty = r.GetU8();
     res.count = r.GetU64();
     res.sum = r.GetI64();
     res.total_ns = r.GetU64();
+    if (res.kind > 1 || skipped_empty > 1) return ParseFailed("BatchResult");
+    res.skipped_empty = skipped_empty != 0;
   }
   return Finish(r, std::move(resp), "BatchResult");
 }
@@ -481,7 +478,7 @@ StatusOr<WriteAckResponse> ParseWriteAck(std::string_view payload) {
   ByteReader r(payload);
   WriteAckResponse resp;
   resp.request_id = r.GetU64();
-  resp.code = static_cast<WireCode>(r.GetU8());
+  resp.code = GetWireCode(&r);
   resp.message = r.GetString();
   resp.deleted = r.GetU64();
   return Finish(r, std::move(resp), "WriteAck");
@@ -491,7 +488,9 @@ StatusOr<ErrorResponse> ParseError(std::string_view payload) {
   ByteReader r(payload);
   ErrorResponse resp;
   resp.request_id = r.GetU64();
-  resp.code = static_cast<WireCode>(r.GetU8());
+  resp.code = GetWireCode(&r);
+  // An error that says Ok is no error: a reader would take it for success.
+  if (resp.code == WireCode::kOk) r.MarkFailed();
   resp.message = r.GetString();
   return Finish(r, std::move(resp), "Error");
 }

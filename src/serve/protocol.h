@@ -112,7 +112,13 @@ Status StatusFromWireCode(WireCode code, std::string_view message);
 // submitted batch groups complete in pool order, so responses can
 // interleave across — and within — message types.
 
-struct PingRequest {
+/// The body of every message that carries only its request id: the
+/// kPing, kHealth and kMetrics requests and the kPong response. kHealth is
+/// the readiness probe for load balancers; kMetrics asks for the full
+/// metrics snapshot (every registry histogram with its buckets, plus the
+/// flat Introspect() map that carries every count). All three are answered
+/// inline from the event loop, including while draining.
+struct RequestIdMessage {
   uint64_t request_id = 0;
 };
 
@@ -136,23 +142,7 @@ struct DeleteRequest {
   std::vector<Value> key;
 };
 
-/// Lightweight readiness probe for load balancers; answered inline from
-/// the event loop (like Ping), including while draining.
-struct HealthRequest {
-  uint64_t request_id = 0;
-};
-
-/// Full metrics snapshot: every registry histogram with its buckets, plus
-/// the flat Introspect() map that carries every count. Answered inline from the event loop, including while draining.
-struct MetricsRequest {
-  uint64_t request_id = 0;
-};
-
 // --- Response bodies -------------------------------------------------------
-
-struct PongResponse {
-  uint64_t request_id = 0;
-};
 
 /// One query's aggregate result, bit-exact: count/sum are the same
 /// integers an in-process RunBatch produces.
@@ -218,15 +208,14 @@ struct ErrorResponse {
 void AppendFrame(MessageType type, std::string_view payload,
                  std::string* out);
 
-void AppendPing(const PingRequest& req, std::string* out);
+/// `type` must be kPing, kHealth, kMetrics or kPong.
+void AppendRequestId(MessageType type, const RequestIdMessage& msg,
+                     std::string* out);
 void AppendRunBatch(const RunBatchRequest& req, std::string* out);
 void AppendInsert(const InsertRequest& req, std::string* out);
 void AppendInsertBatch(const InsertBatchRequest& req, std::string* out);
 void AppendDelete(const DeleteRequest& req, std::string* out);
-void AppendHealth(const HealthRequest& req, std::string* out);
-void AppendMetrics(const MetricsRequest& req, std::string* out);
 
-void AppendPong(const PongResponse& resp, std::string* out);
 void AppendBatchResult(const BatchResultResponse& resp, std::string* out);
 void AppendWriteAck(const WriteAckResponse& resp, std::string* out);
 void AppendHealthResult(const HealthResponse& resp, std::string* out);
@@ -239,15 +228,14 @@ void AppendError(const ErrorResponse& resp, std::string* out);
 // semantically impossible bodies — the CRC already passed, so a parse
 // failure means a buggy or malicious peer, and the connection is closed.
 
-StatusOr<PingRequest> ParsePing(std::string_view payload);
+/// Fails for a `type` other than kPing, kHealth, kMetrics or kPong.
+StatusOr<RequestIdMessage> ParseRequestId(MessageType type,
+                                          std::string_view payload);
 StatusOr<RunBatchRequest> ParseRunBatch(std::string_view payload);
 StatusOr<InsertRequest> ParseInsert(std::string_view payload);
 StatusOr<InsertBatchRequest> ParseInsertBatch(std::string_view payload);
 StatusOr<DeleteRequest> ParseDelete(std::string_view payload);
-StatusOr<HealthRequest> ParseHealth(std::string_view payload);
-StatusOr<MetricsRequest> ParseMetrics(std::string_view payload);
 
-StatusOr<PongResponse> ParsePong(std::string_view payload);
 StatusOr<BatchResultResponse> ParseBatchResult(std::string_view payload);
 StatusOr<WriteAckResponse> ParseWriteAck(std::string_view payload);
 StatusOr<HealthResponse> ParseHealthResult(std::string_view payload);

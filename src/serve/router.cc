@@ -192,13 +192,6 @@ Status Router::RouteKeyShard(const std::vector<Value>& key,
   return Status::OK();
 }
 
-Status Router::Insert(const std::vector<Value>& row) {
-  size_t shard = 0;
-  FLOOD_RETURN_IF_ERROR(RouteKeyShard(row, &shard));
-  CounterAdd(counters_.writes_routed);
-  return backends_[shard]->Insert(row);
-}
-
 Status Router::InsertBatch(std::span<const std::vector<Value>> rows) {
   // Validate the whole batch before any shard write, naming the
   // batch-global row: rows must agree in length and reach the sort
@@ -321,14 +314,6 @@ class RemoteEngine : public BatchEngine {
                     "backend is shutting down"));
   }
 
-  Status Insert(const std::vector<Value>& row) override {
-    std::lock_guard<std::mutex> lock(control_mu_);
-    FLOOD_RETURN_IF_ERROR(EnsureControlLocked());
-    const Status status = control_->Insert(row);
-    MaybePoisonControlLocked(status);
-    return status;
-  }
-
   Status InsertBatch(std::span<const std::vector<Value>> rows) override {
     std::lock_guard<std::mutex> lock(control_mu_);
     FLOOD_RETURN_IF_ERROR(EnsureControlLocked());
@@ -443,16 +428,8 @@ class RemoteEngine : public BatchEngine {
     }
     EngineBatchResult out;
     out.wall_ms = resp->server_wall_ms;
-    out.results.reserve(resp->results.size());
-    for (const WireQueryResult& wr : resp->results) {
-      EngineQueryResult er;
-      er.kind = wr.kind;
-      er.skipped_empty = wr.skipped_empty;
-      er.count = wr.count;
-      er.sum = wr.sum;
-      er.total_ns = wr.total_ns;
-      out.results.push_back(std::move(er));
-    }
+    out.results = std::vector<EngineQueryResult>(resp->results.begin(),
+                                                 resp->results.end());
     return out;
   }
 

@@ -103,7 +103,6 @@ class Router : public BatchEngine {
 
   void RunBatchAsync(std::vector<Query> queries,
                      std::function<void(EngineBatchResult)> on_done) override;
-  Status Insert(const std::vector<Value>& row) override;
   Status InsertBatch(std::span<const std::vector<Value>> rows) override;
   StatusOr<uint64_t> Delete(const std::vector<Value>& key) override;
   EngineHealth Health() const override;

@@ -22,6 +22,7 @@
 #include "common/macros.h"
 #include "obs/metrics.h"
 #include "obs/prometheus.h"
+#include "persist/snapshot.h"
 
 namespace flood {
 namespace serve {
@@ -118,11 +119,8 @@ struct Server::Connection {
   std::chrono::steady_clock::time_point last_activity;
 };
 
-Server::Server(BatchEngine* engine, std::unique_ptr<BatchEngine> owned,
-               ServerOptions options)
-    : engine_(engine),
-      owned_engine_(std::move(owned)),
-      options_(std::move(options)) {}
+Server::Server(BatchEngine* engine, ServerOptions options)
+    : engine_(engine), options_(std::move(options)) {}
 
 Server::~Server() {
   if (loop_thread_.joinable()) {
@@ -143,14 +141,9 @@ StatusOr<std::unique_ptr<Server>> Server::Create(Database* db,
                                                  ServerOptions options) {
   FLOOD_CHECK(db != nullptr);
   auto engine = std::make_unique<DatabaseEngine>(db);
-  BatchEngine* raw = engine.get();
-  if (options.uds_path.empty() && !options.listen_tcp) {
-    return Status::InvalidArgument(
-        "server needs at least one listener (uds_path or listen_tcp)");
-  }
-  std::unique_ptr<Server> server(
-      new Server(raw, std::move(engine), std::move(options)));
-  FLOOD_RETURN_IF_ERROR(server->Init());
+  StatusOr<std::unique_ptr<Server>> server =
+      Create(engine.get(), std::move(options));
+  if (server.ok()) (*server)->owned_engine_ = std::move(engine);
   return server;
 }
 
@@ -161,8 +154,7 @@ StatusOr<std::unique_ptr<Server>> Server::Create(BatchEngine* engine,
     return Status::InvalidArgument(
         "server needs at least one listener (uds_path or listen_tcp)");
   }
-  std::unique_ptr<Server> server(
-      new Server(engine, nullptr, std::move(options)));
+  std::unique_ptr<Server> server(new Server(engine, std::move(options)));
   FLOOD_RETURN_IF_ERROR(server->Init());
   return server;
 }
@@ -486,25 +478,21 @@ void Server::ResumeListeners() {
 }
 
 void Server::HandleReadable(Connection* conn) {
-  if (conn->is_http) {
-    HandleHttpReadable(conn);
-    return;
-  }
-  if (conn->closing) {
-    // Reads are done for this connection; swallow and drop.
-    char buf[kReadChunk];
-    while (::recv(conn->fd, buf, sizeof(buf), 0) > 0) {
-    }
-    return;
-  }
+  // The one recv loop, for wire and metrics-listener connections alike. A
+  // closing connection's reads are done: what arrives is dropped.
   bool peer_closed = false;
   char buf[kReadChunk];
   for (;;) {
     const ssize_t n =
         failpoint::InjectedRecv("serve.recv", conn->fd, buf, sizeof(buf), 0);
     if (n > 0) {
+      if (conn->closing) continue;
       CounterAdd(counters_.bytes_in, static_cast<uint64_t>(n));
-      conn->assembler.Feed(buf, static_cast<size_t>(n));
+      if (conn->is_http) {
+        conn->http_buf.append(buf, static_cast<size_t>(n));
+      } else {
+        conn->assembler.Feed(buf, static_cast<size_t>(n));
+      }
       conn->last_activity = std::chrono::steady_clock::now();
       continue;
     }
@@ -514,8 +502,14 @@ void Server::HandleReadable(Connection* conn) {
     }
     if (errno == EAGAIN || errno == EWOULDBLOCK) break;
     if (errno == EINTR) continue;
+    if (conn->closing) return;
     CounterAdd(counters_.recv_errors);
     CloseConnection(conn);
+    return;
+  }
+  if (conn->closing) return;
+  if (conn->is_http) {
+    AnswerHttp(conn, peer_closed);
     return;
   }
   ProcessFrames(conn);
@@ -525,34 +519,8 @@ void Server::HandleReadable(Connection* conn) {
   }
 }
 
-void Server::HandleHttpReadable(Connection* conn) {
-  char buf[kReadChunk];
-  if (conn->closing) {
-    // Response already queued; swallow and drop whatever else arrives.
-    while (::recv(conn->fd, buf, sizeof(buf), 0) > 0) {
-    }
-    return;
-  }
+void Server::AnswerHttp(Connection* conn, bool peer_closed) {
   constexpr size_t kMaxHttpHeader = 8 * 1024;
-  bool peer_closed = false;
-  for (;;) {
-    const ssize_t n = ::recv(conn->fd, buf, sizeof(buf), 0);
-    if (n > 0) {
-      CounterAdd(counters_.bytes_in, static_cast<uint64_t>(n));
-      conn->http_buf.append(buf, static_cast<size_t>(n));
-      conn->last_activity = std::chrono::steady_clock::now();
-      continue;
-    }
-    if (n == 0) {
-      peer_closed = true;
-      break;
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    if (errno == EINTR) continue;
-    CounterAdd(counters_.recv_errors);
-    CloseConnection(conn);
-    return;
-  }
   const size_t header_end = conn->http_buf.find("\r\n\r\n");
   if (header_end == std::string::npos) {
     // Headers still incomplete; a peer that hung up (or blew the cap)
@@ -640,11 +608,12 @@ void Server::HandleFrame(Connection* conn, const Frame& frame,
                          std::vector<Query>* group_queries) {
   switch (frame.type) {
     case MessageType::kPing: {
-      StatusOr<PingRequest> req = ParsePing(frame.payload);
+      StatusOr<RequestIdMessage> req =
+          ParseRequestId(frame.type, frame.payload);
       if (!req.ok()) break;
       // Answered inline, never queued: Ping stays responsive under
       // overload and during drain — it is the liveness probe.
-      AppendPong({req->request_id}, &conn->outbuf);
+      AppendRequestId(MessageType::kPong, *req, &conn->outbuf);
       return;
     }
     case MessageType::kRunBatch: {
@@ -675,66 +644,14 @@ void Server::HandleFrame(Connection* conn, const Frame& frame,
       for (Query& q : req->queries) group_queries->push_back(std::move(q));
       return;
     }
-    case MessageType::kInsert: {
-      StatusOr<InsertRequest> req = ParseInsert(frame.payload);
-      if (!req.ok()) break;
-      WriteAckResponse ack;
-      ack.request_id = req->request_id;
-      if (draining_) {
-        ack.code = WireCode::kShuttingDown;
-        ack.message = "server is draining";
-        CounterAdd(counters_.requests_shed);
-      } else {
-        const Status status = engine_->Insert(req->row);
-        ack.code = WireCodeFromStatus(status);
-        ack.message = status.message();
-        CounterAdd(counters_.writes_applied);
-      }
-      AppendWriteAck(ack, &conn->outbuf);
+    case MessageType::kInsert:
+    case MessageType::kInsertBatch:
+    case MessageType::kDelete:
+      if (!HandleWrite(conn, frame)) break;
       return;
-    }
-    case MessageType::kInsertBatch: {
-      StatusOr<InsertBatchRequest> req = ParseInsertBatch(frame.payload);
-      if (!req.ok()) break;
-      WriteAckResponse ack;
-      ack.request_id = req->request_id;
-      if (draining_) {
-        ack.code = WireCode::kShuttingDown;
-        ack.message = "server is draining";
-        CounterAdd(counters_.requests_shed);
-      } else {
-        const Status status = engine_->InsertBatch(req->rows);
-        ack.code = WireCodeFromStatus(status);
-        ack.message = status.message();
-        CounterAdd(counters_.writes_applied);
-      }
-      AppendWriteAck(ack, &conn->outbuf);
-      return;
-    }
-    case MessageType::kDelete: {
-      StatusOr<DeleteRequest> req = ParseDelete(frame.payload);
-      if (!req.ok()) break;
-      WriteAckResponse ack;
-      ack.request_id = req->request_id;
-      if (draining_) {
-        ack.code = WireCode::kShuttingDown;
-        ack.message = "server is draining";
-        CounterAdd(counters_.requests_shed);
-      } else {
-        StatusOr<uint64_t> deleted = engine_->Delete(req->key);
-        if (deleted.ok()) {
-          ack.deleted = *deleted;
-        } else {
-          ack.code = WireCodeFromStatus(deleted.status());
-          ack.message = deleted.status().message();
-        }
-        CounterAdd(counters_.writes_applied);
-      }
-      AppendWriteAck(ack, &conn->outbuf);
-      return;
-    }
     case MessageType::kMetrics: {
-      StatusOr<MetricsRequest> req = ParseMetrics(frame.payload);
+      StatusOr<RequestIdMessage> req =
+          ParseRequestId(frame.type, frame.payload);
       if (!req.ok()) break;
       // Answered inline like Ping: every registry histogram with its
       // buckets, plus the flat Introspect() map.
@@ -746,7 +663,8 @@ void Server::HandleFrame(Connection* conn, const Frame& frame,
       return;
     }
     case MessageType::kHealth: {
-      StatusOr<HealthRequest> req = ParseHealth(frame.payload);
+      StatusOr<RequestIdMessage> req =
+          ParseRequestId(frame.type, frame.payload);
       if (!req.ok()) break;
       // Like Ping: answered inline from the loop, even while draining or
       // overloaded — health must stay observable exactly when the server
@@ -773,6 +691,50 @@ void Server::HandleFrame(Connection* conn, const Frame& frame,
             "unparseable or unexpected frame (type " +
                 std::to_string(static_cast<int>(frame.type)) + ")");
   conn->closing = true;
+}
+
+bool Server::HandleWrite(Connection* conn, const Frame& frame) {
+  // A kInsert row is applied as a one-row batch, and a kDelete key is the
+  // one row it names.
+  uint64_t request_id = 0;
+  std::vector<std::vector<Value>> rows;
+  if (frame.type == MessageType::kInsertBatch) {
+    StatusOr<InsertBatchRequest> req = ParseInsertBatch(frame.payload);
+    if (!req.ok()) return false;
+    request_id = req->request_id;
+    rows = std::move(req->rows);
+  } else if (frame.type == MessageType::kInsert) {
+    StatusOr<InsertRequest> req = ParseInsert(frame.payload);
+    if (!req.ok()) return false;
+    request_id = req->request_id;
+    rows.push_back(std::move(req->row));
+  } else {
+    StatusOr<DeleteRequest> req = ParseDelete(frame.payload);
+    if (!req.ok()) return false;
+    request_id = req->request_id;
+    rows.push_back(std::move(req->key));
+  }
+  WriteAckResponse ack;
+  ack.request_id = request_id;
+  if (draining_) {
+    ack.code = WireCode::kShuttingDown;
+    ack.message = "server is draining";
+    CounterAdd(counters_.requests_shed);
+  } else {
+    Status status;
+    if (frame.type == MessageType::kDelete) {
+      StatusOr<uint64_t> deleted = engine_->Delete(rows[0]);
+      status = deleted.status();
+      if (deleted.ok()) ack.deleted = *deleted;
+    } else {
+      status = engine_->InsertBatch(rows);
+    }
+    ack.code = WireCodeFromStatus(status);
+    ack.message = status.message();
+    CounterAdd(counters_.writes_applied);
+  }
+  AppendWriteAck(ack, &conn->outbuf);
+  return true;
 }
 
 void Server::SubmitGroup(Connection* conn, std::vector<GroupFrame> frames,
@@ -876,17 +838,8 @@ Server::Connection* Server::Deliver(const Completion& c) {
         }
       }
       if (resp.code == WireCode::kOk) {
-        resp.results.reserve(gf.count);
-        for (size_t i = 0; i < gf.count; ++i) {
-          const EngineQueryResult& er = c.batch.results[gf.offset + i];
-          WireQueryResult wr;
-          wr.kind = er.kind;
-          wr.skipped_empty = er.skipped_empty;
-          wr.count = er.count;
-          wr.sum = er.sum;
-          wr.total_ns = er.total_ns;
-          resp.results.push_back(wr);
-        }
+        const auto slice = c.batch.results.begin() + gf.offset;
+        resp.results.assign(slice, slice + gf.count);  // Sliced copies.
       }
     }
     AppendBatchResult(resp, &conn->outbuf);
@@ -983,6 +936,9 @@ ServerCounters Server::counters() const {
 std::vector<std::pair<std::string, double>> Server::Introspect() const {
   std::vector<std::pair<std::string, double>> entries;
   AppendFieldEntries(kServerCounterFields, counters(), "serve.", &entries);
+  // Process-wide, so once per process, not once per database.
+  entries.emplace_back("persist.dir_fsync_failures",
+                       static_cast<double>(persist::DirFsyncFailures()));
   // Engine gauges, same map: one Metrics request observes the whole stack
   // (db.* for a database engine, router.*/shard<i>.* for a router).
   for (auto& entry : engine_->Introspect()) {

@@ -226,8 +226,7 @@ class Server {
     bool is_http = false;  ///< The metrics endpoint: HTTP, not the wire.
   };
 
-  Server(BatchEngine* engine, std::unique_ptr<BatchEngine> owned,
-         ServerOptions options);
+  Server(BatchEngine* engine, ServerOptions options);
   Status Init();
   /// Adds `fd` to the epoll set, readable-triggered.
   Status Watch(int fd);
@@ -242,16 +241,23 @@ class Server {
   /// them once the cooldown elapses.
   void PauseListeners();
   void ResumeListeners();
+  /// Reads everything `conn` holds, then decodes its frames, or answers
+  /// its HTTP request on a metrics-listener connection.
   void HandleReadable(Connection* conn);
   /// Minimal HTTP/1.0-style handling for metrics-listener connections:
-  /// buffer until the header terminator, answer GET / or /metrics with
-  /// the Prometheus exposition, anything else with 404/405, then close.
-  void HandleHttpReadable(Connection* conn);
+  /// once the buffered request has its header terminator, answer GET / or
+  /// /metrics with the Prometheus exposition, anything else with 404/405,
+  /// then close.
+  void AnswerHttp(Connection* conn, bool peer_closed);
   void HandleWritable(Connection* conn);
   void ProcessFrames(Connection* conn);
   void HandleFrame(Connection* conn, const Frame& frame,
                    std::vector<GroupFrame>* group,
                    std::vector<Query>* group_queries);
+  /// The one write path (kInsert, kInsertBatch, kDelete), inline on the
+  /// loop: shed while draining, otherwise applied; acked either way.
+  /// False when the frame does not parse.
+  bool HandleWrite(Connection* conn, const Frame& frame);
   void SubmitGroup(Connection* conn, std::vector<GroupFrame> frames,
                    std::vector<Query> queries);
   void DrainCompletions();

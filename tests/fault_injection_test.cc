@@ -9,7 +9,9 @@
 // failpoints are compiled out — CI runs it under -DFLOOD_FAILPOINTS=ON
 // with ASan.
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -660,6 +662,40 @@ TEST_F(FaultInjectionTest, RecvFailureClosesTheConnectionAndCounts) {
       serve::Client::Connect(h.address, FastClientOptions());
   ASSERT_TRUE(again.ok());
   EXPECT_TRUE(again->Ping().ok());
+}
+
+TEST_F(FaultInjectionTest, MetricsListenerReadsGoThroughTheRecvSeam) {
+  serve::ServerOptions sopts;
+  sopts.metrics_addr = "127.0.0.1:0";
+  ServeHarness h("httprecv", sopts);
+  ASSERT_TRUE(failpoint::Arm("serve.recv", "err:ECONNRESET@once").ok());
+
+  // A scrape whose read fails is closed unanswered, like a wire
+  // connection: the metrics listener shares the one recv loop.
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(fd, 0);
+  struct sockaddr_in addr;
+  std::memset(&addr, 0, sizeof(addr));
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(h.server->metrics_port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  const std::string request = "GET /metrics HTTP/1.0\r\n\r\n";
+  ASSERT_EQ(::send(fd, request.data(), request.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(request.size()));
+  std::string response;
+  char buf[4096];
+  ssize_t n;
+  while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
+    response.append(buf, static_cast<size_t>(n));
+  }
+  ::close(fd);
+  EXPECT_EQ(response, "");
+  EXPECT_EQ(failpoint::Triggers("serve.recv"), 1u);
+  EXPECT_EQ(h.server->counters().recv_errors, 1u);
+  EXPECT_EQ(h.server->counters().metrics_scrapes, 0u);
 }
 
 TEST_F(FaultInjectionTest, HealthReportsReadinessAndPersistencePoison) {

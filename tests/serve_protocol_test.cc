@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -58,11 +59,12 @@ std::vector<Frame> Assemble(const std::string& bytes, bool* bad = nullptr) {
 
 TEST(ServeProtocolTest, PingRoundTrip) {
   std::string out;
-  AppendPing({77}, &out);
+  AppendRequestId(MessageType::kPing, {77}, &out);
   const std::vector<Frame> frames = Assemble(out);
   ASSERT_EQ(frames.size(), 1u);
   EXPECT_EQ(frames[0].type, MessageType::kPing);
-  const StatusOr<PingRequest> req = ParsePing(frames[0].payload);
+  const StatusOr<RequestIdMessage> req =
+      ParseRequestId(MessageType::kPing, frames[0].payload);
   ASSERT_TRUE(req.ok());
   EXPECT_EQ(req->request_id, 77u);
 }
@@ -102,7 +104,7 @@ TEST(ServeProtocolTest, WriteRequestsRoundTrip) {
   ib.rows = {{9, 8, 7}, {-1, -2, -3}, {}};
   AppendInsertBatch(ib, &out);
   AppendDelete({7, {4, 5, 6}}, &out);
-  AppendMetrics({8}, &out);
+  AppendRequestId(MessageType::kMetrics, {8}, &out);
 
   const std::vector<Frame> frames = Assemble(out);
   ASSERT_EQ(frames.size(), 4u);
@@ -122,7 +124,8 @@ TEST(ServeProtocolTest, WriteRequestsRoundTrip) {
   EXPECT_EQ(del->key, (std::vector<Value>{4, 5, 6}));
 
   EXPECT_EQ(frames[3].type, MessageType::kMetrics);
-  const StatusOr<MetricsRequest> metrics = ParseMetrics(frames[3].payload);
+  const StatusOr<RequestIdMessage> metrics =
+      ParseRequestId(MessageType::kMetrics, frames[3].payload);
   ASSERT_TRUE(metrics.ok());
   EXPECT_EQ(metrics->request_id, 8u);
 }
@@ -170,7 +173,7 @@ TEST(ServeProtocolTest, ErrorAndAckRoundTrip) {
 
 TEST(ServeProtocolTest, HealthRoundTrip) {
   std::string out;
-  AppendHealth({41}, &out);
+  AppendRequestId(MessageType::kHealth, {41}, &out);
   HealthResponse resp;
   resp.request_id = 41;
   resp.ready = false;
@@ -183,7 +186,8 @@ TEST(ServeProtocolTest, HealthRoundTrip) {
   const std::vector<Frame> frames = Assemble(out);
   ASSERT_EQ(frames.size(), 2u);
   EXPECT_EQ(frames[0].type, MessageType::kHealth);
-  const StatusOr<HealthRequest> req = ParseHealth(frames[0].payload);
+  const StatusOr<RequestIdMessage> req =
+      ParseRequestId(MessageType::kHealth, frames[0].payload);
   ASSERT_TRUE(req.ok());
   EXPECT_EQ(req->request_id, 41u);
 
@@ -201,7 +205,7 @@ TEST(ServeProtocolTest, HealthRoundTrip) {
 
 TEST(ServeProtocolTest, MetricsRoundTripPreservesHistogramBuckets) {
   std::string out;
-  AppendMetrics({51}, &out);
+  AppendRequestId(MessageType::kMetrics, {51}, &out);
 
   MetricsResponse resp;
   resp.request_id = 51;
@@ -219,7 +223,8 @@ TEST(ServeProtocolTest, MetricsRoundTripPreservesHistogramBuckets) {
   const std::vector<Frame> frames = Assemble(out);
   ASSERT_EQ(frames.size(), 2u);
   EXPECT_EQ(frames[0].type, MessageType::kMetrics);
-  const StatusOr<MetricsRequest> req = ParseMetrics(frames[0].payload);
+  const StatusOr<RequestIdMessage> req =
+      ParseRequestId(MessageType::kMetrics, frames[0].payload);
   ASSERT_TRUE(req.ok());
   EXPECT_EQ(req->request_id, 51u);
 
@@ -241,6 +246,142 @@ TEST(ServeProtocolTest, MetricsRoundTripPreservesHistogramBuckets) {
   EXPECT_EQ(h.max, hist.hist.max);
   EXPECT_EQ(h.buckets, hist.hist.buckets);  // Sparse coding is lossless.
   EXPECT_EQ(parsed->entries, resp.entries);
+}
+
+// --- Golden bytes ----------------------------------------------------------
+
+std::string ToHex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (const char c : bytes) {
+    const auto b = static_cast<unsigned char>(c);
+    hex += kDigits[b >> 4];
+    hex += kDigits[b & 0xF];
+  }
+  return hex;
+}
+
+/// One encoded frame and the hex it must equal.
+struct GoldenFrame {
+  MessageType type;
+  std::string bytes;
+  const char* hex;
+};
+
+template <typename T>
+std::string Encoded(void (*append)(const T&, std::string*), const T& body) {
+  std::string out;
+  append(body, &out);
+  return out;
+}
+
+std::string Encoded(MessageType type, uint64_t request_id) {
+  std::string out;
+  AppendRequestId(type, {request_id}, &out);
+  return out;
+}
+
+// The exact bytes of one frame of each of the 13 message types. The
+// round trips above pass for any encoder and parser that change together;
+// this fails on any wire byte that moves. Each golden frame must also
+// assemble back into one frame of its type.
+TEST(ServeProtocolTest, FramesAreGolden) {
+  Query query(2);
+  query.SetRange(0, -5, 7);
+  query.SetRange(1, 100, 200);
+  query.set_agg({AggSpec::Kind::kSum, 1});
+  BatchResultResponse batch;
+  batch.request_id = 9;
+  batch.server_wall_ms = 1.5;
+  batch.results = {{1, false, 3, -4, 5}, {0, true, 0, 0, 0}};
+  HealthResponse health;
+  health.request_id = 11;
+  health.ready = true;
+  health.persist_poisoned = true;
+  health.queue_depth = 2;
+  health.connections_active = 3;
+  MetricsResponse metrics;
+  metrics.request_id = 12;
+  obs::MetricSnapshot hist;
+  hist.name = "h";
+  hist.help = "x";
+  hist.hist.count = 3;
+  hist.hist.sum = 7;
+  hist.hist.max = 5;
+  hist.hist.buckets[2] = 1;
+  hist.hist.buckets[4] = 2;
+  metrics.metrics = {hist};
+  metrics.entries = {{"a", 1.0}, {"b", -2.5}};
+
+  const GoldenFrame golden[] = {
+      {MessageType::kPing, Encoded(MessageType::kPing, 1),
+       "57444c460301000008000000f7df88a9"
+       "0100000000000000"},
+      {MessageType::kRunBatch, Encoded(AppendRunBatch, {2, {query}}),
+       "57444c460302000035000000be47a63d"
+       "02000000000000000100000002000000fbffffffffffffff"
+       "07000000000000006400000000000000c800000000000000"
+       "0101000000"},
+      {MessageType::kInsert, Encoded(AppendInsert, {3, {1, -2, 3}}),
+       "57444c46030300002400000063b0243a"
+       "0300000000000000030000000100000000000000feffffff"
+       "ffffffff0300000000000000"},
+      {MessageType::kInsertBatch,
+       Encoded(AppendInsertBatch, {4, {{1, 2}, {-3, 4}}}),
+       "57444c4603040000340000004e5590a9"
+       "040000000000000002000000020000000100000000000000"
+       "020000000000000002000000fdffffffffffffff04000000"
+       "00000000"},
+      {MessageType::kDelete, Encoded(AppendDelete, {5, {7, 8}}),
+       "57444c46030500001c000000ccebc063"
+       "050000000000000002000000070000000000000008000000"
+       "00000000"},
+      {MessageType::kHealth, Encoded(MessageType::kHealth, 6),
+       "57444c460307000008000000eed64da3"
+       "0600000000000000"},
+      {MessageType::kMetrics, Encoded(MessageType::kMetrics, 7),
+       "57444c46030800000800000070d6e76f"
+       "0700000000000000"},
+      {MessageType::kPong, Encoded(MessageType::kPong, 8),
+       "57444c460381000008000000dcc4c7b6"
+       "0800000000000000"},
+      {MessageType::kBatchResult, Encoded(AppendBatchResult, batch),
+       "57444c46038200004d0000005c5c31a5"
+       "09000000000000000000000000000000000000f83f020000"
+       "0001000300000000000000fcffffffffffffff0500000000"
+       "000000000100000000000000000000000000000000000000"
+       "0000000000"},
+      {MessageType::kWriteAck,
+       Encoded(AppendWriteAck, {10, WireCode::kNotFound, "no", 4}),
+       "57444c460383000017000000fbb5d91e"
+       "0a0000000000000002020000006e6f0400000000000000"},
+      {MessageType::kHealthResult, Encoded(AppendHealthResult, health),
+       "57444c46038500001b00000061c00732"
+       "0b0000000000000001000102000000000000000300000000"
+       "000000"},
+      {MessageType::kMetricsResult, Encoded(AppendMetricsResult, metrics),
+       "57444c46038600006800000073c488c5"
+       "0c0000000000000001000000010000006801000000780300"
+       "000000000000070000000000000005000000000000000200"
+       "000002000000010000000000000004000000020000000000"
+       "0000020000000100000061000000000000f03f0100000062"
+       "00000000000004c0"},
+      {MessageType::kError,
+       Encoded(AppendError, {13, WireCode::kOverloaded, "full"}),
+       "57444c46038f0000110000009815e032"
+       "0d00000000000000100400000066756c6c"},
+  };
+  for (const GoldenFrame& g : golden) {
+    const int type = static_cast<int>(g.type);
+    EXPECT_EQ(ToHex(g.bytes), g.hex) << "type " << type;
+    std::string bytes;
+    for (size_t i = 0; i + 1 < std::strlen(g.hex); i += 2) {
+      bytes += static_cast<char>(std::stoi(std::string(g.hex + i, 2), 0, 16));
+    }
+    const std::vector<Frame> frames = Assemble(bytes);
+    ASSERT_EQ(frames.size(), 1u) << "type " << type;
+    EXPECT_EQ(frames[0].type, g.type) << "type " << type;
+  }
 }
 
 using Buckets = std::vector<std::pair<uint32_t, uint64_t>>;
@@ -341,6 +482,61 @@ TEST(ServeProtocolTest, HealthResultRejectsNonBooleanFlags) {
   EXPECT_FALSE(ParseHealthResult(payload).ok());
 }
 
+/// The payload of the one frame in `frame`.
+std::string PayloadOf(const std::string& frame) {
+  const std::vector<Frame> frames = Assemble(frame);
+  EXPECT_EQ(frames.size(), 1u);
+  return frames.empty() ? "" : frames[0].payload;
+}
+
+TEST(ServeProtocolTest, BatchResultRejectsImpossibleBytes) {
+  BatchResultResponse resp;
+  resp.request_id = 1;
+  resp.results.push_back({1, true, 2, 3, 4});
+  std::string out;
+  AppendBatchResult(resp, &out);
+  const std::string good = PayloadOf(out);
+  ASSERT_TRUE(ParseBatchResult(good).ok());
+  // Offsets: id 0-7, code 8, empty message 9-12, wall_ms 13-20, result
+  // count 21-24, then the first result's kind at 25 and skipped_empty at 26.
+  for (const auto& [offset, byte] : std::vector<std::pair<size_t, char>>{
+           {8, 9}, {8, '\xFF'}, {25, 2}, {26, 2}}) {
+    std::string bad = good;
+    bad[offset] = byte;
+    EXPECT_FALSE(ParseBatchResult(bad).ok()) << offset << "=" << int{byte};
+  }
+}
+
+TEST(ServeProtocolTest, WriteAckRejectsUnknownCodes) {
+  std::string out;
+  AppendWriteAck({1, WireCode::kOk, "", 0}, &out);
+  std::string payload = PayloadOf(out);
+  ASSERT_TRUE(ParseWriteAck(payload).ok());
+  payload[8] = 9;  // Between kUnavailable (8) and kOverloaded (16).
+  EXPECT_FALSE(ParseWriteAck(payload).ok());
+}
+
+TEST(ServeProtocolTest, ErrorRejectsUnknownAndOkCodes) {
+  std::string out;
+  AppendError({1, WireCode::kBadFrame, "x"}, &out);
+  std::string payload = PayloadOf(out);
+  ASSERT_TRUE(ParseError(payload).ok());
+  payload[8] = 20;  // Past kShuttingDown (19).
+  EXPECT_FALSE(ParseError(payload).ok());
+  // An error frame that says Ok would read as success to a client.
+  payload[8] = static_cast<char>(WireCode::kOk);
+  EXPECT_FALSE(ParseError(payload).ok());
+}
+
+TEST(ServeProtocolTest, RequestIdCodecRejectsOtherMessageTypes) {
+  std::string out;
+  AppendRequestId(MessageType::kHealth, {5}, &out);
+  const std::string payload = PayloadOf(out);
+  EXPECT_TRUE(ParseRequestId(MessageType::kHealth, payload).ok());
+  EXPECT_FALSE(ParseRequestId(MessageType::kRunBatch, payload).ok());
+  EXPECT_FALSE(ParseRequestId(MessageType::kHealthResult, payload).ok());
+}
+
 TEST(ServeProtocolTest, WireCodeStatusMappingRoundTrips) {
   EXPECT_EQ(WireCodeFromStatus(Status::OK()), WireCode::kOk);
   EXPECT_EQ(WireCodeFromStatus(Status::InvalidArgument("x")),
@@ -364,12 +560,12 @@ TEST(ServeProtocolTest, WireCodeStatusMappingRoundTrips) {
 
 TEST(ServeProtocolTest, AssemblerHandlesArbitraryChunking) {
   std::string stream;
-  AppendPing({1}, &stream);
+  AppendRequestId(MessageType::kPing, {1}, &stream);
   RunBatchRequest rb;
   rb.request_id = 2;
   rb.queries = {MakeQuery(3), MakeQuery(4)};
   AppendRunBatch(rb, &stream);
-  AppendHealth({3}, &stream);
+  AppendRequestId(MessageType::kHealth, {3}, &stream);
 
   // Every chunk size from 1 byte up must yield the same three frames.
   for (size_t chunk = 1; chunk <= stream.size(); chunk += 7) {
@@ -397,10 +593,11 @@ TEST(ServeProtocolTest, AssemblerCompactionSurvivesManyFrames) {
   size_t got = 0;
   for (uint64_t i = 0; i < 5000; ++i) {
     std::string frame;
-    AppendPing({i}, &frame);
+    AppendRequestId(MessageType::kPing, {i}, &frame);
     fa.Feed(frame.data(), frame.size());
     while (fa.Next(&f) == FrameAssembler::Result::kFrame) {
-      const StatusOr<PingRequest> req = ParsePing(f.payload);
+      const StatusOr<RequestIdMessage> req =
+          ParseRequestId(MessageType::kPing, f.payload);
       ASSERT_TRUE(req.ok());
       ASSERT_EQ(req->request_id, got);
       ++got;
@@ -457,7 +654,7 @@ TEST(ServeProtocolFuzzTest, EverySingleBitFlipIsRejectedOrDetected) {
 
 TEST(ServeProtocolFuzzTest, FlippedCrcPoisonsTheStream) {
   std::string stream;
-  AppendPing({1}, &stream);
+  AppendRequestId(MessageType::kPing, {1}, &stream);
   stream[12] = static_cast<char>(stream[12] ^ 0xFF);  // CRC field.
   bool bad = false;
   const std::vector<Frame> frames = Assemble(stream, &bad);
@@ -471,14 +668,14 @@ TEST(ServeProtocolFuzzTest, FlippedCrcPoisonsTheStream) {
   EXPECT_EQ(fa.error_code(), WireCode::kBadFrame);
   // Poison is sticky: feeding a pristine frame afterwards changes nothing.
   std::string good;
-  AppendPing({2}, &good);
+  AppendRequestId(MessageType::kPing, {2}, &good);
   fa.Feed(good.data(), good.size());
   EXPECT_EQ(fa.Next(&f), FrameAssembler::Result::kBad);
 }
 
 TEST(ServeProtocolFuzzTest, OversizedLengthPrefixIsRejectedNotAllocated) {
   std::string stream;
-  AppendPing({1}, &stream);
+  AppendRequestId(MessageType::kPing, {1}, &stream);
   // Rewrite payload_len (offset 8..11) to 4 GiB-ish; the assembler must
   // reject from the header alone instead of waiting for (or allocating)
   // that many bytes.
@@ -496,7 +693,7 @@ TEST(ServeProtocolFuzzTest, OversizedLengthPrefixIsRejectedNotAllocated) {
 
 TEST(ServeProtocolFuzzTest, VersionMismatchIsItsOwnTypedError) {
   std::string stream;
-  AppendPing({1}, &stream);
+  AppendRequestId(MessageType::kPing, {1}, &stream);
   stream[4] = static_cast<char>(kWireVersion + 1);
   FrameAssembler fa;
   fa.Feed(stream.data(), stream.size());
@@ -507,7 +704,7 @@ TEST(ServeProtocolFuzzTest, VersionMismatchIsItsOwnTypedError) {
 
 TEST(ServeProtocolFuzzTest, GarbageMidStreamPoisonsAfterValidPrefix) {
   std::string stream;
-  AppendPing({1}, &stream);
+  AppendRequestId(MessageType::kPing, {1}, &stream);
   const size_t good_frames_end = stream.size();
   stream += "this is definitely not a frame header, not even close";
 
@@ -535,17 +732,14 @@ TEST(ServeProtocolFuzzTest, RandomGarbagePayloadsNeverCrashParsers) {
     for (char& c : payload) {
       c = static_cast<char>(rng.UniformInt(0, 255));
     }
-    (void)ParsePing(payload);
+    (void)ParseRequestId(MessageType::kPing, payload);
     (void)ParseRunBatch(payload);
     (void)ParseInsert(payload);
     (void)ParseInsertBatch(payload);
     (void)ParseDelete(payload);
-    (void)ParsePong(payload);
     (void)ParseBatchResult(payload);
     (void)ParseWriteAck(payload);
-    (void)ParseHealth(payload);
     (void)ParseHealthResult(payload);
-    (void)ParseMetrics(payload);
     (void)ParseMetricsResult(payload);
     (void)ParseError(payload);
   }
@@ -583,7 +777,7 @@ TEST(ServeProtocolFuzzTest, TrailingGarbageInsideValidPayloadIsRejected) {
   ByteWriter w(&payload);
   w.PutU64(123);
   w.PutU8(0xAB);  // trailing byte
-  EXPECT_FALSE(ParsePing(payload).ok());
+  EXPECT_FALSE(ParseRequestId(MessageType::kPing, payload).ok());
 }
 
 }  // namespace

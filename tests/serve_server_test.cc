@@ -506,6 +506,7 @@ TEST(ServeServerTest, IntrospectKeysAndCountsAreGolden) {
       {"serve.send_errors", 0},
       {"serve.health_checks", 1},
       {"serve.metrics_scrapes", 0},
+      {"persist.dir_fsync_failures", testing::kAnyValue},
   };
   testing::GoldenDb golden_db;
   golden_db.base_rows = 3'000;
@@ -698,9 +699,9 @@ TEST(ServeServerTest, GarbageBytesGetTypedErrorThenConnectionCloses) {
     RawConn conn(sock.path);
     ASSERT_GE(conn.fd, 0);
     std::string bytes;
-    AppendPing({1}, &bytes);
+    AppendRequestId(MessageType::kPing, {1}, &bytes);
     std::string broken;
-    AppendPing({2}, &broken);
+    AppendRequestId(MessageType::kPing, {2}, &broken);
     broken[12] = static_cast<char>(broken[12] ^ 0x55);
     bytes += broken;
     ASSERT_TRUE(conn.SendAll(bytes));
@@ -794,7 +795,7 @@ TEST(ServeServerTest, IdleConnectionsAreSweptAndCounted) {
   RawConn conn(sock.path);
   ASSERT_GE(conn.fd, 0);
   std::string ping;
-  AppendPing({1}, &ping);
+  AppendRequestId(MessageType::kPing, {1}, &ping);
   ASSERT_TRUE(conn.SendAll(ping));
   Frame frame;
   ASSERT_TRUE(conn.NextFrame(&frame));

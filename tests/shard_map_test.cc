@@ -266,7 +266,8 @@ TEST(ShardedDatabaseTest, CollectRebasesIdsIntoOneGlobalSpace) {
   std::unique_ptr<serve::Router> router = serve::Router::Over(&*sharded);
   // Staged inserts widen shard id spaces unevenly before the collect.
   for (Value i = 0; i < 9; ++i) {
-    ASSERT_TRUE(router->Insert({i * 137, 50 + i, 900 - i}).ok());
+    const std::vector<Value> row = {i * 137, 50 + i, 900 - i};
+    ASSERT_TRUE(router->InsertBatch({&row, 1}).ok());
   }
 
   DatabaseOptions options;
@@ -324,7 +325,8 @@ TEST(ShardedDatabaseTest, RoutedPathRejectsArityMismatches) {
   ASSERT_TRUE(db.ok());
   std::unique_ptr<serve::Router> router = serve::Router::Over(&*db);
 
-  EXPECT_FALSE(router->Insert({1, 2, 3}).ok());  // 3 values, 2 dims.
+  const std::vector<Value> row = {1, 2, 3};  // 3 values, 2 dims.
+  EXPECT_FALSE(router->InsertBatch({&row, 1}).ok());
   EXPECT_FALSE(router->Delete({1}).ok());        // 1 value, 2 dims.
   EXPECT_FALSE(db->TryCollect(Query(3)).ok());   // 3-dim query, 2 dims.
   // A malformed query fails with a typed per-query code, not a result.

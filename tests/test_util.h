@@ -237,7 +237,6 @@ inline std::vector<GoldenEntry> GoldenDbEntries(const std::string& prefix,
       {"db.batches_inline", db.batches_inline},
       {"db.persist_epoch", 0},
       {"db.persist_poisoned", 0},
-      {"persist.dir_fsync_failures", kAnyValue},
       {"db.num_threads", db.num_threads},
       {"db.points_scanned", count(s.points_scanned)},
       {"db.points_matched", count(s.points_matched)},
