@@ -69,7 +69,7 @@ class ShardMap {
   ValueRange RangeOf(size_t s) const;
 
   /// The raw lower bounds (size num_shards() - 1), for serialization and
-  /// the `flood_router --bounds` flag.
+  /// the `flood_serve --bounds` flag.
   const std::vector<Value>& bounds() const { return bounds_; }
 
   /// Debug rendering, e.g. "dim 0: [min..99][100..499][500..max]".

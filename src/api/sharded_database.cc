@@ -1,8 +1,7 @@
 #include "api/sharded_database.h"
 
+#include <string>
 #include <utility>
-
-#include "common/macros.h"
 
 namespace flood {
 
@@ -40,63 +39,14 @@ StatusOr<ShardedDatabase> ShardedDatabase::Open(const Table& table,
     const Table shard_table = table.Gather(rows_of[s]);
     auto db = Database::Open(shard_table, options.shard_options);
     if (!db.ok()) {
-      return Status::Internal("opening shard " + std::to_string(s) + " of " +
-                              std::to_string(n) + ": " +
-                              db.status().message());
+      const std::string where =
+          "opening shard " + std::to_string(s) + " of " + std::to_string(n);
+      return Status(db.status().code(), where + ": " + db.status().message());
     }
     shards.push_back(std::make_unique<Database>(std::move(*db)));
   }
 
-  return ShardedDatabase(std::move(map), std::move(shards), table.num_dims());
-}
-
-// --- Reads -------------------------------------------------------------------
-
-std::vector<uint64_t> ShardedDatabase::IdOffsets() const {
-  std::vector<uint64_t> offsets(shards_.size(), 0);
-  uint64_t acc = 0;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    offsets[s] = acc;
-    // Width of shard s's id space under the current snapshot: base-row ids
-    // in [0, base_rows) plus staged-insert ids in [base_rows, base_rows +
-    // delta_inserts) — see Database::TryCollect.
-    acc += shards_[s]->base_rows() + shards_[s]->delta_inserts();
-  }
-  return offsets;
-}
-
-StatusOr<QueryResult> ShardedDatabase::TryCollect(const Query& query) {
-  if (query.num_dims() != num_dims_) {
-    return Status::InvalidArgument(
-        "query has " + std::to_string(query.num_dims()) +
-        " values, table has " + std::to_string(num_dims_) + " dimensions");
-  }
-  QueryResult merged;
-  merged.kind = QueryResult::Kind::kRows;
-  if (query.IsEmpty()) {
-    merged.skipped_empty = true;
-    return merged;
-  }
-  const std::vector<uint64_t> offsets = IdOffsets();
-  const auto [first, last] = map_.ShardsForQuery(query);
-  for (size_t s = first; s <= last; ++s) {
-    auto part = shards_[s]->TryCollect(query);
-    FLOOD_RETURN_IF_ERROR(part.status());
-    merged.count += part->count;
-    merged.stats.Add(part->stats);
-    merged.rows.reserve(merged.rows.size() + part->rows.size());
-    for (RowId local : part->rows) merged.rows.push_back(offsets[s] + local);
-  }
-  return merged;
-}
-
-StatusOr<std::vector<Value>> ShardedDatabase::TryGetRow(
-    RowId global_row) const {
-  const std::vector<uint64_t> offsets = IdOffsets();
-  // The owning shard is the last one whose offset is <= global_row.
-  size_t s = shards_.size() - 1;
-  while (s > 0 && offsets[s] > global_row) --s;
-  return shards_[s]->TryGetRow(global_row - offsets[s]);
+  return ShardedDatabase(std::move(map), std::move(shards));
 }
 
 // --- Introspection -----------------------------------------------------------

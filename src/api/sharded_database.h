@@ -32,21 +32,17 @@ struct ShardedDatabaseOptions {
 /// counts per shard — and builds an independent database (own index, own
 /// delta, own learned layout) over each slice.
 ///
-/// This class only partitions. Reads and writes across shards go through
-/// serve::Router (src/serve/router.h), the one planner and merger: use
-/// Router::Over(&sharded) in process, or front the shards with flood_serve
-/// processes and a remote router. The exception is Collect, which has no
-/// wire message: TryCollect scatters here and rebases row ids into one
-/// global id space. Per-query results through the router are
-/// bit-identical to an unsharded Database over the same table —
-/// tests/serve_router_test.cc enforces this for every registered index
-/// with writes in flight.
+/// This class only partitions; it has no read or write method. Every read
+/// and write across shards goes through serve::Router (src/serve/router.h),
+/// the one planner, scatter and merger: use Router::Over(&sharded) in
+/// process (`flood_serve --shards N`), or front flood_serve shard processes
+/// with a remote router (`flood_serve --backend ...`). Per-query results
+/// through the router are bit-identical to an unsharded Database over the
+/// same table — tests/serve_router_test.cc enforces this for every
+/// registered index with writes in flight.
 ///
 /// Thread safety: same as Database — each shard has its own reader-writer
-/// delta seam. A multi-shard TryCollect takes each shard's shared lock in
-/// turn (not simultaneously), so it may observe a concurrent write on
-/// shard A but not yet on shard B; per-shard results are always
-/// consistent.
+/// delta seam, so reads are consistent per shard, not across shards.
 class ShardedDatabase {
  public:
   static StatusOr<ShardedDatabase> Open(const Table& table,
@@ -56,17 +52,6 @@ class ShardedDatabase {
   ShardedDatabase& operator=(ShardedDatabase&&) = default;
   ShardedDatabase(const ShardedDatabase&) = delete;
   ShardedDatabase& operator=(const ShardedDatabase&) = delete;
-
-  // --- Reads ----------------------------------------------------------------
-
-  /// Scatter-gather Collect. Shard-local row ids are rebased into one
-  /// global id space: shard s's ids are offset by the total id-space
-  /// width (base_rows + delta_inserts) of shards 0..s-1, and TryGetRow
-  /// resolves global ids back through the same offsets. Ids share
-  /// Database::TryCollect's snapshot semantics — the next write or
-  /// compaction on any shard re-numbers them.
-  StatusOr<QueryResult> TryCollect(const Query& query);
-  StatusOr<std::vector<Value>> TryGetRow(RowId global_row) const;
 
   // --- Introspection ----------------------------------------------------------
 
@@ -87,19 +72,11 @@ class ShardedDatabase {
   }
 
  private:
-  ShardedDatabase(ShardMap map, std::vector<std::unique_ptr<Database>> shards,
-                  size_t num_dims)
-      : map_(std::move(map)),
-        shards_(std::move(shards)),
-        num_dims_(num_dims) {}
-
-  /// Per-shard global-id offsets under the current snapshot: shard s's
-  /// local ids live at [offsets[s], offsets[s] + width(s)).
-  std::vector<uint64_t> IdOffsets() const;
+  ShardedDatabase(ShardMap map, std::vector<std::unique_ptr<Database>> shards)
+      : map_(std::move(map)), shards_(std::move(shards)) {}
 
   ShardMap map_;
   std::vector<std::unique_ptr<Database>> shards_;
-  size_t num_dims_ = 0;
 };
 
 }  // namespace flood

@@ -185,7 +185,7 @@ Status GridFileIndex::Build(const Table& table, const BuildContext& ctx) {
           const size_t block = buckets[static_cast<size_t>(b)].lo[dim];
           const auto [lo_v, hi_v] = block_interval(dim, block);
           if (lo_v >= hi_v) continue;  // Single value: cannot split.
-          const Value mid = lo_v + (hi_v - lo_v) / 2;
+          const Value mid = std::midpoint(lo_v, hi_v);
           if (!add_scale(dim, mid + 1)) {
             budget_hit = true;
             break;

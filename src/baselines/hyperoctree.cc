@@ -82,8 +82,8 @@ uint32_t HyperoctreeIndex::BuildNode(
   // Octant code per row: bit `dim` set iff value > midpoint of `dim`.
   std::vector<Value> mid(d);
   for (size_t dim = 0; dim < d; ++dim) {
-    // Overflow-safe midpoint.
-    mid[dim] = box_lo[dim] + (box_hi[dim] - box_lo[dim]) / 2;
+    // Overflow-safe midpoint (rounds towards box_lo).
+    mid[dim] = std::midpoint(box_lo[dim], box_hi[dim]);
   }
   auto octant_of = [&](RowId r) {
     uint32_t code = 0;
@@ -171,7 +171,7 @@ void HyperoctreeIndex::ExecuteT(const Query& query, V& visitor,
     }
     std::vector<Value> mid(d);
     for (size_t dim = 0; dim < d; ++dim) {
-      mid[dim] = f.lo[dim] + (f.hi[dim] - f.lo[dim]) / 2;
+      mid[dim] = std::midpoint(f.lo[dim], f.hi[dim]);
     }
     for (const auto& [code, child] : node.children) {
       bool intersects = true;

@@ -53,7 +53,8 @@ int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
                          std::numeric_limits<uint64_t>::max() % span;
   uint64_t x = Next();
   while (x >= limit) x = Next();
-  return lo + static_cast<int64_t>(x % span);
+  // Offset from lo in uint64: [lo, hi] may span all of int64.
+  return static_cast<int64_t>(static_cast<uint64_t>(lo) + x % span);
 }
 
 double Rng::Uniform(double lo, double hi) {

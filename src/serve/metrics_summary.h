@@ -14,9 +14,9 @@ namespace serve {
 /// there: queries, frames, scrapes, ...).
 std::string FormatMetricsSummary(const MetricsResponse& resp);
 
-/// `flood_serve --check ADDRESS` and `flood_router --check ADDRESS`:
-/// health-probes a running server or router over kHealth with 2 s
-/// deadlines (three connect attempts), prints its health line and the
+/// `flood_serve --check ADDRESS`: health-probes a running server (over
+/// one database or a router) over kHealth with 2 s deadlines (three
+/// connect attempts), prints its health line and the
 /// FormatMetricsSummary of its kMetrics snapshot to stdout, and returns the
 /// exit code: 0 when ready, 1 when reachable but draining, not ready or
 /// persistence-poisoned, 2 when unreachable.

@@ -139,7 +139,7 @@ class Router : public BatchEngine {
 ///
 /// `address` is "unix:<path>" or "<ipv4>:<port>" (serve::Client grammar).
 /// Connections are lazy: creation always succeeds, the first operation
-/// connects (use Health() / `flood_router --check` to probe). Two
+/// connects (use Health() / `flood_serve --check` to probe). Two
 /// channels per backend: batches run on a dedicated worker thread (the
 /// blocking client never stalls the caller), writes/health/stats go over
 /// a separate mutex-guarded control connection called inline — bounded by

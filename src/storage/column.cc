@@ -455,7 +455,7 @@ PrefixSums::PrefixSums(const std::vector<Value>& values) {
   sums_.resize(values.size() + 1);
   sums_[0] = 0;
   for (size_t i = 0; i < values.size(); ++i) {
-    sums_[i + 1] = sums_[i] + values[i];
+    sums_[i + 1] = sums_[i] + static_cast<uint64_t>(values[i]);
   }
 }
 

@@ -218,17 +218,19 @@ class PrefixSums {
   /// Builds prefix sums over `values`.
   explicit PrefixSums(const std::vector<Value>& values);
 
-  /// Sum of values in [begin, end).
+  /// Sum of values in [begin, end), wrapping modulo 2^64 as SumVisitor
+  /// does.
   int64_t RangeSum(size_t begin, size_t end) const {
     FLOOD_DCHECK(begin <= end && end < sums_.size());
-    return sums_[end] - sums_[begin];
+    return static_cast<int64_t>(sums_[end] - sums_[begin]);
   }
 
   bool empty() const { return sums_.size() <= 1; }
-  size_t MemoryUsageBytes() const { return sums_.size() * sizeof(int64_t); }
+  size_t MemoryUsageBytes() const { return sums_.size() * sizeof(uint64_t); }
 
  private:
-  std::vector<int64_t> sums_;
+  /// Unsigned, so the running sum wraps instead of overflowing.
+  std::vector<uint64_t> sums_;
 };
 
 }  // namespace flood

@@ -128,7 +128,24 @@ std::unique_ptr<MultiDimIndex> MakeIndex(IndexKind kind, size_t num_dims) {
 }
 
 class IndexCorrectnessTest
-    : public ::testing::TestWithParam<std::tuple<IndexKind, DataShape>> {};
+    : public ::testing::TestWithParam<std::tuple<IndexKind, DataShape>> {
+ protected:
+  /// Builds `index` over `table`. grid_file may refuse a full-range table
+  /// with its documented directory-budget error (FailedPrecondition); the
+  /// test skips on exactly that error and fails on any other. Callers
+  /// return when IsSkipped() or HasFatalFailure().
+  void BuildOrSkip(MultiDimIndex* index, const Table& table,
+                   const BuildContext& ctx) {
+    ASSERT_NE(index, nullptr);
+    const Status built = index->Build(table, ctx);
+    const auto [kind, shape] = GetParam();
+    if (kind == IndexKind::kGridFile && shape == DataShape::kFullRange &&
+        built.code() == StatusCode::kFailedPrecondition) {
+      GTEST_SKIP() << built.ToString();
+    }
+    ASSERT_TRUE(built.ok()) << built.ToString();
+  }
+};
 
 TEST_P(IndexCorrectnessTest, AggregatesMatchBruteForceOracle) {
   const auto [kind, shape] = GetParam();
@@ -147,9 +164,8 @@ TEST_P(IndexCorrectnessTest, AggregatesMatchBruteForceOracle) {
   ctx.workload = &hint;
 
   std::unique_ptr<MultiDimIndex> index = MakeIndex(kind, d);
-  ASSERT_NE(index, nullptr);
-  const Status built = index->Build(table, ctx);
-  ASSERT_TRUE(built.ok()) << built.ToString();
+  BuildOrSkip(index.get(), table, ctx);
+  if (IsSkipped() || HasFatalFailure()) return;
 
   // The index's own storage order must be a permutation of the table.
   ASSERT_EQ(index->data().num_rows(), n);
@@ -187,7 +203,8 @@ TEST_P(IndexCorrectnessTest, UnfilteredQueryMatchesEverything) {
   const Table table = MakeTable(shape, n, 3, 99);
   BuildContext ctx;
   std::unique_ptr<MultiDimIndex> index = MakeIndex(kind, 3);
-  ASSERT_TRUE(index->Build(table, ctx).ok());
+  BuildOrSkip(index.get(), table, ctx);
+  if (IsSkipped() || HasFatalFailure()) return;
   const Query q(3);
   const AggResult r = ExecuteAggregate(*index, q, nullptr);
   EXPECT_EQ(r.count, n);
@@ -198,7 +215,8 @@ TEST_P(IndexCorrectnessTest, EmptyRangeMatchesNothing) {
   const Table table = MakeTable(shape, 400, 3, 101);
   BuildContext ctx;
   std::unique_ptr<MultiDimIndex> index = MakeIndex(kind, 3);
-  ASSERT_TRUE(index->Build(table, ctx).ok());
+  BuildOrSkip(index.get(), table, ctx);
+  if (IsSkipped() || HasFatalFailure()) return;
   Query q(3);
   q.SetRange(1, 100, 50);  // Inverted: empty.
   const AggResult r = ExecuteAggregate(*index, q, nullptr);
@@ -210,7 +228,8 @@ TEST_P(IndexCorrectnessTest, OutOfDomainRangeMatchesNothing) {
   const Table table = MakeTable(shape, 400, 3, 103);
   BuildContext ctx;
   std::unique_ptr<MultiDimIndex> index = MakeIndex(kind, 3);
-  ASSERT_TRUE(index->Build(table, ctx).ok());
+  BuildOrSkip(index.get(), table, ctx);
+  if (IsSkipped() || HasFatalFailure()) return;
   Query q(3);
   q.SetRange(0, table.max_value(0) + 1, kValueMax);
   EXPECT_EQ(ExecuteAggregate(*index, q, nullptr).count, 0u);
@@ -231,7 +250,7 @@ INSTANTIATE_TEST_SUITE_P(
                           IndexKind::kFloodSimpleGrid),
         ::testing::Values(DataShape::kUniform, DataShape::kSkewed,
                           DataShape::kClustered, DataShape::kDuplicates,
-                          DataShape::kCorrelated)),
+                          DataShape::kCorrelated, DataShape::kFullRange)),
     [](const auto& info) {
       return std::string(IndexKindName(std::get<0>(info.param))) + "_" +
              DataShapeName(std::get<1>(info.param));

@@ -1,14 +1,13 @@
 // ShardMap unit tests (bounds validation, quantile learning, routing
 // lookups) plus ShardedDatabase: option validation, a single shard that
-// is the identity, Collect with global-id rebasing, and arity rejection
-// on the in-process Router::Over path.
+// is the identity, and arity rejection on the in-process Router::Over
+// path.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <future>
 #include <memory>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -177,9 +176,9 @@ TEST(ShardMapTest, FromQuantilesSingleShardAndToString) {
 }
 
 // ---------------------------------------------------------------------------
-// ShardedDatabase: partitioning, Collect rebasing, and the in-process
-// Router::Over path. Routed bit-equivalence to one unsharded Database for
-// every index, with writes in flight, lives in serve_router_test.
+// ShardedDatabase: partitioning and the in-process Router::Over path.
+// Routed bit-equivalence to one unsharded Database for every index, with
+// writes in flight, lives in serve_router_test.
 // ---------------------------------------------------------------------------
 
 StatusOr<ShardedDatabase> OpenSharded(const Table& table,
@@ -259,56 +258,6 @@ TEST(ShardedDatabaseTest, ShardTablesMatchPerRowConstruction) {
   }
 }
 
-TEST(ShardedDatabaseTest, CollectRebasesIdsIntoOneGlobalSpace) {
-  const Table table = MakeTable(DataShape::kUniform, 2'500, 3, 41);
-  StatusOr<ShardedDatabase> sharded = OpenSharded(table, "kdtree", 3);
-  ASSERT_TRUE(sharded.ok());
-  std::unique_ptr<serve::Router> router = serve::Router::Over(&*sharded);
-  // Staged inserts widen shard id spaces unevenly before the collect.
-  for (Value i = 0; i < 9; ++i) {
-    const std::vector<Value> row = {i * 137, 50 + i, 900 - i};
-    ASSERT_TRUE(router->InsertBatch({&row, 1}).ok());
-  }
-
-  DatabaseOptions options;
-  options.num_threads = 2;
-  StatusOr<Database> single = Database::Open(table, std::move(options));
-  ASSERT_TRUE(single.ok());
-  for (Value i = 0; i < 9; ++i) {
-    ASSERT_TRUE(single->Insert({i * 137, 50 + i, 900 - i}).ok());
-  }
-
-  Query q(3);
-  q.SetRange(0, 0, 600'000);  // Straddles shard boundaries.
-  q.SetRange(1, 0, 500'000);
-  StatusOr<QueryResult> got = sharded->TryCollect(q);
-  StatusOr<QueryResult> want = single->TryCollect(q);
-  ASSERT_TRUE(got.ok());
-  ASSERT_TRUE(want.ok());
-  ASSERT_EQ(got->rows.size(), want->rows.size());
-
-  // Global ids are unique and resolve — through the facade — to exactly
-  // the same multiset of tuples the unsharded database returns.
-  std::set<RowId> unique(got->rows.begin(), got->rows.end());
-  EXPECT_EQ(unique.size(), got->rows.size());
-  std::vector<std::vector<Value>> got_rows;
-  std::vector<std::vector<Value>> want_rows;
-  for (size_t i = 0; i < got->rows.size(); ++i) {
-    StatusOr<std::vector<Value>> row = sharded->TryGetRow(got->rows[i]);
-    ASSERT_TRUE(row.ok()) << "global id " << got->rows[i];
-    got_rows.push_back(*std::move(row));
-    StatusOr<std::vector<Value>> wrow = single->TryGetRow(want->rows[i]);
-    ASSERT_TRUE(wrow.ok());
-    want_rows.push_back(*std::move(wrow));
-  }
-  std::sort(got_rows.begin(), got_rows.end());
-  std::sort(want_rows.begin(), want_rows.end());
-  EXPECT_EQ(got_rows, want_rows);
-
-  // An out-of-range global id is a typed error, not a crash.
-  EXPECT_FALSE(sharded->TryGetRow(1u << 30).ok());
-}
-
 TEST(ShardedDatabaseTest, OpenValidatesOptions) {
   const Table table = MakeTable(DataShape::kUniform, 500, 2, 51);
   ShardedDatabaseOptions bad_dim;
@@ -317,6 +266,12 @@ TEST(ShardedDatabaseTest, OpenValidatesOptions) {
   ShardedDatabaseOptions no_shards;
   no_shards.num_shards = 0;
   EXPECT_FALSE(ShardedDatabase::Open(table, no_shards).ok());
+  // A shard that fails to open keeps its status code.
+  ShardedDatabaseOptions bad_index;
+  bad_index.shard_options.index_name = "no_such_index";
+  StatusOr<ShardedDatabase> unknown = ShardedDatabase::Open(table, bad_index);
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_EQ(unknown.status().code(), StatusCode::kNotFound);
 }
 
 TEST(ShardedDatabaseTest, RoutedPathRejectsArityMismatches) {
@@ -328,7 +283,6 @@ TEST(ShardedDatabaseTest, RoutedPathRejectsArityMismatches) {
   const std::vector<Value> row = {1, 2, 3};  // 3 values, 2 dims.
   EXPECT_FALSE(router->InsertBatch({&row, 1}).ok());
   EXPECT_FALSE(router->Delete({1}).ok());        // 1 value, 2 dims.
-  EXPECT_FALSE(db->TryCollect(Query(3)).ok());   // 3-dim query, 2 dims.
   // A malformed query fails with a typed per-query code, not a result.
   const serve::EngineBatchResult bad = RunRouted(router.get(), {Query(3)});
   ASSERT_TRUE(bad.status.ok());

@@ -58,6 +58,7 @@ enum class DataShape {
   kClustered,   // Gaussian mixture.
   kDuplicates,  // Tiny categorical domains.
   kCorrelated,  // dim1 = dim0 + noise.
+  kFullRange,   // Uniform over all of int64: spans exceed INT64_MAX.
 };
 
 inline const char* DataShapeName(DataShape s) {
@@ -72,6 +73,8 @@ inline const char* DataShapeName(DataShape s) {
       return "Duplicates";
     case DataShape::kCorrelated:
       return "Correlated";
+    case DataShape::kFullRange:
+      return "FullRange";
   }
   return "?";
 }
@@ -100,6 +103,9 @@ inline Table MakeTable(DataShape shape, size_t n, size_t d, uint64_t seed) {
         } else {
           cols[dim] = OffsetColumn(cols[dim - 1], -5'000, 5'000, rng);
         }
+        break;
+      case DataShape::kFullRange:
+        cols[dim] = UniformColumn(n, kValueMin, kValueMax, rng);
         break;
     }
   }
@@ -160,7 +166,8 @@ inline std::vector<Query> AbsentKeyQueries(const Table& table, size_t n) {
   return queries;
 }
 
-/// Brute-force oracle: COUNT and SUM(sum_dim) of matching rows.
+/// Brute-force oracle: COUNT and SUM(sum_dim) of matching rows. SUM wraps
+/// modulo 2^64, as SumVisitor does.
 struct OracleResult {
   uint64_t count = 0;
   int64_t sum = 0;
@@ -169,12 +176,14 @@ struct OracleResult {
 inline OracleResult BruteForce(const Table& table, const Query& q,
                                size_t sum_dim) {
   OracleResult r;
+  uint64_t sum = 0;
   for (RowId row = 0; row < table.num_rows(); ++row) {
     if (q.Matches(table, row)) {
       ++r.count;
-      r.sum += table.Get(row, sum_dim);
+      sum += static_cast<uint64_t>(table.Get(row, sum_dim));
     }
   }
+  r.sum = static_cast<int64_t>(sum);
   return r;
 }
 
