@@ -1,9 +1,9 @@
 // Geospatial analytics on OpenStreetMap-like data: answering the paper's
 // §7.3 questions ("how many nodes were added in a time interval?", "how
 // many landmarks of a category in a lat-lon rectangle?"), with dictionary
-// encoding for the category strings. Queries run through the
-// flood::Database facade; the kNN drill-down uses the FloodIndex escape
-// hatch, since grid-based kNN is a Flood-specific extension (§6).
+// encoding for the category strings, and a rectangle drill-down that
+// shrinks a lat-lon box until few enough rows match to collect. Every
+// query runs through the flood::Database facade.
 //
 //   $ ./examples/geospatial
 
@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "api/database.h"
-#include "core/knn.h"
 #include "data/datasets.h"
 
 int main() {
@@ -97,27 +96,6 @@ int main() {
         break;
       }
       half_width /= 2;
-    }
-  }
-
-  // k-nearest-neighbors (paper §6's grid-based kNN extension): the five
-  // records closest to a point in (lat, lon) space.
-  {
-    const auto* flood_index = dynamic_cast<const FloodIndex*>(&db->index());
-    FLOOD_CHECK(flood_index != nullptr);
-    KnnEngine knn(flood_index, /*dims=*/{2, 3});
-    std::vector<Value> point(6, 0);
-    point[2] = 40'750'000;   // lat
-    point[3] = -73'990'000;  // lon
-    const auto neighbors = knn.Search(point, 5);
-    std::printf("\n5 nearest records to (40.75, -73.99):\n");
-    for (const auto& nb : neighbors) {
-      std::printf("  row %llu at (%.4f, %.4f), distance %.0f micro-deg "
-                  "(visited %zu cells)\n",
-                  static_cast<unsigned long long>(nb.row),
-                  static_cast<double>(db->data().Get(nb.row, 2)) / 1e6,
-                  static_cast<double>(db->data().Get(nb.row, 3)) / 1e6,
-                  nb.distance, knn.last_cells_visited());
     }
   }
   return 0;

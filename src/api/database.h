@@ -424,7 +424,8 @@ class Database {
   /// recent executed queries, up to DatabaseOptions::workload_history).
   Workload RecordedWorkload() const;
 
-  /// Escape hatch for advanced callers (kNN engine, custom visitors).
+  /// Escape hatch for advanced callers (index introspection, custom
+  /// visitors).
   /// Base index only: results ignore staged writes. Same lifetime caveat
   /// as data(): a compaction destroys the object behind the reference,
   /// so don't call or hold it concurrently with writes that may compact.

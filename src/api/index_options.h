@@ -32,9 +32,6 @@ class IndexOptions {
   IndexOptions& SetInt(const std::string& key, int64_t v) {
     return Set(key, std::to_string(v));
   }
-  IndexOptions& SetDouble(const std::string& key, double v) {
-    return Set(key, std::to_string(v));
-  }
   IndexOptions& SetBool(const std::string& key, bool v) {
     return Set(key, v ? "true" : "false");
   }

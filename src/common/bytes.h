@@ -105,13 +105,6 @@ class ByteReader {
     return v;
   }
 
-  bool GetBytes(void* out, size_t n) {
-    if (!Ensure(n)) return false;
-    std::memcpy(out, pos_, n);
-    pos_ += n;
-    return true;
-  }
-
   /// Length-prefixed (u32) string; empty on failure.
   std::string GetString() {
     const uint32_t n = GetU32();

@@ -123,8 +123,8 @@ class FloodIndex final : public StorageBackedIndex {
     return end - begin;
   }
 
-  /// Physical [begin, end) row range of cell `c` (used by KnnEngine). An
-  /// empty cell's range is empty and begins at the next occupied cell.
+  /// Physical [begin, end) row range of cell `c`. An empty cell's range
+  /// is empty and begins at the next occupied cell.
   std::pair<size_t, size_t> CellRange(size_t c) const {
     FLOOD_DCHECK(c < num_cells_);
     return cells_.Range(c);

@@ -90,14 +90,6 @@ class QueryBuilder {
     query_.SetRange(dim, lo, hi);
     return *this;
   }
-  QueryBuilder& AtLeast(size_t dim, Value lo) {
-    query_.SetRange(dim, lo, kValueMax);
-    return *this;
-  }
-  QueryBuilder& AtMost(size_t dim, Value hi) {
-    query_.SetRange(dim, kValueMin, hi);
-    return *this;
-  }
   QueryBuilder& Equals(size_t dim, Value v) {
     query_.SetEquals(dim, v);
     return *this;

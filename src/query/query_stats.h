@@ -71,13 +71,6 @@ struct QueryStats {
     return static_cast<double>(scan_ns) /
            static_cast<double>(points_scanned);
   }
-
-  /// Average scan run length (a locality proxy; cost-model feature).
-  double AvgRunLength() const {
-    if (ranges_scanned == 0) return 0.0;
-    return static_cast<double>(points_scanned) /
-           static_cast<double>(ranges_scanned);
-  }
 };
 
 /// QueryStats' summed fields (common/counter_fields.h), in member order:

@@ -75,15 +75,6 @@ double DataSample::Selectivity(size_t dim, const ValueRange& range) const {
   return static_cast<double>(hi - lo) / static_cast<double>(v.size());
 }
 
-double DataSample::EstimatedQuerySelectivity(const Query& query) const {
-  double sel = 1.0;
-  for (size_t dim = 0; dim < query.num_dims() && dim < num_dims(); ++dim) {
-    if (!query.IsFiltered(dim)) continue;
-    sel *= Selectivity(dim, query.range(dim));
-  }
-  return sel;
-}
-
 double DataSample::MeasuredQuerySelectivity(const Query& query) const {
   const size_t n = num_rows();
   if (n == 0) return 0.0;

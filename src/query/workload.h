@@ -34,10 +34,6 @@ class DataSample {
   /// Fraction of sampled rows whose `dim` value lies in `range`.
   double Selectivity(size_t dim, const ValueRange& range) const;
 
-  /// Product of per-dimension marginal selectivities (independence
-  /// assumption; cheap estimate used by the optimizer).
-  double EstimatedQuerySelectivity(const Query& query) const;
-
   /// Fraction of sampled rows matching the full predicate (joint estimate).
   double MeasuredQuerySelectivity(const Query& query) const;
 

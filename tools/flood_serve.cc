@@ -38,6 +38,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -112,6 +113,12 @@ void Usage(const char* argv0) {
       "                        (default 64)\n"
       "  --idle-timeout-ms MS  close idle connections (default 60000)\n"
       "\n"
+      "Each engine reads only its own flags; any other data, shard or\n"
+      "--threads flag exits 2. --backend reads --bounds, --sort-dim and\n"
+      "--backend-timeout-ms; --shards reads --rows, --dims, --index,\n"
+      "--sort-dim and --threads; --snapshot reads --threads; one\n"
+      "synthetic database reads --rows, --dims, --index and --threads.\n"
+      "\n"
       "--check probes a running server's kHealth endpoint (bounded\n"
       "deadlines, never hangs on a dead address) and prints a one-screen\n"
       "metrics summary from its kMetrics snapshot; exit 0 iff ready,\n"
@@ -169,9 +176,12 @@ int main(int argc, char** argv) {
   long long idle_timeout_ms = 60'000;
   std::string metrics_addr;
 
+  std::set<std::string> given;  // Every flag on the command line.
+
   constexpr long long kMaxMs = INT32_MAX;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    given.insert(arg);
     auto next = [&]() -> const char* {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "missing value for %s\n", arg.c_str());
@@ -237,17 +247,37 @@ int main(int argc, char** argv) {
     Usage(argv[0]);
     return 2;
   }
-  const char* conflict = nullptr;
-  if (!snapshot.empty() && (shards > 0 || !backends.empty())) {
-    conflict = "--snapshot serves one database, without --shards or --backend";
-  } else if (shards > 0 && !backends.empty()) {
-    conflict = "--shards (in-process) and --backend (remote) are exclusive";
-  } else if (backends.empty() && !bounds.empty()) {
-    conflict = "--bounds partitions --backend shards";
+  // Each engine reads only its own data and shard flags; one that the
+  // chosen engine never reads is a usage error, not silently dropped.
+  struct Engine {
+    std::string name;             // The flag that picks it, if any.
+    std::set<std::string> reads;  // The other engine flags it reads.
+  };
+  const Engine engines[] = {
+      {"--backend", {"--bounds", "--sort-dim", "--backend-timeout-ms"}},
+      {"--shards", {"--rows", "--dims", "--index", "--sort-dim", "--threads"}},
+      {"--snapshot", {"--threads"}},
+      {"one synthetic database", {"--rows", "--dims", "--index", "--threads"}},
+  };
+  const Engine* engine = &engines[3];
+  if (!backends.empty()) {
+    engine = &engines[0];
+  } else if (shards > 0) {
+    engine = &engines[1];
+  } else if (!snapshot.empty()) {
+    engine = &engines[2];
   }
-  if (conflict != nullptr) {
-    std::fprintf(stderr, "%s\n", conflict);
-    return 2;
+  for (const Engine& other : engines) {
+    std::set<std::string> flags = other.reads;
+    flags.insert(other.name);
+    for (const std::string& flag : flags) {
+      if (given.count(flag) > 0 && flag != engine->name &&
+          engine->reads.count(flag) == 0) {
+        std::fprintf(stderr, "%s is not read when serving with %s\n",
+                     flag.c_str(), engine->name.c_str());
+        return 2;
+      }
+    }
   }
 
   flood::DatabaseOptions options;
@@ -354,7 +384,7 @@ int main(int argc, char** argv) {
     std::printf("routing across %zu shards\n", router->num_shards());
   } else {
     std::printf("serving %zu rows via '%s' on %zu threads\n", db->num_rows(),
-                index_name.c_str(), db->num_threads());
+                db->index_name().c_str(), db->num_threads());
   }
   std::fflush(stdout);
 
